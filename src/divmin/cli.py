@@ -60,14 +60,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     only = [name.strip() for name in args.only.split(",")] if args.only else None
-    result = run_suite(
-        seeds=args.seeds,
-        draws=args.draws,
-        threads=args.threads,
-        corrupt=args.corrupt,
-        only=only,
-        tol_scale=args.tol_scale,
-    )
+    result = run_suite(seeds=args.seeds, draws=args.draws, corrupt=args.corrupt, only=only)
     for check in result.checks:
         flag = "PASS" if check.passed else "FAIL"
         print(
@@ -75,7 +68,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"max_error={check.max_error:.3e} tolerance={check.tolerance:.1e}"
         )
     verdict = "all checks passed" if result.passed else "failures present"
-    print(f"{verdict} in {result.duration_s:.2f}s on {result.threads} thread(s)")
+    print(f"{verdict} in {result.duration_s:.2f}s")
     if args.json:
         out = Path(args.json)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -163,14 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
     list_cmd.set_defaults(func=_cmd_list)
 
     verify_cmd = commands.add_parser(
-        "verify", help="replay the randomized identity and bound checks"
+        "verify", help="replay the randomized identity and bound checks, one after another"
     )
     verify_cmd.add_argument("--seeds", type=int, default=100, help="instances per check")
     verify_cmd.add_argument(
         "--draws", type=int, default=20, help="parameter draws for certificate checks"
-    )
-    verify_cmd.add_argument(
-        "--threads", type=int, default=None, help="worker threads (default: DIVMIN_THREADS or 4)"
     )
     verify_cmd.add_argument(
         "--only", type=str, default=None, help="comma-separated check names to run"
@@ -179,12 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--corrupt",
         action="store_true",
         help="inject a deliberate error to exercise failure reporting",
-    )
-    verify_cmd.add_argument(
-        "--tol-scale",
-        type=float,
-        default=1.0,
-        help="multiply every check tolerance by this factor",
     )
     verify_cmd.add_argument(
         "--json", type=str, default=None, help="also write results to this JSON file"

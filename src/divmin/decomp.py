@@ -49,6 +49,7 @@ from .tables import (
     UnnormalizedTable,
     _expand_to_scope,
     _expectation_of_log_ratio,
+    _safe_log,
     entropy,
     expectation_of_log,
     kl,
@@ -173,8 +174,12 @@ def _prepare(
     target: TargetSpec,
     realized: Assignment | None = None,
     realization: str = "intervene",
-) -> tuple[Table, UnnormalizedTable]:
-    """Materialize (actual, target) on the target scope, applying realizations."""
+) -> tuple[Table, UnnormalizedTable, Table, ActualSystem]:
+    """Materialize (actual, target) on the target scope, applying realizations.
+
+    Returns (p, q, full joint, realized system); the last two are what
+    target factors that mirror the system are read against.
+    """
     realized_system, evidence = realize(system, realized, realization)
     joint = build_joint(realized_system)
     q = build_target(target, realized_system, joint)
@@ -184,7 +189,7 @@ def _prepare(
             raise ValidationError(f"evidence variable {name!r} is outside the target scope")
     if evidence:
         p = observe(p, evidence)
-    return p, q
+    return p, q, joint, realized_system
 
 
 def _split_roles(p: Table) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -222,7 +227,7 @@ def joint_kl(
     When the target scope is a strict subset of the system's variables, the
     actual distribution is marginalized onto that scope first.
     """
-    p, q = _prepare(system, target, realized, realization)
+    p, q, _, _ = _prepare(system, target, realized, realization)
     return kl(p, q)
 
 
@@ -232,7 +237,12 @@ def fully_matched_target(system: ActualSystem) -> TargetSpec:
     return TargetSpec(names, [MarginalMirror(names, ())])
 
 
-def decompose_latent_side(system: ActualSystem, target: TargetSpec) -> Report:
+def decompose_latent_side(
+    system: ActualSystem,
+    target: TargetSpec,
+    realized: Assignment | None = None,
+    realization: str = "intervene",
+) -> Report:
     """Split the joint divergence through the internal variables.
 
     joint_kl = E_x KL[p(z|x) || q(z)] - E[ln q(x|z) - ln p(x)]. The second
@@ -240,7 +250,7 @@ def decompose_latent_side(system: ActualSystem, target: TargetSpec) -> Report:
     variables carry about the inputs; its gap to that information is an
     expected conditional divergence.
     """
-    p, q = _prepare(system, target)
+    p, q, _, _ = _prepare(system, target, realized, realization)
     x, z = _split_roles(p)
     latent_pref, d1 = _term(p, _log_given(p, z, x), _log_given(q, z, ()))
     info_bound, d2 = _term(p, _log_given(q, x, z), _log_given(p, x, ()))
@@ -257,12 +267,22 @@ def decompose_latent_side(system: ActualSystem, target: TargetSpec) -> Report:
     )
 
 
-def decompose_input_side(system: ActualSystem, target: TargetSpec) -> Report:
+def decompose_input_side(
+    system: ActualSystem,
+    target: TargetSpec,
+    realized: Assignment | None = None,
+    realization: str = "intervene",
+) -> Report:
     """Mirror split through the inputs.
 
     joint_kl = E_z KL[p(x|z) || q(x)] - E[ln q(z|x) - ln p(z)].
     """
-    p, q = _prepare(system, target)
+    p, q, _, _ = _prepare(system, target, realized, realization)
+    return _input_side(p, q)
+
+
+def _input_side(p: Table, q: UnnormalizedTable) -> Report:
+    """:func:`decompose_input_side` on an already materialized pair."""
     x, z = _split_roles(p)
     input_pref, d1 = _term(p, _log_given(p, x, z), _log_given(q, x, ()))
     info_bound_latent, d2 = _term(p, _log_given(q, z, x), _log_given(p, z, ()))
@@ -281,10 +301,8 @@ def decompose_input_side(system: ActualSystem, target: TargetSpec) -> Report:
 
 def energy_entropy(system: ActualSystem, target: TargetSpec) -> Report:
     """joint_kl = E_p[-ln q~] - H[p] + ln Z, the physics-style reading."""
-    p, q = _prepare(system, target)
-    with np.errstate(divide="ignore"):
-        log_raw = np.where(q.weights > 0.0, np.log(np.where(q.weights > 0.0, q.weights, 1.0)), -np.inf)
-    cross, diverged = expectation_of_log(p, log_raw)
+    p, q, _, _ = _prepare(system, target)
+    cross, diverged = expectation_of_log(p, _safe_log(q.weights))
     ref = kl(p, q)
     return Report(
         equation="energy_entropy",
@@ -300,7 +318,7 @@ def energy_entropy(system: ActualSystem, target: TargetSpec) -> Report:
 
 def expected_free_energy(system: ActualSystem, target: TargetSpec) -> Report:
     """joint_kl = [E[-ln q(x|z)] + E_x KL[p(z|x) || q(z)]] - H[p(x)]."""
-    p, q = _prepare(system, target)
+    p, q, _, _ = _prepare(system, target)
     x, z = _split_roles(p)
     reconstruction, d1 = expectation_of_log(p, _log_given(q, x, z))
     latent_pref, d2 = _term(p, _log_given(p, z, x), _log_given(q, z, ()))
@@ -334,10 +352,18 @@ def past_future_split(
     conditional matches the actual one.
     """
     horizon.validate_with(system)
-    p, q = _prepare(system, target, realized, realization)
+    p, q, _, _ = _prepare(system, target, realized, realization)
     in_scope = set(p.names)
     past = tuple(n for n in horizon.past_inputs(system) if n in in_scope)
     future = tuple(n for n in horizon.future_inputs(system) if n in in_scope)
+    return _past_future(p, q, past, future)
+
+
+def _past_future(
+    p: Table, q: UnnormalizedTable, past: tuple[str, ...], future: tuple[str, ...]
+) -> Report:
+    """:func:`past_future_split` on an already materialized pair, with the
+    past and future inputs given in scope order."""
     x = past + future
     z = tuple(n for n in p.names if n not in set(x))
 
@@ -420,7 +446,7 @@ def bayesian_future_check(
                 f"inputs and internal variables; offending scope {sorted(fvars)}"
             )
 
-    p, q = _prepare(system, target, realized, "condition")
+    p, q, _, _ = _prepare(system, target, realized, "condition")
     past_t = tuple(n for n in p.names if n in past or n in internal)
     fut_t = tuple(n for n in p.names if n in future)
     z = tuple(n for n in p.names if n in internal)

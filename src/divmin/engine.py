@@ -50,7 +50,7 @@ from .systems import (
     softmax,
     target_factor_log_array,
 )
-from .tables import Assignment, Table, UnnormalizedTable, _expand_to_scope
+from .tables import Assignment, Table, UnnormalizedTable, _expand_to_scope, _safe_log
 
 # ---------------------------------------------------------------------------
 # Log-sources
@@ -409,10 +409,7 @@ class Engine:
             )
             arr = _expand_to_scope(raw, st.q.names, st.joint)
         elif isinstance(src, TargetLogRaw):
-            w = st.q.weights
-            with np.errstate(divide="ignore"):
-                raw = np.where(w > 0.0, np.log(np.where(w > 0.0, w, 1.0)), -np.inf)
-            arr = _expand_to_scope(raw, st.q.names, st.joint)
+            arr = _expand_to_scope(_safe_log(st.q.weights), st.q.names, st.joint)
         else:
             arr = _expand_to_scope(src.values, src.vars, st.joint)
         st.cache[key] = arr

@@ -75,13 +75,16 @@ import numpy as np
 
 from .decomp import (
     Report,
+    _input_side,
     _log_given,
+    _past_future,
+    _prepare,
     _split_roles,
     _term,
+    decompose_input_side,
+    decompose_latent_side,
     energy_entropy,
     joint_kl,
-    observe,
-    past_future_split,
     realize,
 )
 from .engine import (
@@ -95,7 +98,7 @@ from .engine import (
     TargetLogRaw,
     Term,
 )
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError
 from .systems import (
     ActualSystem,
     ConditionalFactor,
@@ -107,7 +110,6 @@ from .systems import (
     TableFactor,
     TargetSpec,
     build_joint,
-    build_target,
     target_factor_log_array,
     target_factor_scope,
 )
@@ -121,7 +123,6 @@ from .tables import (
     kl,
     marginalize,
     mutual_information,
-    reorder,
 )
 
 Assignment = Mapping[str, int]
@@ -237,29 +238,21 @@ def from_preset(preset) -> Objective:
 # Shared construction helpers
 
 
-def _materialize(
-    system: ActualSystem,
-    target: TargetSpec,
-    realized: Assignment | None,
-    realization: str,
-) -> tuple[Table, "np.ndarray | object", Table, ActualSystem]:
-    """(p, q, joint, realized system) on the target scope, like the reports use."""
-    realized_system, evidence = realize(system, dict(realized or {}), realization)
-    joint = build_joint(realized_system)
-    q = build_target(target, realized_system, joint)
-    p = reorder(marginalize(joint, q.names), q.names)
-    for name in evidence:
-        if name not in p.names:
-            raise ValidationError(f"evidence variable {name!r} is outside the target scope")
-    if evidence:
-        p = observe(p, evidence)
-    return p, q, joint, realized_system
-
-
 def _face(target: TargetSpec, index: int, realized_system: ActualSystem, joint: Table, q) -> np.ndarray:
     """ln of one target factor, broadcast to the target scope shape."""
     raw = target_factor_log_array(target.factors[index], target, realized_system, joint)
     return np.broadcast_to(raw, q.weights.shape)
+
+
+def _renamed(base: Report, equation: str, names: Mapping[str, str], **changes) -> Report:
+    """A ``decomp`` report under a family's equation tag and term names."""
+    return replace(
+        base,
+        equation=equation,
+        terms={names[k]: v for k, v in base.terms.items()},
+        combo={names[k]: c for k, c in base.combo.items()},
+        **changes,
+    )
 
 
 def _expected_payoff(p: Table, name: str, values: np.ndarray) -> float:
@@ -410,7 +403,7 @@ def _build_elbo(system, target, horizon, options, realized, realization) -> Obje
     engine = Engine(system, target, terms, lnz_coeff=0.0)
 
     def report(sys2: ActualSystem, tgt2: TargetSpec) -> Report:
-        p, q, joint, rsys = _materialize(sys2, tgt2, None, realization)
+        p, q, joint, rsys = _prepare(sys2, tgt2, None, realization)
         x, z = _split_roles(p)
         complexity, d1 = _term(p, _log_given(p, z, x), _log_given(q, z, ()))
         parts: list[float] = []
@@ -516,35 +509,19 @@ def _build_vae(system, target, horizon, options, realized, realization) -> Objec
             Term("complexity", 1.0, ((1.0, ActualLog(z_scope, x_scope)), (-1.0, TargetLog(z_scope)))),
             Term("fit_bound", -1.0, ((1.0, TargetLog(x_scope, z_scope)), (-1.0, ActualLog(x_scope)))),
         ]
+        split = decompose_latent_side
+        names = {"latent_pref_kl": "complexity", "info_bound": "fit_bound"}
     else:
         terms = [
             Term("input_pref", 1.0, ((1.0, ActualLog(x_scope, z_scope)), (-1.0, TargetLog(x_scope)))),
             Term("code_bound", -1.0, ((1.0, TargetLog(z_scope, x_scope)), (-1.0, ActualLog(z_scope)))),
         ]
+        split = decompose_input_side
+        names = {"input_pref_kl": "input_pref", "info_bound_latent": "code_bound"}
     engine = Engine(system, target, terms, lnz_coeff=0.0, realized=realized, realization=realization)
 
     def report(sys2: ActualSystem, tgt2: TargetSpec) -> Report:
-        p, q, joint, rsys = _materialize(sys2, tgt2, realized, realization)
-        x, z = _split_roles(p)
-        if form == "reconstruction":
-            first, d1 = _term(p, _log_given(p, z, x), _log_given(q, z, ()))
-            second, d2 = _term(p, _log_given(q, x, z), _log_given(p, x, ()))
-            names = ("complexity", "fit_bound")
-        else:
-            first, d1 = _term(p, _log_given(p, x, z), _log_given(q, x, ()))
-            second, d2 = _term(p, _log_given(q, z, x), _log_given(p, z, ()))
-            names = ("input_pref", "code_bound")
-        ref = kl(p, q)
-        return Report(
-            equation="vae",
-            terms={names[0]: first, names[1]: second},
-            combo={names[0]: 1.0, names[1]: -1.0},
-            log_partition=ref.log_partition,
-            lnz_coeff=0.0,
-            joint_kl=ref.kl_nats,
-            relation="equals",
-            divergent=ref.divergent or d1 or d2,
-        )
+        return _renamed(split(sys2, tgt2, realized, realization), "vae", names)
 
     return Objective(
         family="amortized_vae",
@@ -584,7 +561,8 @@ def _build_control_like(family, system, target, horizon, options, realized, real
 
     The target is derived from the options; any supplied target is
     replaced. Decision variables are exactly the parameterized factors
-    of the system.
+    of the system. Realized actions must be interventions; evidence is
+    accepted only by mode "kl-regularized", and only on its inputs.
     """
     equation = FAMILY_TAGS[family]
     mode = options.get("mode", "kl-control")
@@ -615,16 +593,27 @@ def _build_control_like(family, system, target, horizon, options, realized, real
             raise ConfigError(f"action variable {n!r} is not parameterized")
     rewards = _control_rewards(system, options)
     states = tuple(n for n in inputs if n not in decisions)
+    # Conditioning p breaks the cancellation of the mirrored dynamics, so
+    # only "kl-regularized", whose target mirrors nothing, takes evidence,
+    # and only on the inputs it scores.
+    _, evidence = realize(system, realized, realization)
+    allowed = set(states) if mode == "kl-regularized" else set()
+    stray = sorted(set(evidence) - allowed)
+    if stray:
+        raise ConfigError(
+            f"mode {mode!r} cannot take {stray} as evidence; realize actions by intervention"
+        )
+    gains = [(f"{gain_name}_{inputs.index(v) + 1}", v) for v in inputs if v in rewards]
 
     factors: list = []
-    terms: list[Term] = []
-
+    # (term name, variable, given, target-factor index) of every KL term,
+    # read by the engine terms and the report alike.
+    kl_terms: list[tuple[str, str, tuple[str, ...], int]] = []
     if mode == "kl-control":
         priors_opt = {k: np.asarray(v, dtype=np.float64) for k, v in dict(options.get("priors", {}) or {}).items()}
         for k in priors_opt:
             if k not in decisions:
                 raise ConfigError(f"prior given for {k!r}, which is not a decision variable")
-        prior_idx: dict[str, int] = {}
         for v in system.names:
             if v in decisions:
                 card = system.variable(v).cardinality
@@ -633,71 +622,19 @@ def _build_control_like(family, system, target, horizon, options, realized, real
                     vec = _uniform(card)
                 if vec.shape != (card,) or np.any(vec <= 0.0) or not np.all(np.isfinite(vec)):
                     raise ConfigError(f"prior for {v!r} must be a positive vector of length {card}")
-                prior_idx[v] = len(factors)
+                name = f"{cost_name}_{decisions.index(v) + 1}"
+                kl_terms.append((name, v, system.factors[v].parents, len(factors)))
                 factors.append(TableFactor((v,), vec))
             else:
                 factors.append(FactorMirror(v))
-        for v in inputs:
-            if v in rewards:
-                factors.append(RewardFactor((v,), rewards[v]))
-        built = TargetSpec(system.names, factors)
-        for t, d in enumerate(decisions, start=1):
-            terms.append(
-                Term(
-                    f"{cost_name}_{t}",
-                    1.0,
-                    (
-                        (1.0, ActualLog((d,), system.factors[d].parents)),
-                        (-1.0, TargetFactorLog(prior_idx[d])),
-                    ),
-                )
-            )
-        for v in inputs:
-            if v in rewards:
-                t = inputs.index(v) + 1
-                terms.append(Term(f"{gain_name}_{t}", -1.0, ((1.0, Payoff((v,), rewards[v])),)))
-        lnz_coeff = 1.0
-        matches = True
-
-        def report(sys2: ActualSystem, tgt2: TargetSpec) -> Report:
-            p, q, joint, rsys = _materialize(sys2, tgt2, realized, realization)
-            out: dict[str, float] = {}
-            combo: dict[str, float] = {}
-            divergent = False
-            for t, d in enumerate(decisions, start=1):
-                val, dv = _term(
-                    p,
-                    _log_given(p, (d,), rsys.factors[d].parents),
-                    _face(tgt2, prior_idx[d], rsys, joint, q),
-                )
-                out[f"{cost_name}_{t}"] = val
-                combo[f"{cost_name}_{t}"] = 1.0
-                divergent = divergent or dv
-            for v in inputs:
-                if v in rewards:
-                    t = inputs.index(v) + 1
-                    out[f"{gain_name}_{t}"] = _expected_payoff(p, v, rewards[v])
-                    combo[f"{gain_name}_{t}"] = -1.0
-            ref = kl(p, q)
-            return Report(
-                equation=equation,
-                terms=out,
-                combo=combo,
-                log_partition=ref.log_partition,
-                lnz_coeff=1.0,
-                joint_kl=ref.kl_nats,
-                relation="equals",
-                divergent=ref.divergent or divergent,
-            )
-
+        scope = system.names
     elif mode == "kl-regularized":
         overlap = tuple(d for d in decisions if d in inputs)
         if overlap:
             raise ConfigError(
                 f"mode 'kl-regularized' needs decisions outside the inputs; found {overlap}"
             )
-        passive_idx: dict[str, int] = {}
-        for v in states:
+        for t, v in enumerate(states, start=1):
             f = system.factors[v]
             extra = set(f.parents) - set(states) - set(decisions)
             if extra:
@@ -709,95 +646,62 @@ def _build_control_like(family, system, target, horizon, options, realized, real
             dec_axes = tuple(i for i, pname in enumerate(f.parents) if pname in decisions)
             avg = cond.mean(axis=dec_axes) if dec_axes else cond
             state_parents = tuple(pname for pname in f.parents if pname not in decisions)
-            passive_idx[v] = len(factors)
+            kl_terms.append((f"control_{t}", v, states[: t - 1], len(factors)))
             if state_parents:
                 factors.append(ConditionalFactor(v, state_parents, avg))
             else:
                 factors.append(TableFactor((v,), avg))
-        reward_positions = [v for v in inputs if v in rewards]
-        for v in reward_positions:
-            factors.append(RewardFactor((v,), rewards[v]))
-        built = TargetSpec(states, factors)
-        for t, v in enumerate(states, start=1):
-            earlier = states[: states.index(v)]
-            terms.append(
-                Term(
-                    f"control_{t}",
-                    1.0,
-                    ((1.0, ActualLog((v,), earlier)), (-1.0, TargetFactorLog(passive_idx[v]))),
-                )
-            )
-        for v in reward_positions:
-            t = inputs.index(v) + 1
-            terms.append(Term(f"{gain_name}_{t}", -1.0, ((1.0, Payoff((v,), rewards[v])),)))
-        lnz_coeff = 1.0
-        matches = True
-
-        def report(sys2: ActualSystem, tgt2: TargetSpec) -> Report:
-            p, q, joint, rsys = _materialize(sys2, tgt2, realized, realization)
-            out: dict[str, float] = {}
-            combo: dict[str, float] = {}
-            divergent = False
-            for t, v in enumerate(states, start=1):
-                earlier = states[: states.index(v)]
-                val, dv = _term(
-                    p, _log_given(p, (v,), earlier), _face(tgt2, passive_idx[v], rsys, joint, q)
-                )
-                out[f"control_{t}"] = val
-                combo[f"control_{t}"] = 1.0
-                divergent = divergent or dv
-            for v in reward_positions:
-                t = inputs.index(v) + 1
-                out[f"{gain_name}_{t}"] = _expected_payoff(p, v, rewards[v])
-                combo[f"{gain_name}_{t}"] = -1.0
-            ref = kl(p, q)
-            return Report(
-                equation=equation,
-                terms=out,
-                combo=combo,
-                log_partition=ref.log_partition,
-                lnz_coeff=1.0,
-                joint_kl=ref.kl_nats,
-                relation="equals",
-                divergent=ref.divergent or divergent,
-            )
-
+        scope = states
     else:  # expected-reward
         if not rewards:
             raise ConfigError("mode 'expected-reward' needs at least one reward")
         for i, v in enumerate(inputs):
             factors.append(MarginalMirror((v,), inputs[:i]))
-        reward_positions = [v for v in inputs if v in rewards]
-        for v in reward_positions:
-            factors.append(RewardFactor((v,), rewards[v]))
-        built = TargetSpec(inputs, factors)
-        for v in reward_positions:
-            t = inputs.index(v) + 1
-            terms.append(Term(f"{gain_name}_{t}", -1.0, ((1.0, Payoff((v,), rewards[v])),)))
-        lnz_coeff = 0.0
-        matches = False
+        scope = inputs
+    factors.extend(RewardFactor((v,), rewards[v]) for _, v in gains)
+    built = TargetSpec(scope, factors)
 
-        def report(sys2: ActualSystem, tgt2: TargetSpec) -> Report:
-            p, q, joint, rsys = _materialize(sys2, tgt2, realized, realization)
-            out: dict[str, float] = {}
-            combo: dict[str, float] = {}
-            for v in reward_positions:
-                t = inputs.index(v) + 1
-                out[f"{gain_name}_{t}"] = _expected_payoff(p, v, rewards[v])
-                combo[f"{gain_name}_{t}"] = -1.0
-            ref = kl(p, q)
-            return Report(
-                equation=equation,
-                terms=out,
-                combo=combo,
-                log_partition=ref.log_partition,
-                lnz_coeff=1.0,
-                joint_kl=ref.kl_nats,
-                relation="equals",
-                divergent=ref.divergent,
-            )
+    terms = [
+        Term(name, 1.0, ((1.0, ActualLog((v,), given)), (-1.0, TargetFactorLog(index))))
+        for name, v, given, index in kl_terms
+    ]
+    terms += [Term(name, -1.0, ((1.0, Payoff((v,), rewards[v])),)) for name, v in gains]
+    # "expected-reward" mirrors the dynamics in full, so the engine descends
+    # the expected reward alone while the report keeps ln Z.
+    matches = mode != "expected-reward"
 
-    engine = Engine(system, built, terms, lnz_coeff=lnz_coeff, realized=realized, realization=realization)
+    def report(sys2: ActualSystem, tgt2: TargetSpec) -> Report:
+        p, q, joint, rsys = _prepare(sys2, tgt2, realized, realization)
+        out: dict[str, float] = {}
+        combo: dict[str, float] = {}
+        divergent = False
+        for name, v, given, index in kl_terms:
+            out[name], dv = _term(p, _log_given(p, (v,), given), _face(tgt2, index, rsys, joint, q))
+            combo[name] = 1.0
+            divergent = divergent or dv
+        for name, v in gains:
+            out[name] = _expected_payoff(p, v, rewards[v])
+            combo[name] = -1.0
+        ref = kl(p, q)
+        return Report(
+            equation=equation,
+            terms=out,
+            combo=combo,
+            log_partition=ref.log_partition,
+            lnz_coeff=1.0,
+            joint_kl=ref.kl_nats,
+            relation="equals",
+            divergent=ref.divergent or divergent,
+        )
+
+    engine = Engine(
+        system,
+        built,
+        terms,
+        lnz_coeff=1.0 if matches else 0.0,
+        realized=realized,
+        realization=realization,
+    )
     return Objective(
         family=family,
         equation=equation,
@@ -875,26 +779,16 @@ def _build_empowerment(system, target, horizon, options, realized, realization) 
     ]
     engine = Engine(system, target, terms, lnz_coeff=0.0, realized=realized, realization=realization)
 
+    names = {"input_pref_kl": "control", "info_bound_latent": "gen_empowerment_bound"}
+
     def report(sys2: ActualSystem, tgt2: TargetSpec) -> Report:
-        p, q, joint, rsys = _materialize(sys2, tgt2, realized, realization)
+        p, q, _, _ = _prepare(sys2, tgt2, realized, realization)
         x, z = _split_roles(p)
-        control, d1 = _term(p, _log_given(p, x, z), _log_given(q, x, ()))
-        bound, d2 = _term(p, _log_given(q, z, x), _log_given(p, z, ()))
-        ref = kl(p, q)
-        return Report(
-            equation="empowerment",
-            terms={"control": control, "gen_empowerment_bound": bound},
-            combo={"control": 1.0, "gen_empowerment_bound": -1.0},
-            log_partition=ref.log_partition,
-            lnz_coeff=0.0,
-            joint_kl=ref.kl_nats,
-            relation="equals",
-            divergent=ref.divergent or d1 or d2,
-            extras={
-                "exact_mi": mutual_information(p, z, x),
-                "mi_cap": min(entropy(p, z), entropy(p, x)),
-            },
-        )
+        extras = {
+            "exact_mi": mutual_information(p, z, x),
+            "mi_cap": min(entropy(p, z), entropy(p, x)),
+        }
+        return _renamed(_input_side(p, q), "empowerment", names, extras=extras)
 
     return Objective(
         family="empowerment",
@@ -992,7 +886,7 @@ def _build_skills(system, target, horizon, options, realized, realization) -> Ob
     engine = Engine(system, built, terms, lnz_coeff=0.0, realized=realized, realization=realization)
 
     def report(sys2: ActualSystem, tgt2: TargetSpec) -> Report:
-        p, q, joint, rsys = _materialize(sys2, tgt2, realized, realization)
+        p, q, joint, rsys = _prepare(sys2, tgt2, realized, realization)
         divergent = False
         control_parts: list[float] = []
         for v in mirror_vars:
@@ -1115,10 +1009,9 @@ def _build_info_gain(system, target, horizon, options, realized, realization) ->
     }
 
     def report(sys2: ActualSystem, tgt2: TargetSpec) -> Report:
-        base = past_future_split(sys2, tgt2, horizon, realized, realization)
-        out = {rename[k]: v for k, v in base.terms.items()}
-        combo = {rename[k]: c for k, c in base.combo.items()}
-        p, q, _, _ = _materialize(sys2, tgt2, realized, realization)
+        p, q, _, _ = _prepare(sys2, tgt2, realized, realization)
+        base = _past_future(p, q, past, future)
+        info_gain = base.terms["exploration"]
         exact = mutual_information(p, z, xs)
         if past:
             exact -= mutual_information(p, z, past)
@@ -1135,22 +1028,13 @@ def _build_info_gain(system, target, horizon, options, realized, realization) ->
             )
             steps.append(value)
         intrinsic_sum = math.fsum(steps)
-        return Report(
-            equation="infogain",
-            terms=out,
-            combo=combo,
-            log_partition=base.log_partition,
-            lnz_coeff=0.0,
-            joint_kl=base.joint_kl,
-            relation="lower-bounds-joint",
-            divergent=base.divergent,
-            extras={
-                "exact_info_gain": exact,
-                "info_gain_gap": exact - out["info_gain"],
-                "intrinsic_sum": intrinsic_sum,
-                "intrinsic_gap": out["info_gain"] - intrinsic_sum,
-            },
-        )
+        extras = {
+            "exact_info_gain": exact,
+            "info_gain_gap": exact - info_gain,
+            "intrinsic_sum": intrinsic_sum,
+            "intrinsic_gap": info_gain - intrinsic_sum,
+        }
+        return _renamed(base, "infogain", rename, extras=extras)
 
     return Objective(
         family="info_gain",

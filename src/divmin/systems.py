@@ -23,9 +23,8 @@ vector with an index map back to (side, factor, parent slice, outcome).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -38,6 +37,8 @@ from .tables import (
     UnnormalizedTable,
     Variable,
     _expand_to_scope,
+    _safe_log,
+    log_conditional,
 )
 
 SLICE_NORMALIZATION_TOL = 1e-12
@@ -250,9 +251,6 @@ class ActualSystem:
     def inputs(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables if v.role.is_input)
 
-    def latents(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables if v.role.is_latent)
-
     def by_role(self, *roles: Role) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables if v.role in roles)
 
@@ -263,16 +261,6 @@ class ActualSystem:
     def __repr__(self) -> str:
         kinds = {n: f.kind for n, f in self.factors.items()}
         return f"ActualSystem(variables={self.names}, factors={kinds})"
-
-
-def factor_log_array(system: ActualSystem, name: str) -> np.ndarray:
-    """ln factor(child | parents) broadcast over the full joint shape."""
-    f = system.factors[name]
-    cond = system.factor_conditional(name)
-    with np.errstate(divide="ignore"):
-        log_c = np.where(cond > 0.0, np.log(np.where(cond > 0.0, cond, 1.0)), -np.inf)
-    ref = _ScopeRef(system.variables)
-    return _expand_to_scope(log_c, f.parents + (name,), ref)
 
 
 class _ScopeRef:
@@ -499,9 +487,7 @@ def target_factor_log_array(
     ref = _ScopeRef(scope)
 
     def logify(values: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            lv = np.where(values > 0.0, np.log(np.where(values > 0.0, values, 1.0)), -np.inf)
-        return _expand_to_scope(lv, names, ref)
+        return _expand_to_scope(_safe_log(values), names, ref)
 
     if isinstance(f, TableFactor):
         return logify(f.table, f.vars)
@@ -523,8 +509,6 @@ def target_factor_log_array(
     if isinstance(f, MarginalMirror):
         if joint is None:
             joint = build_joint(system)
-        from .tables import log_conditional
-
         full = log_conditional(joint, f.vars, f.given)
         # Collapse the system-shaped array onto the target scope: the values
         # only vary along vars in (given + vars), so slicing index 0 on the
@@ -651,18 +635,6 @@ class ParameterSpace:
                 local = np.unravel_index(flat_index - b.offset, b.shape)
                 return b.side, b.key, tuple(int(i) for i in local[:-1]), int(local[-1])
         raise AssertionError("unreachable")
-
-
-def get_parameters(system: ActualSystem, target: TargetSpec | None = None) -> np.ndarray:
-    """Flat parameter vector of every parameterized factor (system, then target)."""
-    return ParameterSpace(system, target).get()
-
-
-def set_parameters(
-    system: ActualSystem, phi: np.ndarray, target: TargetSpec | None = None
-) -> tuple[ActualSystem, TargetSpec | None]:
-    """Round-trip counterpart of :func:`get_parameters`; values are bit-exact."""
-    return ParameterSpace(system, target).set(phi)
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,6 @@ class Role(str, enum.Enum):
         return self in (Role.PAST_INPUT, Role.FUTURE_INPUT)
 
     @property
-    def is_latent(self) -> bool:
-        return not self.is_input
-
-    @property
     def realizable(self) -> bool:
         """Whether a value of this variable may be realized by intervention."""
         return self in (Role.ACTION, Role.SKILL, Role.PAST_INPUT)
@@ -139,11 +135,6 @@ class Table:
     def variable(self, name: str) -> Variable:
         return self.scope[self.axis(name)]
 
-    def prob(self, assignment: Assignment) -> float:
-        """Probability of a full assignment."""
-        idx = _full_index(self, assignment)
-        return float(self.probs[idx])
-
     def __repr__(self) -> str:
         return f"Table(scope={self.names}, shape={self.probs.shape})"
 
@@ -209,22 +200,6 @@ def _validate_subset(table: Table | UnnormalizedTable, names: Iterable[str]) -> 
     return names
 
 
-def _full_index(table: Table | UnnormalizedTable, assignment: Assignment) -> tuple[int, ...]:
-    if set(assignment) != set(table.names):
-        raise ValidationError(
-            f"assignment keys {sorted(assignment)} must equal scope {sorted(table.names)}"
-        )
-    idx = []
-    for v in table.scope:
-        k = int(assignment[v.name])
-        if not 0 <= k < v.cardinality:
-            raise ValidationError(
-                f"assignment {v.name}={k} out of range for cardinality {v.cardinality}"
-            )
-        idx.append(k)
-    return tuple(idx)
-
-
 def marginalize(table: Table, keep: Iterable[str]) -> Table:
     """Sum out everything except ``keep``; result scope keeps the original order."""
     keep = _validate_subset(table, keep)
@@ -272,6 +247,11 @@ def condition(table: Table, evidence: Assignment) -> Table:
         raise NullEvidenceError(f"evidence {dict(evidence)} has probability zero")
     new_scope = tuple(v for v in table.scope if v.name not in evidence)
     return Table(new_scope, slab / mass)
+
+
+def _safe_log(values: np.ndarray) -> np.ndarray:
+    """Elementwise ln, with -inf wherever an entry is not positive."""
+    return np.where(values > 0.0, np.log(np.where(values > 0.0, values, 1.0)), -np.inf)
 
 
 def _xlogx_sum(p: np.ndarray) -> float:
@@ -421,8 +401,7 @@ def variational_mi_lower_bound(
     mask = joint.probs > 0.0
     if np.any(mask & (full <= 0.0)):
         return -math.inf
-    with np.errstate(divide="ignore"):
-        log_dec = np.where(full > 0.0, np.log(np.where(full > 0.0, full, 1.0)), -np.inf)
+    log_dec = _safe_log(full)
     vals = joint.probs[mask] * (log_dec[mask] - log_px[mask])
     return float(vals.sum())
 
@@ -435,7 +414,6 @@ def _expand_to_scope(
     for i, v in enumerate(ref.scope):
         if v.name in arr_names:
             shape[i] = v.cardinality
-    src = {n: i for i, n in enumerate(arr_names)}
     perm = sorted(range(len(arr_names)), key=lambda i: ref.axis(arr_names[i]))
     return np.transpose(arr, perm).reshape(shape)
 
@@ -452,8 +430,7 @@ def log_marginal(table: Table | UnnormalizedTable, subset: tuple[str, ...]) -> n
     drop_axes = tuple(i for i, v in enumerate(table.scope) if v.name not in subset)
     marg = base.sum(axis=drop_axes) if drop_axes else base
     marg = marg / marg.sum()
-    with np.errstate(divide="ignore"):
-        logm = np.where(marg > 0.0, np.log(np.where(marg > 0.0, marg, 1.0)), -np.inf)
+    logm = _safe_log(marg)
     names = tuple(v.name for v in table.scope if v.name in subset)
     return _expand_to_scope(logm, names, table)
 

@@ -4,7 +4,7 @@ Each named check replays one exact identity, one inequality, or one
 cross-implementation agreement over many seeded random instances and
 records the worst error observed. A check passes when that worst error
 stays within its stated tolerance. Checks are independent of each
-other, so the suite fans them out over a small thread pool.
+other and run one after another on the calling thread.
 
 The sweep is deterministic: instances come from counter-based streams
 keyed by the case index, never from global random state, so a failure
@@ -14,10 +14,8 @@ reported for one seed can be replayed in isolation.
 from __future__ import annotations
 
 import math
-import os
 import time
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,19 +70,18 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class SuiteResult:
-    """All check outcomes plus how the sweep was executed."""
+    """All check outcomes plus the wall time of the sweep."""
 
     checks: tuple[CheckResult, ...]
     duration_s: float
-    threads: int
 
     @property
     def passed(self) -> bool:
         return all(check.passed for check in self.checks)
 
     def to_dict(self) -> dict:
-        """Only the reproducible parts; timing and thread count are
-        execution details and stay off the serialized record."""
+        """Only the reproducible parts; the timing stays off the
+        serialized record."""
         return {
             "passed": self.passed,
             "checks": [check.to_dict() for check in self.checks],
@@ -394,45 +391,24 @@ def check_names() -> tuple[str, ...]:
     return tuple(name for name, _, _, _ in _checks())
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        env = os.environ.get("DIVMIN_THREADS", "").strip()
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ConfigError("DIVMIN_THREADS must be an integer") from None
-        else:
-            threads = min(4, os.cpu_count() or 1)
-    if threads < 1:
-        raise ConfigError("threads must be a positive integer")
-    return threads
-
-
 def run_suite(
     seeds: int = 100,
     draws: int = 20,
-    threads: int | None = None,
     corrupt: bool = False,
     only: Iterable[str] | None = None,
-    tol_scale: float = 1.0,
 ) -> SuiteResult:
-    """Run the named checks and collect their worst-case errors.
+    """Run the named checks in order and collect their worst-case errors.
 
     ``seeds`` sizes the per-check instance sweeps and ``draws`` the random
     parameter draws for the certificate checks. ``corrupt`` injects a
     deliberate error into the first identity check so the failure path of
     the reporting machinery can itself be exercised. ``only`` restricts
-    the run to the given check names, and ``tol_scale`` multiplies every
-    check tolerance, for loosening (or tightening) the whole suite at once.
+    the run to the given check names.
     """
     if seeds < 1:
         raise ConfigError("seeds must be a positive integer")
     if draws < 1:
         raise ConfigError("draws must be a positive integer")
-    if not tol_scale > 0.0:
-        raise ConfigError("tol_scale must be a positive number")
-    threads = _resolve_threads(threads)
 
     entries = _checks()
     if only is not None:
@@ -443,29 +419,19 @@ def run_suite(
         entries = tuple(entry for entry in entries if entry[0] in wanted)
 
     start = time.perf_counter()
-
-    def run_one(entry) -> CheckResult:
-        name, equation, tolerance, fn = entry
-        tolerance = tolerance * tol_scale
+    results = []
+    for name, equation, tolerance, fn in entries:
         cases, error = fn(seeds, draws)
         if corrupt and name == "latent_side_identity":
             error += 1e-3
-        return CheckResult(
-            name=name,
-            equation=equation,
-            passed=bool(error <= tolerance),
-            cases=cases,
-            max_error=float(error),
-            tolerance=tolerance,
+        results.append(
+            CheckResult(
+                name=name,
+                equation=equation,
+                passed=bool(error <= tolerance),
+                cases=cases,
+                max_error=float(error),
+                tolerance=tolerance,
+            )
         )
-
-    if threads == 1 or len(entries) == 1:
-        results = [run_one(entry) for entry in entries]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, entries))
-    return SuiteResult(
-        checks=tuple(results),
-        duration_s=time.perf_counter() - start,
-        threads=threads,
-    )
+    return SuiteResult(checks=tuple(results), duration_s=time.perf_counter() - start)

@@ -42,7 +42,6 @@ def test_verify_passes_and_writes_json(tmp_path, capsys):
             "verify",
             "--seeds", "3",
             "--draws", "1",
-            "--threads", "1",
             "--only", "probability_core,mi_variational_bound",
             "--json", str(out_file),
         ]
@@ -62,7 +61,6 @@ def test_verify_corrupt_fails_with_exit_one(capsys):
             "verify",
             "--seeds", "2",
             "--draws", "1",
-            "--threads", "1",
             "--only", "latent_side_identity",
             "--corrupt",
         ]
@@ -122,26 +120,12 @@ def test_run_dry_run_validates_without_artifacts(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_verify_tol_scale_loosens_tolerances(capsys):
-    args = [
-        "verify",
-        "--seeds", "2",
-        "--draws", "1",
-        "--threads", "1",
-        "--only", "latent_side_identity",
-        "--corrupt",
-    ]
-    assert main(args) == 1
-    assert main(args + ["--tol-scale", "1e7"]) == 0
-    assert "tolerance=1.0e-02" in capsys.readouterr().out
-
-
 def test_verify_json_is_reproducible_apart_from_timestamp(tmp_path, capsys):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
     base = ["verify", "--seeds", "3", "--draws", "1", "--only", "probability_core"]
-    assert main(base + ["--threads", "1", "--json", str(first)]) == 0
-    assert main(base + ["--threads", "2", "--json", str(second)]) == 0
+    assert main(base + ["--json", str(first)]) == 0
+    assert main(base + ["--json", str(second)]) == 0
     capsys.readouterr()
     lines_a = first.read_text().splitlines()
     lines_b = second.read_text().splitlines()

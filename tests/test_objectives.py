@@ -14,6 +14,7 @@ from divmin.errors import ConfigError
 from divmin.objectives import FAMILY_TAGS, Objective, from_preset, make_objective
 from divmin.presets import names as preset_names
 from divmin.presets import preset
+from divmin.randsys import control_pair
 from divmin.systems import (
     ActualSystem,
     ConditionalFactor,
@@ -519,3 +520,66 @@ def test_info_gain_bound_mode_descends_whole_certificate():
     with pytest.raises(ConfigError):
         make_objective("info_gain", pre.system, horizon=pre.horizon,
                        options={"optimize": "sideways"})
+
+
+# ---------------------------------------------------------------------------
+# Realized values
+
+
+def realized_objective_args(case):
+    """(family, system, target, horizon, options) for one realized-value case."""
+    if case.startswith("vae-"):
+        pre = preset("vae-toy")
+        return "amortized_vae", pre.system, pre.target, pre.horizon, {"form": case[4:]}
+    if case == "two-room-skills":
+        pre = preset(case)
+        return "skill_discovery", pre.system, None, pre.horizon, dict(pre.options)
+    system, options, _ = control_pair(0)
+    rewards = {"rewards": options["rewards"]}
+    if case == "maxent_rl":
+        return "maxent_rl", system, None, None, rewards
+    return "kl_control", system, None, None, dict(rewards, mode=case)
+
+
+REALIZED_CASES = [
+    ("vae-reconstruction", {"x": 1}, "intervene"),
+    ("vae-reconstruction", {"x": 1}, "condition"),
+    ("vae-contrastive", {"x": 1}, "intervene"),
+    ("vae-contrastive", {"x": 1}, "condition"),
+    ("two-room-skills", {"x1": 0, "a1": 1}, "intervene"),
+    ("kl-control", {"a1": 1}, "intervene"),
+    ("kl-regularized", {"a1": 1}, "intervene"),
+    ("expected-reward", {"a1": 1}, "intervene"),
+    ("maxent_rl", {"a2": 0}, "intervene"),
+    ("kl-regularized", {"x1": 0}, "intervene"),
+]
+
+# Evidence conditions p, and the mirrored dynamics of these modes then no
+# longer cancel, so a report would certify an identity that is off.
+REJECTED_CASES = [
+    ("kl-control", {"x1": 0}, "intervene"),
+    ("kl-control", {"x1": 2}, "intervene"),
+    ("kl-control", {"a1": 1}, "condition"),
+    ("expected-reward", {"x1": 0}, "intervene"),
+    ("maxent_rl", {"x1": 0}, "intervene"),
+    ("kl-regularized", {"a1": 1}, "condition"),
+]
+
+
+@pytest.mark.parametrize("case, realized, realization", REALIZED_CASES + REJECTED_CASES)
+def test_reports_hold_with_realized_values(case, realized, realization):
+    family, system, target, horizon, options = realized_objective_args(case)
+    if (case, realized, realization) in REJECTED_CASES:
+        with pytest.raises(ConfigError):
+            make_objective(family, system, target, horizon, options, realized, realization)
+        return
+    obj = make_objective(family, system, target, horizon, options, realized, realization)
+    rng = np.random.default_rng(43)
+    for _ in range(3):
+        phi = rng.standard_normal(obj.parameters().size)
+        ev = obj.value(phi)
+        rep = obj.report(phi)
+        assert abs(rep.slack) <= 1.0e-9
+        assert set(ev.terms) <= set(rep.terms)
+        for k, v in ev.terms.items():
+            assert abs(v - rep.terms[k]) <= 1.0e-9, (k, v, rep.terms[k])

@@ -20,9 +20,7 @@ from divmin.systems import (
     TargetSpec,
     build_joint,
     build_target,
-    get_parameters,
     intervene,
-    set_parameters,
     softmax,
 )
 from divmin.tables import Role, Variable, condition, marginalize
@@ -207,10 +205,10 @@ def test_intervene_matches_manual_substitution():
 
 def test_parameter_round_trip_is_bit_exact():
     sys_ = two_var_system()
-    phi = get_parameters(sys_)
+    phi = ParameterSpace(sys_).get()
     phi2 = phi + np.linspace(-1.0, 1.0, phi.size)
-    sys2, _ = set_parameters(sys_, phi2)
-    assert np.array_equal(get_parameters(sys2), phi2)
+    sys2, _ = ParameterSpace(sys_).set(phi2)
+    assert np.array_equal(ParameterSpace(sys2).get(), phi2)
 
 
 def test_parameter_space_covers_target_side():

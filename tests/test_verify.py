@@ -9,11 +9,10 @@ from divmin.verify import check_names, run_suite
 
 
 def test_full_suite_passes_on_a_small_sweep():
-    result = run_suite(seeds=30, draws=5, threads=1)
+    result = run_suite(seeds=30, draws=5)
     assert result.passed
     assert len(result.checks) == len(check_names())
     assert result.duration_s > 0.0
-    assert result.threads == 1
     for check in result.checks:
         assert check.passed
         assert check.cases > 0
@@ -23,14 +22,12 @@ def test_full_suite_passes_on_a_small_sweep():
 def test_check_names_are_unique_and_ordered():
     names = check_names()
     assert len(names) == len(set(names))
-    result = run_suite(seeds=2, draws=1, threads=1)
+    result = run_suite(seeds=2, draws=1)
     assert tuple(check.name for check in result.checks) == names
 
 
 def test_corrupt_flag_forces_a_reported_failure():
-    result = run_suite(
-        seeds=3, draws=1, threads=1, corrupt=True, only=["latent_side_identity"]
-    )
+    result = run_suite(seeds=3, draws=1, corrupt=True, only=["latent_side_identity"])
     assert not result.passed
     (check,) = result.checks
     assert not check.passed
@@ -38,44 +35,21 @@ def test_corrupt_flag_forces_a_reported_failure():
 
 
 def test_only_restricts_and_rejects_unknown_names():
-    result = run_suite(seeds=3, draws=1, threads=1, only=["mi_variational_bound"])
+    result = run_suite(seeds=3, draws=1, only=["mi_variational_bound"])
     assert [check.name for check in result.checks] == ["mi_variational_bound"]
     with pytest.raises(ConfigError):
-        run_suite(seeds=3, draws=1, threads=1, only=["no_such_check"])
+        run_suite(seeds=3, draws=1, only=["no_such_check"])
 
 
-def test_thread_resolution_and_argument_validation(monkeypatch):
-    monkeypatch.setenv("DIVMIN_THREADS", "3")
-    result = run_suite(seeds=2, draws=1, only=["probability_core"])
-    assert result.threads == 3
-
-    monkeypatch.setenv("DIVMIN_THREADS", "not-a-number")
-    with pytest.raises(ConfigError):
-        run_suite(seeds=2, draws=1, only=["probability_core"])
-
-    monkeypatch.delenv("DIVMIN_THREADS")
+def test_argument_validation():
     with pytest.raises(ConfigError):
         run_suite(seeds=0)
     with pytest.raises(ConfigError):
         run_suite(draws=0)
-    with pytest.raises(ConfigError):
-        run_suite(threads=0)
-
-
-def test_tol_scale_multiplies_every_tolerance():
-    loose = run_suite(
-        seeds=2, draws=1, threads=1, corrupt=True,
-        only=["latent_side_identity"], tol_scale=1e7,
-    )
-    assert loose.passed
-    (check,) = loose.checks
-    assert check.tolerance == pytest.approx(1e-2)
-    with pytest.raises(ConfigError):
-        run_suite(seeds=2, draws=1, threads=1, tol_scale=0.0)
 
 
 def test_results_serialize_to_plain_json():
-    result = run_suite(seeds=2, draws=1, threads=1, only=["probability_core"])
+    result = run_suite(seeds=2, draws=1, only=["probability_core"])
     payload = json.loads(json.dumps(result.to_dict()))
     assert set(payload) == {"passed", "checks"}
     assert payload["passed"] is True
