@@ -11,20 +11,44 @@ log-marginals of the actual distribution, conditional log-marginals of the
 normalized target, the raw unnormalized target log-weight, and fixed payoff
 arrays. Differentiation goes through both the measure and the integrand,
 
-    dF = sum_k c_k ( E_p[ s_p V_k ] + E_p[ dV_k ] ) + c_Z E_q[ s_q ],
+    dF = sum_k c_k ( E_p[ s_p (V_k - E_p V_k) ] + E_p[ dV_k ] ) + c_Z E_q[ s_q ],
 
 with s_p(omega) the gradient of ln p(omega) and s_q(omega) the gradient of
-ln q~(omega). For a softmax-parameterized factor the per-outcome score of
-logit (parents', c') is 1[parents = parents'] (1[child = c'] - sigma_c'),
-and a conditional log-marginal differentiates into a difference of
-conditional score expectations,
+ln q~(omega). Centring V_k is exact under evidence, where conditioning
+shifts ln p by a constant, and adds zero in theory without it. A conditional
+log-marginal differentiates into a difference of conditional score
+expectations under the matching measure,
 
-    d ln m(G | H)(omega) = E[ s | G, H ](omega) - E[ s | H ](omega),
+    d ln m(G | H)(omega) = E[ s | G, H ](omega) - E[ s | H ](omega).
 
-under the matching measure. Everything is evaluated on the dense outcome
-grid, so gradients are exact up to floating point; no sampling or automatic
-differentiation is involved. The analytic identity E_p[s_p] = 0 is returned
-as a residual so callers can assert the score computation stayed honest.
+Every piece is therefore a weight field over outcomes contracted against
+scores, and the gradient is assembled from fields alone:
+
+* the measure part adds c p (V - E_p V) to the p-field, which is contracted
+  against s_p;
+* the raw target log adds c w p to the q-field of every target factor, a
+  single target factor's log adds it to that factor's q-field only, and
+  ln Z adds c_Z q / Z;
+* ln q(G | H) adds c w q (p(A)/q(A) - p(H)/q(H)), with A = G + H and both
+  marginals taken on the full outcome grid, by the tower property
+  E_p[ E_q[s | A] ] = E_q[ (p(A)/q(A)) s ];
+* ln p(G | H) adds nothing, since E_p[ E_p[s | A] ] - E_p[ E_p[s | H] ] = 0.
+
+A target factor's q-field goes to the block its score lives in: a
+parameterized factor's own block, a factor mirror's child block on the
+system side, and, for a marginal mirror j(G | H) of the joint j, the
+p-field gains j (F(A)/j(A) - F(H)/j(H)) by the same tower property.
+
+For a softmax factor the score of logit (parents', c') is 1[parents =
+parents'] (1[child = c'] - sigma_c'), so a field contracts against a block
+as its marginal on (parents, child) minus sigma times its marginal on the
+parents: one pass over the grid per block and memory linear in the number
+of outcomes. Everything is evaluated on the dense outcome grid, so gradients
+are exact up to floating point; no sampling or automatic differentiation is
+involved. The same contraction applied to the unobserved joint is zero in
+theory, p(pa, c) = sigma p(pa), and its largest entry over the system
+blocks is returned as a residual so callers can assert that the
+contraction stayed honest.
 """
 
 from __future__ import annotations
@@ -144,9 +168,11 @@ class Evaluation:
 class GradientEvaluation:
     """Value plus exact gradient and the score-identity residual.
 
-    ``score_residual`` is the max-abs entry of the expected measure score,
-    which is exactly zero in theory; it certifies the score matrices against
-    the probabilities they were derived from.
+    ``score_residual`` is the max-abs entry, over every softmax block of the
+    realized system, of the unobserved joint contracted against that block's
+    scores: p(parents, child) - sigma p(parents), exactly zero in theory. It
+    certifies the block contraction against the probabilities the joint was
+    built from, per block and with or without evidence.
     """
 
     evaluation: Evaluation
@@ -155,50 +181,48 @@ class GradientEvaluation:
 
 
 # ---------------------------------------------------------------------------
-# Score construction
+# Weight fields and their contraction
 
 
-def _axis_grid(dims: tuple[int, ...], axis: int) -> np.ndarray:
-    shape = [1] * len(dims)
-    shape[axis] = dims[axis]
-    return np.arange(dims[axis]).reshape(shape)
+def _tower(
+    weights: np.ndarray,
+    measure: np.ndarray,
+    keep: tuple[int, ...],
+    given: tuple[int, ...],
+) -> np.ndarray:
+    """measure * (weights(keep) / measure(keep) - weights(given) / measure(given)).
+
+    Marginals are taken on the full grid and broadcast back. By the tower
+    property, sum weights * (E_m[s | keep] - E_m[s | given]) equals the sum
+    of this field times s, for any per-outcome s.
+    """
+
+    def ratio(axes: tuple[int, ...]) -> np.ndarray:
+        others = tuple(i for i in range(measure.ndim) if i not in axes)
+        num = weights.sum(axis=others, keepdims=True)
+        den = measure.sum(axis=others, keepdims=True)
+        return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+    return measure * (ratio(keep) - ratio(given))
 
 
-def _softmax_score_block(
+def _block_grad(
+    weights: np.ndarray,
     conditional: np.ndarray,
     parent_axes: tuple[int, ...],
     child_axis: int,
-    dims: tuple[int, ...],
 ) -> np.ndarray:
-    """Per-outcome score rows of one softmax block, over the joint shape.
+    """A weight field contracted against one softmax block's scores, flattened.
 
-    Column (parents', c') holds 1[parents(omega) = parents'] times
-    (1[child(omega) = c'] - sigma[parents', c']).
+    The score of logit (parents', c') is 1[parents = parents'] (1[child =
+    c'] - sigma[parents', c']), so the contraction is the field's marginal
+    on (parents, child) minus sigma times its marginal on the parents.
     """
-    out = np.zeros(dims + (conditional.size,), dtype=np.float64)
-    child = _axis_grid(dims, child_axis)
-    card = dims[child_axis]
-    col = 0
-    for pa in np.ndindex(conditional.shape[:-1]):
-        mask: np.ndarray | float = 1.0
-        for ax, v in zip(parent_axes, pa):
-            mask = mask * (_axis_grid(dims, ax) == v)
-        for c in range(card):
-            out[..., col] = mask * ((child == c) - conditional[pa + (c,)])
-            col += 1
-    return out
-
-
-def _cond_expectation(
-    weights: np.ndarray, scores: np.ndarray, keep_axes: tuple[int, ...]
-) -> np.ndarray:
-    """E[scores | the variables on keep_axes] under weights, broadcastable."""
-    sum_axes = tuple(i for i in range(weights.ndim) if i not in set(keep_axes))
-    if not sum_axes:
-        return scores
-    num = (weights[..., None] * scores).sum(axis=sum_axes, keepdims=True)
-    den = weights.sum(axis=sum_axes, keepdims=True)[..., None]
-    return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
+    axes = parent_axes + (child_axis,)
+    others = tuple(i for i in range(weights.ndim) if i not in axes)
+    kept = sorted(axes)
+    marginal = weights.sum(axis=others).transpose([kept.index(a) for a in axes])
+    return (marginal - conditional * marginal.sum(axis=-1, keepdims=True)).ravel()
 
 
 @dataclass
@@ -211,13 +235,6 @@ class _State:
     p: Table
     q: UnnormalizedTable
     q_lift: np.ndarray
-    evidence: dict[str, int]
-    s_p: np.ndarray | None = None
-    s_q: np.ndarray | None = None
-    s_used: np.ndarray | None = None
-    local_p: dict[str, tuple[int, int, np.ndarray]] = field(default_factory=dict)
-    local_q: dict[int, tuple[int, int, np.ndarray]] = field(default_factory=dict)
-    score_residual: float = 0.0
     cache: dict = field(default_factory=dict)
 
 
@@ -304,7 +321,7 @@ class Engine:
     def parameters(self) -> np.ndarray:
         return self.space.get()
 
-    def _state(self, phi: np.ndarray | None, with_scores: bool) -> _State:
+    def _state(self, phi: np.ndarray | None) -> _State:
         if phi is None:
             system, target = self.system, self.target
         else:
@@ -313,79 +330,14 @@ class Engine:
         joint = build_joint(realized_system)
         q = build_target(target, realized_system, joint)
         p = observe(joint, evidence) if evidence else joint
-        q_lift = _expand_to_scope(q.weights, q.names, joint)
-        st = _State(
+        return _State(
             realized_system=realized_system,
             target=target,
             joint=joint,
             p=p,
             q=q,
-            q_lift=q_lift,
-            evidence=evidence,
+            q_lift=_expand_to_scope(q.weights, q.names, joint),
         )
-        if with_scores:
-            self._attach_scores(st, realized_system, target)
-        return st
-
-    def _attach_scores(
-        self, st: _State, realized_system: ActualSystem, target: TargetSpec
-    ) -> None:
-        dims = st.joint.probs.shape
-        n = self.space.size
-        s_p = np.zeros(dims + (n,), dtype=np.float64)
-        s_q = np.zeros(dims + (n,), dtype=np.float64)
-        local = st.local_p
-        for b in self.space.blocks:
-            if b.side == "p":
-                f = realized_system.factors[b.key]
-                if f.logits is None:
-                    continue  # realized into a point mass; no dependence left
-                block = _softmax_score_block(
-                    f.conditional(),
-                    tuple(realized_system.axis(x) for x in f.parents),
-                    realized_system.axis(b.key),
-                    dims,
-                )
-                local[b.key] = (b.offset, b.size, block)
-                s_p[..., b.offset : b.offset + b.size] = block
-            else:
-                idx = int(b.key.split(":", 1)[0])
-                tf = target.factors[idx]
-                assert isinstance(tf, ParamFactor)
-                block = _softmax_score_block(
-                    softmax(tf.logits, axis=-1),
-                    tuple(realized_system.axis(x) for x in tf.parents),
-                    realized_system.axis(tf.child),
-                    dims,
-                )
-                st.local_q[idx] = (b.offset, b.size, block)
-                s_q[..., b.offset : b.offset + b.size] = block
-        for tf in target.factors:
-            if isinstance(tf, FactorMirror) and tf.child in local:
-                off, size, block = local[tf.child]
-                s_q[..., off : off + size] += block
-            elif isinstance(tf, MarginalMirror):
-                axes = tuple(st.joint.axis(x) for x in tf.given + tf.vars)
-                given_axes = tuple(st.joint.axis(x) for x in tf.given)
-                s_q += _cond_expectation(st.joint.probs, s_p, axes)
-                s_q -= _cond_expectation(st.joint.probs, s_p, given_axes)
-        mean = (
-            np.tensordot(st.p.probs, s_p, axes=st.p.probs.ndim)
-            if n
-            else np.zeros(0)
-        )
-        if st.evidence:
-            # Conditioning shifts the log-density by a constant, so the
-            # measure score is the centered one; the residual then certifies
-            # the centering rather than the raw identity.
-            st.s_used = s_p - mean
-            resid = np.tensordot(st.p.probs, st.s_used, axes=st.p.probs.ndim)
-        else:
-            st.s_used = s_p
-            resid = mean
-        st.s_p = s_p
-        st.s_q = s_q
-        st.score_residual = float(np.max(np.abs(resid))) if n else 0.0
 
     # -- per-source arrays --------------------------------------------------
 
@@ -415,70 +367,20 @@ class Engine:
         st.cache[key] = arr
         return arr
 
-    def _source_grads(self, src: LogSource, st: _State) -> np.ndarray | None:
-        if isinstance(src, Payoff):
-            return None
-        key = ("g", id(src))
-        if key in st.cache:
-            return st.cache[key]
-        if isinstance(src, TargetLogRaw):
-            arr = st.s_q
-        elif isinstance(src, TargetFactorLog):
-            arr = self._target_factor_grad(src.index, st)
-            if arr is None:
-                return None
-        elif isinstance(src, ActualLog):
-            if not src.vars:
-                return None
-            axes = tuple(st.joint.axis(x) for x in src.vars + src.given)
-            given_axes = tuple(st.joint.axis(x) for x in src.given)
-            arr = _cond_expectation(st.p.probs, st.s_p, axes) - _cond_expectation(
-                st.p.probs, st.s_p, given_axes
-            )
-        else:
-            if not src.vars:
-                return None
-            axes = tuple(st.joint.axis(x) for x in src.vars + src.given)
-            given_axes = tuple(st.joint.axis(x) for x in src.given)
-            arr = _cond_expectation(st.q_lift, st.s_q, axes) - _cond_expectation(
-                st.q_lift, st.s_q, given_axes
-            )
-        st.cache[key] = arr
-        return arr
-
-    def _target_factor_grad(self, index: int, st: _State) -> np.ndarray | None:
-        f = st.target.factors[index]
-        dims = st.joint.probs.shape
-        if isinstance(f, ParamFactor):
-            entry = st.local_q.get(index)
-        elif isinstance(f, FactorMirror):
-            entry = st.local_p.get(f.child)
-        elif isinstance(f, MarginalMirror):
-            axes = tuple(st.joint.axis(x) for x in f.given + f.vars)
-            given_axes = tuple(st.joint.axis(x) for x in f.given)
-            return _cond_expectation(
-                st.joint.probs, st.s_p, axes
-            ) - _cond_expectation(st.joint.probs, st.s_p, given_axes)
-        else:
-            return None
-        if entry is None:
-            return None
-        off, size, block = entry
-        wide = np.zeros(dims + (self.space.size,), dtype=np.float64)
-        wide[..., off : off + size] = block
-        return wide
-
     # -- assembly -----------------------------------------------------------
 
     def _assemble(
         self, st: _State, with_grad: bool
-    ) -> tuple[Evaluation, np.ndarray | None]:
+    ) -> tuple[Evaluation, np.ndarray | None, float]:
         pm = st.p.probs
         support = pm > 0.0
-        ndim = pm.ndim
         values: dict[str, float] = {}
         divergent = False
-        grad = np.zeros(self.space.size) if with_grad else None
+        if with_grad:
+            q_full = np.broadcast_to(st.q_lift, pm.shape)
+            p_field = np.zeros_like(pm)  # contracted against the score of ln p
+            q_field = np.zeros_like(pm)  # against every target factor's score
+            q_own: dict[int, np.ndarray] = {}  # against one target factor's score
         for term in self.terms:
             v = np.zeros_like(pm)
             # Opposite infinities from stacked log sources cancel into nans
@@ -494,53 +396,96 @@ class Engine:
             values[term.name] = val
             if not with_grad:
                 continue
-            grad += term.coeff * np.tensordot(
-                pm * np.where(ok, v, 0.0), st.s_used, axes=ndim
-            )
-            dv: np.ndarray | None = None
+            p_field += term.coeff * pm * (np.where(ok, v, 0.0) - val)
+            # Payoffs carry no gradient, and an ActualLog adds none in
+            # expectation: E_p[ E_p[s | G, H] - E_p[s | H] ] = 0.
             for w, src in term.parts:
-                g = self._source_grads(src, st)
-                if g is not None:
-                    dv = w * g if dv is None else dv + w * g
-            if dv is not None:
-                # dv may carry broadcast singleton axes from the conditional
-                # expectations, so contract by explicit broadcasting.
-                grad += term.coeff * (pm[..., None] * dv).sum(
-                    axis=tuple(range(ndim))
-                )
+                c = term.coeff * w
+                if isinstance(src, TargetLogRaw):
+                    q_field += c * pm
+                elif isinstance(src, TargetFactorLog):
+                    q_own[src.index] = q_own.get(src.index, 0.0) + c * pm
+                elif isinstance(src, TargetLog) and src.vars:
+                    q_field += c * _tower(
+                        pm,
+                        q_full,
+                        self._axes(st, src.vars + src.given),
+                        self._axes(st, src.given),
+                    )
         parts = [term.coeff * values[term.name] for term in self.terms]
         parts.append(self.lnz_coeff * st.q.log_partition)
         total = math.fsum(parts)
-        if with_grad and self.lnz_coeff != 0.0:
-            # Materialize the broadcast so targets over a scope subset
-            # contract against the full-shape scores; the uniform lift over
-            # the out-of-scope axes cancels in the normalization.
-            lift = np.broadcast_to(st.q_lift, pm.shape)
-            mass = float(lift.sum())
-            grad += self.lnz_coeff * (
-                np.tensordot(lift, st.s_q, axes=ndim) / mass
-            )
         evaluation = Evaluation(
             total=total,
             terms=values,
             log_partition=st.q.log_partition,
             divergent=divergent,
         )
-        return evaluation, grad
+        if not with_grad:
+            return evaluation, None, 0.0
+        if self.lnz_coeff != 0.0:
+            q_field += self.lnz_coeff * q_full / float(q_full.sum())
+        grad, residual = self._contract(st, p_field, q_field, q_own)
+        return evaluation, grad, residual
+
+    @staticmethod
+    def _axes(st: _State, names: tuple[str, ...]) -> tuple[int, ...]:
+        return tuple(st.joint.axis(x) for x in names)
+
+    def _contract(
+        self,
+        st: _State,
+        p_field: np.ndarray,
+        q_field: np.ndarray,
+        q_own: dict[int, np.ndarray],
+    ) -> tuple[np.ndarray, float]:
+        """Routes each target factor's field to the block its score lives in,
+        contracts every softmax block once, and measures the score residual."""
+        joint = st.joint.probs
+        own: dict[tuple[str, str], np.ndarray] = {}  # fields for one block only
+        for idx, tf in enumerate(st.target.factors):
+            f = q_field + q_own[idx] if idx in q_own else q_field
+            if isinstance(tf, ParamFactor):
+                own["q", f"{idx}:{tf.child}"] = f
+            elif isinstance(tf, FactorMirror):
+                key = ("p", tf.child)
+                own[key] = own[key] + f if key in own else f
+            elif isinstance(tf, MarginalMirror):
+                p_field = p_field + _tower(
+                    f, joint, self._axes(st, tf.given + tf.vars), self._axes(st, tf.given)
+                )
+        grad = np.zeros(self.space.size)
+        residual = 0.0
+        for b in self.space.blocks:
+            if b.side == "p":
+                factor = st.realized_system.factors[b.key]
+                if factor.logits is None:
+                    continue  # realized into a point mass; no dependence left
+                child, parents, sigma = b.key, factor.parents, factor.conditional()
+                field = p_field + own[b.side, b.key] if (b.side, b.key) in own else p_field
+            else:
+                tf = st.target.factors[int(b.key.split(":", 1)[0])]
+                child, parents, sigma = tf.child, tf.parents, softmax(tf.logits, axis=-1)
+                field = own[b.side, b.key]
+            axes = (self._axes(st, parents), st.joint.axis(child))
+            grad[b.offset : b.offset + b.size] = _block_grad(field, sigma, *axes)
+            if b.side == "p":
+                residual = max(
+                    residual, float(np.max(np.abs(_block_grad(joint, sigma, *axes))))
+                )
+        return grad, residual
 
     def value(self, phi: np.ndarray | None = None) -> Evaluation:
         """The functional's value and term breakdown at ``phi``."""
-        st = self._state(phi, with_scores=False)
-        evaluation, _ = self._assemble(st, with_grad=False)
+        evaluation, _, _ = self._assemble(self._state(phi), with_grad=False)
         return evaluation
 
     def value_and_gradient(
         self, phi: np.ndarray | None = None
     ) -> GradientEvaluation:
         """Value plus the exact gradient over every parameterized factor."""
-        st = self._state(phi, with_scores=True)
-        evaluation, grad = self._assemble(st, with_grad=True)
+        evaluation, grad, residual = self._assemble(self._state(phi), with_grad=True)
         assert grad is not None
         return GradientEvaluation(
-            evaluation=evaluation, grad=grad, score_residual=st.score_residual
+            evaluation=evaluation, grad=grad, score_residual=residual
         )

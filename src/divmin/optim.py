@@ -1,11 +1,20 @@
 """Descent, gradient certification, and exhaustive point-mass scans.
 
 The minimizer is plain gradient descent with a backtracking line search:
-from twice the last accepted step it halves until the Armijo condition
-f(phi - t g) <= f(phi) - c t |g|^2 holds, rejecting any candidate whose
-evaluation is divergent or non-finite. That candidates are rejected
+from twice the last accepted step it halves until the strict Armijo
+condition f(phi - t g) < f(phi) - c t |g|^2 holds, rejecting any candidate
+whose evaluation is divergent or non-finite. That candidates are rejected
 rather than compared means divergent regions act as infinite walls, so
 descent never walks onto a zero of the target that carries actual mass.
+
+Near a minimum the Armijo decrease falls below the rounding of the total,
+a few float spacings of its summed term magnitudes. A candidate whose
+total lies within that rounding of f(phi) is accepted only if it moves
+phi and the slope along the step is still downhill there, g . grad
+f(phi - t g) > 0; the gradient computed for that test is reused by the
+next iteration. Descent thus keeps shrinking the gradient past the
+resolution of the total, never takes a step that merely rounds level,
+and stops with ``"no-descent"`` once neither test can pass.
 
 ``check_gradient`` compares the engine's exact gradient against central
 finite differences of the total. The reported relative error is the
@@ -28,7 +37,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .decomp import energy_entropy
-from .engine import Evaluation
+from .engine import Evaluation, GradientEvaluation
 from .errors import ConfigError, DivergenceError
 from .objectives import Objective
 from .systems import FactorSpec
@@ -43,6 +52,10 @@ __all__ = [
     "map_scan",
     "minimize",
 ]
+
+# Totals that differ by less than this many float spacings of the summed
+# term magnitudes are level up to rounding.
+_ROUNDING = 4.0 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -112,26 +125,30 @@ def minimize(
             reason = "gradient-tolerance"
             break
         gsq = float(np.dot(g, g))
+        total = ge.evaluation.total
+        level = _ROUNDING * (sum(abs(t) for t in ge.evaluation.terms.values()) + abs(total))
         trial = min(step * 2.0, 1.0e6)
-        accepted: tuple[np.ndarray, float] | None = None
+        accepted: tuple[np.ndarray, float, GradientEvaluation | None] | None = None
         for _ in range(int(max_halvings) + 1):
             cand = phi - trial * g
             ev = objective.value(cand)
-            if (
-                math.isfinite(ev.total)
-                and not ev.divergent
-                and ev.total <= ge.evaluation.total - armijo * trial * gsq
-            ):
-                accepted = (cand, trial)
-                break
+            if math.isfinite(ev.total) and not ev.divergent:
+                if ev.total < total - armijo * trial * gsq:
+                    accepted = (cand, trial, None)
+                    break
+                if abs(ev.total - total) <= level and np.any(cand != phi):
+                    at_cand = objective.value_and_gradient(cand)
+                    if float(np.dot(g, at_cand.grad)) > 0.0:
+                        accepted = (cand, trial, at_cand)
+                        break
             trial *= 0.5
         if accepted is None:
-            records.append(IterationRecord(it, ge.evaluation.total, gnorm, 0.0, ge.evaluation.terms))
+            records.append(IterationRecord(it, total, gnorm, 0.0, ge.evaluation.terms))
             reason = "no-descent"
             break
-        records.append(IterationRecord(it, ge.evaluation.total, gnorm, accepted[1], ge.evaluation.terms))
-        phi, step = accepted
-        ge = objective.value_and_gradient(phi)
+        records.append(IterationRecord(it, total, gnorm, accepted[1], ge.evaluation.terms))
+        phi, step, at_cand = accepted
+        ge = at_cand if at_cand is not None else objective.value_and_gradient(phi)
     else:
         gnorm = float(np.max(np.abs(ge.grad))) if ge.grad.size else 0.0
         records.append(

@@ -6,6 +6,7 @@ hand-derived gradients.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from divmin.engine import (
     Term,
 )
 from divmin.errors import ValidationError
+from divmin.objectives import from_preset
 from divmin.presets import preset
 from divmin.systems import (
     ActualSystem,
@@ -413,3 +415,20 @@ def test_divergent_flag_from_zero_target():
     eng = Engine(system, target, kl_terms(("x", "z", "y")), lnz_coeff=1.0)
     got = eng.value(eng.parameters())
     assert got.divergent
+
+
+def test_gradient_memory_is_linear_in_outcomes():
+    objective = from_preset(preset("chain-mdp", n_states=8, steps=4))
+    phi = objective.parameters()
+    system = objective.system
+    outcomes = math.prod(system.variable(n).cardinality for n in system.names)
+    assert (outcomes, phi.size) == (65536, 64)
+    tracemalloc.start()
+    try:
+        objective.value_and_gradient(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # No score tensor of |outcomes| x |parameters|: a bounded number of
+    # outcome-sized float64 arrays suffices.
+    assert peak <= 32 * outcomes * 8

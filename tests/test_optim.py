@@ -13,7 +13,7 @@ from divmin.optim import (
     map_scan,
     minimize,
 )
-from divmin.presets import preset
+from divmin.presets import names, preset
 from divmin.systems import ActualSystem, FactorSpec, TableFactor, TargetSpec
 from divmin.tables import Role, Variable
 
@@ -63,14 +63,26 @@ def test_chain_mdp_descends():
     assert trace.reason in ("gradient-tolerance", "max-iterations")
 
 
-def test_gradient_check_passes():
-    obj = from_preset(preset("vae-toy"))
+@pytest.mark.parametrize("name", names())
+def test_gradient_check_passes(name):
+    obj = from_preset(preset(name))
     rng = np.random.default_rng(3)
     phi = obj.parameters() + 0.4 * rng.standard_normal(obj.parameters().size)
     chk = check_gradient(obj, phi)
     assert chk.passed()
     assert chk.max_abs_err < 1.0e-7
     assert np.allclose(chk.analytic, chk.numeric, rtol=1.0e-5, atol=1.0e-8)
+
+
+def test_descent_runs_past_the_resolution_of_the_total():
+    # With no gradient tolerance the Armijo decrease drops below float
+    # resolution; descent must keep shrinking the gradient and then stop
+    # rather than spend the iteration budget on level steps.
+    pre = preset("chain-mdp")
+    obj = make_objective("maxent_rl", pre.system, options={"rewards": pre.options["rewards"]})
+    trace = minimize(obj, max_iters=400, grad_tol=0.0)
+    assert trace.reason != "max-iterations"
+    assert trace.records[-1].grad_norm <= 1.0e-12
 
 
 def test_argument_validation():
