@@ -11,6 +11,7 @@ objects the Python API would.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -297,13 +298,19 @@ def _initial_point(init, seed: int, objective: Objective) -> np.ndarray:
     return values
 
 
+@functools.cache
+def _validator() -> jsonschema.Draft202012Validator:
+    """The validator for ``SCHEMA``, whose own check runs once per process."""
+    jsonschema.Draft202012Validator.check_schema(SCHEMA)
+    return jsonschema.Draft202012Validator(SCHEMA)
+
+
 def parse_config(data: Mapping, fallback_name: str = "run") -> RunConfig:
     """Validate a configuration document and build its objective."""
-    try:
-        jsonschema.validate(data, SCHEMA, cls=jsonschema.Draft202012Validator)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "top level"
-        raise ConfigError(f"invalid configuration at {where}: {exc.message}") from None
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(data))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "top level"
+        raise ConfigError(f"invalid configuration at {where}: {error.message}")
 
     seed = int(data["seed"])
     if "preset" in data:

@@ -246,6 +246,13 @@ class Engine:
     sides through a :class:`ParameterSpace`. Term values always match what
     the corresponding report definitions give, so optimization and
     certification never drift apart.
+
+    The realization is applied once, at construction. Each evaluation swaps
+    the logits of ``phi`` (``phi=None`` means the current parameters) into
+    that realized system and the target with ``with_logits``, skipping
+    blocks realized into point masses, so the structure validated at
+    construction is never validated again; only ``phi`` itself, the new
+    logits and the materialized joint are checked per evaluation.
     """
 
     def __init__(
@@ -264,7 +271,9 @@ class Engine:
         self.realized = dict(realized or {})
         self.realization = realization
         self.space = ParameterSpace(system, target)
-        realize(system, self.realized, realization)  # fail fast on bad bindings
+        self._realized_system, self._evidence = realize(
+            system, self.realized, realization
+        )
         self._validate_terms()
 
     # -- construction checks ---------------------------------------------
@@ -322,14 +331,17 @@ class Engine:
         return self.space.get()
 
     def _state(self, phi: np.ndarray | None) -> _State:
-        if phi is None:
-            system, target = self.system, self.target
-        else:
-            system, target = self.space.set(phi)
-        realized_system, evidence = realize(system, self.realized, self.realization)
+        system_logits, target_logits = self.space.logits(
+            self.space.get() if phi is None else phi
+        )
+        base = self._realized_system
+        realized_system = base.with_logits(
+            {k: v for k, v in system_logits.items() if base.factors[k].logits is not None}
+        )
+        target = self.target.with_logits(target_logits)
         joint = build_joint(realized_system)
         q = build_target(target, realized_system, joint)
-        p = observe(joint, evidence) if evidence else joint
+        p = observe(joint, self._evidence) if self._evidence else joint
         return _State(
             realized_system=realized_system,
             target=target,
@@ -464,7 +476,7 @@ class Engine:
                 child, parents, sigma = b.key, factor.parents, factor.conditional()
                 field = p_field + own[b.side, b.key] if (b.side, b.key) in own else p_field
             else:
-                tf = st.target.factors[int(b.key.split(":", 1)[0])]
+                tf = st.target.factors[b.index]
                 child, parents, sigma = tf.child, tf.parents, softmax(tf.logits, axis=-1)
                 field = own[b.side, b.key]
             axes = (self._axes(st, parents), st.joint.axis(child))

@@ -69,8 +69,7 @@ def report_payload(config: RunConfig, trace: OptimTrace) -> dict:
             table = system.factors[block.key].conditional()
             optimized[f"p:{block.key}"] = table.tolist()
         else:
-            index = int(block.key.split(":", 1)[0])
-            factor = target.factors[index]
+            factor = target.factors[block.index]
             optimized[f"q:{factor.child}"] = softmax(factor.logits, axis=-1).tolist()
     return {
         "version": REPORT_VERSION,

@@ -19,12 +19,18 @@ dynamics are expressed.
 Parameters are owned by a :class:`ParameterSpace` that flattens every
 parameterized factor (system side first, then target side) into one float64
 vector with an index map back to (side, factor, parent slice, outcome).
+Setting a vector swaps logits only: ``ActualSystem.with_logits`` and
+``TargetSpec.with_logits`` check each new array's shape and finiteness and
+reuse everything else the constructors validated (variables, DAG, fixed
+tables, capacity), since logits cannot change it. Fixed target tables take
+their logarithm once, at construction, so materializing a target per
+parameter vector only broadcasts them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -248,6 +254,33 @@ class ActualSystem:
         replaced[factor.child] = factor
         return ActualSystem(self.variables, replaced.values())
 
+    def with_logits(self, logits: Mapping[str, np.ndarray]) -> "ActualSystem":
+        """This system with new logits for the named parameterized factors.
+
+        Each new array is checked for finiteness and for the shape of the
+        logits it replaces. Logits change no variable, parent or factor
+        kind, so the DAG, shape, normalization and capacity checks this
+        system passed at construction still hold and are not re-run.
+        """
+        factors = dict(self.factors)
+        for name, arr in logits.items():
+            old = self.factors.get(name)
+            if old is None or old.logits is None:
+                raise ValidationError(f"factor for {name!r} is not parameterized")
+            new = FactorSpec.parameterized(name, old.parents, arr)
+            if new.logits.shape != old.logits.shape:
+                raise ValidationError(
+                    f"logits for {name!r} have shape {new.logits.shape}, "
+                    f"expected {old.logits.shape}"
+                )
+            factors[name] = new
+        out = object.__new__(ActualSystem)
+        out.variables = self.variables
+        out.factors = factors
+        out.topological_order = self.topological_order
+        out._index = self._index
+        return out
+
     def inputs(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables if v.role.is_input)
 
@@ -299,7 +332,7 @@ def intervene(system: ActualSystem, realized: Assignment) -> ActualSystem:
     """
     if not realized:
         raise ValidationError("realized must bind at least one variable")
-    out = system
+    factors = dict(system.factors)
     for name, value in realized.items():
         v = system.variable(name)
         if not v.role.realizable:
@@ -312,14 +345,19 @@ def intervene(system: ActualSystem, realized: Assignment) -> ActualSystem:
             raise ValidationError(
                 f"realized {name}={value} out of range for cardinality {v.cardinality}"
             )
-        out = out.with_factor(
-            FactorSpec.point_mass(name, (), np.asarray(value, dtype=np.int64))
-        )
-    return out
+        factors[name] = FactorSpec.point_mass(name, (), np.asarray(value, dtype=np.int64))
+    return ActualSystem(system.variables, factors.values())
 
 
 # ---------------------------------------------------------------------------
 # Target factors
+
+
+def _frozen_log(table: np.ndarray) -> np.ndarray:
+    """ln of a fixed table, taken once, as a read-only array."""
+    log = _safe_log(table)
+    log.flags.writeable = False
+    return log
 
 
 @dataclass(frozen=True)
@@ -329,6 +367,7 @@ class TableFactor:
     vars: tuple[str, ...]
     table: np.ndarray
     normalized: bool = False
+    log_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.table, dtype=np.float64)
@@ -337,6 +376,7 @@ class TableFactor:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "table", arr)
+        object.__setattr__(self, "log_table", _frozen_log(arr))
         object.__setattr__(self, "vars", tuple(self.vars))
 
 
@@ -347,6 +387,7 @@ class ConditionalFactor:
     child: str
     parents: tuple[str, ...]
     table: np.ndarray
+    log_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.table, dtype=np.float64)
@@ -360,6 +401,7 @@ class ConditionalFactor:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "table", arr)
+        object.__setattr__(self, "log_table", _frozen_log(arr))
         object.__setattr__(self, "parents", tuple(self.parents))
 
 
@@ -446,6 +488,27 @@ class TargetSpec:
         factors[index] = factor
         return TargetSpec(self.scope, factors)
 
+    def with_logits(self, logits: Mapping[int, np.ndarray]) -> "TargetSpec":
+        """This target with new logits for the parameterized factors at the
+        given positions; like :meth:`ActualSystem.with_logits`, only each
+        new array's finiteness and shape are checked."""
+        factors = list(self.factors)
+        for index, arr in logits.items():
+            old = self.factors[index] if 0 <= index < len(self.factors) else None
+            if not isinstance(old, ParamFactor):
+                raise ValidationError(f"target factor {index} is not parameterized")
+            new = ParamFactor(old.child, old.parents, arr)
+            if new.logits.shape != old.logits.shape:
+                raise ValidationError(
+                    f"logits for target factor {index} have shape "
+                    f"{new.logits.shape}, expected {old.logits.shape}"
+                )
+            factors[index] = new
+        out = object.__new__(TargetSpec)
+        out.scope = self.scope
+        out.factors = tuple(factors)
+        return out
+
     def __repr__(self) -> str:
         return f"TargetSpec(scope={self.scope}, factors={[type(f).__name__ for f in self.factors]})"
 
@@ -490,9 +553,9 @@ def target_factor_log_array(
         return _expand_to_scope(_safe_log(values), names, ref)
 
     if isinstance(f, TableFactor):
-        return logify(f.table, f.vars)
+        return _expand_to_scope(f.log_table, f.vars, ref)
     if isinstance(f, ConditionalFactor):
-        return logify(f.table, f.parents + (f.child,))
+        return _expand_to_scope(f.log_table, f.parents + (f.child,), ref)
     if isinstance(f, RewardFactor):
         return _expand_to_scope(f.values, f.vars, ref)
     if isinstance(f, ParamFactor):
@@ -567,6 +630,11 @@ class ParameterBlock:
             n *= c
         return n
 
+    @property
+    def index(self) -> int:
+        """Position of a target-side block's factor in the target."""
+        return int(self.key.split(":", 1)[0])
+
 
 class ParameterSpace:
     """Flat view of every parameterized factor in a (system, target) pair."""
@@ -597,34 +665,37 @@ class ParameterSpace:
             if b.side == "p":
                 arr = self.system.factors[b.key].logits
             else:
-                idx = int(b.key.split(":", 1)[0])
-                arr = self.target.factors[idx].logits
+                arr = self.target.factors[b.index].logits
             out[b.offset : b.offset + b.size] = arr.ravel()
         return out
 
-    def set(self, phi: np.ndarray) -> tuple[ActualSystem, TargetSpec | None]:
-        """New system/target with logits replaced by ``phi`` (inputs unchanged)."""
+    def logits(
+        self, phi: np.ndarray
+    ) -> tuple[dict[str, np.ndarray], dict[int, np.ndarray]]:
+        """``phi`` cut into blocks: system logits by child name and target
+        logits by factor position, as views of a checked float64 vector."""
         phi = np.asarray(phi, dtype=np.float64)
         if phi.shape != (self.size,):
             raise ValidationError(f"parameter vector has shape {phi.shape}, expected ({self.size},)")
         if not np.all(np.isfinite(phi)):
             raise ValidationError("parameter vector must be finite")
-        system = self.system
-        target = self.target
+        system: dict[str, np.ndarray] = {}
+        target: dict[int, np.ndarray] = {}
         for b in self.blocks:
             chunk = phi[b.offset : b.offset + b.size].reshape(b.shape)
             if b.side == "p":
-                old = system.factors[b.key]
-                system = system.with_factor(
-                    FactorSpec.parameterized(b.key, old.parents, chunk)
-                )
+                system[b.key] = chunk
             else:
-                idx = int(b.key.split(":", 1)[0])
-                old = target.factors[idx]
-                target = target.replace_factor(
-                    idx, ParamFactor(old.child, old.parents, chunk)
-                )
+                target[b.index] = chunk
         return system, target
+
+    def set(self, phi: np.ndarray) -> tuple[ActualSystem, TargetSpec | None]:
+        """New system/target with logits replaced by ``phi`` (inputs unchanged)."""
+        system, target = self.logits(phi)
+        return (
+            self.system.with_logits(system),
+            None if self.target is None else self.target.with_logits(target),
+        )
 
     def label(self, flat_index: int) -> tuple[str, str, tuple[int, ...], int]:
         """Map a flat coordinate to (side, factor, parent slice, outcome)."""

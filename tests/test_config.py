@@ -1,9 +1,11 @@
 """Schema enforcement and construction for JSON run configurations."""
 
+import jsonschema
 import numpy as np
 import pytest
 
 from divmin.config import (
+    SCHEMA,
     bundled_config_names,
     bundled_config_path,
     load_config,
@@ -122,3 +124,8 @@ def test_load_config_reports_bad_files(tmp_path):
 def test_unknown_bundled_name_is_rejected():
     with pytest.raises(ConfigError):
         bundled_config_path("definitely-not-bundled")
+
+
+def test_schema_is_a_valid_draft_2020_12_schema():
+    # parse_config checks the schema once per process, so check it here too.
+    jsonschema.Draft202012Validator.check_schema(SCHEMA)

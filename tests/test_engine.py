@@ -22,7 +22,7 @@ from divmin.engine import (
     Term,
 )
 from divmin.errors import ValidationError
-from divmin.objectives import from_preset
+from divmin.objectives import from_preset, make_objective
 from divmin.presets import preset
 from divmin.systems import (
     ActualSystem,
@@ -432,3 +432,30 @@ def test_gradient_memory_is_linear_in_outcomes():
     # No score tensor of |outcomes| x |parameters|: a bounded number of
     # outcome-sized float64 arrays suffices.
     assert peak <= 32 * outcomes * 8
+
+
+@pytest.mark.parametrize("name", ["chain-mdp", "two-room-skills", "vae-toy", "realized vae-toy"])
+def test_evaluations_revalidate_no_structure(name, monkeypatch):
+    if name == "realized vae-toy":
+        pre = preset("vae-toy")
+        obj = make_objective(
+            "amortized_vae", pre.system, pre.target, pre.horizon,
+            {"form": "reconstruction"}, {"x": 1}, "intervene",
+        )
+    else:
+        obj = from_preset(preset(name))
+    calls = []
+    check_acyclic = ActualSystem._check_acyclic
+
+    def counted(self):
+        calls.append(self)
+        return check_acyclic(self)
+
+    monkeypatch.setattr(ActualSystem, "_check_acyclic", counted)
+    phi = np.random.default_rng(5).standard_normal(obj.parameters().size)
+    obj.value(phi)
+    obj.value_and_gradient(phi)
+    obj.value()
+    assert calls == []
+    ActualSystem(obj.system.variables, obj.system.factors.values())
+    assert len(calls) == 1  # the counter is live

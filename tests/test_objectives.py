@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from divmin.engine import Engine
 from divmin.errors import ConfigError
 from divmin.objectives import FAMILY_TAGS, Objective, from_preset, make_objective
 from divmin.presets import names as preset_names
@@ -26,6 +27,7 @@ from divmin.systems import (
     TargetSpec,
 )
 from divmin.tables import Role, Variable
+from divmin.verify import _family_objective
 
 
 def softmax_rows(logits):
@@ -583,3 +585,58 @@ def test_reports_hold_with_realized_values(case, realized, realization):
         assert set(ev.terms) <= set(rep.terms)
         for k, v in ev.terms.items():
             assert abs(v - rep.terms[k]) <= 1.0e-9, (k, v, rep.terms[k])
+
+
+# ---------------------------------------------------------------------------
+# Logit swaps against fully validated systems
+
+
+SWAP_CASES = (
+    [("preset", name) for name in preset_names()]
+    + [("family", family) for family in FAMILY_TAGS]
+    + [("realized", i) for i in range(len(REALIZED_CASES))]
+)
+
+
+def swap_objective(kind, key) -> Objective:
+    if kind == "preset":
+        return from_preset(preset(key))
+    if kind == "family":
+        return _family_objective(key)
+    case, realized, realization = REALIZED_CASES[key]
+    return make_objective(*realized_objective_args(case), realized, realization)
+
+
+def validated_engine(engine: Engine, phi: np.ndarray) -> Engine:
+    """An engine whose system and target carry ``phi`` as their own logits,
+    rebuilt one factor at a time through the fully validating constructors."""
+    system, target = engine.system, engine.target
+    for b in engine.space.blocks:
+        chunk = phi[b.offset : b.offset + b.size].reshape(b.shape)
+        if b.side == "p":
+            parents = system.factors[b.key].parents
+            system = system.with_factor(FactorSpec.parameterized(b.key, parents, chunk))
+        else:
+            old = target.factors[b.index]
+            target = target.replace_factor(b.index, ParamFactor(old.child, old.parents, chunk))
+    return Engine(
+        system, target, engine.terms, engine.lnz_coeff, engine.realized, engine.realization
+    )
+
+
+@pytest.mark.parametrize("kind, key", SWAP_CASES)
+def test_logit_swaps_match_fully_validated_systems(kind, key):
+    obj = swap_objective(kind, key)
+    rng = np.random.default_rng(17)
+    size = obj.parameters().size
+    for phi in [None] + [rng.standard_normal(size) for _ in range(3)]:
+        reference = validated_engine(
+            obj.engine, obj.parameters() if phi is None else phi
+        ).value_and_gradient()
+        fast = obj.value_and_gradient(phi)
+        for got in (obj.value(phi), fast.evaluation):
+            assert got.total == reference.evaluation.total
+            assert dict(got.terms) == dict(reference.evaluation.terms)
+            assert got.log_partition == reference.evaluation.log_partition
+        assert np.array_equal(fast.grad, reference.grad)
+        assert fast.score_residual == reference.score_residual

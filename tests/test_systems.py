@@ -230,6 +230,63 @@ def test_parameter_space_covers_target_side():
     assert t2.factors[1].logits[1, 1] == 3.5
 
 
+def system_and_target():
+    target = TargetSpec(
+        ("x", "z"),
+        [
+            TableFactor(("z",), np.asarray([0.5, 0.5])),
+            ParamFactor("x", ("z",), np.zeros((2, 2))),
+        ],
+    )
+    return two_var_system(), target
+
+
+@pytest.mark.parametrize("bad", ["shape", math.nan, math.inf, -math.inf])
+def test_parameter_set_checks_every_vector(bad):
+    space = ParameterSpace(*system_and_target())
+    phi = space.get()
+    if bad == "shape":
+        phi = np.append(phi, 0.0)
+    else:
+        phi[-1] = bad
+    with pytest.raises(ValidationError):
+        space.set(phi)
+
+
+def test_parameter_set_copies_into_read_only_logits():
+    space = ParameterSpace(*system_and_target())
+    phi = space.get() + np.linspace(-1.0, 1.0, space.size)
+    expected = phi.copy()
+    system, target = space.set(phi)
+    phi[:] = 99.0
+    assert np.array_equal(ParameterSpace(system, target).get(), expected)
+    for logits in (system.factors["z"].logits, target.factors[1].logits):
+        assert not logits.flags.writeable
+        with pytest.raises(ValueError):
+            logits[0, 0] = 1.0
+
+
+def test_logit_swaps_reject_what_they_cannot_replace():
+    system, target = system_and_target()
+    for bad in (
+        {"x": np.zeros(2)},  # a fixed factor
+        {"w": np.zeros((2, 2))},  # no such variable
+        {"z": np.zeros((2, 3))},
+        {"z": np.full((2, 2), math.nan)},
+    ):
+        with pytest.raises(ValidationError):
+            system.with_logits(bad)
+    for bad in (
+        {0: np.zeros(2)},  # a table factor
+        {2: np.zeros((2, 2))},  # no such factor
+        {-1: np.zeros((2, 2))},
+        {1: np.zeros((2, 3))},
+        {1: np.full((2, 2), math.inf)},
+    ):
+        with pytest.raises(ValidationError):
+            target.with_logits(bad)
+
+
 def test_parameter_label_round_trip():
     sys_ = two_var_system()
     space = ParameterSpace(sys_)
