@@ -216,6 +216,38 @@ def _term(p: Table, log_a: np.ndarray, log_b: np.ndarray) -> tuple[float, bool]:
     return r.kl_nats, r.divergent
 
 
+# name -> (signed coefficient, value, divergent) of one report term
+Terms = dict[str, tuple[float, float, bool]]
+
+
+def _certify(
+    equation: str,
+    p: Table,
+    q: UnnormalizedTable,
+    terms: Terms,
+    lnz_coeff: float = 0.0,
+    relation: str = "equals",
+    extras: Mapping[str, float] | None = None,
+) -> Report:
+    """The report of ``terms`` on a prepared pair.
+
+    ``joint_kl``, ln Z and the divergent flag come from KL[p || q]; the
+    flag is also set when any term diverged.
+    """
+    ref = kl(p, q)
+    return Report(
+        equation=equation,
+        terms={name: value for name, (_, value, _) in terms.items()},
+        combo={name: coeff for name, (coeff, _, _) in terms.items()},
+        log_partition=ref.log_partition,
+        lnz_coeff=lnz_coeff,
+        joint_kl=ref.kl_nats,
+        relation=relation,
+        divergent=ref.divergent or any(d for _, _, d in terms.values()),
+        extras=extras or {},
+    )
+
+
 def joint_kl(
     system: ActualSystem,
     target: TargetSpec,
@@ -251,20 +283,15 @@ def decompose_latent_side(
     expected conditional divergence.
     """
     p, q, _, _ = _prepare(system, target, realized, realization)
+    return _certify("info_latent", p, q, _latent_side(p, q))
+
+
+def _latent_side(p: Table, q: UnnormalizedTable) -> Terms:
     x, z = _split_roles(p)
-    latent_pref, d1 = _term(p, _log_given(p, z, x), _log_given(q, z, ()))
-    info_bound, d2 = _term(p, _log_given(q, x, z), _log_given(p, x, ()))
-    ref = kl(p, q)
-    return Report(
-        equation="info_latent",
-        terms={"latent_pref_kl": latent_pref, "info_bound": info_bound},
-        combo={"latent_pref_kl": 1.0, "info_bound": -1.0},
-        log_partition=ref.log_partition,
-        lnz_coeff=0.0,
-        joint_kl=ref.kl_nats,
-        relation="equals",
-        divergent=ref.divergent or d1 or d2,
-    )
+    return {
+        "latent_pref_kl": (1.0, *_term(p, _log_given(p, z, x), _log_given(q, z, ()))),
+        "info_bound": (-1.0, *_term(p, _log_given(q, x, z), _log_given(p, x, ()))),
+    }
 
 
 def decompose_input_side(
@@ -278,42 +305,26 @@ def decompose_input_side(
     joint_kl = E_z KL[p(x|z) || q(x)] - E[ln q(z|x) - ln p(z)].
     """
     p, q, _, _ = _prepare(system, target, realized, realization)
-    return _input_side(p, q)
+    return _certify("info_input", p, q, _input_side(p, q))
 
 
-def _input_side(p: Table, q: UnnormalizedTable) -> Report:
-    """:func:`decompose_input_side` on an already materialized pair."""
+def _input_side(p: Table, q: UnnormalizedTable) -> Terms:
     x, z = _split_roles(p)
-    input_pref, d1 = _term(p, _log_given(p, x, z), _log_given(q, x, ()))
-    info_bound_latent, d2 = _term(p, _log_given(q, z, x), _log_given(p, z, ()))
-    ref = kl(p, q)
-    return Report(
-        equation="info_input",
-        terms={"input_pref_kl": input_pref, "info_bound_latent": info_bound_latent},
-        combo={"input_pref_kl": 1.0, "info_bound_latent": -1.0},
-        log_partition=ref.log_partition,
-        lnz_coeff=0.0,
-        joint_kl=ref.kl_nats,
-        relation="equals",
-        divergent=ref.divergent or d1 or d2,
-    )
+    return {
+        "input_pref_kl": (1.0, *_term(p, _log_given(p, x, z), _log_given(q, x, ()))),
+        "info_bound_latent": (-1.0, *_term(p, _log_given(q, z, x), _log_given(p, z, ()))),
+    }
 
 
 def energy_entropy(system: ActualSystem, target: TargetSpec) -> Report:
     """joint_kl = E_p[-ln q~] - H[p] + ln Z, the physics-style reading."""
     p, q, _, _ = _prepare(system, target)
+    return _certify("energy_entropy", p, q, _energy_entropy(p, q), lnz_coeff=1.0)
+
+
+def _energy_entropy(p: Table, q: UnnormalizedTable) -> Terms:
     cross, diverged = expectation_of_log(p, _safe_log(q.weights))
-    ref = kl(p, q)
-    return Report(
-        equation="energy_entropy",
-        terms={"energy": -cross, "entropy": entropy(p)},
-        combo={"energy": 1.0, "entropy": -1.0},
-        log_partition=ref.log_partition,
-        lnz_coeff=1.0,
-        joint_kl=ref.kl_nats,
-        relation="equals",
-        divergent=ref.divergent or diverged,
-    )
+    return {"energy": (1.0, -cross, diverged), "entropy": (-1.0, entropy(p), False)}
 
 
 def expected_free_energy(system: ActualSystem, target: TargetSpec) -> Report:
@@ -322,17 +333,11 @@ def expected_free_energy(system: ActualSystem, target: TargetSpec) -> Report:
     x, z = _split_roles(p)
     reconstruction, d1 = expectation_of_log(p, _log_given(q, x, z))
     latent_pref, d2 = _term(p, _log_given(p, z, x), _log_given(q, z, ()))
-    ref = kl(p, q)
-    return Report(
-        equation="efe",
-        terms={"efe": -reconstruction + latent_pref, "input_entropy": entropy(p, x) if x else 0.0},
-        combo={"efe": 1.0, "input_entropy": -1.0},
-        log_partition=ref.log_partition,
-        lnz_coeff=0.0,
-        joint_kl=ref.kl_nats,
-        relation="equals",
-        divergent=ref.divergent or d1 or d2,
-    )
+    terms = {
+        "efe": (1.0, -reconstruction + latent_pref, d1 or d2),
+        "input_entropy": (-1.0, entropy(p, x) if x else 0.0, False),
+    }
+    return _certify("efe", p, q, terms)
 
 
 def past_future_split(
@@ -356,45 +361,28 @@ def past_future_split(
     in_scope = set(p.names)
     past = tuple(n for n in horizon.past_inputs(system) if n in in_scope)
     future = tuple(n for n in horizon.future_inputs(system) if n in in_scope)
-    return _past_future(p, q, past, future)
+    return _certify(
+        "combined", p, q, _past_future(p, q, past, future), relation="lower-bounds-joint"
+    )
 
 
 def _past_future(
     p: Table, q: UnnormalizedTable, past: tuple[str, ...], future: tuple[str, ...]
-) -> Report:
-    """:func:`past_future_split` on an already materialized pair, with the
-    past and future inputs given in scope order."""
+) -> Terms:
+    """The terms of :func:`past_future_split`, with the past and future
+    inputs given in scope order."""
     x = past + future
     z = tuple(n for n in p.names if n not in set(x))
-
     log_p_z_past = _log_given(p, z, past)
-    past_latent_pref, d1 = _term(p, log_p_z_past, _log_given(q, z, ()))
-    repr_learning, d2 = _term(p, _log_given(q, past, z), _log_given(p, past, ()))
-    future_input_pref, d3 = _term(
-        p, _log_given(p, future, past + z), _log_given(q, future, past)
-    )
-    exploration, d4 = _term(p, _log_given(q, z, x), log_p_z_past)
-    ref = kl(p, q)
-    return Report(
-        equation="combined",
-        terms={
-            "past_latent_pref": past_latent_pref,
-            "repr_learning": repr_learning,
-            "future_input_pref": future_input_pref,
-            "exploration": exploration,
-        },
-        combo={
-            "past_latent_pref": 1.0,
-            "repr_learning": -1.0,
-            "future_input_pref": 1.0,
-            "exploration": -1.0,
-        },
-        log_partition=ref.log_partition,
-        lnz_coeff=0.0,
-        joint_kl=ref.kl_nats,
-        relation="lower-bounds-joint",
-        divergent=ref.divergent or d1 or d2 or d3 or d4,
-    )
+    return {
+        "past_latent_pref": (1.0, *_term(p, log_p_z_past, _log_given(q, z, ()))),
+        "repr_learning": (-1.0, *_term(p, _log_given(q, past, z), _log_given(p, past, ()))),
+        "future_input_pref": (
+            1.0,
+            *_term(p, _log_given(p, future, past + z), _log_given(q, future, past)),
+        ),
+        "exploration": (-1.0, *_term(p, _log_given(q, z, x), log_p_z_past)),
+    }
 
 
 def bayesian_future_check(
@@ -452,19 +440,12 @@ def bayesian_future_check(
     z = tuple(n for n in p.names if n in internal)
     past_only = tuple(n for n in p.names if n in past)
 
-    past_vi, d1 = _term(p, _log_given(p, past_t, ()), _log_given(q, past_t, ()))
     uncontrolled, d2 = _term(
         p, _log_given(p, fut_t, past_only), _log_given(q, fut_t, z)
     )
-    ref = kl(p, q)
-    return Report(
-        equation="missing_data",
-        terms={"past_vi": past_vi, "uncontrolled_future": uncontrolled},
-        combo={"past_vi": 1.0, "uncontrolled_future": 1.0},
-        log_partition=ref.log_partition,
-        lnz_coeff=0.0,
-        joint_kl=ref.kl_nats,
-        relation="equals",
-        divergent=ref.divergent or d1 or d2,
-        extras={"bayesian_satisfied": float(not (d2) and uncontrolled < BAYES_TOL)},
-    )
+    terms = {
+        "past_vi": (1.0, *_term(p, _log_given(p, past_t, ()), _log_given(q, past_t, ()))),
+        "uncontrolled_future": (1.0, uncontrolled, d2),
+    }
+    extras = {"bayesian_satisfied": float(not d2 and uncontrolled < BAYES_TOL)}
+    return _certify("missing_data", p, q, terms, extras=extras)

@@ -2,26 +2,34 @@
 
 Every family here is one way of reading the same quantity: the joint
 divergence KL[p || q/Z] between what a system actually does and an
-unnormalized product of target factors. A family fixes three coupled
-artifacts at once:
+unnormalized product of target factors. A family differs from the others
+only in its target and in how it splits the divergence into terms.
 
-* an :class:`~divmin.engine.Engine` whose scalar value is what gradient
-  descent actually minimizes,
-* a report closure producing a certified :class:`~divmin.decomp.Report`
-  that rearranges the joint divergence into the family's named terms,
-* bookkeeping tying the two together, most importantly
-  ``total_matches_report``: when set, the engine total must equal the
-  report total to numerical precision at every parameter point; when
-  clear, the engine optimizes a single bound term whose face value still
-  appears in the report.
+Each family has a builder that validates its inputs, takes the options it
+reads out of the options mapping, and returns the family's parts:
+
+* the target, given or built from the options;
+* the engine terms and ln Z coefficient, whose signed sum is what gradient
+  descent minimizes;
+* a report body, which rearranges the divergence into the family's named
+  terms on a prepared (p, q) pair and certifies it through
+  ``decomp._certify``;
+* ``total_matches_report``: when set, the engine total equals the report
+  total to numerical precision at every parameter point; when clear, the
+  engine optimizes a single bound term whose face value still appears in
+  the report.
+
+:func:`make_objective` alone turns the parts into an
+:class:`~divmin.engine.Engine` and an :class:`Objective`, and rejects any
+option the builder left unread.
 
 The identities behind each family, with x the inputs and z the internal
-variables on the target scope:
+variables on the target scope, and the option keys each one reads:
 
-``joint_kl``
+``joint_kl`` (no options)
     The divergence itself, no rearrangement.
 
-``elbo_bnn``
+``elbo_bnn`` (no options)
     For a fixed data distribution p(x), a prior over beliefs, and
     per-observation likelihoods, KL = complexity - accuracy + constant
     where complexity = E_x KL[p(z|x) || q(z)], accuracy is the expected
@@ -29,17 +37,17 @@ variables on the target scope:
     count and the data entropy. Minimizing the engine total is exactly
     maximizing the evidence lower bound.
 
-``map_point_mass``
+``map_point_mass`` (no options)
     The energy reading KL = E_p[-ln q~] - H[p] + ln Z. Over point-mass
     beliefs the entropy vanishes and minimization reduces to picking the
     configuration with the largest raw target weight.
 
-``amortized_vae``
+``amortized_vae`` (``form``)
     The two conditional splits of the divergence. "reconstruction" uses
     KL = complexity - fit_bound with fit_bound = E[ln q(x|z) - ln p(x)];
     "contrastive" mirrors it through the inputs.
 
-``kl_control`` / ``maxent_rl``
+``kl_control`` (``rewards``, ``mode``, ``priors``) / ``maxent_rl`` (``rewards``)
     Decision variables pay E[ln pi(a|s) / prior(a)] while rewarded
     inputs earn E[r]; mirrored dynamics cancel, so the divergence equals
     the control cost minus the expected reward plus ln Z. ``maxent_rl``
@@ -48,17 +56,17 @@ variables on the target scope:
     input scope, and "expected-reward" mirrors the actual dynamics
     entirely so only the reward terms remain to optimize.
 
-``empowerment``
+``empowerment`` (``channel_effects``)
     The input-side split, read as a channel: the engine maximizes
     gen_empowerment_bound = E[ln q(z|x) - ln p(z)], a variational lower
     bound on the mutual information between actions and effects.
 
-``skill_discovery``
+``skill_discovery`` (``predictor``, ``action_prior``)
     Mirrored dynamics plus a reverse predictor q(z|observations) give
     KL = control + action_complexity - skill_info_bound + ln Z, where
     the bound is a variational lower bound on I(skill; observations).
 
-``info_gain``
+``info_gain`` (``optimize``)
     The four-term past/future reading. The engine either descends the
     whole bound ("bound") or just the negated information-gain term
     ("intrinsic"), a lower bound on I(z; all inputs) - I(z; past).
@@ -68,23 +76,22 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, replace
-from types import MappingProxyType
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .decomp import (
     Report,
+    _certify,
+    _energy_entropy,
     _input_side,
+    _latent_side,
     _log_given,
     _past_future,
     _prepare,
     _split_roles,
     _term,
-    decompose_input_side,
-    decompose_latent_side,
-    energy_entropy,
-    joint_kl,
     realize,
 )
 from .engine import (
@@ -116,6 +123,7 @@ from .systems import (
 from .tables import (
     Role,
     Table,
+    UnnormalizedTable,
     _expand_to_scope,
     entropy,
     expectation_of_log,
@@ -145,6 +153,11 @@ OBJECTIVE_FAMILIES: tuple[str, ...] = tuple(
     name for name in FAMILY_TAGS if name != "joint_kl"
 )
 
+# (target, p, q, full joint, realized system) -> certified report
+ReportBody = Callable[[TargetSpec, Table, UnnormalizedTable, Table, ActualSystem], Report]
+# (target, engine terms, ln Z coefficient, report body, total_matches_report)
+Parts = tuple[TargetSpec, list[Term], float, ReportBody, bool]
+
 
 @dataclass(frozen=True)
 class Objective:
@@ -157,17 +170,21 @@ class Objective:
     """
 
     family: str
-    equation: str
-    system: ActualSystem
-    target: TargetSpec
-    horizon: Horizon | None
     engine: Engine
-    options: Mapping[str, object]
     total_matches_report: bool
-    _report: Callable[[ActualSystem, TargetSpec], Report] = field(repr=False)
+    _report: ReportBody = field(repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "options", MappingProxyType(dict(self.options)))
+    @property
+    def equation(self) -> str:
+        return FAMILY_TAGS[self.family]
+
+    @property
+    def system(self) -> ActualSystem:
+        return self.engine.system
+
+    @property
+    def target(self) -> TargetSpec:
+        return self.engine.target
 
     def parameters(self) -> np.ndarray:
         return self.engine.parameters()
@@ -183,18 +200,10 @@ class Objective:
             system, target = self.system, self.target
         else:
             system, target = self.engine.space.set(np.asarray(phi, dtype=np.float64))
-        return self._report(system, target)
-
-
-_BUILDERS: dict[str, Callable[..., Objective]] = {}
-
-
-def _family(name: str):
-    def register(fn):
-        _BUILDERS[name] = fn
-        return fn
-
-    return register
+        p, q, joint, realized_system = _prepare(
+            system, target, self.engine.realized, self.engine.realization
+        )
+        return self._report(target, p, q, joint, realized_system)
 
 
 def make_objective(
@@ -210,14 +219,22 @@ def make_objective(
 
     Families that derive their target from the options (the control
     modes, skill discovery, and, when none is given, empowerment and
-    info gain) document that behaviour on their builders.
+    info gain) document that behaviour on their builders. An option the
+    family does not read raises :class:`ConfigError`.
     """
-    if family not in _BUILDERS:
+    builder = _BUILDERS.get(family)
+    if builder is None:
         known = ", ".join(sorted(_BUILDERS))
         raise ConfigError(f"unknown objective family {family!r}; known families: {known}")
-    return _BUILDERS[family](
-        system, target, horizon, dict(options or {}), dict(realized or {}), realization
+    options = dict(options or {})
+    realized = dict(realized or {})
+    target, terms, lnz_coeff, report, matches = builder(
+        system, target, horizon, options, realized, realization
     )
+    if options:
+        raise ConfigError(f"family {family!r} does not use the option(s) {sorted(options)}")
+    engine = Engine(system, target, terms, lnz_coeff, realized, realization)
+    return Objective(family, engine, matches, report)
 
 
 def from_preset(preset) -> Objective:
@@ -244,15 +261,9 @@ def _face(target: TargetSpec, index: int, realized_system: ActualSystem, joint: 
     return np.broadcast_to(raw, q.weights.shape)
 
 
-def _renamed(base: Report, equation: str, names: Mapping[str, str], **changes) -> Report:
-    """A ``decomp`` report under a family's equation tag and term names."""
-    return replace(
-        base,
-        equation=equation,
-        terms={names[k]: v for k, v in base.terms.items()},
-        combo={names[k]: c for k, c in base.combo.items()},
-        **changes,
-    )
+def _summed(coeff: float, parts: list[tuple[float, bool]]) -> tuple[float, float, bool]:
+    """One report term made of several (value, divergent) parts."""
+    return coeff, math.fsum(v for v, _ in parts), any(d for _, d in parts)
 
 
 def _expected_payoff(p: Table, name: str, values: np.ndarray) -> float:
@@ -276,53 +287,37 @@ def _check_no_realization(family: str, realized: Assignment) -> None:
         raise ConfigError(f"family {family!r} does not support realized values")
 
 
+def _reject_target(family: str, target: TargetSpec | None, instead: str) -> None:
+    if target is not None:
+        raise ConfigError(
+            f"family {family!r} builds its target from the options; pass {instead} instead"
+        )
+
+
 # ---------------------------------------------------------------------------
 # joint_kl
 
 
-@_family("joint_kl")
-def _build_joint_kl(system, target, horizon, options, realized, realization) -> Objective:
+def _build_joint_kl(system, target, horizon, options, realized, realization) -> Parts:
     """The divergence itself; the report holds a single term."""
     if target is None:
         raise ConfigError("family 'joint_kl' needs an explicit target")
-    scope = tuple(target.scope)
     terms = [
-        Term("cross", 1.0, ((1.0, ActualLog(scope)), (-1.0, TargetLogRaw()))),
+        Term("cross", 1.0, ((1.0, ActualLog(tuple(target.scope))), (-1.0, TargetLogRaw()))),
     ]
-    engine = Engine(system, target, terms, lnz_coeff=1.0, realized=realized, realization=realization)
 
-    def report(sys2: ActualSystem, tgt2: TargetSpec) -> Report:
-        ref = joint_kl(sys2, tgt2, realized, realization)
-        return Report(
-            equation="jointkl",
-            terms={"joint_kl": ref.kl_nats},
-            combo={"joint_kl": 1.0},
-            log_partition=ref.log_partition,
-            lnz_coeff=0.0,
-            joint_kl=ref.kl_nats,
-            relation="equals",
-            divergent=ref.divergent,
-        )
+    def report(tgt, p, q, joint, rsys) -> Report:
+        ref = kl(p, q)
+        return _certify("jointkl", p, q, {"joint_kl": (1.0, ref.kl_nats, ref.divergent)})
 
-    return Objective(
-        family="joint_kl",
-        equation="jointkl",
-        system=system,
-        target=target,
-        horizon=horizon,
-        engine=engine,
-        options=options,
-        total_matches_report=True,
-        _report=report,
-    )
+    return target, terms, 1.0, report, True
 
 
 # ---------------------------------------------------------------------------
 # elbo_bnn
 
 
-@_family("elbo_bnn")
-def _build_elbo(system, target, horizon, options, realized, realization) -> Objective:
+def _build_elbo(system, target, horizon, options, realized, realization) -> Parts:
     """Variational inference over belief variables against prior times likelihoods.
 
     The target must consist of factors over the belief variables (the
@@ -355,11 +350,6 @@ def _build_elbo(system, target, horizon, options, realized, realization) -> Obje
                 f"input {n!r} depends on belief variables {sorted(inward)}; "
                 "the data distribution must stay fixed"
             )
-    belief = options.get("belief_vars")
-    if belief is not None and set(belief) != set(internal):
-        raise ConfigError(
-            f"belief_vars {tuple(belief)} disagree with the internal variables {internal}"
-        )
 
     lik_idx: list[int] = []
     children: set[str] = set()
@@ -386,164 +376,107 @@ def _build_elbo(system, target, horizon, options, realized, realization) -> Obje
                 f"{sorted(bad)}; parents must be covariates or belief variables"
             )
 
-    scope = tuple(target.scope)
-    x_scope, z_scope = _scope_split(system, scope)
+    x_scope, z_scope = _scope_split(system, tuple(target.scope))
     covariates = tuple(n for n in x_scope if n not in children)
-    base_joint = build_joint(system)
-    data_entropy = entropy(marginalize(base_joint, x_scope))
+    data_entropy = entropy(marginalize(build_joint(system), x_scope))
     constant = math.fsum(
         [math.log(system.variable(n).cardinality) for n in covariates] + [-data_entropy]
     )
-
     terms = [
         Term("complexity", 1.0, ((1.0, ActualLog(z_scope, x_scope)), (-1.0, TargetLog(z_scope)))),
         Term("accuracy", -1.0, tuple((1.0, TargetFactorLog(i)) for i in lik_idx)),
         Term("constant", 1.0, ((1.0, Payoff((), constant)),)),
     ]
-    engine = Engine(system, target, terms, lnz_coeff=0.0)
 
-    def report(sys2: ActualSystem, tgt2: TargetSpec) -> Report:
-        p, q, joint, rsys = _prepare(sys2, tgt2, None, realization)
+    def report(tgt, p, q, joint, rsys) -> Report:
         x, z = _split_roles(p)
-        complexity, d1 = _term(p, _log_given(p, z, x), _log_given(q, z, ()))
-        parts: list[float] = []
-        divergent = d1
-        for i in lik_idx:
-            val, d = expectation_of_log(p, _face(tgt2, i, rsys, joint, q))
-            parts.append(val)
-            divergent = divergent or d
-        accuracy = math.fsum(parts)
         const_val = math.fsum(
-            [math.log(sys2.variable(n).cardinality) for n in covariates] + [-entropy(p, x)]
+            [math.log(rsys.variable(n).cardinality) for n in covariates] + [-entropy(p, x)]
         )
-        ref = kl(p, q)
-        posterior_gap = expected_conditional_kl(p, q, z, x)
-        return Report(
-            equation="elbo",
-            terms={"complexity": complexity, "accuracy": accuracy, "constant": const_val},
-            combo={"complexity": 1.0, "accuracy": -1.0, "constant": 1.0},
-            log_partition=ref.log_partition,
-            lnz_coeff=0.0,
-            joint_kl=ref.kl_nats,
-            relation="equals",
-            divergent=ref.divergent or divergent,
-            extras={"posterior_kl": posterior_gap.kl_nats},
-        )
+        parts = {
+            "complexity": (1.0, *_term(p, _log_given(p, z, x), _log_given(q, z, ()))),
+            "accuracy": _summed(
+                -1.0, [expectation_of_log(p, _face(tgt, i, rsys, joint, q)) for i in lik_idx]
+            ),
+            "constant": (1.0, const_val, False),
+        }
+        extras = {"posterior_kl": expected_conditional_kl(p, q, z, x).kl_nats}
+        return _certify("elbo", p, q, parts, extras=extras)
 
-    return Objective(
-        family="elbo_bnn",
-        equation="elbo",
-        system=system,
-        target=target,
-        horizon=horizon,
-        engine=engine,
-        options=options,
-        total_matches_report=True,
-        _report=report,
-    )
+    return target, terms, 0.0, report, True
 
 
 # ---------------------------------------------------------------------------
 # map_point_mass
 
 
-@_family("map_point_mass")
-def _build_map(system, target, horizon, options, realized, realization) -> Objective:
+def _build_map(system, target, horizon, options, realized, realization) -> Parts:
     """Energy minus entropy; over point masses this is raw-weight maximization."""
     _check_no_realization("map_point_mass", realized)
     if target is None:
         raise ConfigError("family 'map_point_mass' needs an explicit target")
-    scope = tuple(target.scope)
     terms = [
         Term("energy", 1.0, ((-1.0, TargetLogRaw()),)),
-        Term("entropy", -1.0, ((-1.0, ActualLog(scope)),)),
+        Term("entropy", -1.0, ((-1.0, ActualLog(tuple(target.scope))),)),
     ]
-    engine = Engine(system, target, terms, lnz_coeff=1.0)
 
-    def report(sys2: ActualSystem, tgt2: TargetSpec) -> Report:
-        return replace(energy_entropy(sys2, tgt2), equation="map")
+    def report(tgt, p, q, joint, rsys) -> Report:
+        return _certify("map", p, q, _energy_entropy(p, q), lnz_coeff=1.0)
 
-    return Objective(
-        family="map_point_mass",
-        equation="map",
-        system=system,
-        target=target,
-        horizon=horizon,
-        engine=engine,
-        options=options,
-        total_matches_report=True,
-        _report=report,
-    )
+    return target, terms, 1.0, report, True
 
 
 # ---------------------------------------------------------------------------
 # amortized_vae
 
 
-@_family("amortized_vae")
-def _build_vae(system, target, horizon, options, realized, realization) -> Objective:
+def _build_vae(system, target, horizon, options, realized, realization) -> Parts:
     """Encoder-decoder splits of the divergence.
 
     ``form="reconstruction"`` charges the code complexity against a
     reconstruction-style bound; ``form="contrastive"`` mirrors the split
-    through the inputs.
+    through the inputs. Data and code are the input and internal
+    variables of the target scope.
     """
     if target is None:
         raise ConfigError("family 'amortized_vae' needs an explicit target (code prior and decoder)")
-    form = options.get("form", "reconstruction")
+    form = options.pop("form", "reconstruction")
     if form not in ("reconstruction", "contrastive"):
         raise ConfigError(f"unknown amortized_vae form {form!r}")
-    scope = tuple(target.scope)
-    x_scope, z_scope = _scope_split(system, scope)
+    x_scope, z_scope = _scope_split(system, tuple(target.scope))
     if not x_scope or not z_scope:
         raise ConfigError("the target scope must contain both data and code variables")
-    code = options.get("code_vars")
-    if code is not None and set(code) != set(z_scope):
-        raise ConfigError(f"code_vars {tuple(code)} disagree with the internal scope {z_scope}")
-    data = options.get("data_vars")
-    if data is not None and set(data) != set(x_scope):
-        raise ConfigError(f"data_vars {tuple(data)} disagree with the input scope {x_scope}")
 
     if form == "reconstruction":
         terms = [
             Term("complexity", 1.0, ((1.0, ActualLog(z_scope, x_scope)), (-1.0, TargetLog(z_scope)))),
             Term("fit_bound", -1.0, ((1.0, TargetLog(x_scope, z_scope)), (-1.0, ActualLog(x_scope)))),
         ]
-        split = decompose_latent_side
+        split = _latent_side
         names = {"latent_pref_kl": "complexity", "info_bound": "fit_bound"}
     else:
         terms = [
             Term("input_pref", 1.0, ((1.0, ActualLog(x_scope, z_scope)), (-1.0, TargetLog(x_scope)))),
             Term("code_bound", -1.0, ((1.0, TargetLog(z_scope, x_scope)), (-1.0, ActualLog(z_scope)))),
         ]
-        split = decompose_input_side
+        split = _input_side
         names = {"input_pref_kl": "input_pref", "info_bound_latent": "code_bound"}
-    engine = Engine(system, target, terms, lnz_coeff=0.0, realized=realized, realization=realization)
 
-    def report(sys2: ActualSystem, tgt2: TargetSpec) -> Report:
-        return _renamed(split(sys2, tgt2, realized, realization), "vae", names)
+    def report(tgt, p, q, joint, rsys) -> Report:
+        parts = split(p, q)
+        return _certify("vae", p, q, {new: parts[old] for old, new in names.items()})
 
-    return Objective(
-        family="amortized_vae",
-        equation="vae",
-        system=system,
-        target=target,
-        horizon=horizon,
-        engine=engine,
-        options={**options, "form": form},
-        total_matches_report=True,
-        _report=report,
-    )
+    return target, terms, 0.0, report, True
 
 
 # ---------------------------------------------------------------------------
 # kl_control / maxent_rl
 
 
-def _control_rewards(system, options) -> dict[str, np.ndarray]:
+def _control_rewards(system, rewards: Mapping) -> dict[str, np.ndarray]:
     inputs = system.inputs()
-    rewards: dict[str, np.ndarray] = {}
-    for name, values in dict(options.get("rewards", {}) or {}).items():
+    out: dict[str, np.ndarray] = {}
+    for name, values in dict(rewards or {}).items():
         if name not in inputs:
             raise ConfigError(f"reward variable {name!r} is not an input")
         arr = np.asarray(values, dtype=np.float64)
@@ -552,27 +485,28 @@ def _control_rewards(system, options) -> dict[str, np.ndarray]:
             raise ConfigError(f"reward for {name!r} has shape {arr.shape}, expected ({card},)")
         if not np.all(np.isfinite(arr)):
             raise ConfigError(f"reward for {name!r} must be finite")
-        rewards[name] = arr
-    return rewards
+        out[name] = arr
+    return out
 
 
-def _build_control_like(family, system, target, horizon, options, realized, realization) -> Objective:
+def _build_control(
+    system, target, horizon, options, realized, realization, family="kl_control"
+) -> Parts:
     """Shared construction for kl_control and maxent_rl.
 
-    The target is derived from the options; any supplied target is
-    replaced. Decision variables are exactly the parameterized factors
-    of the system. Realized actions must be interventions; evidence is
-    accepted only by mode "kl-regularized", and only on its inputs.
+    The target is built from the options, so an explicit target is an
+    error. ``maxent_rl`` reads only ``rewards``: its mode is "kl-control"
+    and its action priors are uniform. Decision variables are exactly the
+    parameterized factors of the system. Realized actions must be
+    interventions; evidence is accepted only by mode "kl-regularized",
+    and only on its inputs.
     """
-    equation = FAMILY_TAGS[family]
-    mode = options.get("mode", "kl-control")
+    _reject_target(family, target, "rewards")
     if family == "maxent_rl":
-        if mode != "kl-control":
-            raise ConfigError("family 'maxent_rl' fixes mode='kl-control'")
-        if "priors" in options:
-            raise ConfigError("family 'maxent_rl' fixes uniform action priors")
+        mode = "kl-control"
         cost_name, gain_name = "action_complexity", "reward"
     else:
+        mode = options.pop("mode", "kl-control")
         cost_name, gain_name = "control_cost", "expected_pref"
     if mode not in ("kl-control", "kl-regularized", "expected-reward"):
         raise ConfigError(f"unknown control mode {mode!r}")
@@ -591,7 +525,7 @@ def _build_control_like(family, system, target, horizon, options, realized, real
     for n in system.by_role(Role.ACTION):
         if n not in decisions:
             raise ConfigError(f"action variable {n!r} is not parameterized")
-    rewards = _control_rewards(system, options)
+    rewards = _control_rewards(system, options.pop("rewards", {}))
     states = tuple(n for n in inputs if n not in decisions)
     # Conditioning p breaks the cancellation of the mirrored dynamics, so
     # only "kl-regularized", whose target mirrors nothing, takes evidence,
@@ -610,16 +544,15 @@ def _build_control_like(family, system, target, horizon, options, realized, real
     # read by the engine terms and the report alike.
     kl_terms: list[tuple[str, str, tuple[str, ...], int]] = []
     if mode == "kl-control":
-        priors_opt = {k: np.asarray(v, dtype=np.float64) for k, v in dict(options.get("priors", {}) or {}).items()}
-        for k in priors_opt:
+        priors = {} if family == "maxent_rl" else dict(options.pop("priors", {}) or {})
+        priors = {k: np.asarray(v, dtype=np.float64) for k, v in priors.items()}
+        for k in priors:
             if k not in decisions:
                 raise ConfigError(f"prior given for {k!r}, which is not a decision variable")
         for v in system.names:
             if v in decisions:
                 card = system.variable(v).cardinality
-                vec = priors_opt.get(v)
-                if vec is None or family == "maxent_rl":
-                    vec = _uniform(card)
+                vec = priors[v] if v in priors else _uniform(card)
                 if vec.shape != (card,) or np.any(vec <= 0.0) or not np.all(np.isfinite(vec)):
                     raise ConfigError(f"prior for {v!r} must be a positive vector of length {card}")
                 name = f"{cost_name}_{decisions.index(v) + 1}"
@@ -659,7 +592,6 @@ def _build_control_like(family, system, target, horizon, options, realized, real
             factors.append(MarginalMirror((v,), inputs[:i]))
         scope = inputs
     factors.extend(RewardFactor((v,), rewards[v]) for _, v in gains)
-    built = TargetSpec(scope, factors)
 
     terms = [
         Term(name, 1.0, ((1.0, ActualLog((v,), given)), (-1.0, TargetFactorLog(index))))
@@ -670,78 +602,35 @@ def _build_control_like(family, system, target, horizon, options, realized, real
     # the expected reward alone while the report keeps ln Z.
     matches = mode != "expected-reward"
 
-    def report(sys2: ActualSystem, tgt2: TargetSpec) -> Report:
-        p, q, joint, rsys = _prepare(sys2, tgt2, realized, realization)
-        out: dict[str, float] = {}
-        combo: dict[str, float] = {}
-        divergent = False
-        for name, v, given, index in kl_terms:
-            out[name], dv = _term(p, _log_given(p, (v,), given), _face(tgt2, index, rsys, joint, q))
-            combo[name] = 1.0
-            divergent = divergent or dv
+    def report(tgt, p, q, joint, rsys) -> Report:
+        parts = {
+            name: (1.0, *_term(p, _log_given(p, (v,), given), _face(tgt, index, rsys, joint, q)))
+            for name, v, given, index in kl_terms
+        }
         for name, v in gains:
-            out[name] = _expected_payoff(p, v, rewards[v])
-            combo[name] = -1.0
-        ref = kl(p, q)
-        return Report(
-            equation=equation,
-            terms=out,
-            combo=combo,
-            log_partition=ref.log_partition,
-            lnz_coeff=1.0,
-            joint_kl=ref.kl_nats,
-            relation="equals",
-            divergent=ref.divergent or divergent,
-        )
+            parts[name] = (-1.0, _expected_payoff(p, v, rewards[v]), False)
+        return _certify(FAMILY_TAGS[family], p, q, parts, lnz_coeff=1.0)
 
-    engine = Engine(
-        system,
-        built,
-        terms,
-        lnz_coeff=1.0 if matches else 0.0,
-        realized=realized,
-        realization=realization,
-    )
-    return Objective(
-        family=family,
-        equation=equation,
-        system=system,
-        target=built,
-        horizon=horizon,
-        engine=engine,
-        options={**options, "mode": mode},
-        total_matches_report=matches,
-        _report=report,
-    )
-
-
-@_family("kl_control")
-def _build_kl_control(system, target, horizon, options, realized, realization) -> Objective:
-    return _build_control_like("kl_control", system, target, horizon, options, realized, realization)
-
-
-@_family("maxent_rl")
-def _build_maxent(system, target, horizon, options, realized, realization) -> Objective:
-    return _build_control_like("maxent_rl", system, target, horizon, options, realized, realization)
+    return TargetSpec(scope, factors), terms, 1.0 if matches else 0.0, report, matches
 
 
 # ---------------------------------------------------------------------------
 # empowerment
 
 
-@_family("empowerment")
-def _build_empowerment(system, target, horizon, options, realized, realization) -> Objective:
+def _build_empowerment(system, target, horizon, options, realized, realization) -> Parts:
     """Channel-capacity reading: maximize a bound on I(actions; effects).
 
     Without an explicit target a softmax decoder over the channel
-    effects is constructed, one factor per action variable with the
-    earlier actions appended to its parents.
+    effects (``channel_effects``, by default the future inputs) is
+    constructed, one factor per action variable with the earlier actions
+    appended to its parents.
     """
     actions = system.by_role(Role.ACTION)
     if not actions:
         raise ConfigError("family 'empowerment' needs at least one action variable")
     if target is None:
-        effects = tuple(options.get("channel_effects") or ())
+        effects = tuple(options.pop("channel_effects", None) or ())
         if not effects:
             effects = tuple(
                 n for n in system.inputs() if system.variable(n).role is Role.FUTURE_INPUT
@@ -751,11 +640,6 @@ def _build_empowerment(system, target, horizon, options, realized, realization) 
         for n in effects:
             if n not in system.inputs():
                 raise ConfigError(f"channel effect {n!r} is not an input")
-        chosen = tuple(options.get("channel_actions") or actions)
-        if set(chosen) != set(actions):
-            raise ConfigError(
-                f"channel_actions {chosen} disagree with the action variables {actions}"
-            )
         factors = []
         for i, a in enumerate(actions):
             parents = effects + actions[:i]
@@ -765,11 +649,9 @@ def _build_empowerment(system, target, horizon, options, realized, realization) 
             factors.append(ParamFactor(a, parents, np.zeros(shape)))
         scope = tuple(n for n in system.names if n in set(effects) | set(actions))
         target = TargetSpec(scope, factors)
-    scope = tuple(target.scope)
-    x_scope, z_scope = _scope_split(system, scope)
+    x_scope, z_scope = _scope_split(system, tuple(target.scope))
     if not x_scope or not z_scope:
         raise ConfigError("the decoder scope must contain actions and effects")
-
     terms = [
         Term(
             "gen_empowerment_bound",
@@ -777,63 +659,46 @@ def _build_empowerment(system, target, horizon, options, realized, realization) 
             ((1.0, TargetLog(z_scope, x_scope)), (-1.0, ActualLog(z_scope))),
         )
     ]
-    engine = Engine(system, target, terms, lnz_coeff=0.0, realized=realized, realization=realization)
 
-    names = {"input_pref_kl": "control", "info_bound_latent": "gen_empowerment_bound"}
-
-    def report(sys2: ActualSystem, tgt2: TargetSpec) -> Report:
-        p, q, _, _ = _prepare(sys2, tgt2, realized, realization)
+    def report(tgt, p, q, joint, rsys) -> Report:
         x, z = _split_roles(p)
+        parts = _input_side(p, q)
         extras = {
             "exact_mi": mutual_information(p, z, x),
             "mi_cap": min(entropy(p, z), entropy(p, x)),
         }
-        return _renamed(_input_side(p, q), "empowerment", names, extras=extras)
+        renamed = {
+            "control": parts["input_pref_kl"],
+            "gen_empowerment_bound": parts["info_bound_latent"],
+        }
+        return _certify("empowerment", p, q, renamed, extras=extras)
 
-    return Objective(
-        family="empowerment",
-        equation="empowerment",
-        system=system,
-        target=target,
-        horizon=horizon,
-        engine=engine,
-        options=options,
-        total_matches_report=False,
-        _report=report,
-    )
+    return target, terms, 0.0, report, False
 
 
 # ---------------------------------------------------------------------------
 # skill_discovery
 
 
-@_family("skill_discovery")
-def _build_skills(system, target, horizon, options, realized, realization) -> Objective:
+def _build_skills(system, target, horizon, options, realized, realization) -> Parts:
     """Reverse-predictor skill objective; the target comes from the options.
 
     Mirrored dynamics and (optionally mirrored) action priors cancel, so
     the joint divergence reduces to the negated variational bound on
     I(skill; observations) plus ln Z.
     """
-    if target is not None:
-        raise ConfigError(
-            "family 'skill_discovery' builds its target from the options; "
-            "pass predictor and action_prior instead"
-        )
+    _reject_target("skill_discovery", target, "predictor and action_prior")
     skills = system.by_role(Role.SKILL)
     if len(skills) != 1:
         raise ConfigError(f"skill discovery needs exactly one skill variable, found {skills}")
     zname = skills[0]
     if system.factors[zname].parents:
         raise ConfigError(f"the skill variable {zname!r} must be a root of the system")
-    declared = options.get("skill_vars")
-    if declared is not None and tuple(declared) != skills:
-        raise ConfigError(f"skill_vars {tuple(declared)} disagree with the skill variables {skills}")
     actions = system.by_role(Role.ACTION)
-    prior_mode = options.get("action_prior", "policy")
+    prior_mode = options.pop("action_prior", "policy")
     if prior_mode not in ("policy", "uniform"):
         raise ConfigError(f"unknown action_prior {prior_mode!r}")
-    pred_opt = options.get("predictor")
+    pred_opt = options.pop("predictor", None)
     if not isinstance(pred_opt, Mapping) or not {"child", "parents", "init"} <= set(pred_opt):
         raise ConfigError("skill discovery needs a predictor with child, parents, and init")
     if pred_opt["child"] != zname:
@@ -867,7 +732,6 @@ def _build_skills(system, target, horizon, options, realized, realization) -> Ob
             factors.append(FactorMirror(v))
     pred_idx = len(factors)
     factors.append(ParamFactor(zname, pred_parents, init))
-    built = TargetSpec(system.names, factors)
 
     terms = [
         Term(
@@ -883,73 +747,39 @@ def _build_skills(system, target, horizon, options, realized, realization) -> Ob
         log_counts = math.fsum(math.log(system.variable(a).cardinality) for a in actions)
         parts.append((1.0, Payoff((), log_counts)))
         terms.append(Term("action_complexity", 1.0, tuple(parts)))
-    engine = Engine(system, built, terms, lnz_coeff=0.0, realized=realized, realization=realization)
 
-    def report(sys2: ActualSystem, tgt2: TargetSpec) -> Report:
-        p, q, joint, rsys = _prepare(sys2, tgt2, realized, realization)
-        divergent = False
-        control_parts: list[float] = []
-        for v in mirror_vars:
-            val, dv = _term(
-                p,
-                _log_given(p, (v,), rsys.factors[v].parents),
-                _face(tgt2, mirror_idx[v], rsys, joint, q),
+    def report(tgt, p, q, joint, rsys) -> Report:
+        def kl_to(v: str, index: int) -> tuple[float, bool]:
+            return _term(
+                p, _log_given(p, (v,), rsys.factors[v].parents), _face(tgt, index, rsys, joint, q)
             )
-            control_parts.append(val)
-            divergent = divergent or dv
-        complexity_parts: list[float] = []
-        for a in actions:
-            val, dv = _term(
-                p,
-                _log_given(p, (a,), rsys.factors[a].parents),
-                _face(tgt2, prior_idx[a], rsys, joint, q),
-            )
-            complexity_parts.append(val)
-            divergent = divergent or dv
-        bound, dv = _term(p, _face(tgt2, pred_idx, rsys, joint, q), _log_given(p, (zname,), ()))
-        divergent = divergent or dv
-        ref = kl(p, q)
-        return Report(
-            equation="skills",
-            terms={
-                "control": math.fsum(control_parts),
-                "action_complexity": math.fsum(complexity_parts),
-                "skill_info_bound": bound,
-            },
-            combo={"control": 1.0, "action_complexity": 1.0, "skill_info_bound": -1.0},
-            log_partition=ref.log_partition,
-            lnz_coeff=1.0,
-            joint_kl=ref.kl_nats,
-            relation="equals",
-            divergent=ref.divergent or divergent,
-            extras={"exact_mi": mutual_information(p, (zname,), pred_parents)},
-        )
 
-    return Objective(
-        family="skill_discovery",
-        equation="skills",
-        system=system,
-        target=built,
-        horizon=horizon,
-        engine=engine,
-        options={**options, "action_prior": prior_mode},
-        total_matches_report=False,
-        _report=report,
-    )
+        parts = {
+            "control": _summed(1.0, [kl_to(v, mirror_idx[v]) for v in mirror_vars]),
+            "action_complexity": _summed(1.0, [kl_to(a, prior_idx[a]) for a in actions]),
+            "skill_info_bound": (
+                -1.0,
+                *_term(p, _face(tgt, pred_idx, rsys, joint, q), _log_given(p, (zname,), ())),
+            ),
+        }
+        extras = {"exact_mi": mutual_information(p, (zname,), pred_parents)}
+        return _certify("skills", p, q, parts, lnz_coeff=1.0, extras=extras)
+
+    return TargetSpec(system.names, factors), terms, 0.0, report, False
 
 
 # ---------------------------------------------------------------------------
 # info_gain
 
 
-@_family("info_gain")
-def _build_info_gain(system, target, horizon, options, realized, realization) -> Objective:
+def _build_info_gain(system, target, horizon, options, realized, realization) -> Parts:
     """Belief-update reading of the past/future split.
 
     Without an explicit target a softmax predictor over all inputs is
-    constructed per belief variable. ``optimize="bound"`` descends the
-    full four-term bound; ``optimize="intrinsic"`` descends only the
-    negated information-gain term.
+    constructed per belief variable (every internal variable).
+    ``optimize="bound"`` descends the full four-term bound;
+    ``optimize="intrinsic"`` descends only the negated information-gain
+    term.
     """
     if horizon is None:
         raise ConfigError("family 'info_gain' needs a horizon")
@@ -963,12 +793,7 @@ def _build_info_gain(system, target, horizon, options, realized, realization) ->
                 f"info gain tracks beliefs over parameters; {n!r} has role "
                 f"{system.variable(n).role.value!r}"
             )
-    belief = options.get("belief_vars")
-    if belief is not None and set(belief) != set(internal):
-        raise ConfigError(
-            f"belief_vars {tuple(belief)} disagree with the internal variables {internal}"
-        )
-    optimize = options.get("optimize", "bound")
+    optimize = options.pop("optimize", "bound")
     if optimize not in ("bound", "intrinsic"):
         raise ConfigError(f"unknown optimize choice {optimize!r}")
 
@@ -989,17 +814,14 @@ def _build_info_gain(system, target, horizon, options, realized, realization) ->
     xs = past + future
     z = tuple(n for n in scope if n in set(internal))
 
-    bound_terms = [
+    terms = [
         Term("simplicity", 1.0, ((1.0, ActualLog(z, past)), (-1.0, TargetLog(z)))),
         Term("repr_learning", -1.0, ((1.0, TargetLog(past, z)), (-1.0, ActualLog(past)))),
         Term("control", 1.0, ((1.0, ActualLog(future, past + z)), (-1.0, TargetLog(future, past)))),
         Term("info_gain", -1.0, ((1.0, TargetLog(z, xs)), (-1.0, ActualLog(z, past)))),
     ]
-    if optimize == "bound":
-        terms = bound_terms
-    else:
-        terms = [bound_terms[-1]]
-    engine = Engine(system, target, terms, lnz_coeff=0.0, realized=realized, realization=realization)
+    if optimize == "intrinsic":
+        terms = terms[-1:]
 
     rename = {
         "past_latent_pref": "simplicity",
@@ -1008,10 +830,9 @@ def _build_info_gain(system, target, horizon, options, realized, realization) ->
         "exploration": "info_gain",
     }
 
-    def report(sys2: ActualSystem, tgt2: TargetSpec) -> Report:
-        p, q, _, _ = _prepare(sys2, tgt2, realized, realization)
-        base = _past_future(p, q, past, future)
-        info_gain = base.terms["exploration"]
+    def report(tgt, p, q, joint, rsys) -> Report:
+        parts = _past_future(p, q, past, future)
+        info_gain = parts["exploration"][1]
         exact = mutual_information(p, z, xs)
         if past:
             exact -= mutual_information(p, z, past)
@@ -1034,16 +855,26 @@ def _build_info_gain(system, target, horizon, options, realized, realization) ->
             "intrinsic_sum": intrinsic_sum,
             "intrinsic_gap": info_gain - intrinsic_sum,
         }
-        return _renamed(base, "infogain", rename, extras=extras)
+        return _certify(
+            "infogain",
+            p,
+            q,
+            {new: parts[old] for old, new in rename.items()},
+            relation="lower-bounds-joint",
+            extras=extras,
+        )
 
-    return Objective(
-        family="info_gain",
-        equation="infogain",
-        system=system,
-        target=target,
-        horizon=horizon,
-        engine=engine,
-        options={**options, "optimize": optimize},
-        total_matches_report=(optimize == "bound"),
-        _report=report,
-    )
+    return target, terms, 0.0, report, optimize == "bound"
+
+
+_BUILDERS: dict[str, Callable[..., Parts]] = {
+    "joint_kl": _build_joint_kl,
+    "elbo_bnn": _build_elbo,
+    "map_point_mass": _build_map,
+    "amortized_vae": _build_vae,
+    "kl_control": _build_control,
+    "maxent_rl": partial(_build_control, family="maxent_rl"),
+    "empowerment": _build_empowerment,
+    "skill_discovery": _build_skills,
+    "info_gain": _build_info_gain,
+}

@@ -49,7 +49,6 @@ from .systems import (
     FactorSpec,
     Horizon,
     ParamFactor,
-    RewardFactor,
     TableFactor,
     TargetSpec,
 )
@@ -123,8 +122,6 @@ def bnn_toy(n_pairs: int = 4) -> Preset:
         system=system,
         horizon=Horizon(steps=1, split=2 * n_pairs),
         target=target,
-        options={"belief_vars": ("w",), "data": {f"x{i + 1}": xs[i] for i in range(n_pairs)}
-                 | {f"y{i + 1}": ys[i] for i in range(n_pairs)}},
         summary="binary-weight Bayesian fit to clamped data",
     )
 
@@ -168,7 +165,6 @@ def vae_toy(x_card: int = 4, z_card: int = 2) -> Preset:
         system=system,
         horizon=Horizon(steps=1, split=1),
         target=target,
-        options={"code_vars": ("z",), "data_vars": ("x",)},
         summary="discrete autoencoder with a learnable decoder",
     )
 
@@ -281,13 +277,11 @@ def free_choice() -> Preset:
         [Variable("x", 2, Role.FUTURE_INPUT)],
         [FactorSpec.parameterized("x", (), np.zeros(2))],
     )
-    target = TargetSpec(("x",), [RewardFactor(("x",), np.asarray([0.0, math.log(3.0)]))])
     return Preset(
         name="free-choice",
         family="kl_control",
         system=system,
         horizon=Horizon(steps=1, split=0),
-        target=target,
         options={"rewards": {"x": (0.0, math.log(3.0))}, "mode": "kl-control"},
         summary="single controlled outcome with a log-odds reward",
     )
@@ -324,10 +318,7 @@ def bandit_infogain() -> Preset:
         family="info_gain",
         system=system,
         horizon=Horizon(steps=2, split=0),
-        options={
-            "belief_vars": ("w",),
-            "optimize": "intrinsic",
-        },
+        options={"optimize": "intrinsic"},
         summary="two-armed bandit where one arm reveals a hidden coin",
     )
 
@@ -365,7 +356,6 @@ def two_room_skills() -> Preset:
         system=system,
         horizon=Horizon(steps=2, split=1, skill_every=2),
         options={
-            "skill_vars": ("z",),
             "predictor": {"child": "z", "parents": ("x3",), "init": predictor_init.tolist()},
             "action_prior": "policy",
         },
@@ -403,7 +393,7 @@ def dead_action() -> Preset:
         family="empowerment",
         system=system,
         horizon=Horizon(steps=1, split=1),
-        options={"channel_actions": ("a",), "channel_effects": ("x1",)},
+        options={"channel_effects": ("x1",)},
         summary="channel with two writing actions and one dead action",
     )
 
@@ -426,7 +416,7 @@ def identity_channel(card: int = 2) -> Preset:
         family="empowerment",
         system=system,
         horizon=Horizon(steps=1, split=0),
-        options={"channel_actions": ("a",), "channel_effects": ("x1",)},
+        options={"channel_effects": ("x1",)},
         summary="noiseless copy channel from action to effect",
     )
 

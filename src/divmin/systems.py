@@ -531,15 +531,9 @@ def target_scope_variables(target: TargetSpec, system: ActualSystem) -> tuple[Va
 
 def target_factor_scope(f: TargetFactor, system: ActualSystem) -> tuple[str, ...]:
     """All variables a target factor touches, mirrors resolved via the system."""
-    if isinstance(f, (TableFactor, RewardFactor)):
-        return tuple(f.vars)
-    if isinstance(f, (ConditionalFactor, ParamFactor)):
-        return (*f.parents, f.child)
     if isinstance(f, FactorMirror):
         return (*system.factors[f.child].parents, f.child)
-    if isinstance(f, MarginalMirror):
-        return (*f.given, *f.vars)
-    raise ValidationError(f"unknown target factor type {type(f).__name__}")
+    return _factor_vars(f)
 
 
 def target_factor_log_array(

@@ -120,6 +120,25 @@ def test_run_dry_run_validates_without_artifacts(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_run_rejects_a_misspelled_option(tmp_path, capsys):
+    doc = tmp_path / "typo.json"
+    doc.write_text(json.dumps({
+        "seed": 0,
+        "problem": {
+            "family": "kl_control",
+            "system": {
+                "variables": [{"name": "x", "cardinality": 2, "role": "future-input"}],
+                "factors": [{"child": "x", "parents": [], "logits": [0.0, 0.0]}],
+            },
+            "options": {"rewards": {"x": [0.0, 1.0]}, "mdoe": "expected-reward"},
+        },
+    }))
+    out_dir = tmp_path / "never"
+    assert main(["run", str(doc), "--out", str(out_dir), "--dry-run"]) == 2
+    assert "mdoe" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_verify_json_is_reproducible_apart_from_timestamp(tmp_path, capsys):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from divmin.engine import Engine
-from divmin.errors import ConfigError
+from divmin.errors import ConfigError, ValidationError
 from divmin.objectives import FAMILY_TAGS, Objective, from_preset, make_objective
 from divmin.presets import names as preset_names
 from divmin.presets import preset
@@ -23,11 +23,12 @@ from divmin.systems import (
     Horizon,
     MarginalMirror,
     ParamFactor,
+    RewardFactor,
     TableFactor,
     TargetSpec,
 )
 from divmin.tables import Role, Variable
-from divmin.verify import _family_objective
+from divmin.verify import _PRESET_FOR_FAMILY, _family_objective
 
 
 def softmax_rows(logits):
@@ -92,6 +93,30 @@ def test_unknown_family_and_missing_targets():
         make_objective("elbo_bnn", system)
     with pytest.raises(ConfigError):
         make_objective("amortized_vae", system)
+
+
+def family_args(family):
+    """(family, system, target, horizon, options) of the instance verify checks."""
+    if family == "maxent_rl":
+        system, options, horizon = control_pair(0)
+        return family, system, None, horizon, {"rewards": options["rewards"]}
+    pre = preset("bnn-toy" if family == "map_point_mass" else _PRESET_FOR_FAMILY[family])
+    options = {k: v for k, v in pre.options.items() if k != "realized"}
+    return family, pre.system, pre.target, pre.horizon, options
+
+
+@pytest.mark.parametrize("family", list(FAMILY_TAGS))
+def test_misspelled_option_is_rejected(family):
+    family, system, target, horizon, options = family_args(family)
+    make_objective(family, system, target, horizon, options)
+    with pytest.raises(ConfigError, match="mdoe"):
+        make_objective(family, system, target, horizon, dict(options, mdoe="kl-control"))
+
+
+@pytest.mark.parametrize("family", list(FAMILY_TAGS))
+def test_unknown_realization_is_rejected_at_construction(family):
+    with pytest.raises(ValidationError, match="realization"):
+        make_objective(*family_args(family), realization="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +346,15 @@ def test_free_choice_value_and_prior_handling():
     assert abs(ev2.total - expect2) < 1.0e-12
 
 
+@pytest.mark.parametrize("family", ["kl_control", "maxent_rl"])
+def test_control_families_reject_an_explicit_target(family):
+    pre = preset("free-choice")
+    target = TargetSpec(("x",), [RewardFactor(("x",), np.asarray([5.0, -5.0]))])
+    with pytest.raises(ConfigError, match="builds its target"):
+        make_objective(family, pre.system, target=target,
+                       options={"rewards": dict(pre.options["rewards"])})
+
+
 def test_kl_regularized_mode_passive_and_identity():
     pre = preset("chain-mdp")
     obj = make_objective(
@@ -505,7 +539,7 @@ def test_info_gain_bound_mode_descends_whole_certificate():
     pre = preset("bandit-infogain")
     obj = make_objective(
         "info_gain", pre.system, horizon=pre.horizon,
-        options={"belief_vars": ("w",), "optimize": "bound"},
+        options={"optimize": "bound"},
     )
     assert obj.total_matches_report
     rng = np.random.default_rng(41)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from divmin.errors import ConfigError, ValidationError
+from divmin.objectives import from_preset
 from divmin.presets import PRESETS, names, preset
 from divmin.systems import build_joint, build_target
 from divmin.tables import condition, marginalize, mutual_information
@@ -35,12 +36,21 @@ def test_registry_and_names_agree():
 # --- bnn-toy -----------------------------------------------------------------
 
 
+def clamped_data(p):
+    """The clamped data point: every point-mass factor's selected outcome."""
+    return {
+        name: int(f.selector)
+        for name, f in p.system.factors.items()
+        if f.kind == "point-mass"
+    }
+
+
 def test_bnn_toy_outcome_count_and_clamping():
     p = preset("bnn-toy")
     joint = build_joint(p.system)
     assert joint.probs.size == 512  # one belief bit times eight clamped bits
     # All mass sits on the clamped data row, split across the two weights.
-    data = dict(p.options["data"])
+    data = clamped_data(p)
     sub = condition(joint, data)
     assert sub.probs.sum() == pytest.approx(1.0)
     assert np.allclose(sub.probs, [0.5, 0.5])
@@ -49,7 +59,7 @@ def test_bnn_toy_outcome_count_and_clamping():
 def test_bnn_toy_target_weights_at_data():
     p = preset("bnn-toy")
     t = build_target(p.target, p.system)
-    data = dict(p.options["data"])
+    data = clamped_data(p)
     idx_w0 = tuple([0] + [data[n] for n in t.names[1:]])
     idx_w1 = tuple([1] + [data[n] for n in t.names[1:]])
     # Two agreeing and two disagreeing pairs under each weight's match rate.
@@ -154,7 +164,7 @@ def test_chain_mdp_sizing():
 
 def test_free_choice_target_is_quarter_three_quarters():
     p = preset("free-choice")
-    t = build_target(p.target, p.system)
+    t = build_target(from_preset(p).target, p.system)
     assert np.allclose(t.weights / t.weights.sum(), [0.25, 0.75], atol=1e-12)
 
 
