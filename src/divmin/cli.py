@@ -98,7 +98,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     chart_path = write_terms_svg(out / "terms.svg", trace)
     status = "converged" if trace.converged else f"stopped ({trace.reason})"
     print(
-        f"{config.name}: {status} after {len(trace.records)} iteration(s), "
+        f"{config.name}: {status} after {len(trace.records)} iteration(s) and "
+        f"{sum(r.evaluations for r in trace.records)} evaluation(s), "
         f"total {trace.total:.9g}"
     )
     print(f"wrote {report_path}, {trace_path}, {chart_path}")

@@ -49,6 +49,20 @@ involved. The same contraction applied to the unobserved joint is zero in
 theory, p(pa, c) = sigma p(pa), and its largest entry over the system
 blocks is returned as a residual so callers can assert that the
 contraction stayed honest.
+
+Alongside the gradient the engine returns the natural direction: each
+block's gradient preconditioned by that block's Fisher information,
+occupancy(pa) (diag(sigma) - sigma sigma^T) on every parent slice. Its
+pseudo-inverse applied to a slice's gradient, which sums to zero over
+the child, is the gradient divided by occupancy * sigma and centred
+over the child axis. One resolver walks the live blocks: a system
+block's occupancy is the sum over the child of the joint's (parents,
+child) marginal that the residual already takes, and a target block's
+is the actual measure's marginal on its parents, the measure its field
+is weighted by. Slices whose occupancy lies below a floor get a zero
+direction, since dividing by a vanishing Fisher scale would only blow
+up rounding. Then g . d = sum g^2 / (occupancy sigma) >= 0, so the
+direction descends wherever it is nonzero.
 """
 
 from __future__ import annotations
@@ -56,7 +70,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -166,7 +180,13 @@ class Evaluation:
 
 @dataclass(frozen=True)
 class GradientEvaluation:
-    """Value plus exact gradient and the score-identity residual.
+    """Value plus exact gradient, natural direction and the score-identity
+    residual.
+
+    ``direction`` has the layout of ``grad``: per softmax block, the
+    gradient divided by occupancy * sigma and centred over the child axis,
+    and zero on parent slices whose occupancy is below the floor, so that
+    grad . direction >= 0.
 
     ``score_residual`` is the max-abs entry, over every softmax block of the
     realized system, of the unobserved joint contracted against that block's
@@ -177,11 +197,18 @@ class GradientEvaluation:
 
     evaluation: Evaluation
     grad: np.ndarray
+    direction: np.ndarray
     score_residual: float
 
 
 # ---------------------------------------------------------------------------
 # Weight fields and their contraction
+
+# Parent slices reached with less probability than this get no natural
+# step: their Fisher scale occupancy * sigma vanishes, and dividing by it
+# would only blow up rounding. Any floor from 1e-300 to 1e-6 gives the
+# same descent on every preset; a zero floor divides by zero.
+_OCCUPANCY_FLOOR = 1.0e-12
 
 
 def _tower(
@@ -206,6 +233,13 @@ def _tower(
     return measure * (ratio(keep) - ratio(given))
 
 
+def _marginal(weights: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """The marginal of a field over outcomes on ``axes``, in that order."""
+    others = tuple(i for i in range(weights.ndim) if i not in axes)
+    kept = sorted(axes)
+    return weights.sum(axis=others).transpose([kept.index(a) for a in axes])
+
+
 def _block_grad(
     weights: np.ndarray,
     conditional: np.ndarray,
@@ -218,11 +252,44 @@ def _block_grad(
     c'] - sigma[parents', c']), so the contraction is the field's marginal
     on (parents, child) minus sigma times its marginal on the parents.
     """
-    axes = parent_axes + (child_axis,)
-    others = tuple(i for i in range(weights.ndim) if i not in axes)
-    kept = sorted(axes)
-    marginal = weights.sum(axis=others).transpose([kept.index(a) for a in axes])
+    marginal = _marginal(weights, parent_axes + (child_axis,))
     return (marginal - conditional * marginal.sum(axis=-1, keepdims=True)).ravel()
+
+
+def _natural_direction(
+    grad: np.ndarray, sigma: np.ndarray, occupancy: np.ndarray
+) -> np.ndarray:
+    """One block's gradient preconditioned by its Fisher information, flattened.
+
+    The gradient is divided by occupancy * sigma, set to zero on parent
+    slices whose occupancy is below the floor, and centred over the child
+    axis; ``occupancy`` carries a trailing axis of length one.
+    """
+    live = (occupancy >= _OCCUPANCY_FLOOR) & (sigma > 0.0)
+    scaled = np.divide(
+        grad.reshape(sigma.shape), occupancy * sigma, out=np.zeros(sigma.shape), where=live
+    )
+    return (scaled - scaled.mean(axis=-1, keepdims=True)).ravel()
+
+
+@dataclass(frozen=True)
+class _Block:
+    """One live softmax block resolved against one state.
+
+    ``occupancy`` is the probability of each parent slice, with a trailing
+    axis of length one: for a system block the unobserved joint's, for a
+    target block that of the actual measure its field is weighted by.
+    ``residual`` is the block's score residual, zero for target blocks.
+    """
+
+    coords: slice
+    side: str
+    key: str
+    parent_axes: tuple[int, ...]
+    child_axis: int
+    sigma: np.ndarray
+    occupancy: np.ndarray
+    residual: float
 
 
 @dataclass
@@ -381,9 +448,7 @@ class Engine:
 
     # -- assembly -----------------------------------------------------------
 
-    def _assemble(
-        self, st: _State, with_grad: bool
-    ) -> tuple[Evaluation, np.ndarray | None, float]:
+    def _assemble(self, st: _State, with_grad: bool) -> Evaluation | GradientEvaluation:
         pm = st.p.probs
         support = pm > 0.0
         values: dict[str, float] = {}
@@ -434,11 +499,11 @@ class Engine:
             divergent=divergent,
         )
         if not with_grad:
-            return evaluation, None, 0.0
+            return evaluation
         if self.lnz_coeff != 0.0:
             q_field += self.lnz_coeff * q_full / float(q_full.sum())
-        grad, residual = self._contract(st, p_field, q_field, q_own)
-        return evaluation, grad, residual
+        grad, direction, residual = self._contract(st, p_field, q_field, q_own)
+        return GradientEvaluation(evaluation, grad, direction, residual)
 
     @staticmethod
     def _axes(st: _State, names: tuple[str, ...]) -> tuple[int, ...]:
@@ -450,9 +515,11 @@ class Engine:
         p_field: np.ndarray,
         q_field: np.ndarray,
         q_own: dict[int, np.ndarray],
-    ) -> tuple[np.ndarray, float]:
+    ) -> tuple[np.ndarray, np.ndarray, float]:
         """Routes each target factor's field to the block its score lives in,
-        contracts every softmax block once, and measures the score residual."""
+        contracts every softmax block once, preconditions each block's
+        gradient into the natural direction, and measures the score
+        residual."""
         joint = st.joint.probs
         own: dict[tuple[str, str], np.ndarray] = {}  # fields for one block only
         for idx, tf in enumerate(st.target.factors):
@@ -467,37 +534,53 @@ class Engine:
                     f, joint, self._axes(st, tf.given + tf.vars), self._axes(st, tf.given)
                 )
         grad = np.zeros(self.space.size)
+        direction = np.zeros(self.space.size)
         residual = 0.0
+        for b in self._blocks(st):
+            if b.side == "p":
+                field = p_field + own[b.side, b.key] if (b.side, b.key) in own else p_field
+            else:
+                field = own[b.side, b.key]
+            g = _block_grad(field, b.sigma, b.parent_axes, b.child_axis)
+            grad[b.coords] = g
+            direction[b.coords] = _natural_direction(g, b.sigma, b.occupancy)
+            residual = max(residual, b.residual)
+        return grad, direction, residual
+
+    def _blocks(self, st: _State) -> Iterator[_Block]:
+        """Every softmax block that still depends on its logits at ``st``.
+
+        A system block's occupancy and score residual both come from the
+        unobserved joint's marginal on (parents, child), which the residual
+        needs anyway; a target block's occupancy is the actual measure's
+        marginal on its parents.
+        """
         for b in self.space.blocks:
+            coords = slice(b.offset, b.offset + b.size)
             if b.side == "p":
                 factor = st.realized_system.factors[b.key]
                 if factor.logits is None:
                     continue  # realized into a point mass; no dependence left
-                child, parents, sigma = b.key, factor.parents, factor.conditional()
-                field = p_field + own[b.side, b.key] if (b.side, b.key) in own else p_field
+                parents, child = self._axes(st, factor.parents), st.joint.axis(b.key)
+                sigma = factor.conditional()
+                joint = _marginal(st.joint.probs, parents + (child,))
+                occupancy = joint.sum(axis=-1, keepdims=True)
+                residual = float(np.max(np.abs(joint - sigma * occupancy)))
             else:
                 tf = st.target.factors[b.index]
-                child, parents, sigma = tf.child, tf.parents, softmax(tf.logits, axis=-1)
-                field = own[b.side, b.key]
-            axes = (self._axes(st, parents), st.joint.axis(child))
-            grad[b.offset : b.offset + b.size] = _block_grad(field, sigma, *axes)
-            if b.side == "p":
-                residual = max(
-                    residual, float(np.max(np.abs(_block_grad(joint, sigma, *axes))))
-                )
-        return grad, residual
+                parents, child = self._axes(st, tf.parents), st.joint.axis(tf.child)
+                sigma = softmax(tf.logits, axis=-1)
+                occupancy = _marginal(st.p.probs, parents)[..., np.newaxis]
+                residual = 0.0
+            yield _Block(coords, b.side, b.key, parents, child, sigma, occupancy, residual)
 
     def value(self, phi: np.ndarray | None = None) -> Evaluation:
         """The functional's value and term breakdown at ``phi``."""
-        evaluation, _, _ = self._assemble(self._state(phi), with_grad=False)
-        return evaluation
+        return self._assemble(self._state(phi), with_grad=False)
 
     def value_and_gradient(
         self, phi: np.ndarray | None = None
     ) -> GradientEvaluation:
-        """Value plus the exact gradient over every parameterized factor."""
-        evaluation, grad, residual = self._assemble(self._state(phi), with_grad=True)
-        assert grad is not None
-        return GradientEvaluation(
-            evaluation=evaluation, grad=grad, score_residual=residual
-        )
+        """Value plus the exact gradient and natural direction over every
+        parameterized factor."""
+        return self._assemble(self._state(phi), with_grad=True)

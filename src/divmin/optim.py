@@ -1,20 +1,42 @@
 """Descent, gradient certification, and exhaustive point-mass scans.
 
-The minimizer is plain gradient descent with a backtracking line search:
-from twice the last accepted step it halves until the strict Armijo
-condition f(phi - t g) < f(phi) - c t |g|^2 holds, rejecting any candidate
-whose evaluation is divergent or non-finite. That candidates are rejected
-rather than compared means divergent regions act as infinite walls, so
-descent never walks onto a zero of the target that carries actual mass.
+The minimizer is natural-gradient descent with a backtracking line search.
+Every parameter block is a per-slice softmax, and for a joint divergence
+over such blocks the Fisher information of a block is diagonal in its
+parent slices: occupancy times (diag(sigma) - sigma sigma^T). The engine
+returns the matching natural direction d with every gradient g, namely
+g / (occupancy sigma) centred over each slice, and zero on slices the
+actual distribution does not reach. In logit space a step along d is
+exponentiated-gradient (mirror) descent, and its step of size 1 is the
+closed-form update where one exists: the exact fit of a single
+divergence block, Blahut-Arimoto on empowerment, soft policy iteration
+on control. Since g . d = sum g^2 / (occupancy sigma) >= 0, d is a
+descent direction; where g . d is not positive, as for a ln Z term whose
+target-weighted gradient lives only on slices the actual distribution
+never reaches, the search falls back to d = g.
+
+Each line search starts from ``initial_step``, 1 by default, the mirror
+step, and halves until the strict Armijo condition f(phi - t d) <
+f(phi) - c t g . d holds, rejecting any candidate whose evaluation is
+divergent or non-finite. That candidates are rejected rather than
+compared means divergent regions act as infinite walls, so descent
+never walks onto a zero of the target that carries actual mass. No
+step above ``initial_step`` is tried: plain gradient descent needed
+steps of up to 1e6 to follow logits running off to infinity at boundary
+optima, and the 1 / (occupancy sigma) scaling of d does that stretching
+itself.
 
 Near a minimum the Armijo decrease falls below the rounding of the total,
 a few float spacings of its summed term magnitudes. A candidate whose
 total lies within that rounding of f(phi) is accepted only if it moves
-phi and the slope along the step is still downhill there, g . grad
-f(phi - t g) > 0; the gradient computed for that test is reused by the
-next iteration. Descent thus keeps shrinking the gradient past the
-resolution of the total, never takes a step that merely rounds level,
-and stops with ``"no-descent"`` once neither test can pass.
+phi and the slope along the step is still downhill there, d . grad
+f(phi - t d) > 0; the gradient computed for that test is reused by the
+next iteration. This rule stays because gradient tolerances such as
+1e-9 lie below what the total can resolve: without it descent on
+``hmm-filter`` stops with ``"no-descent"`` at a gradient of 4.5e-9.
+Descent thus keeps shrinking the gradient past the resolution of the
+total, never takes a step that merely rounds level, and stops with
+``"no-descent"`` once neither test can pass.
 
 ``check_gradient`` compares the engine's exact gradient against central
 finite differences of the total. The reported relative error is the
@@ -60,12 +82,14 @@ _ROUNDING = 4.0 * np.finfo(np.float64).eps
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One visited point: value breakdown, gradient size, accepted step."""
+    """One visited point: value breakdown, gradient size, accepted step and
+    the number of value calls its line search made."""
 
     iteration: int
     total: float
     grad_norm: float
     step: float
+    evaluations: int
     terms: Mapping[str, float]
 
     def __post_init__(self) -> None:
@@ -74,13 +98,18 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class OptimTrace:
-    """Final point of a descent run plus the per-iteration history."""
+    """Final point of a descent run, its gradient evaluation there, and the
+    per-iteration history."""
 
     phi: np.ndarray
-    evaluation: Evaluation
+    gradient: GradientEvaluation
     records: tuple[IterationRecord, ...]
     reason: str
     converged: bool
+
+    @property
+    def evaluation(self) -> Evaluation:
+        return self.gradient.evaluation
 
     @property
     def total(self) -> float:
@@ -96,7 +125,17 @@ def minimize(
     max_halvings: int = 30,
     armijo: float = 1.0e-4,
 ) -> OptimTrace:
-    """Gradient descent until the max-abs gradient entry falls under ``grad_tol``.
+    """Natural-gradient descent until the max-abs gradient entry falls under
+    ``grad_tol``.
+
+    Each iteration searches along the objective's natural direction d,
+    falling back to the gradient g when g . d is not positive. The line
+    search starts every iteration from ``initial_step``, whose default 1
+    is the mirror step, and halves it up to ``max_halvings`` times until
+    f(phi - t d) < f(phi) - ``armijo`` t g . d, or until a candidate level
+    with f(phi) up to rounding still slopes downhill along d. Only
+    ``parameters``, ``value`` and ``value_and_gradient`` of ``objective``
+    are called.
 
     Termination reasons: ``"gradient-tolerance"`` (converged),
     ``"no-descent"`` (the line search exhausted its halvings), and
@@ -114,49 +153,54 @@ def minimize(
     if ge.evaluation.divergent:
         raise DivergenceError("the objective diverges at the starting point")
 
-    step = float(initial_step)
+    def record(it: int, step: float, evaluations: int) -> IterationRecord:
+        # The point of the current gradient evaluation ``ge``.
+        gnorm = float(np.max(np.abs(ge.grad))) if ge.grad.size else 0.0
+        return IterationRecord(
+            it, ge.evaluation.total, gnorm, step, evaluations, ge.evaluation.terms
+        )
+
     records: list[IterationRecord] = []
     reason = "max-iterations"
     for it in range(int(max_iters)):
         g = ge.grad
-        gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-        if gnorm <= grad_tol:
-            records.append(IterationRecord(it, ge.evaluation.total, gnorm, 0.0, ge.evaluation.terms))
+        if g.size == 0 or float(np.max(np.abs(g))) <= grad_tol:
+            records.append(record(it, 0.0, 0))
             reason = "gradient-tolerance"
             break
-        gsq = float(np.dot(g, g))
+        d = ge.direction
+        slope = float(np.dot(g, d))
+        if not slope > 0.0:
+            d, slope = g, float(np.dot(g, g))
         total = ge.evaluation.total
         level = _ROUNDING * (sum(abs(t) for t in ge.evaluation.terms.values()) + abs(total))
-        trial = min(step * 2.0, 1.0e6)
-        accepted: tuple[np.ndarray, float, GradientEvaluation | None] | None = None
-        for _ in range(int(max_halvings) + 1):
-            cand = phi - trial * g
+        trial = float(initial_step)
+        accepted: tuple[np.ndarray, GradientEvaluation | None] | None = None
+        for calls in range(1, int(max_halvings) + 2):
+            cand = phi - trial * d
             ev = objective.value(cand)
             if math.isfinite(ev.total) and not ev.divergent:
-                if ev.total < total - armijo * trial * gsq:
-                    accepted = (cand, trial, None)
+                if ev.total < total - armijo * trial * slope:
+                    accepted = (cand, None)
                     break
                 if abs(ev.total - total) <= level and np.any(cand != phi):
                     at_cand = objective.value_and_gradient(cand)
-                    if float(np.dot(g, at_cand.grad)) > 0.0:
-                        accepted = (cand, trial, at_cand)
+                    if float(np.dot(d, at_cand.grad)) > 0.0:
+                        accepted = (cand, at_cand)
                         break
             trial *= 0.5
         if accepted is None:
-            records.append(IterationRecord(it, total, gnorm, 0.0, ge.evaluation.terms))
+            records.append(record(it, 0.0, calls))
             reason = "no-descent"
             break
-        records.append(IterationRecord(it, total, gnorm, accepted[1], ge.evaluation.terms))
-        phi, step, at_cand = accepted
+        phi, at_cand = accepted
+        records.append(record(it, trial, calls))
         ge = at_cand if at_cand is not None else objective.value_and_gradient(phi)
     else:
-        gnorm = float(np.max(np.abs(ge.grad))) if ge.grad.size else 0.0
-        records.append(
-            IterationRecord(int(max_iters), ge.evaluation.total, gnorm, 0.0, ge.evaluation.terms)
-        )
+        records.append(record(int(max_iters), 0.0, 0))
     return OptimTrace(
         phi=phi,
-        evaluation=ge.evaluation,
+        gradient=ge,
         records=tuple(records),
         reason=reason,
         converged=(reason == "gradient-tolerance"),

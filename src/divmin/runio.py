@@ -38,7 +38,9 @@ def write_trace_csv(path: str | Path, trace: OptimTrace) -> Path:
     term_names = sorted(trace.records[0].terms) if trace.records else []
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["iteration", "total", "grad_norm", "step", *term_names])
+        writer.writerow(
+            ["iteration", "total", "grad_norm", "step", "evaluations", *term_names]
+        )
         for record in trace.records:
             writer.writerow(
                 [
@@ -46,6 +48,7 @@ def write_trace_csv(path: str | Path, trace: OptimTrace) -> Path:
                     repr(record.total),
                     repr(record.grad_norm),
                     repr(record.step),
+                    record.evaluations,
                     *[repr(record.terms[name]) for name in term_names],
                 ]
             )
@@ -60,7 +63,6 @@ def report_payload(config: RunConfig, trace: OptimTrace) -> dict:
     """
     objective = config.objective
     report = objective.report(trace.phi)
-    gradient = objective.value_and_gradient(trace.phi)
     records = trace.records
     system, target = objective.engine.space.set(np.asarray(trace.phi, dtype=np.float64))
     optimized = {}
@@ -82,11 +84,11 @@ def report_payload(config: RunConfig, trace: OptimTrace) -> dict:
         "iterations": len(records),
         "total": float(trace.total),
         "grad_norm": float(records[-1].grad_norm) if records else None,
-        "score_residual": float(gradient.score_residual),
+        "score_residual": float(trace.gradient.score_residual),
         "parameters": [float(v) for v in np.asarray(trace.phi).ravel()],
         "optimized_factors": optimized,
-        "engine_terms": {k: float(v) for k, v in gradient.evaluation.terms.items()},
-        "log_partition": float(gradient.evaluation.log_partition),
+        "engine_terms": {k: float(v) for k, v in trace.evaluation.terms.items()},
+        "log_partition": float(trace.evaluation.log_partition),
         "report": {
             "equation": report.equation,
             "terms": {k: float(v) for k, v in report.terms.items()},

@@ -102,6 +102,17 @@ def test_run_writes_reproducible_artifacts(tmp_path, capsys):
     assert chart.startswith("<svg") and "polyline" in chart
 
 
+def test_run_reports_line_search_evaluations(tmp_path, capsys):
+    assert main(["run", "chain-mdp", "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out
+    rows = (tmp_path / "trace.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    assert header[4] == "evaluations"
+    counts = [int(row.split(",")[4]) for row in rows[1:]]
+    assert counts[-1] == 0 and all(c >= 1 for c in counts[:-1])
+    assert f"and {sum(counts)} evaluation(s)" in printed
+
+
 def test_gradcheck_passes_on_bundled_config(capsys):
     assert main(["gradcheck", "bnn-toy"]) == 0
     out = capsys.readouterr().out

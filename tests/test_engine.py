@@ -23,6 +23,7 @@ from divmin.engine import (
 )
 from divmin.errors import ValidationError
 from divmin.objectives import from_preset, make_objective
+from divmin.presets import names as preset_names
 from divmin.presets import preset
 from divmin.systems import (
     ActualSystem,
@@ -459,3 +460,38 @@ def test_evaluations_revalidate_no_structure(name, monkeypatch):
     assert calls == []
     ActualSystem(obj.system.variables, obj.system.factors.values())
     assert len(calls) == 1  # the counter is live
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_natural_direction_descends(name):
+    obj = from_preset(preset(name))
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        phi = obj.parameters() + rng.standard_normal(obj.parameters().size)
+        res = obj.value_and_gradient(phi)
+        assert float(np.dot(res.grad, res.direction)) > 0.0
+        for b in obj.engine.space.blocks:
+            block = res.direction[b.offset : b.offset + b.size].reshape(b.shape)
+            slack = 1e-12 * (1.0 + float(np.max(np.abs(block))))
+            np.testing.assert_allclose(block.sum(axis=-1), 0.0, rtol=0, atol=slack)
+
+
+def test_natural_direction_skips_unreached_parent_slices():
+    logits = [[0.2, -0.1, 0.4], [0.3, 0.0, -0.5]]
+    ref = np.asarray([0.5, 0.2, 0.3])
+    system = ActualSystem(
+        [Variable("x", 2, Role.PAST_INPUT), Variable("z", 3, Role.LATENT_STATE)],
+        [FactorSpec.fixed("x", (), [1.0, 0.0]), FactorSpec.parameterized("z", ("x",), logits)],
+    )
+    target = TargetSpec(
+        ("x", "z"),
+        [TableFactor(("x",), np.asarray([1.0, 0.0])), TableFactor(("z",), ref)],
+    )
+    eng = Engine(system, target, kl_terms(("x", "z")), lnz_coeff=1.0)
+    res = eng.value_and_gradient()
+    d = res.direction.reshape(2, 3)
+    # The reached slice gets the mirror step ln(sigma / ref), centred.
+    want = np.log(np.asarray(softmax(logits[0])) / ref)
+    np.testing.assert_allclose(d[0], want - want.mean(), rtol=0, atol=1e-12)
+    assert np.all(d[1] == 0.0)
+    assert float(np.dot(res.grad, res.direction)) > 0.0

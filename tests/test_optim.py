@@ -1,5 +1,6 @@
 """Optimizer behaviour against closed-form optima and hand enumerations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -83,6 +84,71 @@ def test_descent_runs_past_the_resolution_of_the_total():
     trace = minimize(obj, max_iters=400, grad_tol=0.0)
     assert trace.reason != "max-iterations"
     assert trace.records[-1].grad_norm <= 1.0e-12
+
+
+@pytest.mark.parametrize(
+    "name", ["dead-action", "two-room-skills", "bandit-infogain", "identity-channel"]
+)
+def test_boundary_optima_converge_without_large_steps(name):
+    # Each optimum is ln 2 nats of capacity reached as logits run off to
+    # infinity; the natural step gets there without growing the step.
+    trace = minimize(from_preset(preset(name)), max_iters=500, grad_tol=1.0e-9)
+    assert trace.converged
+    assert len(trace.records) <= 100
+    assert all(r.step <= 1.0 for r in trace.records)
+    assert abs(trace.total + math.log(2.0)) <= 1.0e-8
+
+
+@pytest.mark.parametrize("name", ["free-choice", "bnn-toy"])
+def test_mirror_step_is_exact_on_one_block(name):
+    trace = minimize(from_preset(preset(name)), grad_tol=1.0e-10)
+    assert trace.converged
+    assert [r.step for r in trace.records] == [1.0, 0.0]
+
+
+class _Protocol:
+    """Only the three methods ``minimize`` may call, with the value calls
+    counted; ``natural=False`` withholds the natural direction."""
+
+    def __init__(self, objective, natural=True):
+        self._objective = objective
+        self._natural = natural
+        self.value_calls = 0
+
+    def parameters(self):
+        return self._objective.parameters()
+
+    def value(self, phi=None):
+        self.value_calls += 1
+        return self._objective.value(phi)
+
+    def value_and_gradient(self, phi=None):
+        res = self._objective.value_and_gradient(phi)
+        if self._natural:
+            return res
+        return dataclasses.replace(res, direction=np.zeros_like(res.direction))
+
+
+def test_minimize_needs_only_the_objective_protocol():
+    obj = from_preset(preset("vae-toy"))
+    wrapped = _Protocol(obj)
+    trace = minimize(wrapped, max_iters=500, grad_tol=1.0e-9)
+    direct = minimize(obj, max_iters=500, grad_tol=1.0e-9)
+    assert trace.converged
+    assert np.array_equal(trace.phi, direct.phi)
+    assert sum(r.evaluations for r in trace.records) == wrapped.value_calls
+    final = obj.value_and_gradient(trace.phi)
+    assert np.array_equal(trace.gradient.grad, final.grad)
+    assert trace.gradient.score_residual == final.score_residual
+    assert dict(trace.evaluation.terms) == dict(final.evaluation.terms)
+
+
+def test_minimize_falls_back_to_the_gradient():
+    # With no usable natural direction (g . d = 0) descent follows g.
+    trace = minimize(_Protocol(from_preset(preset("free-choice")), natural=False))
+    assert trace.converged
+    pol = softmax(trace.phi)
+    assert abs(pol[0] - 0.25) < 1.0e-6 and abs(pol[1] - 0.75) < 1.0e-6
 
 
 def test_argument_validation():
