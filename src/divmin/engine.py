@@ -21,23 +21,39 @@ expectations under the matching measure,
 
     d ln m(G | H)(omega) = E[ s | G, H ](omega) - E[ s | H ](omega).
 
-Every piece is therefore a weight field over outcomes contracted against
-scores, and the gradient is assembled from fields alone:
+Every source depends on a few variables only: its scope. The engine keeps
+each source scope-sized, on the joint's axes with length one elsewhere,
+and derives the conditional log-marginals of p and of the normalized
+target itself, from their marginals, rather than through the report
+code it is certified against. A term whose sources span the scope S is
+evaluated on p_S, the actual measure's marginal on S: its value is
+sum_S p_S V, and it is divergent when p_S > 0 where V is not finite,
+which is the outcome-level test because p_S(s) > 0 exactly when some
+outcome with that s carries mass. A term over the whole grid uses p
+itself.
 
-* the measure part adds c p (V - E_p V) to the p-field, which is contracted
-  against s_p;
-* the raw target log adds c w p to the q-field of every target factor, a
-  single target factor's log adds it to that factor's q-field only, and
-  ln Z adds c_Z q / Z;
-* ln q(G | H) adds c w q (p(A)/q(A) - p(H)/q(H)), with A = G + H and both
-  marginals taken on the full outcome grid, by the tower property
-  E_p[ E_q[s | A] ] = E_q[ (p(A)/q(A)) s ];
+Every piece of the gradient is a weight field over outcomes contracted
+against scores, and the fields are assembled from scope-local parts:
+
+* the measure part is a single p-field, p h with h = sum_k c_k (V_k -
+  E_p V_k) summed by broadcasting, contracted against s_p;
+* the raw target log and one target factor's log contribute c p to the
+  fields of every target factor and of that factor alone, so only their
+  scalar coefficients are summed;
+* ln q(G | H) contributes c q (p(A)/q(A) - p(H)/q(H)), with A = G + H,
+  by the tower property E_p[ E_q[s | A] ] = E_q[ (p(A)/q(A)) s ], and
+  ln Z contributes c_Z q / Z. Both are q r for one scope-local r. Here q
+  is the target weights broadcast over the k system outcomes that share
+  each target outcome, so every q-marginal, Z included, counts k copies;
 * ln p(G | H) adds nothing, since E_p[ E_p[s | A] ] - E_p[ E_p[s | H] ] = 0.
 
-A target factor's q-field goes to the block its score lives in: a
-parameterized factor's own block, a factor mirror's child block on the
-system side, and, for a marginal mirror j(G | H) of the joint j, the
-p-field gains j (F(A)/j(A) - F(H)/j(H)) by the same tower property.
+A target factor's field, (c_raw + c_own) p + q r, goes to the block its
+score lives in: a parameterized factor's own block, a factor mirror's
+child block on the system side, and, for a marginal mirror j(G | H) of
+the joint j, the p-field gains j (F(A)/j(A) - F(H)/j(H)) by the same
+tower property. Each outcome-sized field is built once, and only when a
+live block consumes it; where no target factor has one, no target field
+is built at all.
 
 For a softmax factor the score of logit (parents', c') is 1[parents =
 parents'] (1[child = c'] - sigma_c'), so a field contracts against a block
@@ -74,7 +90,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .decomp import _log_given, observe, realize
+from .decomp import observe, realize
 from .errors import ValidationError
 from .systems import (
     ActualSystem,
@@ -82,6 +98,7 @@ from .systems import (
     MarginalMirror,
     ParameterSpace,
     ParamFactor,
+    TargetFactor,
     TargetSpec,
     build_joint,
     build_target,
@@ -211,26 +228,27 @@ class GradientEvaluation:
 _OCCUPANCY_FLOOR = 1.0e-12
 
 
-def _tower(
-    weights: np.ndarray,
-    measure: np.ndarray,
-    keep: tuple[int, ...],
-    given: tuple[int, ...],
-) -> np.ndarray:
-    """measure * (weights(keep) / measure(keep) - weights(given) / measure(given)).
+def _marginal_on(arr: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """``arr`` summed over every axis outside ``keep``, keeping its axes;
+    ``arr`` itself when no axis of length above one lies outside."""
+    drop = tuple(i for i, n in enumerate(arr.shape) if n > 1 and i not in keep)
+    return arr.sum(axis=drop, keepdims=True) if drop else arr
 
-    Marginals are taken on the full grid and broadcast back. By the tower
-    property, sum weights * (E_m[s | keep] - E_m[s | given]) equals the sum
-    of this field times s, for any per-outcome s.
+
+def _ratio(num: np.ndarray, den: np.ndarray, copies: float = 1.0) -> np.ndarray:
+    """num / (copies * den), zero where den is.
+
+    Between marginals on the same axes A this is the tower weight
+    w(A) / m(A): sum w * E_m[s | A] equals sum m * (w(A) / m(A)) * s for any
+    per-outcome s. ``copies`` counts how often ``den`` repeats over the
+    outcomes it is broadcast to.
     """
-
-    def ratio(axes: tuple[int, ...]) -> np.ndarray:
-        others = tuple(i for i in range(measure.ndim) if i not in axes)
-        num = weights.sum(axis=others, keepdims=True)
-        den = measure.sum(axis=others, keepdims=True)
-        return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-
-    return measure * (ratio(keep) - ratio(given))
+    return np.divide(
+        num,
+        copies * den,
+        out=np.zeros(np.broadcast_shapes(num.shape, den.shape)),
+        where=den > 0.0,
+    )
 
 
 def _marginal(weights: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -303,6 +321,15 @@ class _State:
     q: UnnormalizedTable
     q_lift: np.ndarray
     cache: dict = field(default_factory=dict)
+
+    def marginal(self, which: str, keep: tuple[int, ...]) -> np.ndarray:
+        """The keepdims marginal on ``keep`` of the actual measure (``"p"``)
+        or of the target weights on the joint's axes (``"q"``), cached."""
+        key = ("m", which, frozenset(keep))
+        if key not in self.cache:
+            arr = self.p.probs if which == "p" else self.q_lift
+            self.cache[key] = _marginal_on(arr, keep)
+        return self.cache[key]
 
 
 class Engine:
@@ -421,74 +448,85 @@ class Engine:
     # -- per-source arrays --------------------------------------------------
 
     def _source_values(self, src: LogSource, st: _State) -> np.ndarray:
+        """A source's values on the joint's axes, with length one on every
+        axis outside the source's own scope."""
         key = ("v", id(src))
         if key in st.cache:
             return st.cache[key]
         if isinstance(src, ActualLog):
-            arr = _log_given(st.p, src.vars, src.given)
+            arr = self._log_conditional(st, "p", src.vars, src.given)
         elif isinstance(src, TargetLog):
-            raw = np.broadcast_to(
-                _log_given(st.q, src.vars, src.given), st.q.weights.shape
-            )
-            arr = _expand_to_scope(raw, st.q.names, st.joint)
+            arr = self._log_conditional(st, "q", src.vars, src.given)
         elif isinstance(src, TargetFactorLog):
-            raw = np.broadcast_to(
-                target_factor_log_array(
-                    st.target.factors[src.index], st.target, st.realized_system, st.joint
-                ),
-                st.q.weights.shape,
+            raw = target_factor_log_array(
+                st.target.factors[src.index], st.target, st.realized_system, st.joint
             )
             arr = _expand_to_scope(raw, st.q.names, st.joint)
         elif isinstance(src, TargetLogRaw):
-            arr = _expand_to_scope(_safe_log(st.q.weights), st.q.names, st.joint)
+            arr = _safe_log(st.q_lift)
         else:
             arr = _expand_to_scope(src.values, src.vars, st.joint)
         st.cache[key] = arr
         return arr
 
+    def _log_conditional(
+        self, st: _State, which: str, vars: tuple[str, ...], given: tuple[str, ...]
+    ) -> np.ndarray:
+        """ln m(vars | given) of the actual measure or the normalized target,
+        from their marginals; -inf where the marginal on vars + given is 0,
+        and ln 1 when ``vars`` is empty."""
+        if not vars:
+            return np.zeros((1,) * st.joint.probs.ndim)
+
+        def log_marginal(names: tuple[str, ...]) -> np.ndarray:
+            m = st.marginal(which, self._axes(st, names))
+            return _safe_log(m / m.sum())
+
+        out = log_marginal(vars + given)
+        if given:
+            with np.errstate(invalid="ignore"):
+                out = out - log_marginal(given)
+        return out
+
     # -- assembly -----------------------------------------------------------
 
     def _assemble(self, st: _State, with_grad: bool) -> Evaluation | GradientEvaluation:
-        pm = st.p.probs
-        support = pm > 0.0
+        ones = (1,) * st.p.probs.ndim
         values: dict[str, float] = {}
         divergent = False
-        if with_grad:
-            q_full = np.broadcast_to(st.q_lift, pm.shape)
-            p_field = np.zeros_like(pm)  # contracted against the score of ln p
-            q_field = np.zeros_like(pm)  # against every target factor's score
-            q_own: dict[int, np.ndarray] = {}  # against one target factor's score
+        centred = np.zeros(ones)  # sum_t c_t (V_t - E_p V_t), for the p-field
+        c_raw = 0.0  # coefficient of p in every target factor's field
+        c_own: dict[int, float] = {}  # ... and in one target factor's field
+        towers: list[tuple[float, TargetLog]] = []
         for term in self.terms:
-            v = np.zeros_like(pm)
+            v = np.zeros(ones)
             # Opposite infinities from stacked log sources cancel into nans
             # off the support; the finite mask below discards them.
             with np.errstate(invalid="ignore"):
                 for w, src in term.parts:
                     v = v + w * self._source_values(src, st)
-            finite = np.isfinite(v)
-            ok = support & finite
-            if bool(np.any(support & ~finite)):
-                divergent = True
-            val = float(np.dot(pm[ok].ravel(), v[ok].ravel())) if ok.any() else 0.0
+            # p on the term's scope S: p_S(s) > 0 exactly when some outcome
+            # with that s carries mass, so this is the outcome-level test.
+            ps = st.marginal("p", tuple(i for i, n in enumerate(v.shape) if n > 1))
+            ok = np.isfinite(v)
+            if not ok.all():
+                divergent = divergent or bool(np.any((ps > 0.0) & ~ok))
+                ps, v = np.where(ok, ps, 0.0), np.where(ok, v, 0.0)
+            val = float(np.vdot(ps, v))
             values[term.name] = val
             if not with_grad:
                 continue
-            p_field += term.coeff * pm * (np.where(ok, v, 0.0) - val)
+            centred = centred + term.coeff * (v - val)
             # Payoffs carry no gradient, and an ActualLog adds none in
             # expectation: E_p[ E_p[s | G, H] - E_p[s | H] ] = 0.
             for w, src in term.parts:
                 c = term.coeff * w
                 if isinstance(src, TargetLogRaw):
-                    q_field += c * pm
+                    c_raw += c
                 elif isinstance(src, TargetFactorLog):
-                    q_own[src.index] = q_own.get(src.index, 0.0) + c * pm
+                    c_own[src.index] = c_own.get(src.index, 0.0) + c
                 elif isinstance(src, TargetLog) and src.vars:
-                    q_field += c * _tower(
-                        pm,
-                        q_full,
-                        self._axes(st, src.vars + src.given),
-                        self._axes(st, src.given),
-                    )
+                    towers.append((c, src))
         parts = [term.coeff * values[term.name] for term in self.terms]
         parts.append(self.lnz_coeff * st.q.log_partition)
         total = math.fsum(parts)
@@ -500,50 +538,98 @@ class Engine:
         )
         if not with_grad:
             return evaluation
-        if self.lnz_coeff != 0.0:
-            q_field += self.lnz_coeff * q_full / float(q_full.sum())
-        grad, direction, residual = self._contract(st, p_field, q_field, q_own)
+        grad, direction, residual = self._contract(st, centred, c_raw, c_own, towers)
         return GradientEvaluation(evaluation, grad, direction, residual)
 
     @staticmethod
     def _axes(st: _State, names: tuple[str, ...]) -> tuple[int, ...]:
         return tuple(st.joint.axis(x) for x in names)
 
+    def _target_ratios(
+        self, st: _State, towers: list[tuple[float, TargetLog]]
+    ) -> np.ndarray | None:
+        """r such that q r is the part of every target factor's field that
+        the normalized-target sources and ln Z contribute, or None if none
+        does.
+
+        q is the target weights broadcast over the system variables outside
+        the target scope, so each of its marginals counts those copies.
+        """
+        if not towers and self.lnz_coeff == 0.0:
+            return None
+        copies = st.p.probs.size / st.q_lift.size
+
+        def ratio(names: tuple[str, ...]) -> np.ndarray:
+            axes = self._axes(st, names)
+            return _ratio(st.marginal("p", axes), st.marginal("q", axes), copies)
+
+        r = np.zeros((1,) * st.p.probs.ndim)
+        for c, src in towers:
+            r = r + c * (ratio(src.vars + src.given) - ratio(src.given))
+        if self.lnz_coeff != 0.0:
+            r = r + self.lnz_coeff / (copies * st.marginal("q", ()))
+        return r
+
     def _contract(
         self,
         st: _State,
-        p_field: np.ndarray,
-        q_field: np.ndarray,
-        q_own: dict[int, np.ndarray],
+        centred: np.ndarray,
+        c_raw: float,
+        c_own: dict[int, float],
+        towers: list[tuple[float, TargetLog]],
     ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Routes each target factor's field to the block its score lives in,
-        contracts every softmax block once, preconditions each block's
-        gradient into the natural direction, and measures the score
+        """Builds each weight field once and only for the live blocks that
+        consume it, contracts every softmax block once, preconditions each
+        block's gradient into the natural direction, and measures the score
         residual."""
-        joint = st.joint.probs
-        own: dict[tuple[str, str], np.ndarray] = {}  # fields for one block only
+        pm = st.p.probs
+        blocks = list(self._blocks(st))
+        live = {(b.side, b.key) for b in blocks}
+        p_field = pm * centred if any(b.side == "p" for b in blocks) else None
+        # The target factors whose field some live block consumes: a
+        # parameterized factor's own block, a factor mirror's child block,
+        # and a marginal mirror's tower into the p-field.
+        consumers: list[tuple[int, TargetFactor, tuple[str, str] | None]] = []
         for idx, tf in enumerate(st.target.factors):
-            f = q_field + q_own[idx] if idx in q_own else q_field
             if isinstance(tf, ParamFactor):
-                own["q", f"{idx}:{tf.child}"] = f
+                key = ("q", f"{idx}:{tf.child}")
             elif isinstance(tf, FactorMirror):
                 key = ("p", tf.child)
-                own[key] = own[key] + f if key in own else f
-            elif isinstance(tf, MarginalMirror):
-                p_field = p_field + _tower(
-                    f, joint, self._axes(st, tf.given + tf.vars), self._axes(st, tf.given)
+            elif isinstance(tf, MarginalMirror) and p_field is not None:
+                key = None
+            else:
+                continue
+            if key is None or key in live:
+                consumers.append((idx, tf, key))
+        r = self._target_ratios(st, towers) if consumers else None
+        q_part = None if r is None else np.broadcast_to(st.q_lift * r, pm.shape)
+        own: dict[tuple[str, str], np.ndarray] = {}  # fields for one block only
+        for idx, tf, key in consumers:
+            # (c_raw + c_own) p + q r, skipped where it is zero
+            c = c_raw + c_own.get(idx, 0.0)
+            if c == 0.0 and q_part is None:
+                continue
+            f = q_part if c == 0.0 else c * pm if q_part is None else c * pm + q_part
+            if key is None:
+                joint = st.joint.probs
+                keep, given = self._axes(st, tf.given + tf.vars), self._axes(st, tf.given)
+                p_field = p_field + joint * (
+                    _ratio(_marginal_on(f, keep), _marginal_on(joint, keep))
+                    - _ratio(_marginal_on(f, given), _marginal_on(joint, given))
                 )
+            else:
+                own[key] = own[key] + f if key in own else f
         grad = np.zeros(self.space.size)
         direction = np.zeros(self.space.size)
         residual = 0.0
-        for b in self._blocks(st):
+        for b in blocks:
+            field = own.get((b.side, b.key))
             if b.side == "p":
-                field = p_field + own[b.side, b.key] if (b.side, b.key) in own else p_field
-            else:
-                field = own[b.side, b.key]
-            g = _block_grad(field, b.sigma, b.parent_axes, b.child_axis)
-            grad[b.coords] = g
-            direction[b.coords] = _natural_direction(g, b.sigma, b.occupancy)
+                field = p_field if field is None else p_field + field
+            if field is not None:
+                g = _block_grad(field, b.sigma, b.parent_axes, b.child_axis)
+                grad[b.coords] = g
+                direction[b.coords] = _natural_direction(g, b.sigma, b.occupancy)
             residual = max(residual, b.residual)
         return grad, direction, residual
 

@@ -29,14 +29,17 @@ itself.
 Near a minimum the Armijo decrease falls below the rounding of the total,
 a few float spacings of its summed term magnitudes. A candidate whose
 total lies within that rounding of f(phi) is accepted only if it moves
-phi and the slope along the step is still downhill there, d . grad
-f(phi - t d) > 0; the gradient computed for that test is reused by the
+phi, the slope along the step is still downhill there, d . grad
+f(phi - t d) > 0, and its max-abs gradient is strictly below the
+current point's; the gradient computed for that test is reused by the
 next iteration. This rule stays because gradient tolerances such as
 1e-9 lie below what the total can resolve: without it descent on
 ``hmm-filter`` stops with ``"no-descent"`` at a gradient of 4.5e-9.
-Descent thus keeps shrinking the gradient past the resolution of the
-total, never takes a step that merely rounds level, and stops with
-``"no-descent"`` once neither test can pass.
+Requiring the gradient to shrink keeps level steps from cycling between
+points whose gradients are rounding noise. Descent thus keeps shrinking
+the gradient past the resolution of the total, never takes a step that
+merely rounds level, and stops with ``"no-descent"`` once neither test
+can pass.
 
 ``check_gradient`` compares the engine's exact gradient against central
 finite differences of the total. The reported relative error is the
@@ -133,7 +136,8 @@ def minimize(
     search starts every iteration from ``initial_step``, whose default 1
     is the mirror step, and halves it up to ``max_halvings`` times until
     f(phi - t d) < f(phi) - ``armijo`` t g . d, or until a candidate level
-    with f(phi) up to rounding still slopes downhill along d. Only
+    with f(phi) up to rounding still slopes downhill along d and has a
+    smaller max-abs gradient. Only
     ``parameters``, ``value`` and ``value_and_gradient`` of ``objective``
     are called.
 
@@ -164,7 +168,8 @@ def minimize(
     reason = "max-iterations"
     for it in range(int(max_iters)):
         g = ge.grad
-        if g.size == 0 or float(np.max(np.abs(g))) <= grad_tol:
+        gnorm = float(np.max(np.abs(g))) if g.size else 0.0
+        if gnorm <= grad_tol:
             records.append(record(it, 0.0, 0))
             reason = "gradient-tolerance"
             break
@@ -185,7 +190,10 @@ def minimize(
                     break
                 if abs(ev.total - total) <= level and np.any(cand != phi):
                     at_cand = objective.value_and_gradient(cand)
-                    if float(np.dot(d, at_cand.grad)) > 0.0:
+                    if (
+                        float(np.dot(d, at_cand.grad)) > 0.0
+                        and float(np.max(np.abs(at_cand.grad))) < gnorm
+                    ):
                         accepted = (cand, at_cand)
                         break
             trial *= 0.5

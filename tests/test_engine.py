@@ -418,6 +418,66 @@ def test_divergent_flag_from_zero_target():
     assert got.divergent
 
 
+def make_unreached_x(pref):
+    """x never takes the value 2; z depends on x; y on (x, z). One term
+    reads ln p(z | x) + ln pref(x), a strict sub-scope of (x, z, y)."""
+    variables = [
+        Variable("x", 3, Role.PAST_INPUT),
+        Variable("z", 2, Role.LATENT_STATE),
+        Variable("y", 2, Role.FUTURE_INPUT),
+    ]
+    factors = [
+        FactorSpec.fixed("x", (), [0.4, 0.6, 0.0]),
+        FactorSpec.parameterized("z", ("x",), [[0.4, -0.2], [0.1, 0.9], [0.3, 0.0]]),
+        FactorSpec.fixed("y", ("x", "z"), np.full((3, 2, 2), 0.5)),
+    ]
+    system = ActualSystem(variables, factors)
+    target = TargetSpec(("x", "z", "y"), [TableFactor(("x",), np.asarray(pref))])
+    terms = [Term("t", 1.0, ((1.0, ActualLog(("z",), ("x",))), (1.0, TargetFactorLog(0))))]
+    return system, Engine(system, target, terms)
+
+
+def full_grid_sum(system, pref):
+    """sum over outcomes with p > 0 and a finite integrand, and whether any
+    such outcome has a non-finite one."""
+    px = [0.4, 0.6, 0.0]
+    pz = np.asarray([softmax(row) for row in system.factors["z"].logits])
+    total, divergent = [], False
+    for x in range(3):
+        for z in range(2):
+            for y in range(2):
+                p = px[x] * pz[x, z] * 0.5
+                if p == 0.0:
+                    continue
+                if pref[x] == 0.0:
+                    divergent = True
+                    continue
+                total.append(p * (math.log(pz[x, z]) + math.log(pref[x])))
+    return math.fsum(total), divergent
+
+
+def test_sub_scope_term_ignores_infinities_p_never_reaches():
+    pref = [0.7, 0.3, 0.0]  # ln pref = -inf only at x = 2, where p(x) = 0
+    system, eng = make_unreached_x(pref)
+    want, want_divergent = full_grid_sum(system, pref)
+    assert not want_divergent
+    for got in (eng.value(), eng.value_and_gradient().evaluation):
+        assert not got.divergent
+        assert got.terms["t"] == pytest.approx(want, abs=1e-14)
+    phi = eng.parameters()
+    np.testing.assert_allclose(eng.value_and_gradient(phi).grad, fd_grad(eng, phi), atol=1e-9)
+
+
+def test_sub_scope_term_flags_infinities_p_reaches():
+    pref = [0.7, 0.0, 0.3]  # ln pref = -inf at x = 1, where p(x) = 0.6
+    system, eng = make_unreached_x(pref)
+    want, want_divergent = full_grid_sum(system, pref)
+    assert want_divergent
+    for got in (eng.value(), eng.value_and_gradient().evaluation):
+        assert got.divergent
+        assert got.terms["t"] == pytest.approx(want, abs=1e-14)
+
+
 def test_gradient_memory_is_linear_in_outcomes():
     objective = from_preset(preset("chain-mdp", n_states=8, steps=4))
     phi = objective.parameters()
@@ -433,6 +493,59 @@ def test_gradient_memory_is_linear_in_outcomes():
     # No score tensor of |outcomes| x |parameters|: a bounded number of
     # outcome-sized float64 arrays suffices.
     assert peak <= 32 * outcomes * 8
+
+
+def test_value_and_gradient_memory_stays_near_the_joint():
+    # Terms are evaluated on their own scopes and only live blocks get a
+    # field, so a gradient holds a few outcome-sized arrays beyond the joint.
+    objective = from_preset(preset("chain-mdp", n_states=8, steps=4))
+    phi = objective.parameters()
+    outcomes = 65536
+    objective.value_and_gradient(phi)
+    tracemalloc.start()
+    try:
+        objective.value_and_gradient(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * outcomes * 8
+
+
+@pytest.mark.parametrize("n_states, steps", [(8, 3), (8, 4)])
+def test_engine_agrees_with_report_above_preset_sizes(n_states, steps):
+    objective = from_preset(preset("chain-mdp", n_states=n_states, steps=steps))
+    rng = np.random.default_rng(29)
+    phi = objective.parameters() + rng.standard_normal(objective.parameters().size)
+    res = objective.value_and_gradient(phi)
+    report = objective.report(phi)
+    assert set(res.evaluation.terms) <= set(report.terms)
+    for name, value in res.evaluation.terms.items():
+        assert abs(value - report.terms[name]) <= 1e-12, name
+    h = 1e-5
+    for _ in range(2):
+        d = rng.standard_normal(phi.size)
+        d /= np.linalg.norm(d)
+        numeric = (objective.value(phi + h * d).total - objective.value(phi - h * d).total) / (
+            2.0 * h
+        )
+        analytic = float(np.dot(res.grad, d))
+        assert abs(numeric - analytic) <= 1e-5 * max(1.0, abs(analytic), abs(numeric))
+
+
+def test_engine_takes_no_log_marginal_helper_from_decomp():
+    # The certificate checks compare the engine against decomp's reports,
+    # so the engine derives its conditional log-marginals itself.
+    import divmin.decomp
+    import divmin.engine
+    import divmin.tables
+
+    assert not hasattr(divmin.engine, "_log_given")
+    helpers = {
+        id(divmin.decomp._log_given),
+        id(divmin.tables.log_marginal),
+        id(divmin.tables.log_conditional),
+    }
+    assert not [name for name, obj in vars(divmin.engine).items() if id(obj) in helpers]
 
 
 @pytest.mark.parametrize("name", ["chain-mdp", "two-room-skills", "vae-toy", "realized vae-toy"])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from divmin.engine import Evaluation, GradientEvaluation
 from divmin.errors import ConfigError, DivergenceError
 from divmin.objectives import from_preset, make_objective
 from divmin.optim import (
@@ -84,6 +85,32 @@ def test_descent_runs_past_the_resolution_of_the_total():
     trace = minimize(obj, max_iters=400, grad_tol=0.0)
     assert trace.reason != "max-iterations"
     assert trace.records[-1].grad_norm <= 1.0e-12
+
+
+class _LevelStub:
+    """A constant total whose gradient is rounding noise: 2e-17 at phi >= 0
+    and 1e-17 below, always sloping downhill along the step."""
+
+    def parameters(self):
+        return np.zeros(1)
+
+    def value(self, phi=None):
+        return Evaluation(total=1.0, terms={"t": 1.0}, log_partition=0.0, divergent=False)
+
+    def value_and_gradient(self, phi=None):
+        g = np.asarray([2.0e-17 if (phi is None or phi[0] >= 0.0) else 1.0e-17])
+        return GradientEvaluation(self.value(phi), g, g, 0.0)
+
+
+def test_level_steps_must_shrink_the_gradient():
+    # Every level candidate slopes downhill, but below phi = 0 the gradient
+    # no longer shrinks: one level step is taken, then descent stops
+    # instead of cycling through level steps until the budget runs out.
+    trace = minimize(_LevelStub(), max_iters=50, grad_tol=0.0)
+    assert trace.reason == "no-descent"
+    assert len(trace.records) == 2
+    assert trace.records[0].step == 1.0
+    assert trace.phi[0] < 0.0
 
 
 @pytest.mark.parametrize(
