@@ -235,27 +235,24 @@ def _marginal_on(arr: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     return arr.sum(axis=drop, keepdims=True) if drop else arr
 
 
-def _ratio(num: np.ndarray, den: np.ndarray, copies: float = 1.0) -> np.ndarray:
-    """num / (copies * den), zero where den is.
-
-    Between marginals on the same axes A this is the tower weight
-    w(A) / m(A): sum w * E_m[s | A] equals sum m * (w(A) / m(A)) * s for any
-    per-outcome s. ``copies`` counts how often ``den`` repeats over the
-    outcomes it is broadcast to.
-    """
-    return np.divide(
-        num,
-        copies * den,
-        out=np.zeros(np.broadcast_shapes(num.shape, den.shape)),
-        where=den > 0.0,
+def _on_axes(marginal: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """A keepdims marginal on ``axes`` with just those axes, in that order."""
+    kept = sorted(axes)
+    return marginal.reshape([marginal.shape[a] for a in kept]).transpose(
+        [kept.index(a) for a in axes]
     )
 
 
-def _marginal(weights: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """The marginal of a field over outcomes on ``axes``, in that order."""
-    others = tuple(i for i in range(weights.ndim) if i not in axes)
-    kept = sorted(axes)
-    return weights.sum(axis=others).transpose([kept.index(a) for a in axes])
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, zero where den is.
+
+    Between marginals on the same axes A this is the tower weight
+    w(A) / m(A): sum w * E_m[s | A] equals sum m * (w(A) / m(A)) * s for any
+    per-outcome s.
+    """
+    return np.divide(
+        num, den, out=np.zeros(np.broadcast_shapes(num.shape, den.shape)), where=den > 0.0
+    )
 
 
 def _block_grad(
@@ -270,7 +267,8 @@ def _block_grad(
     c'] - sigma[parents', c']), so the contraction is the field's marginal
     on (parents, child) minus sigma times its marginal on the parents.
     """
-    marginal = _marginal(weights, parent_axes + (child_axis,))
+    axes = parent_axes + (child_axis,)
+    marginal = _on_axes(_marginal_on(weights, axes), axes)
     return (marginal - conditional * marginal.sum(axis=-1, keepdims=True)).ravel()
 
 
@@ -323,11 +321,14 @@ class _State:
     cache: dict = field(default_factory=dict)
 
     def marginal(self, which: str, keep: tuple[int, ...]) -> np.ndarray:
-        """The keepdims marginal on ``keep`` of the actual measure (``"p"``)
-        or of the target weights on the joint's axes (``"q"``), cached."""
+        """The keepdims marginal on ``keep`` of the actual measure (``"p"``),
+        the unobserved joint (``"joint"``) or the target weights on the
+        joint's axes (``"q"``), cached."""
+        if which == "joint" and self.p is self.joint:
+            which = "p"  # no evidence: one measure, one cache entry
         key = ("m", which, frozenset(keep))
         if key not in self.cache:
-            arr = self.p.probs if which == "p" else self.q_lift
+            arr = {"p": self.p.probs, "joint": self.joint.probs, "q": self.q_lift}[which]
             self.cache[key] = _marginal_on(arr, keep)
         return self.cache[key]
 
@@ -461,7 +462,13 @@ class Engine:
             raw = target_factor_log_array(
                 st.target.factors[src.index], st.target, st.realized_system, st.joint
             )
-            arr = _expand_to_scope(raw, st.q.names, st.joint)
+            # raw lies on the target's axes, with length one outside the
+            # factor's own scope; those lengths carry over to the joint's.
+            axes = self._axes(st, st.q.names)
+            shape = [1] * st.joint.probs.ndim
+            for a, n in zip(axes, raw.shape):
+                shape[a] = n
+            arr = raw.transpose(np.argsort(axes)).reshape(shape)
         elif isinstance(src, TargetLogRaw):
             arr = _safe_log(st.q_lift)
         else:
@@ -557,18 +564,17 @@ class Engine:
         """
         if not towers and self.lnz_coeff == 0.0:
             return None
-        copies = st.p.probs.size / st.q_lift.size
 
         def ratio(names: tuple[str, ...]) -> np.ndarray:
             axes = self._axes(st, names)
-            return _ratio(st.marginal("p", axes), st.marginal("q", axes), copies)
+            return _ratio(st.marginal("p", axes), st.marginal("q", axes))
 
         r = np.zeros((1,) * st.p.probs.ndim)
         for c, src in towers:
             r = r + c * (ratio(src.vars + src.given) - ratio(src.given))
         if self.lnz_coeff != 0.0:
-            r = r + self.lnz_coeff / (copies * st.marginal("q", ()))
-        return r
+            r = r + self.lnz_coeff / st.marginal("q", ())
+        return r / (st.p.probs.size / st.q_lift.size)
 
     def _contract(
         self,
@@ -611,11 +617,10 @@ class Engine:
                 continue
             f = q_part if c == 0.0 else c * pm if q_part is None else c * pm + q_part
             if key is None:
-                joint = st.joint.probs
                 keep, given = self._axes(st, tf.given + tf.vars), self._axes(st, tf.given)
-                p_field = p_field + joint * (
-                    _ratio(_marginal_on(f, keep), _marginal_on(joint, keep))
-                    - _ratio(_marginal_on(f, given), _marginal_on(joint, given))
+                p_field = p_field + st.joint.probs * (
+                    _ratio(_marginal_on(f, keep), st.marginal("joint", keep))
+                    - _ratio(_marginal_on(f, given), st.marginal("joint", given))
                 )
             else:
                 own[key] = own[key] + f if key in own else f
@@ -639,7 +644,8 @@ class Engine:
         A system block's occupancy and score residual both come from the
         unobserved joint's marginal on (parents, child), which the residual
         needs anyway; a target block's occupancy is the actual measure's
-        marginal on its parents.
+        marginal on its parents. Both come from the state's marginal cache,
+        so a scope some term was already evaluated on costs no second pass.
         """
         for b in self.space.blocks:
             coords = slice(b.offset, b.offset + b.size)
@@ -649,14 +655,15 @@ class Engine:
                     continue  # realized into a point mass; no dependence left
                 parents, child = self._axes(st, factor.parents), st.joint.axis(b.key)
                 sigma = factor.conditional()
-                joint = _marginal(st.joint.probs, parents + (child,))
+                axes = parents + (child,)
+                joint = _on_axes(st.marginal("joint", axes), axes)
                 occupancy = joint.sum(axis=-1, keepdims=True)
                 residual = float(np.max(np.abs(joint - sigma * occupancy)))
             else:
                 tf = st.target.factors[b.index]
                 parents, child = self._axes(st, tf.parents), st.joint.axis(tf.child)
                 sigma = softmax(tf.logits, axis=-1)
-                occupancy = _marginal(st.p.probs, parents)[..., np.newaxis]
+                occupancy = _on_axes(st.marginal("p", parents), parents)[..., np.newaxis]
                 residual = 0.0
             yield _Block(coords, b.side, b.key, parents, child, sigma, occupancy, residual)
 

@@ -546,12 +546,23 @@ def target_factor_log_array(
     def logify(values: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
         return _expand_to_scope(_safe_log(values), names, ref)
 
+    def fixed(values: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
+        # A fixed table comes from user data: a length-one axis would
+        # broadcast, and a transposed one reshape, into a factor nobody wrote.
+        want = tuple(scope[ref.axis(n)].cardinality for n in names)
+        if values.shape != want:
+            raise ValidationError(
+                f"target {type(f).__name__} over {names} has shape "
+                f"{values.shape}, expected {want}"
+            )
+        return _expand_to_scope(values, names, ref)
+
     if isinstance(f, TableFactor):
-        return _expand_to_scope(f.log_table, f.vars, ref)
+        return fixed(f.log_table, f.vars)
     if isinstance(f, ConditionalFactor):
-        return _expand_to_scope(f.log_table, f.parents + (f.child,), ref)
+        return fixed(f.log_table, f.parents + (f.child,))
     if isinstance(f, RewardFactor):
-        return _expand_to_scope(f.values, f.vars, ref)
+        return fixed(f.values, f.vars)
     if isinstance(f, ParamFactor):
         return logify(softmax(f.logits, axis=-1), f.parents + (f.child,))
     if isinstance(f, FactorMirror):

@@ -409,16 +409,12 @@ def variational_mi_lower_bound(
 def _expand_to_scope(
     arr: np.ndarray, arr_names: tuple[str, ...], ref: Table | UnnormalizedTable
 ) -> np.ndarray:
-    """Lay an array over a subset of ref's scope onto ref's axes.
-
-    Every axis outside ``arr_names`` gets length one, ready to broadcast up
-    to ref's full shape; an axis of ``arr`` may itself have length one.
-    """
-    arr = np.asarray(arr)
-    perm = sorted(range(len(arr_names)), key=lambda i: ref.axis(arr_names[i]))
+    """Broadcast an array over a subset of ref's scope up to ref's full shape."""
     shape = [1] * len(ref.scope)
-    for i in perm:
-        shape[ref.axis(arr_names[i])] = arr.shape[i]
+    for i, v in enumerate(ref.scope):
+        if v.name in arr_names:
+            shape[i] = v.cardinality
+    perm = sorted(range(len(arr_names)), key=lambda i: ref.axis(arr_names[i]))
     return np.transpose(arr, perm).reshape(shape)
 
 

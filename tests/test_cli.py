@@ -174,3 +174,41 @@ def test_divergent_start_exits_three(tmp_path, capsys):
     doc.write_text(json.dumps(DIVERGENT_DOC))
     assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 3
     assert "diverges" in capsys.readouterr().err
+
+
+def _three_state_doc(factor: dict) -> dict:
+    return {
+        "seed": 0,
+        "problem": {
+            "family": "joint_kl",
+            "system": {
+                "variables": [
+                    {"name": "x", "cardinality": 3, "role": "past-input"},
+                    {"name": "z", "cardinality": 2, "role": "latent-state"},
+                ],
+                "factors": [
+                    {"child": "x", "parents": [], "table": [0.2, 0.3, 0.5]},
+                    {"child": "z", "parents": ["x"], "logits": [[0.0, 0.0]] * 3},
+                ],
+            },
+            "target": {"scope": ["x", "z"], "factors": [factor]},
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [
+        {"type": "table", "vars": ["x"], "table": [0.2]},
+        {"type": "table", "vars": ["x", "z"], "table": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]},
+        {"type": "conditional", "child": "z", "parents": ["x"], "table": [[0.5, 0.5]]},
+        {"type": "reward", "vars": ["x"], "values": [1.0]},
+    ],
+    ids=["length-one table", "transposed table", "one-slice conditional", "length-one reward"],
+)
+def test_target_factor_of_the_wrong_shape_exits_two(tmp_path, capsys, factor):
+    doc = tmp_path / "bad-shape.json"
+    doc.write_text(json.dumps(_three_state_doc(factor)))
+    assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 2
+    assert "expected (3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
