@@ -60,7 +60,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     only = [name.strip() for name in args.only.split(",")] if args.only else None
-    result = run_suite(seeds=args.seeds, draws=args.draws, corrupt=args.corrupt, only=only)
+    result = run_suite(seeds=args.seeds, draws=args.draws, only=only)
     for check in result.checks:
         flag = "PASS" if check.passed else "FAIL"
         print(
@@ -109,13 +109,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     config = load_config(_resolve_config(args.config))
     objective = config.objective
-    shape = objective.parameters().shape
+    n_params = objective.parameters().size
     all_ok = True
     worst_dev = -1.0
     worst_index = 0
     worst_draw = 0
     for draw in range(5):
-        phi = rng_for(config.seed, 40 + draw).normal(size=shape)
+        phi = rng_for(config.seed, 40 + draw).normal(size=n_params)
         result = check_gradient(objective, phi=phi, h=args.step)
         ok = result.passed(rel_tol=args.rel_tol, residual_tol=args.residual_tol)
         all_ok = all_ok and ok
@@ -125,18 +125,20 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
             f"score_residual={result.score_residual:.3e} h={result.step:.1e}"
         )
         deviations = np.abs(result.analytic - result.numeric)
-        index = int(np.argmax(deviations))
-        if deviations[index] > worst_dev:
-            worst_dev = float(deviations[index])
-            worst_index = index
+        if n_params and deviations.max() > worst_dev:
+            worst_index = int(np.argmax(deviations))
+            worst_dev = float(deviations[worst_index])
             worst_draw = draw
-    side, factor, parents, outcome = objective.engine.space.label(worst_index)
-    where = "system" if side == "p" else "target"
-    print(
-        f"worst coordinate: {worst_index} ({where} factor {factor!r}, "
-        f"parent slice {parents}, outcome {outcome}) "
-        f"abs deviation {worst_dev:.3e} at phi[{worst_draw}]"
-    )
+    if not n_params:
+        print("worst coordinate: none (no parameters)")
+    else:
+        side, factor, parents, outcome = objective.engine.space.label(worst_index)
+        where = "system" if side == "p" else "target"
+        print(
+            f"worst coordinate: {worst_index} ({where} factor {factor!r}, "
+            f"parent slice {parents}, outcome {outcome}) "
+            f"abs deviation {worst_dev:.3e} at phi[{worst_draw}]"
+        )
     print("PASS" if all_ok else "FAIL")
     return 0 if all_ok else 1
 
@@ -165,11 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify_cmd.add_argument(
         "--only", type=str, default=None, help="comma-separated check names to run"
-    )
-    verify_cmd.add_argument(
-        "--corrupt",
-        action="store_true",
-        help="inject a deliberate error to exercise failure reporting",
     )
     verify_cmd.add_argument(
         "--json", type=str, default=None, help="also write results to this JSON file"

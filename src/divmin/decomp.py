@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -47,11 +47,11 @@ from .tables import (
     Role,
     Table,
     UnnormalizedTable,
+    Variable,
     _expand_to_scope,
-    _expectation_of_log_ratio,
     _safe_log,
     entropy,
-    expectation_of_log,
+    expected_log,
     kl,
     log_conditional,
     marginalize,
@@ -130,7 +130,7 @@ def observe(table: Table, evidence: Assignment) -> Table:
             raise ValidationError(f"evidence {name}={value} outside 0..{card - 1}")
         sel = np.zeros(card, dtype=bool)
         sel[value] = True
-        keep &= _expand_to_scope(sel, (name,), table)
+        keep &= _expand_to_scope(sel, (name,), table.scope)
     masked = np.where(keep, table.probs, 0.0)
     mass = masked.sum()
     if mass <= 0.0:
@@ -169,6 +169,13 @@ def realize(
     return (intervene(system, substituted) if substituted else system), evidence
 
 
+def _check_evidence_scope(evidence: Assignment, scope: Sequence[str]) -> None:
+    """Reject evidence on a variable the target does not score."""
+    for name in evidence:
+        if name not in scope:
+            raise ValidationError(f"evidence variable {name!r} is outside the target scope")
+
+
 def _prepare(
     system: ActualSystem,
     target: TargetSpec,
@@ -184,36 +191,17 @@ def _prepare(
     joint = build_joint(realized_system)
     q = build_target(target, realized_system, joint)
     p = reorder(marginalize(joint, q.names), q.names)
-    for name in evidence:
-        if name not in p.names:
-            raise ValidationError(f"evidence variable {name!r} is outside the target scope")
+    _check_evidence_scope(evidence, q.names)
     if evidence:
         p = observe(p, evidence)
     return p, q, joint, realized_system
 
 
-def _split_roles(p: Table) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def _split_roles(scope: Sequence[Variable]) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """(input variables, internal variables) of a scope, in scope order."""
-    x = tuple(v.name for v in p.scope if v.role.is_input)
-    z = tuple(v.name for v in p.scope if not v.role.is_input)
+    x = tuple(v.name for v in scope if v.role.is_input)
+    z = tuple(v.name for v in scope if not v.role.is_input)
     return x, z
-
-
-def _log_given(
-    table: Table | UnnormalizedTable,
-    targets: tuple[str, ...],
-    conditions: tuple[str, ...],
-) -> np.ndarray:
-    """ln m(targets | conditions) over the table's shape; ln 1 when empty."""
-    if not targets:
-        base = table.probs if isinstance(table, Table) else table.weights
-        return np.zeros_like(base)
-    return log_conditional(table, tuple(targets), tuple(conditions))
-
-
-def _term(p: Table, log_a: np.ndarray, log_b: np.ndarray) -> tuple[float, bool]:
-    r = _expectation_of_log_ratio(p, log_a, log_b)
-    return r.kl_nats, r.divergent
 
 
 # name -> (signed coefficient, value, divergent) of one report term
@@ -287,10 +275,12 @@ def decompose_latent_side(
 
 
 def _latent_side(p: Table, q: UnnormalizedTable) -> Terms:
-    x, z = _split_roles(p)
+    x, z = _split_roles(p.scope)
     return {
-        "latent_pref_kl": (1.0, *_term(p, _log_given(p, z, x), _log_given(q, z, ()))),
-        "info_bound": (-1.0, *_term(p, _log_given(q, x, z), _log_given(p, x, ()))),
+        "latent_pref_kl": (
+            1.0, *expected_log(p, log_conditional(p, z, x), log_conditional(q, z, ()))
+        ),
+        "info_bound": (-1.0, *expected_log(p, log_conditional(q, x, z), log_conditional(p, x, ()))),
     }
 
 
@@ -309,10 +299,14 @@ def decompose_input_side(
 
 
 def _input_side(p: Table, q: UnnormalizedTable) -> Terms:
-    x, z = _split_roles(p)
+    x, z = _split_roles(p.scope)
     return {
-        "input_pref_kl": (1.0, *_term(p, _log_given(p, x, z), _log_given(q, x, ()))),
-        "info_bound_latent": (-1.0, *_term(p, _log_given(q, z, x), _log_given(p, z, ()))),
+        "input_pref_kl": (
+            1.0, *expected_log(p, log_conditional(p, x, z), log_conditional(q, x, ()))
+        ),
+        "info_bound_latent": (
+            -1.0, *expected_log(p, log_conditional(q, z, x), log_conditional(p, z, ()))
+        ),
     }
 
 
@@ -323,16 +317,16 @@ def energy_entropy(system: ActualSystem, target: TargetSpec) -> Report:
 
 
 def _energy_entropy(p: Table, q: UnnormalizedTable) -> Terms:
-    cross, diverged = expectation_of_log(p, _safe_log(q.weights))
+    cross, diverged = expected_log(p, _safe_log(q.weights))
     return {"energy": (1.0, -cross, diverged), "entropy": (-1.0, entropy(p), False)}
 
 
 def expected_free_energy(system: ActualSystem, target: TargetSpec) -> Report:
     """joint_kl = [E[-ln q(x|z)] + E_x KL[p(z|x) || q(z)]] - H[p(x)]."""
     p, q, _, _ = _prepare(system, target)
-    x, z = _split_roles(p)
-    reconstruction, d1 = expectation_of_log(p, _log_given(q, x, z))
-    latent_pref, d2 = _term(p, _log_given(p, z, x), _log_given(q, z, ()))
+    x, z = _split_roles(p.scope)
+    reconstruction, d1 = expected_log(p, log_conditional(q, x, z))
+    latent_pref, d2 = expected_log(p, log_conditional(p, z, x), log_conditional(q, z, ()))
     terms = {
         "efe": (1.0, -reconstruction + latent_pref, d1 or d2),
         "input_entropy": (-1.0, entropy(p, x) if x else 0.0, False),
@@ -373,15 +367,19 @@ def _past_future(
     inputs given in scope order."""
     x = past + future
     z = tuple(n for n in p.names if n not in set(x))
-    log_p_z_past = _log_given(p, z, past)
+    log_p_z_past = log_conditional(p, z, past)
     return {
-        "past_latent_pref": (1.0, *_term(p, log_p_z_past, _log_given(q, z, ()))),
-        "repr_learning": (-1.0, *_term(p, _log_given(q, past, z), _log_given(p, past, ()))),
+        "past_latent_pref": (1.0, *expected_log(p, log_p_z_past, log_conditional(q, z, ()))),
+        "repr_learning": (
+            -1.0, *expected_log(p, log_conditional(q, past, z), log_conditional(p, past, ()))
+        ),
         "future_input_pref": (
             1.0,
-            *_term(p, _log_given(p, future, past + z), _log_given(q, future, past)),
+            *expected_log(
+                p, log_conditional(p, future, past + z), log_conditional(q, future, past)
+            ),
         ),
-        "exploration": (-1.0, *_term(p, _log_given(q, z, x), log_p_z_past)),
+        "exploration": (-1.0, *expected_log(p, log_conditional(q, z, x), log_p_z_past)),
     }
 
 
@@ -440,11 +438,13 @@ def bayesian_future_check(
     z = tuple(n for n in p.names if n in internal)
     past_only = tuple(n for n in p.names if n in past)
 
-    uncontrolled, d2 = _term(
-        p, _log_given(p, fut_t, past_only), _log_given(q, fut_t, z)
+    uncontrolled, d2 = expected_log(
+        p, log_conditional(p, fut_t, past_only), log_conditional(q, fut_t, z)
     )
     terms = {
-        "past_vi": (1.0, *_term(p, _log_given(p, past_t, ()), _log_given(q, past_t, ()))),
+        "past_vi": (
+            1.0, *expected_log(p, log_conditional(p, past_t, ()), log_conditional(q, past_t, ()))
+        ),
         "uncontrolled_future": (1.0, uncontrolled, d2),
     }
     extras = {"bayesian_satisfied": float(not d2 and uncontrolled < BAYES_TOL)}

@@ -443,7 +443,7 @@ class Engine:
             joint=joint,
             p=p,
             q=q,
-            q_lift=_expand_to_scope(q.weights, q.names, joint),
+            q_lift=_expand_to_scope(q.weights, q.names, joint.scope),
         )
 
     # -- per-source arrays --------------------------------------------------
@@ -472,7 +472,7 @@ class Engine:
         elif isinstance(src, TargetLogRaw):
             arr = _safe_log(st.q_lift)
         else:
-            arr = _expand_to_scope(src.values, src.vars, st.joint)
+            arr = _expand_to_scope(src.values, src.vars, st.joint.scope)
         st.cache[key] = arr
         return arr
 

@@ -84,14 +84,13 @@ import numpy as np
 from .decomp import (
     Report,
     _certify,
+    _check_evidence_scope,
     _energy_entropy,
     _input_side,
     _latent_side,
-    _log_given,
     _past_future,
     _prepare,
     _split_roles,
-    _term,
     realize,
 )
 from .engine import (
@@ -126,9 +125,10 @@ from .tables import (
     UnnormalizedTable,
     _expand_to_scope,
     entropy,
-    expectation_of_log,
     expected_conditional_kl,
+    expected_log,
     kl,
+    log_conditional,
     marginalize,
     mutual_information,
 )
@@ -233,6 +233,7 @@ def make_objective(
     )
     if options:
         raise ConfigError(f"family {family!r} does not use the option(s) {sorted(options)}")
+    _check_evidence_scope(realize(system, realized, realization)[1], target.scope)
     engine = Engine(system, target, terms, lnz_coeff, realized, realization)
     return Objective(family, engine, matches, report)
 
@@ -255,10 +256,9 @@ def from_preset(preset) -> Objective:
 # Shared construction helpers
 
 
-def _face(target: TargetSpec, index: int, realized_system: ActualSystem, joint: Table, q) -> np.ndarray:
-    """ln of one target factor, broadcast to the target scope shape."""
-    raw = target_factor_log_array(target.factors[index], target, realized_system, joint)
-    return np.broadcast_to(raw, q.weights.shape)
+def _face(target: TargetSpec, index: int, realized_system: ActualSystem, joint: Table) -> np.ndarray:
+    """ln of one target factor on the target's axes."""
+    return target_factor_log_array(target.factors[index], target, realized_system, joint)
 
 
 def _summed(coeff: float, parts: list[tuple[float, bool]]) -> tuple[float, float, bool]:
@@ -267,15 +267,8 @@ def _summed(coeff: float, parts: list[tuple[float, bool]]) -> tuple[float, float
 
 
 def _expected_payoff(p: Table, name: str, values: np.ndarray) -> float:
-    arr = _expand_to_scope(np.asarray(values, dtype=np.float64), (name,), p)
+    arr = _expand_to_scope(np.asarray(values, dtype=np.float64), (name,), p.scope)
     return float((p.probs * arr).sum())
-
-
-def _scope_split(system: ActualSystem, scope: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(inputs, internal) restricted to ``scope``, in scope order."""
-    x = tuple(n for n in scope if system.variable(n).role.is_input)
-    z = tuple(n for n in scope if not system.variable(n).role.is_input)
-    return x, z
 
 
 def _uniform(cardinality: int) -> np.ndarray:
@@ -376,7 +369,7 @@ def _build_elbo(system, target, horizon, options, realized, realization) -> Part
                 f"{sorted(bad)}; parents must be covariates or belief variables"
             )
 
-    x_scope, z_scope = _scope_split(system, tuple(target.scope))
+    x_scope, z_scope = _split_roles(tuple(map(system.variable, target.scope)))
     covariates = tuple(n for n in x_scope if n not in children)
     data_entropy = entropy(marginalize(build_joint(system), x_scope))
     constant = math.fsum(
@@ -389,14 +382,16 @@ def _build_elbo(system, target, horizon, options, realized, realization) -> Part
     ]
 
     def report(tgt, p, q, joint, rsys) -> Report:
-        x, z = _split_roles(p)
+        x, z = _split_roles(p.scope)
         const_val = math.fsum(
             [math.log(rsys.variable(n).cardinality) for n in covariates] + [-entropy(p, x)]
         )
         parts = {
-            "complexity": (1.0, *_term(p, _log_given(p, z, x), _log_given(q, z, ()))),
+            "complexity": (
+                1.0, *expected_log(p, log_conditional(p, z, x), log_conditional(q, z, ()))
+            ),
             "accuracy": _summed(
-                -1.0, [expectation_of_log(p, _face(tgt, i, rsys, joint, q)) for i in lik_idx]
+                -1.0, [expected_log(p, _face(tgt, i, rsys, joint)) for i in lik_idx]
             ),
             "constant": (1.0, const_val, False),
         }
@@ -443,7 +438,7 @@ def _build_vae(system, target, horizon, options, realized, realization) -> Parts
     form = options.pop("form", "reconstruction")
     if form not in ("reconstruction", "contrastive"):
         raise ConfigError(f"unknown amortized_vae form {form!r}")
-    x_scope, z_scope = _scope_split(system, tuple(target.scope))
+    x_scope, z_scope = _split_roles(tuple(map(system.variable, target.scope)))
     if not x_scope or not z_scope:
         raise ConfigError("the target scope must contain both data and code variables")
 
@@ -603,10 +598,10 @@ def _build_control(
     matches = mode != "expected-reward"
 
     def report(tgt, p, q, joint, rsys) -> Report:
-        parts = {
-            name: (1.0, *_term(p, _log_given(p, (v,), given), _face(tgt, index, rsys, joint, q)))
-            for name, v, given, index in kl_terms
-        }
+        parts = {}
+        for name, v, given, index in kl_terms:
+            log_p = log_conditional(p, (v,), given)
+            parts[name] = (1.0, *expected_log(p, log_p, _face(tgt, index, rsys, joint)))
         for name, v in gains:
             parts[name] = (-1.0, _expected_payoff(p, v, rewards[v]), False)
         return _certify(FAMILY_TAGS[family], p, q, parts, lnz_coeff=1.0)
@@ -649,7 +644,7 @@ def _build_empowerment(system, target, horizon, options, realized, realization) 
             factors.append(ParamFactor(a, parents, np.zeros(shape)))
         scope = tuple(n for n in system.names if n in set(effects) | set(actions))
         target = TargetSpec(scope, factors)
-    x_scope, z_scope = _scope_split(system, tuple(target.scope))
+    x_scope, z_scope = _split_roles(tuple(map(system.variable, target.scope)))
     if not x_scope or not z_scope:
         raise ConfigError("the decoder scope must contain actions and effects")
     terms = [
@@ -661,7 +656,7 @@ def _build_empowerment(system, target, horizon, options, realized, realization) 
     ]
 
     def report(tgt, p, q, joint, rsys) -> Report:
-        x, z = _split_roles(p)
+        x, z = _split_roles(p.scope)
         parts = _input_side(p, q)
         extras = {
             "exact_mi": mutual_information(p, z, x),
@@ -750,8 +745,10 @@ def _build_skills(system, target, horizon, options, realized, realization) -> Pa
 
     def report(tgt, p, q, joint, rsys) -> Report:
         def kl_to(v: str, index: int) -> tuple[float, bool]:
-            return _term(
-                p, _log_given(p, (v,), rsys.factors[v].parents), _face(tgt, index, rsys, joint, q)
+            return expected_log(
+                p,
+                log_conditional(p, (v,), rsys.factors[v].parents),
+                _face(tgt, index, rsys, joint),
             )
 
         parts = {
@@ -759,7 +756,9 @@ def _build_skills(system, target, horizon, options, realized, realization) -> Pa
             "action_complexity": _summed(1.0, [kl_to(a, prior_idx[a]) for a in actions]),
             "skill_info_bound": (
                 -1.0,
-                *_term(p, _face(tgt, pred_idx, rsys, joint, q), _log_given(p, (zname,), ())),
+                *expected_log(
+                    p, _face(tgt, pred_idx, rsys, joint), log_conditional(p, (zname,), ())
+                ),
             ),
         }
         extras = {"exact_mi": mutual_information(p, (zname,), pred_parents)}
@@ -842,10 +841,10 @@ def _build_info_gain(system, target, horizon, options, realized, realization) ->
         # because every non-final step pays an extra conditional KL.
         steps = []
         for k in range(1, len(future) + 1):
-            value, _ = _term(
+            value, _ = expected_log(
                 p,
-                _log_given(q, z, past + future[:k]),
-                _log_given(p, z, past + future[: k - 1]),
+                log_conditional(q, z, past + future[:k]),
+                log_conditional(p, z, past + future[: k - 1]),
             )
             steps.append(value)
         intrinsic_sum = math.fsum(steps)

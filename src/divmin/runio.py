@@ -62,7 +62,6 @@ def report_payload(config: RunConfig, trace: OptimTrace) -> dict:
     added only at write time so payloads themselves are reproducible.
     """
     objective = config.objective
-    report = objective.report(trace.phi)
     records = trace.records
     system, target = objective.engine.space.set(np.asarray(trace.phi, dtype=np.float64))
     optimized = {}
@@ -89,19 +88,7 @@ def report_payload(config: RunConfig, trace: OptimTrace) -> dict:
         "optimized_factors": optimized,
         "engine_terms": {k: float(v) for k, v in trace.evaluation.terms.items()},
         "log_partition": float(trace.evaluation.log_partition),
-        "report": {
-            "equation": report.equation,
-            "terms": {k: float(v) for k, v in report.terms.items()},
-            "combo": {k: float(v) for k, v in report.combo.items()},
-            "log_partition": float(report.log_partition),
-            "lnz_coeff": float(report.lnz_coeff),
-            "joint_kl": float(report.joint_kl),
-            "relation": report.relation,
-            "slack": float(report.slack),
-            "total": float(report.total),
-            "divergent": bool(report.divergent),
-            "extras": {k: float(v) for k, v in report.extras.items()},
-        },
+        "report": objective.report(trace.phi).to_dict(),
     }
 
 

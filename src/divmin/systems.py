@@ -296,27 +296,13 @@ class ActualSystem:
         return f"ActualSystem(variables={self.names}, factors={kinds})"
 
 
-class _ScopeRef:
-    """Duck-typed scope holder so table helpers can broadcast system arrays."""
-
-    __slots__ = ("scope", "_index")
-
-    def __init__(self, scope: tuple[Variable, ...]) -> None:
-        self.scope = scope
-        self._index = {v.name: i for i, v in enumerate(scope)}
-
-    def axis(self, name: str) -> int:
-        return self._index[name]
-
-
 def build_joint(system: ActualSystem) -> Table:
     """Multiply all factors into the exact joint table over the full scope."""
     shape = tuple(v.cardinality for v in system.variables)
     probs = np.ones(shape, dtype=np.float64)
-    ref = _ScopeRef(system.variables)
     for name, f in system.factors.items():
         cond = system.factor_conditional(name)
-        probs = probs * _expand_to_scope(cond, f.parents + (name,), ref)
+        probs = probs * _expand_to_scope(cond, f.parents + (name,), system.variables)
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-10:
         raise ValidationError(f"materialized joint sums to {total!r}; factors are inconsistent")
@@ -525,10 +511,6 @@ def _factor_vars(f: TargetFactor) -> tuple[str, ...]:
     raise ValidationError(f"unknown target factor type {type(f).__name__}")
 
 
-def target_scope_variables(target: TargetSpec, system: ActualSystem) -> tuple[Variable, ...]:
-    return tuple(system.variable(n) for n in target.scope)
-
-
 def target_factor_scope(f: TargetFactor, system: ActualSystem) -> tuple[str, ...]:
     """All variables a target factor touches, mirrors resolved via the system."""
     if isinstance(f, FactorMirror):
@@ -540,22 +522,21 @@ def target_factor_log_array(
     f: TargetFactor, target: TargetSpec, system: ActualSystem, joint: Table | None = None
 ) -> np.ndarray:
     """ln factor value over the target scope shape; -inf where the factor is 0."""
-    scope = target_scope_variables(target, system)
-    ref = _ScopeRef(scope)
+    scope = tuple(map(system.variable, target.scope))
 
     def logify(values: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
-        return _expand_to_scope(_safe_log(values), names, ref)
+        return _expand_to_scope(_safe_log(values), names, scope)
 
     def fixed(values: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
         # A fixed table comes from user data: a length-one axis would
         # broadcast, and a transposed one reshape, into a factor nobody wrote.
-        want = tuple(scope[ref.axis(n)].cardinality for n in names)
+        want = tuple(system.variable(n).cardinality for n in names)
         if values.shape != want:
             raise ValidationError(
                 f"target {type(f).__name__} over {names} has shape "
                 f"{values.shape}, expected {want}"
             )
-        return _expand_to_scope(values, names, ref)
+        return _expand_to_scope(values, names, scope)
 
     if isinstance(f, TableFactor):
         return fixed(f.log_table, f.vars)
@@ -578,16 +559,10 @@ def target_factor_log_array(
         if joint is None:
             joint = build_joint(system)
         full = log_conditional(joint, f.vars, f.given)
-        # Collapse the system-shaped array onto the target scope: the values
-        # only vary along vars in (given + vars), so slicing index 0 on the
-        # remaining axes is exact.
-        sl: list[object] = []
-        keep = set(f.given) | set(f.vars)
-        for v in joint.scope:
-            sl.append(slice(None) if v.name in keep else 0)
-        reduced = full[tuple(sl)]
-        names = tuple(v.name for v in joint.scope if v.name in keep)
-        return _expand_to_scope(reduced, names, ref)
+        # Move the array from the system's axes onto the target's; it has
+        # length one off (given + vars).
+        names = tuple(v.name for v, n in zip(joint.scope, full.shape) if n > 1)
+        return _expand_to_scope(np.squeeze(full), names, scope)
     raise ValidationError(f"unknown target factor type {type(f).__name__}")
 
 
@@ -600,7 +575,7 @@ def build_target(
     weight of one. Mirror factors need the system (and, for marginal
     mirrors, its materialized joint).
     """
-    scope = target_scope_variables(target, system)
+    scope = tuple(map(system.variable, target.scope))
     shape = tuple(v.cardinality for v in scope)
     size = 1
     for c in shape:

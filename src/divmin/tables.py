@@ -94,33 +94,18 @@ def _as_probs(values: np.ndarray | Sequence, shape: tuple[int, ...]) -> np.ndarr
     return arr
 
 
-def _check_scope(scope: Sequence[Variable]) -> tuple[Variable, ...]:
-    scope = tuple(scope)
-    if not scope:
-        raise ValidationError("scope must contain at least one variable")
-    names = [v.name for v in scope]
-    if len(set(names)) != len(names):
-        raise ValidationError(f"duplicate variable names in scope: {names}")
-    return scope
+class _Scoped:
+    """A scope of distinctly named variables, with name-to-axis lookup."""
 
+    __slots__ = ("scope", "_index")
 
-class Table:
-    """An exact joint distribution over the product space of its scope.
-
-    ``probs`` is indexed by one axis per scope variable, in scope order.
-    """
-
-    __slots__ = ("scope", "probs", "_index")
-
-    def __init__(self, scope: Sequence[Variable], probs: np.ndarray | Sequence) -> None:
-        self.scope = _check_scope(scope)
-        shape = tuple(v.cardinality for v in self.scope)
-        arr = _as_probs(probs, shape)
-        total = float(arr.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValidationError(f"probabilities sum to {total!r}, not 1")
-        self.probs = arr
+    def __init__(self, scope: Sequence[Variable]) -> None:
+        self.scope = tuple(scope)
         self._index = {v.name: i for i, v in enumerate(self.scope)}
+        if not self.scope:
+            raise ValidationError("scope must contain at least one variable")
+        if len(self._index) != len(self.scope):
+            raise ValidationError(f"duplicate variable names in scope: {list(self.names)}")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -135,17 +120,35 @@ class Table:
     def variable(self, name: str) -> Variable:
         return self.scope[self.axis(name)]
 
+
+class Table(_Scoped):
+    """An exact joint distribution over the product space of its scope.
+
+    ``probs`` is indexed by one axis per scope variable, in scope order.
+    """
+
+    __slots__ = ("probs",)
+
+    def __init__(self, scope: Sequence[Variable], probs: np.ndarray | Sequence) -> None:
+        super().__init__(scope)
+        shape = tuple(v.cardinality for v in self.scope)
+        arr = _as_probs(probs, shape)
+        total = float(arr.sum())
+        if abs(total - 1.0) > NORMALIZATION_TOL:
+            raise ValidationError(f"probabilities sum to {total!r}, not 1")
+        self.probs = arr
+
     def __repr__(self) -> str:
         return f"Table(scope={self.names}, shape={self.probs.shape})"
 
 
-class UnnormalizedTable:
+class UnnormalizedTable(_Scoped):
     """Non-negative weights over a product space, with a cached ``ln Z``."""
 
-    __slots__ = ("scope", "weights", "log_partition", "_index")
+    __slots__ = ("weights", "log_partition")
 
     def __init__(self, scope: Sequence[Variable], weights: np.ndarray | Sequence) -> None:
-        self.scope = _check_scope(scope)
+        super().__init__(scope)
         shape = tuple(v.cardinality for v in self.scope)
         arr = _as_probs(weights, shape)
         total = float(arr.sum())
@@ -153,20 +156,6 @@ class UnnormalizedTable:
             raise ValidationError("target weights must have positive total mass")
         self.weights = arr
         self.log_partition = math.log(total)
-        self._index = {v.name: i for i, v in enumerate(self.scope)}
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.scope)
-
-    def axis(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise ValidationError(f"variable {name!r} not in scope {self.names}") from None
-
-    def normalized(self) -> Table:
-        return Table(self.scope, self.weights / self.weights.sum())
 
     def __repr__(self) -> str:
         return f"UnnormalizedTable(scope={self.names}, lnZ={self.log_partition:.6g})"
@@ -337,9 +326,10 @@ def expected_conditional_kl(
         raise ValidationError("targets must be non-empty")
     if set(targets) & set(conditions):
         raise ValidationError("targets and conditions must be disjoint")
-    log_p = log_conditional(p, targets, conditions)
-    log_q = log_conditional(q, targets, conditions)
-    return _expectation_of_log_ratio(p, log_p, log_q)
+    value, divergent = expected_log(
+        p, log_conditional(p, targets, conditions), log_conditional(q, targets, conditions)
+    )
+    return KLResult(kl_nats=value, log_partition=0.0, divergent=divergent)
 
 
 def mutual_information(table: Table, left: Iterable[str], right: Iterable[str]) -> float:
@@ -391,10 +381,10 @@ def variational_mi_lower_bound(
     joint = marginalize(p, z_vars + x_vars) if set(p.names) != set(z_vars) | set(x_vars) else p
     perm = [src_axes[n] for n in joint.names]
     dec_t = np.transpose(dec, perm)
-    full = _expand_to_scope(dec_t, tuple(joint.names), joint)
+    full = _expand_to_scope(dec_t, joint.names, joint.scope)
     px = marginalize(joint, x_vars)
     log_px = np.broadcast_to(
-        _expand_to_scope(np.log(np.where(px.probs > 0.0, px.probs, 1.0)), px.names, joint),
+        _expand_to_scope(np.log(np.where(px.probs > 0.0, px.probs, 1.0)), px.names, joint.scope),
         joint.probs.shape,
     )
     full = np.broadcast_to(full, joint.probs.shape)
@@ -407,62 +397,57 @@ def variational_mi_lower_bound(
 
 
 def _expand_to_scope(
-    arr: np.ndarray, arr_names: tuple[str, ...], ref: Table | UnnormalizedTable
+    arr: np.ndarray, arr_names: tuple[str, ...], scope: Sequence[Variable]
 ) -> np.ndarray:
-    """Broadcast an array over a subset of ref's scope up to ref's full shape."""
-    shape = [1] * len(ref.scope)
-    for i, v in enumerate(ref.scope):
-        if v.name in arr_names:
-            shape[i] = v.cardinality
-    perm = sorted(range(len(arr_names)), key=lambda i: ref.axis(arr_names[i]))
+    """Lay an array indexed by ``arr_names`` onto the axes of ``scope``, with
+    length one on every axis outside ``arr_names``."""
+    order = [v.name for v in scope]
+    perm = sorted(range(len(arr_names)), key=lambda i: order.index(arr_names[i]))
+    shape = [v.cardinality if v.name in arr_names else 1 for v in scope]
     return np.transpose(arr, perm).reshape(shape)
-
-
-def log_marginal(table: Table | UnnormalizedTable, subset: tuple[str, ...]) -> np.ndarray:
-    """ln of the (normalized) marginal over ``subset``, broadcast to full shape.
-
-    For an empty subset returns zeros (ln 1). Entries are -inf where the
-    marginal has no mass; callers mask those against the actual support.
-    """
-    base = table.probs if isinstance(table, Table) else table.weights
-    if not subset:
-        return np.zeros_like(base)
-    drop_axes = tuple(i for i, v in enumerate(table.scope) if v.name not in subset)
-    marg = base.sum(axis=drop_axes) if drop_axes else base
-    marg = marg / marg.sum()
-    logm = _safe_log(marg)
-    names = tuple(v.name for v in table.scope if v.name in subset)
-    return _expand_to_scope(logm, names, table)
 
 
 def log_conditional(
     table: Table | UnnormalizedTable, targets: tuple[str, ...], conditions: tuple[str, ...]
 ) -> np.ndarray:
-    """ln m(targets | conditions) over the full scope, -inf off support."""
+    """ln m(targets | conditions) of the normalized table.
+
+    The result lies on the table's axes with length one outside targets and
+    conditions. It is ln 1 for empty ``targets`` and -inf where the marginal
+    on targets and conditions has no mass; callers mask those entries
+    against the actual support.
+    """
     for n in targets + conditions:
         table.axis(n)
-    joint = log_marginal(table, tuple(dict.fromkeys(targets + conditions)))
+    if not targets:
+        return np.zeros((1,) * len(table.scope))
+    base = table.probs if isinstance(table, Table) else table.weights
+
+    def log_marginal(subset: set[str]) -> np.ndarray:
+        drop = tuple(i for i, v in enumerate(table.scope) if v.name not in subset)
+        marg = base.sum(axis=drop, keepdims=True) if drop else base
+        return _safe_log(marg / marg.sum())
+
+    joint = log_marginal(set(targets + conditions))
     if not conditions:
         return joint
     with np.errstate(invalid="ignore"):
-        return joint - log_marginal(table, conditions)
+        return joint - log_marginal(set(conditions))
 
 
-def _expectation_of_log_ratio(p: Table, log_a: np.ndarray, log_b: np.ndarray) -> KLResult:
+def expected_log(
+    p: Table, log_a: np.ndarray, log_b: np.ndarray | float = 0.0
+) -> tuple[float, bool]:
+    """E_p[log_a - log_b] over p's support, both logs broadcast to p's shape.
+
+    Returns the finite part and a divergent flag, set when p has mass where
+    either log is not finite; those outcomes are left out of the sum.
+    """
     log_a = np.broadcast_to(log_a, p.probs.shape)
     log_b = np.broadcast_to(log_b, p.probs.shape)
     mask = p.probs > 0.0
-    divergent = bool(np.any(mask & ~(np.isfinite(log_a) & np.isfinite(log_b))))
-    ok = mask & np.isfinite(log_b) & np.isfinite(log_a)
+    finite = np.isfinite(log_a) & np.isfinite(log_b)
+    divergent = bool(np.any(mask & ~finite))
+    ok = mask & finite
     val = float(np.dot(p.probs[ok].ravel(), (log_a[ok] - log_b[ok]).ravel())) if ok.any() else 0.0
-    return KLResult(kl_nats=val, log_partition=0.0, divergent=divergent)
-
-
-def expectation_of_log(p: Table, log_term: np.ndarray) -> tuple[float, bool]:
-    """E_p[log_term] with 0-mass masking; returns (finite part, divergent flag)."""
-    log_term = np.broadcast_to(log_term, p.probs.shape)
-    mask = p.probs > 0.0
-    divergent = bool(np.any(mask & ~np.isfinite(log_term)))
-    ok = mask & np.isfinite(log_term)
-    val = float(np.dot(p.probs[ok].ravel(), log_term[ok].ravel())) if ok.any() else 0.0
     return val, divergent

@@ -394,16 +394,13 @@ def check_names() -> tuple[str, ...]:
 def run_suite(
     seeds: int = 100,
     draws: int = 20,
-    corrupt: bool = False,
     only: Iterable[str] | None = None,
 ) -> SuiteResult:
     """Run the named checks in order and collect their worst-case errors.
 
     ``seeds`` sizes the per-check instance sweeps and ``draws`` the random
-    parameter draws for the certificate checks. ``corrupt`` injects a
-    deliberate error into the first identity check so the failure path of
-    the reporting machinery can itself be exercised. ``only`` restricts
-    the run to the given check names.
+    parameter draws for the certificate checks. ``only`` restricts the run
+    to the given check names.
     """
     if seeds < 1:
         raise ConfigError("seeds must be a positive integer")
@@ -422,8 +419,6 @@ def run_suite(
     results = []
     for name, equation, tolerance, fn in entries:
         cases, error = fn(seeds, draws)
-        if corrupt and name == "latent_side_identity":
-            error += 1e-3
         results.append(
             CheckResult(
                 name=name,

@@ -1,9 +1,11 @@
 """End-to-end behavior of the command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
+import divmin.verify
 from divmin.cli import main
 
 DIVERGENT_DOC = {
@@ -55,16 +57,16 @@ def test_verify_passes_and_writes_json(tmp_path, capsys):
     assert len(payload["checks"]) == 2
 
 
-def test_verify_corrupt_fails_with_exit_one(capsys):
-    code = main(
-        [
-            "verify",
-            "--seeds", "2",
-            "--draws", "1",
-            "--only", "latent_side_identity",
-            "--corrupt",
-        ]
-    )
+def test_verify_corrupt_fails_with_exit_one(monkeypatch, capsys):
+    # A split whose joint_kl is off by 1e-3 must fail the run with exit 1.
+    split = divmin.verify.decompose_latent_side
+
+    def skewed(system, target):
+        report = split(system, target)
+        return dataclasses.replace(report, joint_kl=report.joint_kl + 1e-3)
+
+    monkeypatch.setattr(divmin.verify, "decompose_latent_side", skewed)
+    code = main(["verify", "--seeds", "2", "--draws", "1", "--only", "latent_side_identity"])
     assert code == 1
     assert "FAIL latent_side_identity" in capsys.readouterr().out
 
@@ -121,6 +123,29 @@ def test_gradcheck_passes_on_bundled_config(capsys):
     assert "worst coordinate:" in out
 
 
+def test_gradcheck_without_parameters_passes(tmp_path, capsys):
+    doc = tmp_path / "point-mass.json"
+    doc.write_text(json.dumps({
+        "seed": 0,
+        "problem": {
+            "family": "joint_kl",
+            "system": {
+                "variables": [{"name": "x", "cardinality": 2, "role": "action"}],
+                "factors": [{"child": "x", "parents": [], "selector": 1}],
+            },
+            "target": {
+                "scope": ["x"],
+                "factors": [{"type": "table", "vars": ["x"], "table": [0.5, 0.5]}],
+            },
+        },
+    }))
+    assert main(["gradcheck", str(doc)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("rel_err=") == 5
+    assert "worst coordinate: none (no parameters)" in out
+    assert out.splitlines()[-1] == "PASS"
+
+
 def test_run_dry_run_validates_without_artifacts(tmp_path, capsys):
     out_dir = tmp_path / "never"
     code = main(["run", "free-choice", "--out", str(out_dir), "--dry-run"])
@@ -147,6 +172,35 @@ def test_run_rejects_a_misspelled_option(tmp_path, capsys):
     out_dir = tmp_path / "never"
     assert main(["run", str(doc), "--out", str(out_dir), "--dry-run"]) == 2
     assert "mdoe" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_dry_run_rejects_evidence_outside_the_target_scope(tmp_path, capsys):
+    doc = tmp_path / "outside.json"
+    doc.write_text(json.dumps({
+        "seed": 0,
+        "problem": {
+            "family": "joint_kl",
+            "system": {
+                "variables": [
+                    {"name": "x", "cardinality": 2, "role": "past-input"},
+                    {"name": "z", "cardinality": 2, "role": "latent-state"},
+                ],
+                "factors": [
+                    {"child": "x", "parents": [], "table": [0.5, 0.5]},
+                    {"child": "z", "parents": ["x"], "logits": [[0.0, 0.0], [0.0, 0.0]]},
+                ],
+            },
+            "target": {
+                "scope": ["z"],
+                "factors": [{"type": "table", "vars": ["z"], "table": [0.3, 0.7]}],
+            },
+            "realized": {"x": 1},
+        },
+    }))
+    out_dir = tmp_path / "never"
+    assert main(["run", str(doc), "--out", str(out_dir), "--dry-run"]) == 2
+    assert "'x' is outside the target scope" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

@@ -541,9 +541,8 @@ def test_engine_takes_no_log_marginal_helper_from_decomp():
 
     assert not hasattr(divmin.engine, "_log_given")
     helpers = {
-        id(divmin.decomp._log_given),
-        id(divmin.tables.log_marginal),
         id(divmin.tables.log_conditional),
+        id(divmin.tables.expected_log),
     }
     assert not [name for name, obj in vars(divmin.engine).items() if id(obj) in helpers]
 

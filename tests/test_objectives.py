@@ -6,6 +6,7 @@ table machinery with the code under test.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,22 @@ def test_unknown_family_and_missing_targets():
         make_objective("elbo_bnn", system)
     with pytest.raises(ConfigError):
         make_objective("amortized_vae", system)
+
+
+def test_report_peak_memory_stays_within_six_outcome_arrays():
+    # The report's terms each hold a few outcome-sized float64 arrays at
+    # once; the peak reads about 4.4 of them on this 65536-outcome chain.
+    obj = from_preset(preset("chain-mdp", n_states=8, steps=4))
+    phi = np.random.default_rng(0).standard_normal(obj.parameters().size)
+    outcomes = math.prod(v.cardinality for v in obj.system.variables)
+    obj.report(phi)
+    tracemalloc.start()
+    try:
+        obj.report(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * outcomes
 
 
 def family_args(family):
@@ -600,6 +617,18 @@ REJECTED_CASES = [
     ("maxent_rl", {"x1": 0}, "intervene"),
     ("kl-regularized", {"a1": 1}, "condition"),
 ]
+
+
+def test_evidence_outside_the_target_scope_is_rejected_at_construction():
+    system = ActualSystem(
+        [Variable("x", 2, Role.PAST_INPUT), Variable("z", 2, Role.LATENT_STATE)],
+        [FactorSpec.fixed("x", (), np.asarray([0.5, 0.5])),
+         FactorSpec.parameterized("z", ("x",), np.zeros((2, 2)))],
+    )
+    target = TargetSpec(("z",), [TableFactor(("z",), np.asarray([0.3, 0.7]))])
+    make_objective("joint_kl", system, target)
+    with pytest.raises(ValidationError, match="'x' is outside the target scope"):
+        make_objective("joint_kl", system, target, realized={"x": 1})
 
 
 @pytest.mark.parametrize("case, realized, realization", REALIZED_CASES + REJECTED_CASES)

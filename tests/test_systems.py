@@ -334,6 +334,17 @@ def test_marginal_mirror_uses_joint_conditional():
         assert np.allclose(t.weights[i], cond.probs, atol=1e-12)
 
 
+def test_marginal_mirror_of_no_variables_weighs_one_everywhere():
+    # p(() | x) is ln 1 even on an x the system never takes.
+    sys_ = ActualSystem(
+        [Variable("x", 2, Role.PAST_INPUT), Variable("z", 2, Role.LATENT_STATE)],
+        [FactorSpec.fixed("x", (), np.asarray([1.0, 0.0])),
+         FactorSpec.parameterized("z", ("x",), np.zeros((2, 2)))],
+    )
+    target = TargetSpec(("x", "z"), [MarginalMirror((), ("x",))])
+    assert np.array_equal(build_target(target, sys_).weights, np.ones((2, 2)))
+
+
 def test_conditional_target_factor_validates_slices():
     with pytest.raises(ValidationError):
         ConditionalFactor("y", ("x",), np.asarray([[0.9, 0.2], [0.5, 0.5]]))

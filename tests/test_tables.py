@@ -18,7 +18,9 @@ from divmin.tables import (
     conditional_entropy,
     entropy,
     expected_conditional_kl,
+    expected_log,
     kl,
+    log_conditional,
     marginalize,
     mutual_information,
     variational_mi_lower_bound,
@@ -228,6 +230,35 @@ def test_expected_conditional_kl_matches_loop_oracle():
     r = expected_conditional_kl(p, q, ["b"], ["a"])
     assert r.kl_nats == pytest.approx(oracle, abs=1e-12)
     assert not r.divergent
+
+
+@pytest.mark.parametrize("kind", [Table, UnnormalizedTable])
+def test_log_conditional_of_no_targets_is_zero_everywhere(kind):
+    # b = 1 has no mass, so ln m(b) is -inf there; ln m(() | b) is still ln 1.
+    scope = [Variable("a", 2, Role.PAST_INPUT), Variable("b", 2, Role.LATENT_STATE)]
+    weights = np.array([[0.25, 0.0], [0.75, 0.0]])
+    table = kind(scope, weights if kind is Table else 3.0 * weights)
+    out = np.broadcast_to(log_conditional(table, (), ("b",)), (2, 2))
+    assert np.array_equal(out, np.zeros((2, 2)))
+
+
+def test_expected_log_masks_unreached_outcomes_and_flags_reached_ones():
+    p = binary_pair([[0.5, 0.25], [0.25, 0.0]])
+    finite = np.log([[0.1, 0.2], [0.3, 0.4]])
+    value, divergent = expected_log(p, finite)
+    expected = 0.5 * math.log(0.1) + 0.25 * math.log(0.2) + 0.25 * math.log(0.3)
+    assert value == pytest.approx(expected)
+    assert not divergent
+
+    unreached = finite.copy()
+    unreached[1, 1] = -math.inf
+    assert expected_log(p, unreached) == (value, False)
+
+    reached = finite.copy()
+    reached[0, 1] = -math.inf
+    value, divergent = expected_log(p, reached)
+    assert value == pytest.approx(0.5 * math.log(0.1) + 0.25 * math.log(0.3))
+    assert divergent
 
 
 # --- mutual information ------------------------------------------------------

@@ -1,9 +1,11 @@
 """Behavior of the randomized verification suite driver."""
 
+import dataclasses
 import json
 
 import pytest
 
+import divmin.verify
 from divmin.errors import ConfigError
 from divmin.verify import check_names, run_suite
 
@@ -26,8 +28,16 @@ def test_check_names_are_unique_and_ordered():
     assert tuple(check.name for check in result.checks) == names
 
 
-def test_corrupt_flag_forces_a_reported_failure():
-    result = run_suite(seeds=3, draws=1, corrupt=True, only=["latent_side_identity"])
+def test_corrupt_flag_forces_a_reported_failure(monkeypatch):
+    # A split whose joint_kl is off by 1e-3 must surface as a failed check.
+    split = divmin.verify.decompose_latent_side
+
+    def skewed(system, target):
+        report = split(system, target)
+        return dataclasses.replace(report, joint_kl=report.joint_kl + 1e-3)
+
+    monkeypatch.setattr(divmin.verify, "decompose_latent_side", skewed)
+    result = run_suite(seeds=3, draws=1, only=["latent_side_identity"])
     assert not result.passed
     (check,) = result.checks
     assert not check.passed
