@@ -37,6 +37,7 @@ import numpy as np
 from .errors import CapacityError, ValidationError
 from .tables import (
     CAPACITY_LIMIT,
+    NORMALIZATION_TOL,
     Assignment,
     Role,
     Table,
@@ -46,9 +47,6 @@ from .tables import (
     _safe_log,
     log_conditional,
 )
-
-SLICE_NORMALIZATION_TOL = 1e-12
-
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Per-slice softmax along ``axis``; strictly positive for finite logits."""
@@ -145,7 +143,7 @@ class ActualSystem:
     tables and, for temporal presets, the time order used by per-step terms.
     """
 
-    __slots__ = ("variables", "factors", "topological_order", "_index")
+    __slots__ = ("variables", "factors", "_index")
 
     def __init__(
         self, variables: Sequence[Variable], factors: Iterable[FactorSpec]
@@ -166,7 +164,7 @@ class ActualSystem:
         if missing:
             raise ValidationError(f"variables without factors: {missing}")
         self.factors = {n: fdict[n] for n in names}
-        self.topological_order = self._check_acyclic()
+        self._check_acyclic()
         self._check_shapes()
         size = 1
         for v in self.variables:
@@ -180,8 +178,7 @@ class ActualSystem:
                 "system has no parameterized or point-mass factor, so there is nothing to choose"
             )
 
-    def _check_acyclic(self) -> tuple[str, ...]:
-        order: list[str] = []
+    def _check_acyclic(self) -> None:
         state: dict[str, int] = {}
 
         def visit(name: str, stack: tuple[str, ...]) -> None:
@@ -200,11 +197,9 @@ class ActualSystem:
                     raise ValidationError(f"factor {name!r} lists itself as a parent")
                 visit(p, stack + (name,))
             state[name] = 2
-            order.append(name)
 
         for v in self.variables:
             visit(v.name, ())
-        return tuple(order)
 
     def _check_shapes(self) -> None:
         for name, f in self.factors.items():
@@ -229,7 +224,7 @@ class ActualSystem:
                 if np.any(f.table < 0.0):
                     raise ValidationError(f"fixed factor for {name!r} has negative entries")
                 sums = f.table.sum(axis=-1)
-                if np.any(np.abs(sums - 1.0) > SLICE_NORMALIZATION_TOL):
+                if np.any(np.abs(sums - 1.0) > NORMALIZATION_TOL):
                     raise ValidationError(
                         f"fixed factor for {name!r} is not normalized per parent slice"
                     )
@@ -277,7 +272,6 @@ class ActualSystem:
         out = object.__new__(ActualSystem)
         out.variables = self.variables
         out.factors = factors
-        out.topological_order = self.topological_order
         out._index = self._index
         return out
 
@@ -352,7 +346,6 @@ class TableFactor:
 
     vars: tuple[str, ...]
     table: np.ndarray
-    normalized: bool = False
     log_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -380,7 +373,7 @@ class ConditionalFactor:
         if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
             raise ValidationError("target conditional factor must be finite and non-negative")
         sums = arr.sum(axis=-1)
-        if np.any(np.abs(sums - 1.0) > SLICE_NORMALIZATION_TOL):
+        if np.any(np.abs(sums - 1.0) > NORMALIZATION_TOL):
             raise ValidationError(
                 f"target conditional for {self.child!r} is not normalized per parent slice"
             )

@@ -348,14 +348,14 @@ def variational_mi_lower_bound(
     decoder: np.ndarray,
     x_vars: Iterable[str],
     z_vars: Iterable[str],
-    tol: float = 1e-9,
 ) -> float:
     """E_p[ln decoder(x | z) - ln p(x)], a lower bound on I[x; z].
 
     ``decoder`` is indexed by the z variables then the x variables, in the
-    given orders, and must be normalized over x within ``tol`` for every z.
-    The bound's gap to I[x; z] is E_p KL[p(x|z) || decoder(x|z)] >= 0.
-    Returns -inf when the decoder has no mass on a visited outcome.
+    given orders, and must be normalized over x within
+    ``NORMALIZATION_TOL`` for every z. The bound's gap to I[x; z] is
+    E_p KL[p(x|z) || decoder(x|z)] >= 0. Returns -inf when the decoder has
+    no mass on a visited outcome.
     """
     x_vars = _validate_subset(p, x_vars)
     z_vars = _validate_subset(p, z_vars)
@@ -373,27 +373,11 @@ def variational_mi_lower_bound(
     if np.any(dec < 0.0):
         raise ValidationError("decoder must be non-negative")
     sums = dec.reshape(z_shape + (-1,)).sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > tol):
+    if np.any(np.abs(sums - 1.0) > NORMALIZATION_TOL):
         raise ValidationError("decoder slices must each be normalized over x")
-
-    # Lay the decoder out over p's scope order and take the expectation.
-    src_axes = {n: i for i, n in enumerate(z_vars + x_vars)}
-    joint = marginalize(p, z_vars + x_vars) if set(p.names) != set(z_vars) | set(x_vars) else p
-    perm = [src_axes[n] for n in joint.names]
-    dec_t = np.transpose(dec, perm)
-    full = _expand_to_scope(dec_t, joint.names, joint.scope)
-    px = marginalize(joint, x_vars)
-    log_px = np.broadcast_to(
-        _expand_to_scope(np.log(np.where(px.probs > 0.0, px.probs, 1.0)), px.names, joint.scope),
-        joint.probs.shape,
-    )
-    full = np.broadcast_to(full, joint.probs.shape)
-    mask = joint.probs > 0.0
-    if np.any(mask & (full <= 0.0)):
-        return -math.inf
-    log_dec = _safe_log(full)
-    vals = joint.probs[mask] * (log_dec[mask] - log_px[mask])
-    return float(vals.sum())
+    log_dec = _expand_to_scope(_safe_log(dec), z_vars + x_vars, p.scope)
+    value, divergent = expected_log(p, log_dec, log_conditional(p, x_vars, ()))
+    return -math.inf if divergent else value
 
 
 def _expand_to_scope(

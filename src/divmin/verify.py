@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,60 +88,53 @@ class SuiteResult:
         }
 
 
-def _identity_on_generic(split) -> Callable[[int, int], tuple[int, float]]:
-    def run(seeds: int, draws: int) -> tuple[int, float]:
-        worst = 0.0
+# A sweep yields once per case: that case's error, or a tuple of errors
+# when the case tests several quantities. An error is a violation, so a
+# negative one is a bound that holds with room to spare.
+CaseErrors = float | tuple[float, ...]
+Sweep = Callable[[int, int], Iterator[CaseErrors]]
+
+
+def _identity_on_generic(split) -> Sweep:
+    def sweep(seeds: int, draws: int) -> Iterator[CaseErrors]:
         for seed in range(seeds):
             system, target, _ = randsys.generic_pair(seed)
-            worst = max(worst, abs(split(system, target).slack))
-        return seeds, worst
+            yield abs(split(system, target).slack)
 
-    return run
+    return sweep
 
 
-def _filter_split(seeds: int, draws: int) -> tuple[int, float]:
-    worst = 0.0
+def _filter_split(seeds: int, draws: int) -> Iterator[CaseErrors]:
     for seed in range(seeds):
         system, target, horizon = randsys.filter_pair(seed)
         report = bayesian_future_check(system, target, horizon)
-        worst = max(
-            worst,
-            abs(report.slack),
-            -min(0.0, report.terms["uncontrolled_future"]),
-        )
-    return seeds, worst
+        yield abs(report.slack), -report.terms["uncontrolled_future"]
 
 
-def _maxent_identity(seeds: int, draws: int) -> tuple[int, float]:
-    worst = 0.0
+def _maxent_identity(seeds: int, draws: int) -> Iterator[CaseErrors]:
     for seed in range(seeds):
         system, options, _ = randsys.control_pair(seed)
         objective = make_objective(
             "maxent_rl", system, options={"rewards": options["rewards"]}
         )
         phi = randsys.rng_for(seed, 30).normal(size=objective.parameters().shape)
-        worst = max(worst, abs(objective.report(phi).slack))
-    return seeds, worst
+        yield abs(objective.report(phi).slack)
 
 
-def _empowerment_bound(seeds: int, draws: int) -> tuple[int, float]:
-    worst = 0.0
+def _empowerment_bound(seeds: int, draws: int) -> Iterator[CaseErrors]:
     for seed in range(seeds):
         objective = make_objective("empowerment", randsys.channel_pair(seed))
         phi = randsys.rng_for(seed, 31).normal(size=objective.parameters().shape)
         report = objective.report(phi)
         bound = -objective.value(phi).total
-        worst = max(
-            worst,
+        yield (
             abs(report.slack),
             bound - report.extras["exact_mi"],
             report.extras["exact_mi"] - report.extras["mi_cap"],
         )
-    return seeds, max(0.0, worst)
 
 
-def _skill_identity(seeds: int, draws: int) -> tuple[int, float]:
-    worst = 0.0
+def _skill_identity(seeds: int, draws: int) -> Iterator[CaseErrors]:
     for seed in range(seeds):
         system, options, horizon = randsys.skill_pair(seed)
         objective = make_objective(
@@ -149,44 +142,39 @@ def _skill_identity(seeds: int, draws: int) -> tuple[int, float]:
         )
         phi = randsys.rng_for(seed, 32).normal(size=objective.parameters().shape)
         report = objective.report(phi)
-        worst = max(worst, abs(report.slack), abs(report.terms["control"]))
-    return seeds, worst
+        yield abs(report.slack), abs(report.terms["control"])
 
 
-def _time_split_bound(seeds: int, draws: int) -> tuple[int, float]:
-    worst = 0.0
+def _time_split_bound(seeds: int, draws: int) -> Iterator[CaseErrors]:
     for seed in range(seeds):
         system, target, horizon = randsys.generic_pair(seed)
-        worst = max(worst, -past_future_split(system, target, horizon).slack)
-    return seeds, max(0.0, worst)
+        yield -past_future_split(system, target, horizon).slack
 
 
-def _time_split_tightness(seeds: int, draws: int) -> tuple[int, float]:
-    worst = 0.0
+def _time_split_tightness(seeds: int, draws: int) -> Iterator[CaseErrors]:
     for seed in range(seeds):
         system, _, horizon = randsys.generic_pair(seed)
         target = randsys.tight_target(seed, system, horizon)
-        worst = max(worst, abs(past_future_split(system, target, horizon).slack))
-    return seeds, worst
+        yield abs(past_future_split(system, target, horizon).slack)
 
 
-def _exploration_bound(seeds: int, draws: int) -> tuple[int, float]:
-    worst = 0.0
+def _exploration_bound(seeds: int, draws: int) -> Iterator[CaseErrors]:
     for seed in range(seeds):
         system, horizon = randsys.belief_chain(seed)
         objective = make_objective("info_gain", system, horizon=horizon)
         phi = randsys.rng_for(seed, 33).normal(size=objective.parameters().shape)
         report = objective.report(phi)
-        worst = max(worst, -report.extras["info_gain_gap"], -report.slack)
         matched = TargetSpec(system.names, [MarginalMirror(("w",), ("x1", "x2"))])
         tight = make_objective("info_gain", system, target=matched, horizon=horizon)
         tight_phi = randsys.rng_for(seed, 37).normal(size=tight.parameters().shape)
-        worst = max(worst, abs(tight.report(tight_phi).extras["info_gain_gap"]))
-    return seeds, max(0.0, worst)
+        yield (
+            -report.extras["info_gain_gap"],
+            -report.slack,
+            abs(tight.report(tight_phi).extras["info_gain_gap"]),
+        )
 
 
-def _mi_variational(seeds: int, draws: int) -> tuple[int, float]:
-    worst = 0.0
+def _mi_variational(seeds: int, draws: int) -> Iterator[CaseErrors]:
     for seed in range(seeds):
         table = randsys.mi_table(seed)
         exact = mutual_information(table, ("u",), ("v",))
@@ -196,8 +184,7 @@ def _mi_variational(seeds: int, draws: int) -> tuple[int, float]:
         bound = variational_mi_lower_bound(table, guess, ("v",), ("u",))
         matched = table.probs / table.probs.sum(axis=1, keepdims=True)
         tight = variational_mi_lower_bound(table, matched, ("v",), ("u",))
-        worst = max(worst, bound - exact, abs(tight - exact))
-    return seeds, max(0.0, worst)
+        yield bound - exact, abs(tight - exact)
 
 
 _PRESET_FOR_FAMILY = {
@@ -225,8 +212,8 @@ def _family_objective(family: str) -> Objective:
     raise ConfigError(f"no verification instance for family {family!r}")
 
 
-def _certificate_error(objective: Objective, phi: np.ndarray) -> float:
-    """Worst disagreement between the engine evaluation and the report.
+def _certificate_error(objective: Objective, phi: np.ndarray) -> tuple[float, ...]:
+    """Disagreements between the engine evaluation and the report.
 
     Term names shared by both sides must carry the same value; totals must
     agree whenever the family claims they coincide; the report's own
@@ -234,50 +221,39 @@ def _certificate_error(objective: Objective, phi: np.ndarray) -> float:
     """
     evaluation = objective.value_and_gradient(phi).evaluation
     report = objective.report(phi)
-    err = 0.0
-    for name, value in evaluation.terms.items():
-        if name in report.terms:
-            err = max(err, abs(value - report.terms[name]))
+    errors = [
+        abs(value - report.terms[name])
+        for name, value in evaluation.terms.items()
+        if name in report.terms
+    ]
     if objective.total_matches_report:
-        err = max(err, abs(evaluation.total - report.total))
-    if report.relation == "equals":
-        err = max(err, abs(report.slack))
-    else:
-        err = max(err, -report.slack)
-    return max(0.0, err)
+        errors.append(abs(evaluation.total - report.total))
+    errors.append(abs(report.slack) if report.relation == "equals" else -report.slack)
+    return tuple(errors)
 
 
-def _certificate_check(family: str) -> Callable[[int, int], tuple[int, float]]:
-    def run(seeds: int, draws: int) -> tuple[int, float]:
+def _certificate_check(family: str) -> Sweep:
+    def sweep(seeds: int, draws: int) -> Iterator[CaseErrors]:
         objective = _family_objective(family)
         shape = objective.parameters().shape
-        worst = 0.0
         for index in range(draws):
             phi = randsys.rng_for(1000 + index, 9).normal(size=shape)
-            worst = max(worst, _certificate_error(objective, phi))
-        return draws, worst
+            yield _certificate_error(objective, phi)
 
-    return run
+    return sweep
 
 
-def _score_residual(seeds: int, draws: int) -> tuple[int, float]:
-    worst = 0.0
-    cases = 0
-    repeats = max(1, draws // 4)
+def _score_residual(seeds: int, draws: int) -> Iterator[CaseErrors]:
     for family in FAMILY_TAGS:
         objective = _family_objective(family)
         shape = objective.parameters().shape
-        for index in range(repeats):
+        for index in range(max(1, draws // 4)):
             phi = randsys.rng_for(2000 + index, 10).normal(size=shape)
-            worst = max(worst, objective.value_and_gradient(phi).score_residual)
-            cases += 1
-    return cases, worst
+            yield objective.value_and_gradient(phi).score_residual
 
 
-def _maxent_reduction(seeds: int, draws: int) -> tuple[int, float]:
-    worst = 0.0
-    cases = min(seeds, 20)
-    for seed in range(cases):
+def _maxent_reduction(seeds: int, draws: int) -> Iterator[CaseErrors]:
+    for seed in range(min(seeds, 20)):
         system, options, _ = randsys.control_pair(seed)
         rewards = {"rewards": options["rewards"]}
         maxent = make_objective("maxent_rl", system, options=rewards)
@@ -285,14 +261,11 @@ def _maxent_reduction(seeds: int, draws: int) -> tuple[int, float]:
             "kl_control", system, options=dict(rewards, mode="kl-control")
         )
         phi = randsys.rng_for(seed, 34).normal(size=maxent.parameters().shape)
-        worst = max(worst, abs(maxent.value(phi).total - control.value(phi).total))
-    return cases, worst
+        yield abs(maxent.value(phi).total - control.value(phi).total)
 
 
-def _reward_noise_invariance(seeds: int, draws: int) -> tuple[int, float]:
-    worst = 0.0
-    cases = min(seeds, 20)
-    for seed in range(cases):
+def _reward_noise_invariance(seeds: int, draws: int) -> Iterator[CaseErrors]:
+    for seed in range(min(seeds, 20)):
         system, options, _ = randsys.control_pair(seed)
         opts = {"rewards": options["rewards"], "mode": "expected-reward"}
         base = make_objective("kl_control", system, options=opts)
@@ -307,34 +280,32 @@ def _reward_noise_invariance(seeds: int, draws: int) -> tuple[int, float]:
         )
         bigger = make_objective("kl_control", extended, options=opts)
         phi = randsys.rng_for(seed, 36).normal(size=base.parameters().shape)
-        worst = max(worst, abs(base.value(phi).total - bigger.value(phi).total))
-    return cases, worst
+        yield abs(base.value(phi).total - bigger.value(phi).total)
 
 
-def _probability_core(seeds: int, draws: int) -> tuple[int, float]:
-    worst = 0.0
-    cases = min(seeds, 50)
-    for seed in range(cases):
+def _probability_core(seeds: int, draws: int) -> Iterator[CaseErrors]:
+    for seed in range(min(seeds, 50)):
         system, _, _ = randsys.generic_pair(seed)
         joint = build_joint(system)
-        worst = max(worst, abs(float(joint.probs.sum()) - 1.0))
         part = marginalize(joint, ("x1", "z2"))
-        worst = max(worst, abs(float(part.probs.sum()) - 1.0))
         h_all = entropy(joint)
         h_a = entropy(joint, ("x1", "z1"))
         h_b = entropy(joint, ("z2", "x2"))
-        worst = max(worst, h_all - h_a - h_b)
-        worst = max(worst, -h_a, h_a - math.log(4.0))
-        worst = max(worst, abs(kl(joint, joint).value))
         mi = mutual_information(joint, ("x1", "z1"), ("z2", "x2"))
-        worst = max(worst, -mi, abs((h_a + h_b - h_all) - mi))
-    return cases, max(0.0, worst)
+        yield (
+            abs(float(joint.probs.sum()) - 1.0),
+            abs(float(part.probs.sum()) - 1.0),
+            h_all - h_a - h_b,
+            -h_a,
+            h_a - math.log(4.0),
+            abs(kl(joint, joint).value),
+            -mi,
+            abs((h_a + h_b - h_all) - mi),
+        )
 
 
-def _belief_telescope(seeds: int, draws: int) -> tuple[int, float]:
-    worst = 0.0
-    cases = min(seeds, 50)
-    for seed in range(cases):
+def _belief_telescope(seeds: int, draws: int) -> Iterator[CaseErrors]:
+    for seed in range(min(seeds, 50)):
         system, horizon = randsys.belief_chain(seed)
         joint = build_joint(system)
         total_gain = mutual_information(joint, ("w",), ("x1", "x2"))
@@ -346,19 +317,21 @@ def _belief_telescope(seeds: int, draws: int) -> tuple[int, float]:
         second = float(
             np.sum(probs * (np.log(posterior) - np.log(prior_step)[:, :, None]))
         )
-        worst = max(worst, abs(first + second - total_gain), -second)
         matched = TargetSpec(system.names, [MarginalMirror(("w",), ("x1", "x2"))])
         objective = make_objective("info_gain", system, target=matched, horizon=horizon)
         report = objective.report(objective.parameters())
-        worst = max(worst, abs(report.terms["info_gain"] - total_gain))
-    return cases, max(0.0, worst)
+        yield (
+            abs(first + second - total_gain),
+            -second,
+            abs(report.terms["info_gain"] - total_gain),
+        )
 
 
 _IDENTITY_TOL = 1e-9
 
 
-def _checks() -> tuple[tuple[str, str, float, Callable[[int, int], tuple[int, float]]], ...]:
-    entries: list[tuple[str, str, float, Callable[[int, int], tuple[int, float]]]] = [
+def _checks() -> tuple[tuple[str, str, float, Sweep], ...]:
+    entries: list[tuple[str, str, float, Sweep]] = [
         ("latent_side_identity", "info_latent", _IDENTITY_TOL, _identity_on_generic(decompose_latent_side)),
         ("input_side_identity", "info_input", _IDENTITY_TOL, _identity_on_generic(decompose_input_side)),
         ("free_energy_identity", "efe", _IDENTITY_TOL, _identity_on_generic(expected_free_energy)),
@@ -417,14 +390,16 @@ def run_suite(
 
     start = time.perf_counter()
     results = []
-    for name, equation, tolerance, fn in entries:
-        cases, error = fn(seeds, draws)
+    for name, equation, tolerance, sweep in entries:
+        errors = list(sweep(seeds, draws))
+        # np.max passes a nan through, so a nan error fails its check.
+        error = np.max(np.hstack(errors), initial=0.0)
         results.append(
             CheckResult(
                 name=name,
                 equation=equation,
                 passed=bool(error <= tolerance),
-                cases=cases,
+                cases=len(errors),
                 max_error=float(error),
                 tolerance=tolerance,
             )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -66,6 +67,19 @@ def test_verify_corrupt_fails_with_exit_one(monkeypatch, capsys):
         return dataclasses.replace(report, joint_kl=report.joint_kl + 1e-3)
 
     monkeypatch.setattr(divmin.verify, "decompose_latent_side", skewed)
+    code = main(["verify", "--seeds", "2", "--draws", "1", "--only", "latent_side_identity"])
+    assert code == 1
+    assert "FAIL latent_side_identity" in capsys.readouterr().out
+
+
+def test_verify_nan_error_fails_with_exit_one(monkeypatch, capsys):
+    # A split whose joint_kl is nan must fail the run, not pass at error 0.
+    split = divmin.verify.decompose_latent_side
+
+    def broken(system, target):
+        return dataclasses.replace(split(system, target), joint_kl=math.nan)
+
+    monkeypatch.setattr(divmin.verify, "decompose_latent_side", broken)
     code = main(["verify", "--seeds", "2", "--draws", "1", "--only", "latent_side_identity"])
     assert code == 1
     assert "FAIL latent_side_identity" in capsys.readouterr().out

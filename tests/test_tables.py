@@ -332,6 +332,13 @@ def test_variational_bound_gap_is_expected_conditional_kl():
     assert bound <= mi + 1e-12
 
 
+def test_variational_bound_is_minus_inf_where_decoder_misses_support():
+    t = binary_pair([[0.25, 0.25], [0.25, 0.25]])
+    # dec(a=1 | b=0) = 0, yet p(a=1, b=0) > 0.
+    dec = np.asarray([[1.0, 0.0], [0.5, 0.5]])
+    assert variational_mi_lower_bound(t, dec, ["a"], ["b"]) == -math.inf
+
+
 def test_variational_bound_validates_decoder_normalization():
     t = binary_pair([[0.25, 0.25], [0.25, 0.25]])
     with pytest.raises(ValidationError):

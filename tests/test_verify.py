@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
 import divmin.verify
 from divmin.errors import ConfigError
+from divmin.objectives import FAMILY_TAGS
 from divmin.verify import check_names, run_suite
 
 
@@ -42,6 +44,31 @@ def test_corrupt_flag_forces_a_reported_failure(monkeypatch):
     (check,) = result.checks
     assert not check.passed
     assert check.max_error > check.tolerance
+
+
+def test_nan_case_error_fails_its_check(monkeypatch):
+    # max(0.0, nan) is 0.0 in Python; the driver must not drop a nan error.
+    split = divmin.verify.decompose_latent_side
+
+    def broken(system, target):
+        return dataclasses.replace(split(system, target), joint_kl=math.nan)
+
+    monkeypatch.setattr(divmin.verify, "decompose_latent_side", broken)
+    result = run_suite(seeds=3, draws=1, only=["latent_side_identity"])
+    assert not result.passed
+    (check,) = result.checks
+    assert not check.passed
+    assert math.isnan(check.max_error)
+    assert check.cases == 3
+
+
+def test_cases_count_yields_not_errors():
+    # empowerment_bound tests three quantities per seed, score_residual
+    # one per family and parameter draw.
+    result = run_suite(seeds=3, draws=8, only=["empowerment_bound", "score_residual"])
+    empowerment, score = result.checks
+    assert empowerment.cases == 3
+    assert score.cases == 2 * len(FAMILY_TAGS)
 
 
 def test_only_restricts_and_rejects_unknown_names():
