@@ -308,6 +308,18 @@ class _Block:
     residual: float
 
 
+@dataclass(frozen=True)
+class _QSide:
+    """The materialized target, its weights on the joint's axes, and a cache
+    of what is derived from the target alone: its marginals and the values
+    of the target-side sources. An engine whose target does not depend on
+    phi builds one and shares it between all its states."""
+
+    q: UnnormalizedTable
+    lift: np.ndarray
+    cache: dict = field(default_factory=dict)
+
+
 @dataclass
 class _State:
     """Everything derived from one parameter vector."""
@@ -316,9 +328,16 @@ class _State:
     target: TargetSpec
     joint: Table
     p: Table
-    q: UnnormalizedTable
-    q_lift: np.ndarray
+    q_side: _QSide
     cache: dict = field(default_factory=dict)
+
+    @property
+    def q(self) -> UnnormalizedTable:
+        return self.q_side.q
+
+    @property
+    def q_lift(self) -> np.ndarray:
+        return self.q_side.lift
 
     def marginal(self, which: str, keep: tuple[int, ...]) -> np.ndarray:
         """The keepdims marginal on ``keep`` of the actual measure (``"p"``),
@@ -326,11 +345,22 @@ class _State:
         joint's axes (``"q"``), cached."""
         if which == "joint" and self.p is self.joint:
             which = "p"  # no evidence: one measure, one cache entry
+        cache = self.q_side.cache if which == "q" else self.cache
         key = ("m", which, frozenset(keep))
-        if key not in self.cache:
+        if key not in cache:
             arr = {"p": self.p.probs, "joint": self.joint.probs, "q": self.q_lift}[which]
-            self.cache[key] = _marginal_on(arr, keep)
-        return self.cache[key]
+            cache[key] = _marginal_on(arr, keep)
+        return cache[key]
+
+
+def _depends_on_phi(factor: TargetFactor, system: ActualSystem) -> bool:
+    """Whether a target factor's values change with the parameter vector:
+    a parameterized factor, a marginal mirror of the joint, or a mirror of
+    a softmax factor of ``system``."""
+    if isinstance(factor, FactorMirror):
+        mirrored = system.factors.get(factor.child)
+        return mirrored is not None and mirrored.logits is not None
+    return isinstance(factor, (ParamFactor, MarginalMirror))
 
 
 class Engine:
@@ -348,6 +378,15 @@ class Engine:
     blocks realized into point masses, so the structure validated at
     construction is never validated again; only ``phi`` itself, the new
     logits and the materialized joint are checked per evaluation.
+
+    Construction also decides whether the target depends on ``phi``: it
+    does when some factor is parameterized, a marginal mirror of the joint,
+    or a mirror of a softmax factor of the realized system. A target that
+    does not, such as the dynamics, action prior and exp(reward) of a
+    control problem, is materialized by the first evaluation, and every
+    later one reuses it together with its weights on the joint's axes, its
+    marginals and the values of the target-side sources. Nothing is built
+    at construction, so an engine that is never evaluated costs nothing.
     """
 
     def __init__(
@@ -370,6 +409,10 @@ class Engine:
             system, self.realized, realization
         )
         self._validate_terms()
+        self._target_varies = any(
+            _depends_on_phi(f, self._realized_system) for f in target.factors
+        )
+        self._fixed_q_side: _QSide | None = None  # built by the first evaluation
 
     # -- construction checks ---------------------------------------------
 
@@ -435,15 +478,17 @@ class Engine:
         )
         target = self.target.with_logits(target_logits)
         joint = build_joint(realized_system)
-        q = build_target(target, realized_system, joint)
+        # Threads that race on a fixed target build and cache equal values,
+        # so the shared side needs no lock.
+        q_side = self._fixed_q_side
+        if q_side is None:
+            q = build_target(target, realized_system, joint)
+            q_side = _QSide(q, _expand_to_scope(q.weights, q.names, joint.scope))
+            if not self._target_varies:
+                self._fixed_q_side = q_side
         p = observe(joint, self._evidence) if self._evidence else joint
         return _State(
-            realized_system=realized_system,
-            target=target,
-            joint=joint,
-            p=p,
-            q=q,
-            q_lift=_expand_to_scope(q.weights, q.names, joint.scope),
+            realized_system=realized_system, target=target, joint=joint, p=p, q_side=q_side
         )
 
     # -- per-source arrays --------------------------------------------------
@@ -451,9 +496,10 @@ class Engine:
     def _source_values(self, src: LogSource, st: _State) -> np.ndarray:
         """A source's values on the joint's axes, with length one on every
         axis outside the source's own scope."""
-        key = ("v", id(src))
-        if key in st.cache:
-            return st.cache[key]
+        cache = st.cache if isinstance(src, (ActualLog, Payoff)) else st.q_side.cache
+        key = ("v", src)
+        if key in cache:
+            return cache[key]
         if isinstance(src, ActualLog):
             arr = self._log_conditional(st, "p", src.vars, src.given)
         elif isinstance(src, TargetLog):
@@ -473,7 +519,7 @@ class Engine:
             arr = _safe_log(st.q_lift)
         else:
             arr = _expand_to_scope(src.values, src.vars, st.joint.scope)
-        st.cache[key] = arr
+        cache[key] = arr
         return arr
 
     def _log_conditional(

@@ -290,17 +290,36 @@ class ActualSystem:
         return f"ActualSystem(variables={self.names}, factors={kinds})"
 
 
+def _grow(
+    acc: np.ndarray, term: np.ndarray, shape: tuple[int, ...], op: np.ufunc
+) -> np.ndarray:
+    """``op(acc, term)`` with broadcasting, in place once ``acc`` has the
+    full ``shape``.
+
+    A product or sum started from a ``(1,) * n`` identity grows to the
+    grid only as its factors span it, and each outcome still sees the same
+    operations in the same order, because 1 * x and 0 + x are exact. The
+    first full-size result is a fresh array, never a factor's own.
+    """
+    if acc.shape == shape:
+        return op(acc, term, out=acc)
+    return op(acc, term)
+
+
 def build_joint(system: ActualSystem) -> Table:
     """Multiply all factors into the exact joint table over the full scope."""
     shape = tuple(v.cardinality for v in system.variables)
-    probs = np.ones(shape, dtype=np.float64)
+    probs = np.ones((1,) * len(shape))
     for name, f in system.factors.items():
-        cond = system.factor_conditional(name)
-        probs = probs * _expand_to_scope(cond, f.parents + (name,), system.variables)
+        cond = _expand_to_scope(
+            system.factor_conditional(name), f.parents + (name,), system.variables
+        )
+        probs = _grow(probs, cond, shape, np.multiply)
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-10:
         raise ValidationError(f"materialized joint sums to {total!r}; factors are inconsistent")
-    return Table(system.variables, probs / total)
+    probs /= total
+    return Table(system.variables, probs, copy=False)
 
 
 def intervene(system: ActualSystem, realized: Assignment) -> ActualSystem:
@@ -575,14 +594,16 @@ def build_target(
         size *= c
     if size > CAPACITY_LIMIT:
         raise CapacityError(f"target outcome space of size {size} exceeds {CAPACITY_LIMIT}")
-    log_w = np.zeros(shape, dtype=np.float64)
     needs_joint = any(isinstance(f, MarginalMirror) for f in target.factors)
     if needs_joint and joint is None:
         joint = build_joint(system)
+    log_w = np.zeros((1,) * len(shape))
     for f in target.factors:
-        log_w = log_w + target_factor_log_array(f, target, system, joint)
-    weights = np.exp(log_w, where=np.isfinite(log_w), out=np.zeros_like(log_w))
-    return UnnormalizedTable(scope, weights)
+        log_w = _grow(log_w, target_factor_log_array(f, target, system, joint), shape, np.add)
+    # A scope variable that no factor touches still has length one here.
+    log_w = np.broadcast_to(log_w, shape)
+    weights = np.exp(log_w, where=np.isfinite(log_w), out=np.zeros(shape))
+    return UnnormalizedTable(scope, weights, copy=False)
 
 
 # ---------------------------------------------------------------------------

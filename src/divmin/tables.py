@@ -77,7 +77,11 @@ class Variable:
 Assignment = Mapping[str, int]
 
 
-def _as_probs(values: np.ndarray | Sequence, shape: tuple[int, ...]) -> np.ndarray:
+def _as_probs(
+    values: np.ndarray | Sequence, shape: tuple[int, ...], copy: bool = True
+) -> np.ndarray:
+    """``values`` as a checked, read-only float64 array: a copy, or with
+    ``copy=False`` the caller's own array, which it hands over."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != shape:
         raise ValidationError(f"array shape {arr.shape} does not match scope shape {shape}")
@@ -89,7 +93,8 @@ def _as_probs(values: np.ndarray | Sequence, shape: tuple[int, ...]) -> np.ndarr
         raise ValidationError("probabilities must be finite")
     if np.any(arr < 0.0):
         raise ValidationError("probabilities must be non-negative")
-    arr = arr.copy()
+    if copy:
+        arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -125,14 +130,18 @@ class Table(_Scoped):
     """An exact joint distribution over the product space of its scope.
 
     ``probs`` is indexed by one axis per scope variable, in scope order.
+    The constructor copies it, unless ``copy=False`` hands over a float64
+    array that nothing else writes; either way it is read-only afterwards.
     """
 
     __slots__ = ("probs",)
 
-    def __init__(self, scope: Sequence[Variable], probs: np.ndarray | Sequence) -> None:
+    def __init__(
+        self, scope: Sequence[Variable], probs: np.ndarray | Sequence, *, copy: bool = True
+    ) -> None:
         super().__init__(scope)
         shape = tuple(v.cardinality for v in self.scope)
-        arr = _as_probs(probs, shape)
+        arr = _as_probs(probs, shape, copy)
         total = float(arr.sum())
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValidationError(f"probabilities sum to {total!r}, not 1")
@@ -143,14 +152,17 @@ class Table(_Scoped):
 
 
 class UnnormalizedTable(_Scoped):
-    """Non-negative weights over a product space, with a cached ``ln Z``."""
+    """Non-negative weights over a product space, with a cached ``ln Z``;
+    ``copy`` as for :class:`Table`."""
 
     __slots__ = ("weights", "log_partition")
 
-    def __init__(self, scope: Sequence[Variable], weights: np.ndarray | Sequence) -> None:
+    def __init__(
+        self, scope: Sequence[Variable], weights: np.ndarray | Sequence, *, copy: bool = True
+    ) -> None:
         super().__init__(scope)
         shape = tuple(v.cardinality for v in self.scope)
-        arr = _as_probs(weights, shape)
+        arr = _as_probs(weights, shape, copy)
         total = float(arr.sum())
         if total <= 0.0:
             raise ValidationError("target weights must have positive total mass")
@@ -190,14 +202,17 @@ def _validate_subset(table: Table | UnnormalizedTable, names: Iterable[str]) -> 
 
 
 def marginalize(table: Table, keep: Iterable[str]) -> Table:
-    """Sum out everything except ``keep``; result scope keeps the original order."""
+    """Sum out everything except ``keep``; result scope keeps the original
+    order, and ``table`` itself comes back when ``keep`` covers its scope."""
     keep = _validate_subset(table, keep)
     if not keep:
         raise ValidationError("keep must name at least one variable")
     drop_axes = tuple(i for i, v in enumerate(table.scope) if v.name not in keep)
-    marg = table.probs.sum(axis=drop_axes) if drop_axes else table.probs
+    if not drop_axes:
+        return table
+    marg = table.probs.sum(axis=drop_axes)
     new_scope = tuple(v for v in table.scope if v.name in keep)
-    return Table(new_scope, marg)
+    return Table(new_scope, marg, copy=False)
 
 
 def reorder(table: Table, names: Iterable[str]) -> Table:

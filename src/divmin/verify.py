@@ -13,6 +13,7 @@ reported for one seed can be replayed in isolation.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections.abc import Callable, Iterable, Iterator
@@ -32,7 +33,14 @@ from .decomp import (
 from .errors import ConfigError
 from .objectives import FAMILY_TAGS, Objective, from_preset, make_objective
 from .presets import preset
-from .systems import ActualSystem, FactorSpec, MarginalMirror, TargetSpec, build_joint
+from .systems import (
+    ActualSystem,
+    FactorSpec,
+    Horizon,
+    MarginalMirror,
+    TargetSpec,
+    build_joint,
+)
 from .tables import (
     Role,
     Variable,
@@ -93,12 +101,14 @@ class SuiteResult:
 # negative one is a bound that holds with room to spare.
 CaseErrors = float | tuple[float, ...]
 Sweep = Callable[[int, int], Iterator[CaseErrors]]
+# randsys.generic_pair, or a memo of it shared by the checks of one run.
+GenericPairs = Callable[[int], tuple[ActualSystem, TargetSpec, Horizon]]
 
 
-def _identity_on_generic(split) -> Sweep:
+def _identity_on_generic(split, generic_pair: GenericPairs) -> Sweep:
     def sweep(seeds: int, draws: int) -> Iterator[CaseErrors]:
         for seed in range(seeds):
-            system, target, _ = randsys.generic_pair(seed)
+            system, target, _ = generic_pair(seed)
             yield abs(split(system, target).slack)
 
     return sweep
@@ -145,15 +155,19 @@ def _skill_identity(seeds: int, draws: int) -> Iterator[CaseErrors]:
         yield abs(report.slack), abs(report.terms["control"])
 
 
-def _time_split_bound(seeds: int, draws: int) -> Iterator[CaseErrors]:
+def _time_split_bound(
+    generic_pair: GenericPairs, seeds: int, draws: int
+) -> Iterator[CaseErrors]:
     for seed in range(seeds):
-        system, target, horizon = randsys.generic_pair(seed)
+        system, target, horizon = generic_pair(seed)
         yield -past_future_split(system, target, horizon).slack
 
 
-def _time_split_tightness(seeds: int, draws: int) -> Iterator[CaseErrors]:
+def _time_split_tightness(
+    generic_pair: GenericPairs, seeds: int, draws: int
+) -> Iterator[CaseErrors]:
     for seed in range(seeds):
-        system, _, horizon = randsys.generic_pair(seed)
+        system, _, horizon = generic_pair(seed)
         target = randsys.tight_target(seed, system, horizon)
         yield abs(past_future_split(system, target, horizon).slack)
 
@@ -283,9 +297,11 @@ def _reward_noise_invariance(seeds: int, draws: int) -> Iterator[CaseErrors]:
         yield abs(base.value(phi).total - bigger.value(phi).total)
 
 
-def _probability_core(seeds: int, draws: int) -> Iterator[CaseErrors]:
+def _probability_core(
+    generic_pair: GenericPairs, seeds: int, draws: int
+) -> Iterator[CaseErrors]:
     for seed in range(min(seeds, 50)):
-        system, _, _ = randsys.generic_pair(seed)
+        system, _, _ = generic_pair(seed)
         joint = build_joint(system)
         part = marginalize(joint, ("x1", "z2"))
         h_all = entropy(joint)
@@ -331,17 +347,21 @@ _IDENTITY_TOL = 1e-9
 
 
 def _checks() -> tuple[tuple[str, str, float, Sweep], ...]:
+    """The checks in execution order. Seven of them sweep the same generic
+    pairs, so each pair is built once per call and shared; the systems and
+    targets are immutable, so sharing them changes no result."""
+    generic = functools.cache(randsys.generic_pair)
     entries: list[tuple[str, str, float, Sweep]] = [
-        ("latent_side_identity", "info_latent", _IDENTITY_TOL, _identity_on_generic(decompose_latent_side)),
-        ("input_side_identity", "info_input", _IDENTITY_TOL, _identity_on_generic(decompose_input_side)),
-        ("free_energy_identity", "efe", _IDENTITY_TOL, _identity_on_generic(expected_free_energy)),
-        ("energy_entropy_identity", "energy_entropy", _IDENTITY_TOL, _identity_on_generic(energy_entropy)),
+        ("latent_side_identity", "info_latent", _IDENTITY_TOL, _identity_on_generic(decompose_latent_side, generic)),
+        ("input_side_identity", "info_input", _IDENTITY_TOL, _identity_on_generic(decompose_input_side, generic)),
+        ("free_energy_identity", "efe", _IDENTITY_TOL, _identity_on_generic(expected_free_energy, generic)),
+        ("energy_entropy_identity", "energy_entropy", _IDENTITY_TOL, _identity_on_generic(energy_entropy, generic)),
         ("filter_split_identity", "missing_data", _IDENTITY_TOL, _filter_split),
         ("maxent_policy_identity", "maxentrl", _IDENTITY_TOL, _maxent_identity),
         ("empowerment_bound", "empowerment", _IDENTITY_TOL, _empowerment_bound),
         ("skill_separation_identity", "skills", _IDENTITY_TOL, _skill_identity),
-        ("time_split_bound", "combined", 1e-10, _time_split_bound),
-        ("time_split_tightness", "combined", _IDENTITY_TOL, _time_split_tightness),
+        ("time_split_bound", "combined", 1e-10, functools.partial(_time_split_bound, generic)),
+        ("time_split_tightness", "combined", _IDENTITY_TOL, functools.partial(_time_split_tightness, generic)),
         ("exploration_bound", "infogain", 1e-10, _exploration_bound),
         ("mi_variational_bound", "varmi", 1e-10, _mi_variational),
     ]
@@ -352,7 +372,7 @@ def _checks() -> tuple[tuple[str, str, float, Sweep], ...]:
             ("score_residual", "score", 1e-10, _score_residual),
             ("maxent_uniform_reduction", "maxentrl", 1e-12, _maxent_reduction),
             ("reward_noise_invariance", "control", 1e-12, _reward_noise_invariance),
-            ("probability_core", "core", _IDENTITY_TOL, _probability_core),
+            ("probability_core", "core", _IDENTITY_TOL, functools.partial(_probability_core, generic)),
             ("belief_update_telescope", "infogain", _IDENTITY_TOL, _belief_telescope),
         ]
     )

@@ -607,3 +607,55 @@ def test_natural_direction_skips_unreached_parent_slices():
     np.testing.assert_allclose(d[0], want - want.mean(), rtol=0, atol=1e-12)
     assert np.all(d[1] == 0.0)
     assert float(np.dot(res.grad, res.direction)) > 0.0
+
+
+def action_system():
+    variables = [
+        Variable("x", 2, Role.PAST_INPUT),
+        Variable("a", 2, Role.ACTION),
+        Variable("y", 2, Role.FUTURE_INPUT),
+    ]
+    factors = [
+        FactorSpec.fixed("x", (), [0.3, 0.7]),
+        FactorSpec.parameterized("a", ("x",), [[0.2, -0.4], [0.5, 0.1]]),
+        FactorSpec.fixed("y", ("x", "a"), [[[0.6, 0.4], [0.2, 0.8]], [[0.5, 0.5], [0.9, 0.1]]]),
+    ]
+    return ActualSystem(variables, factors)
+
+
+@pytest.mark.parametrize(
+    "factor, realized, varies",
+    [
+        (FactorMirror("a"), None, True),  # mirrors a softmax factor
+        (MarginalMirror(("y",), ("x",)), None, True),
+        (ParamFactor("a", ("y",), np.zeros((2, 2))), None, True),
+        (FactorMirror("y"), None, False),  # mirrors a fixed factor
+        (FactorMirror("a"), {"a": 1}, False),  # the softmax is realized away
+        (TableFactor(("a",), np.asarray([0.4, 0.6])), None, False),
+    ],
+)
+def test_target_is_built_once_unless_it_depends_on_phi(factor, realized, varies, monkeypatch):
+    import divmin.engine
+
+    calls = []
+    build = divmin.engine.build_target
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(divmin.engine, "build_target", counted)
+    system = action_system()
+    target = TargetSpec(("x", "a", "y"), [RewardFactor(("y",), np.asarray([0.0, 1.0])), factor])
+    eng = Engine(system, target, kl_terms(("x", "a", "y")), lnz_coeff=1.0, realized=realized)
+    assert calls == []  # nothing is built before the first evaluation
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        phi = rng.standard_normal(eng.parameters().size)
+        got = eng.value_and_gradient(phi)
+    assert len(calls) == (3 if varies else 1)
+    fresh = Engine(system, target, kl_terms(("x", "a", "y")), lnz_coeff=1.0, realized=realized)
+    want = fresh.value_and_gradient(phi)
+    assert got.evaluation == want.evaluation
+    assert np.array_equal(got.grad, want.grad)
+    assert np.array_equal(got.direction, want.direction)

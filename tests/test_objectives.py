@@ -703,3 +703,25 @@ def test_logit_swaps_match_fully_validated_systems(kind, key):
             assert got.log_partition == reference.evaluation.log_partition
         assert np.array_equal(fast.grad, reference.grad)
         assert fast.score_residual == reference.score_residual
+
+
+@pytest.mark.parametrize("kind, key", SWAP_CASES)
+def test_earlier_evaluations_leave_no_stale_state(kind, key):
+    # An engine whose target does not depend on phi keeps the target built
+    # by its first evaluation; nothing derived from an earlier phi may leak
+    # into a later one.
+    obj = swap_objective(kind, key)
+    rng = np.random.default_rng(29)
+    phi_a, phi_b = (rng.standard_normal(obj.parameters().size) for _ in range(2))
+    obj.value_and_gradient(phi_b)
+    value = obj.value(phi_a)
+    fast = obj.value_and_gradient(phi_a)
+    reference = swap_objective(kind, key).value_and_gradient(phi_a)
+    want = reference.evaluation
+    for got in (value, fast.evaluation):
+        assert got.total == want.total
+        assert dict(got.terms) == dict(want.terms)
+        assert got.log_partition == want.log_partition
+    assert np.array_equal(fast.grad, reference.grad)
+    assert np.array_equal(fast.direction, reference.direction)
+    assert fast.score_residual == reference.score_residual

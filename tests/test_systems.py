@@ -136,6 +136,28 @@ def test_build_joint_invariant_to_declaration_order():
     assert np.allclose(a.probs, np.transpose(b.probs, (1, 0)), atol=1e-12)
 
 
+def test_build_joint_with_a_child_declared_before_its_parent():
+    # z is declared first, so the product starts from z's factor, which
+    # spans (z, x) before x's own factor is multiplied in.
+    variables = [Variable("z", 3, Role.LATENT_STATE), Variable("x", 2, Role.PAST_INPUT)]
+    px = [0.25, 0.75]
+    factors = [
+        FactorSpec.parameterized("z", ("x",), [[0.3, -0.3, 0.1], [0.5, -0.5, 0.2]]),
+        FactorSpec.fixed("x", (), px),
+    ]
+    system = ActualSystem(variables, factors)
+    joint = build_joint(system)
+    pz = system.factor_conditional("z")  # indexed (x, z)
+    want = np.empty((3, 2))
+    for z in range(3):
+        for x in range(2):
+            want[z, x] = pz[x, z] * px[x]
+    assert np.array_equal(joint.probs, want / want.sum())
+    assert not joint.probs.flags.writeable
+    with pytest.raises(ValueError):
+        joint.probs[0, 0] = 0.0
+
+
 def test_point_mass_factor_materializes_one_hot():
     variables = [Variable("x", 2, Role.PAST_INPUT), Variable("a", 3, Role.ACTION)]
     factors = [
@@ -315,6 +337,36 @@ def test_target_scope_without_factors_is_uniform_weight():
     t = build_target(target, sys_)
     # x has no factor: weight 1 for both x outcomes.
     assert np.allclose(t.weights, np.tile([0.2, 0.8], (2, 1)), atol=1e-15)
+
+
+def test_target_weighs_a_scope_variable_no_factor_touches_exactly_one():
+    sys_ = chain_system()
+    table = np.asarray([[0.0, 0.3], [0.6, 0.1]])  # over (x2, x1)
+    target = TargetSpec(
+        ("x1", "a", "x2"),
+        [TableFactor(("x2", "x1"), table), RewardFactor(("x1",), np.asarray([0.2, -0.4]))],
+    )
+    t = build_target(target, sys_)
+    # On the full (x1, a, x2) grid: 0 + ln table + reward, with a repeated.
+    with np.errstate(divide="ignore"):
+        log_table = np.log(table).T[:, None, :]
+    reward = np.asarray([0.2, -0.4])[:, None, None]
+    log_w = np.zeros((2, 2, 2)) + log_table + reward
+    want = np.where(np.isfinite(log_w), np.exp(log_w), 0.0)
+    assert np.array_equal(t.weights, want)
+    assert np.all(t.weights[0, :, 0] == 0.0)
+    assert not t.weights.flags.writeable
+
+
+def test_target_with_a_single_factor():
+    sys_ = chain_system()
+    rewards = np.asarray([[0.5, -1.0], [0.25, 2.0]])  # over (x2, a)
+    target = TargetSpec(("a", "x2"), [RewardFactor(("x2", "a"), rewards)])
+    t = build_target(target, sys_)
+    want = np.exp(np.zeros((2, 2)) + rewards.T)
+    assert np.array_equal(t.weights, want)
+    assert t.log_partition == math.log(want.sum())
+    assert not t.weights.flags.writeable
 
 
 def test_factor_mirror_copies_current_system_factor():

@@ -101,6 +101,24 @@ def test_marginalize_keeps_scope_order():
     assert np.allclose(m.probs, probs.sum(axis=1), atol=1e-15)
 
 
+def test_marginalize_onto_the_whole_scope_returns_the_table():
+    t = binary_pair([[0.1, 0.2], [0.3, 0.4]])
+    assert marginalize(t, ["b", "a"]) is t
+    m = marginalize(t, ["b"])
+    assert not m.probs.flags.writeable
+
+
+def test_table_copies_its_input_unless_handed_over():
+    scope = binary_pair([[0.1, 0.2], [0.3, 0.4]]).scope
+    probs = np.asarray([[0.1, 0.2], [0.3, 0.4]])
+    copied = Table(scope, probs)
+    assert copied.probs is not probs and probs.flags.writeable
+    adopted = Table(scope, probs, copy=False)
+    assert adopted.probs is probs and not probs.flags.writeable
+    with pytest.raises(ValidationError):
+        Table(scope, -probs.copy(), copy=False)
+
+
 def test_marginalize_unknown_name_errors():
     t = binary_pair([[0.1, 0.2], [0.3, 0.4]])
     with pytest.raises(ValidationError):

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import divmin.randsys
 import divmin.verify
 from divmin.errors import ConfigError
 from divmin.objectives import FAMILY_TAGS
@@ -94,3 +95,31 @@ def test_results_serialize_to_plain_json():
     assert set(check) == {
         "name", "equation", "passed", "cases", "max_error", "tolerance",
     }
+
+
+def test_each_run_builds_each_generic_pair_once(monkeypatch):
+    # Seven checks sweep the same generic pairs; one run shares them, and a
+    # second run builds its own rather than reusing the first run's.
+    built = []
+    generic_pair = divmin.randsys.generic_pair
+
+    def counted(seed):
+        built.append(seed)
+        return generic_pair(seed)
+
+    monkeypatch.setattr(divmin.randsys, "generic_pair", counted)
+    only = [
+        "latent_side_identity",
+        "input_side_identity",
+        "free_energy_identity",
+        "energy_entropy_identity",
+        "time_split_bound",
+        "time_split_tightness",
+        "probability_core",
+    ]
+    first = run_suite(seeds=3, draws=1, only=only)
+    assert sorted(built) == [0, 1, 2]
+    second = run_suite(seeds=3, draws=1, only=only)
+    assert sorted(built) == [0, 0, 1, 1, 2, 2]
+    assert first.to_dict() == second.to_dict()
+    assert first.passed
