@@ -51,7 +51,7 @@ __all__ = [
     "parse_config",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _target_factor_schema(kind: str, fields: dict) -> dict:
@@ -88,13 +88,6 @@ SCHEMA: dict = {
             "properties": {
                 "max_iters": {"type": "integer", "minimum": 1},
                 "grad_tol": {"type": "number", "exclusiveMinimum": 0},
-                "initial_step": {"type": "number", "exclusiveMinimum": 0},
-                "max_halvings": {"type": "integer", "minimum": 0},
-                "armijo": {
-                    "type": "number",
-                    "exclusiveMinimum": 0,
-                    "exclusiveMaximum": 1,
-                },
             },
             "additionalProperties": False,
         },

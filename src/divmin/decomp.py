@@ -148,7 +148,8 @@ def realize(
     Actions and skills are substituted into the system unless
     ``realization="condition"`` demotes them to evidence; observed past
     inputs always become evidence, since observing an exogenous input never
-    severs its incoming arrows.
+    severs its incoming arrows. Every value is range-checked here, so an
+    objective with an impossible realization fails when it is built.
     """
     if realization not in ("intervene", "condition"):
         raise ValidationError(
@@ -157,15 +158,21 @@ def realize(
     substituted: dict[str, int] = {}
     evidence: dict[str, int] = {}
     for name, value in dict(realized or {}).items():
-        role = system.variable(name).role
+        variable = system.variable(name)
+        role = variable.role
         if not role.realizable:
             raise ValidationError(
                 f"cannot realize {name!r} with role {role.value}"
             )
+        value = int(value)
+        if not 0 <= value < variable.cardinality:
+            raise ValidationError(
+                f"realized {name}={value} out of range for cardinality {variable.cardinality}"
+            )
         if role is Role.PAST_INPUT or realization == "condition":
-            evidence[name] = int(value)
+            evidence[name] = value
         else:
-            substituted[name] = int(value)
+            substituted[name] = value
     return (intervene(system, substituted) if substituted else system), evidence
 
 

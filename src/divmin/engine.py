@@ -8,8 +8,10 @@ normalizer:
 
 where each integrand V_k is built from four kinds of sources: conditional
 log-marginals of the actual distribution, conditional log-marginals of the
-normalized target, the raw unnormalized target log-weight, and fixed payoff
-arrays. Differentiation goes through both the measure and the integrand,
+normalized target, the log of one target factor, and fixed payoff arrays.
+The raw unnormalized target log-weight is the sum of its factors' logs,
+ln q~ = sum_i ln f_i, so a functional reads it as one factor log per
+factor. Differentiation goes through both the measure and the integrand,
 
     dF = sum_k c_k ( E_p[ s_p (V_k - E_p V_k) ] + E_p[ dV_k ] ) + c_Z E_q[ s_q ],
 
@@ -37,9 +39,8 @@ against scores, and the fields are assembled from scope-local parts:
 
 * the measure part is a single p-field, p h with h = sum_k c_k (V_k -
   E_p V_k) summed by broadcasting, contracted against s_p;
-* the raw target log and one target factor's log contribute c p to the
-  fields of every target factor and of that factor alone, so only their
-  scalar coefficients are summed;
+* one target factor's log contributes c p to that factor's field alone,
+  so only its scalar coefficient is summed;
 * ln q(G | H) contributes c q (p(A)/q(A) - p(H)/q(H)), with A = G + H,
   by the tower property E_p[ E_q[s | A] ] = E_q[ (p(A)/q(A)) s ], and
   ln Z contributes c_Z q / Z. Both are q r for one scope-local r. Here q
@@ -47,13 +48,12 @@ against scores, and the fields are assembled from scope-local parts:
   each target outcome, so every q-marginal, Z included, counts k copies;
 * ln p(G | H) adds nothing, since E_p[ E_p[s | A] ] - E_p[ E_p[s | H] ] = 0.
 
-A target factor's field, (c_raw + c_own) p + q r, goes to the block its
-score lives in: a parameterized factor's own block, a factor mirror's
-child block on the system side, and, for a marginal mirror j(G | H) of
-the joint j, the p-field gains j (F(A)/j(A) - F(H)/j(H)) by the same
-tower property. Each outcome-sized field is built once, and only when a
-live block consumes it; where no target factor has one, no target field
-is built at all.
+A target factor's field, c p + q r, goes to the block its score lives
+in: a parameterized factor's own block, a factor mirror's child block on
+the system side, and, for a marginal mirror j(G | H) of the joint j, the
+p-field gains j (F(A)/j(A) - F(H)/j(H)) by the same tower property. Each
+outcome-sized field is built once, and only when a live block consumes
+it; where no target factor has one, no target field is built at all.
 
 For a softmax factor the score of logit (parents', c') is 1[parents =
 parents'] (1[child = c'] - sigma_c'), so a field contracts against a block
@@ -100,6 +100,7 @@ from .systems import (
     ParamFactor,
     TargetFactor,
     TargetSpec,
+    _frozen,
     build_joint,
     build_target,
     softmax,
@@ -133,11 +134,6 @@ class TargetLog:
 
 
 @dataclass(frozen=True, eq=False)
-class TargetLogRaw:
-    """ln q~(omega), the raw unnormalized target log-weight."""
-
-
-@dataclass(frozen=True, eq=False)
 class TargetFactorLog:
     """ln of one target factor's value at omega, by position in the target.
 
@@ -158,14 +154,10 @@ class Payoff:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=np.float64)
-        )
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError("payoff values must be finite")
+        object.__setattr__(self, "values", _frozen(self.values, "payoff values"))
 
 
-LogSource = ActualLog | TargetLog | TargetLogRaw | TargetFactorLog | Payoff
+LogSource = ActualLog | TargetLog | TargetFactorLog | Payoff
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,8 +444,6 @@ class Engine:
                             f"{src.index}, but the target has "
                             f"{len(self.target.factors)} factors"
                         )
-                elif isinstance(src, TargetLogRaw):
-                    missing = set()
                 else:
                     raise ValidationError(
                         f"unknown source type {type(src).__name__}"
@@ -515,8 +505,6 @@ class Engine:
             for a, n in zip(axes, raw.shape):
                 shape[a] = n
             arr = raw.transpose(np.argsort(axes)).reshape(shape)
-        elif isinstance(src, TargetLogRaw):
-            arr = _safe_log(st.q_lift)
         else:
             arr = _expand_to_scope(src.values, src.vars, st.joint.scope)
         cache[key] = arr
@@ -548,8 +536,7 @@ class Engine:
         values: dict[str, float] = {}
         divergent = False
         centred = np.zeros(ones)  # sum_t c_t (V_t - E_p V_t), for the p-field
-        c_raw = 0.0  # coefficient of p in every target factor's field
-        c_own: dict[int, float] = {}  # ... and in one target factor's field
+        c_factor: dict[int, float] = {}  # coefficient of p in a target factor's field
         towers: list[tuple[float, TargetLog]] = []
         for term in self.terms:
             v = np.zeros(ones)
@@ -574,10 +561,8 @@ class Engine:
             # expectation: E_p[ E_p[s | G, H] - E_p[s | H] ] = 0.
             for w, src in term.parts:
                 c = term.coeff * w
-                if isinstance(src, TargetLogRaw):
-                    c_raw += c
-                elif isinstance(src, TargetFactorLog):
-                    c_own[src.index] = c_own.get(src.index, 0.0) + c
+                if isinstance(src, TargetFactorLog):
+                    c_factor[src.index] = c_factor.get(src.index, 0.0) + c
                 elif isinstance(src, TargetLog) and src.vars:
                     towers.append((c, src))
         parts = [term.coeff * values[term.name] for term in self.terms]
@@ -591,7 +576,7 @@ class Engine:
         )
         if not with_grad:
             return evaluation
-        grad, direction, residual = self._contract(st, centred, c_raw, c_own, towers)
+        grad, direction, residual = self._contract(st, centred, c_factor, towers)
         return GradientEvaluation(evaluation, grad, direction, residual)
 
     @staticmethod
@@ -626,8 +611,7 @@ class Engine:
         self,
         st: _State,
         centred: np.ndarray,
-        c_raw: float,
-        c_own: dict[int, float],
+        c_factor: dict[int, float],
         towers: list[tuple[float, TargetLog]],
     ) -> tuple[np.ndarray, np.ndarray, float]:
         """Builds each weight field once and only for the live blocks that
@@ -657,8 +641,8 @@ class Engine:
         q_part = None if r is None else np.broadcast_to(st.q_lift * r, pm.shape)
         own: dict[tuple[str, str], np.ndarray] = {}  # fields for one block only
         for idx, tf, key in consumers:
-            # (c_raw + c_own) p + q r, skipped where it is zero
-            c = c_raw + c_own.get(idx, 0.0)
+            # c p + q r, skipped where it is zero
+            c = c_factor.get(idx, 0.0)
             if c == 0.0 and q_part is None:
                 continue
             f = q_part if c == 0.0 else c * pm if q_part is None else c * pm + q_part

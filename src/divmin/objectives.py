@@ -101,7 +101,6 @@ from .engine import (
     Payoff,
     TargetFactorLog,
     TargetLog,
-    TargetLogRaw,
     Term,
 )
 from .errors import ConfigError
@@ -287,6 +286,12 @@ def _reject_target(family: str, target: TargetSpec | None, instead: str) -> None
         )
 
 
+def _minus_raw_log(target: TargetSpec) -> tuple[tuple[float, TargetFactorLog], ...]:
+    """-ln q~ as term parts: the raw target log-weight is the sum of its
+    factors' logs, so one factor log per target factor."""
+    return tuple((-1.0, TargetFactorLog(i)) for i in range(len(target.factors)))
+
+
 # ---------------------------------------------------------------------------
 # joint_kl
 
@@ -296,7 +301,7 @@ def _build_joint_kl(system, target, horizon, options, realized, realization) -> 
     if target is None:
         raise ConfigError("family 'joint_kl' needs an explicit target")
     terms = [
-        Term("cross", 1.0, ((1.0, ActualLog(tuple(target.scope))), (-1.0, TargetLogRaw()))),
+        Term("cross", 1.0, ((1.0, ActualLog(tuple(target.scope))), *_minus_raw_log(target))),
     ]
 
     def report(tgt, p, q, joint, rsys) -> Report:
@@ -411,7 +416,7 @@ def _build_map(system, target, horizon, options, realized, realization) -> Parts
     if target is None:
         raise ConfigError("family 'map_point_mass' needs an explicit target")
     terms = [
-        Term("energy", 1.0, ((-1.0, TargetLogRaw()),)),
+        Term("energy", 1.0, _minus_raw_log(target)),
         Term("entropy", -1.0, ((-1.0, ActualLog(tuple(target.scope))),)),
     ]
 

@@ -15,16 +15,15 @@ descent direction; where g . d is not positive, as for a ln Z term whose
 target-weighted gradient lives only on slices the actual distribution
 never reaches, the search falls back to d = g.
 
-Each line search starts from ``initial_step``, 1 by default, the mirror
-step, and halves until the strict Armijo condition f(phi - t d) <
-f(phi) - c t g . d holds, rejecting any candidate whose evaluation is
+Each line search starts from the mirror step, 1, and halves it at most
+30 times until the strict Armijo condition f(phi - t d) < f(phi) - c t
+g . d holds, with c = 1e-4, rejecting any candidate whose evaluation is
 divergent or non-finite. That candidates are rejected rather than
 compared means divergent regions act as infinite walls, so descent
 never walks onto a zero of the target that carries actual mass. No
-step above ``initial_step`` is tried: plain gradient descent needed
-steps of up to 1e6 to follow logits running off to infinity at boundary
-optima, and the 1 / (occupancy sigma) scaling of d does that stretching
-itself.
+step above 1 is tried: plain gradient descent needed steps of up to 1e6
+to follow logits running off to infinity at boundary optima, and the
+1 / (occupancy sigma) scaling of d does that stretching itself.
 
 Near a minimum the Armijo decrease falls below the rounding of the total,
 a few float spacings of its summed term magnitudes. A candidate whose
@@ -82,6 +81,12 @@ __all__ = [
 # term magnitudes are level up to rounding.
 _ROUNDING = 4.0 * np.finfo(np.float64).eps
 
+# The line search: its first trial step (the mirror step), how often it may
+# halve that step, and the fraction of the linear decrease it demands.
+_INITIAL_STEP = 1.0
+_MAX_HALVINGS = 30
+_ARMIJO = 1.0e-4
+
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -122,22 +127,20 @@ class OptimTrace:
 def minimize(
     objective: Objective,
     phi0: np.ndarray | None = None,
+    *,
     max_iters: int = 5000,
     grad_tol: float = 1.0e-7,
-    initial_step: float = 1.0,
-    max_halvings: int = 30,
-    armijo: float = 1.0e-4,
 ) -> OptimTrace:
     """Natural-gradient descent until the max-abs gradient entry falls under
     ``grad_tol``.
 
     Each iteration searches along the objective's natural direction d,
     falling back to the gradient g when g . d is not positive. The line
-    search starts every iteration from ``initial_step``, whose default 1
-    is the mirror step, and halves it up to ``max_halvings`` times until
-    f(phi - t d) < f(phi) - ``armijo`` t g . d, or until a candidate level
-    with f(phi) up to rounding still slopes downhill along d and has a
-    smaller max-abs gradient. Only
+    search starts every iteration from the mirror step 1 and halves it up
+    to 30 times until f(phi - t d) < f(phi) - 1e-4 t g . d, or until a
+    candidate level with f(phi) up to rounding still slopes downhill along
+    d and has a smaller max-abs gradient. The keywords are exactly the
+    ``optimizer`` settings a run configuration may give. Only
     ``parameters``, ``value`` and ``value_and_gradient`` of ``objective``
     are called.
 
@@ -145,11 +148,8 @@ def minimize(
     ``"no-descent"`` (the line search exhausted its halvings), and
     ``"max-iterations"``.
     """
-    if max_iters < 1 or max_halvings < 0 or grad_tol < 0.0 or initial_step <= 0.0:
-        raise ConfigError(
-            "minimize needs max_iters >= 1, max_halvings >= 0, "
-            "grad_tol >= 0, and a positive initial step"
-        )
+    if max_iters < 1 or grad_tol < 0.0:
+        raise ConfigError("minimize needs max_iters >= 1 and grad_tol >= 0")
     phi = np.array(
         objective.parameters() if phi0 is None else np.asarray(phi0, dtype=np.float64)
     )
@@ -179,13 +179,13 @@ def minimize(
             d, slope = g, float(np.dot(g, g))
         total = ge.evaluation.total
         level = _ROUNDING * (sum(abs(t) for t in ge.evaluation.terms.values()) + abs(total))
-        trial = float(initial_step)
+        trial = _INITIAL_STEP
         accepted: tuple[np.ndarray, GradientEvaluation | None] | None = None
-        for calls in range(1, int(max_halvings) + 2):
+        for calls in range(1, _MAX_HALVINGS + 2):
             cand = phi - trial * d
             ev = objective.value(cand)
             if math.isfinite(ev.total) and not ev.divergent:
-                if ev.total < total - armijo * trial * slope:
+                if ev.total < total - _ARMIJO * trial * slope:
                     accepted = (cand, None)
                     break
                 if abs(ev.total - total) <= level and np.any(cand != phi):

@@ -28,7 +28,7 @@ __all__ = [
     "write_trace_csv",
 ]
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def write_trace_csv(path: str | Path, trace: OptimTrace) -> Path:
@@ -68,10 +68,9 @@ def report_payload(config: RunConfig, trace: OptimTrace) -> dict:
     for block in objective.engine.space.blocks:
         if block.side == "p":
             table = system.factors[block.key].conditional()
-            optimized[f"p:{block.key}"] = table.tolist()
         else:
-            factor = target.factors[block.index]
-            optimized[f"q:{factor.child}"] = softmax(factor.logits, axis=-1).tolist()
+            table = softmax(target.factors[block.index].logits, axis=-1)
+        optimized[f"{block.side}:{block.key}"] = table.tolist()
     return {
         "version": REPORT_VERSION,
         "name": config.name,
@@ -92,14 +91,13 @@ def report_payload(config: RunConfig, trace: OptimTrace) -> dict:
     }
 
 
-def write_report_json(
-    path: str | Path, payload: dict, timestamp: str | None = None
-) -> Path:
-    """Write the payload with sorted keys plus a UTC timestamp field."""
+def write_report_json(path: str | Path, payload: dict) -> Path:
+    """Write the payload with sorted keys plus the current UTC time as its
+    timestamp field."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     stamped = dict(payload)
-    stamped["timestamp"] = timestamp or datetime.now(timezone.utc).isoformat()
+    stamped["timestamp"] = datetime.now(timezone.utc).isoformat()
     path.write_text(json.dumps(stamped, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -116,9 +114,7 @@ _PALETTE = (
 )
 
 
-def write_terms_svg(
-    path: str | Path, trace: OptimTrace, width: int = 640, height: int = 360
-) -> Path:
+def write_terms_svg(path: str | Path, trace: OptimTrace) -> Path:
     """One polyline per named term over the accepted iterations.
 
     All series share one y axis so the relative magnitudes stay visible;
@@ -134,7 +130,7 @@ def write_terms_svg(
     values = [v for curve in series.values() for v in curve] or [0.0]
     low, high = min(values), max(values)
     span = high - low if high > low else 1.0
-    margin = 48.0
+    width, height, margin = 640, 360, 48.0
     inner_w = width - 2 * margin
     inner_h = height - 2 * margin
     denom = max(len(trace.records) - 1, 1)

@@ -55,6 +55,17 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def _frozen(values, what: str, nonnegative: bool = False) -> np.ndarray:
+    """A read-only float64 copy of ``values``, which must be finite and,
+    with ``nonnegative``, at least zero; ``what`` names them in the error."""
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(arr)) or (nonnegative and np.any(arr < 0.0)):
+        raise ValidationError(f"{what} must be finite{' and non-negative' if nonnegative else ''}")
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
 def _one_hot(selector: np.ndarray, cardinality: int) -> np.ndarray:
     out = np.zeros(selector.shape + (cardinality,), dtype=np.float64)
     np.put_along_axis(out, selector[..., None], 1.0, axis=-1)
@@ -85,12 +96,7 @@ class FactorSpec:
         object.__setattr__(self, "parents", tuple(self.parents))
         for name, arr in (("table", self.table), ("logits", self.logits)):
             if arr is not None:
-                arr = np.asarray(arr, dtype=np.float64)
-                if not np.all(np.isfinite(arr)):
-                    raise ValidationError(f"factor {self.child!r}: {name} must be finite")
-                arr = arr.copy()
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
+                object.__setattr__(self, name, _frozen(arr, f"factor {self.child!r}: {name}"))
         if self.selector is not None:
             sel = np.asarray(self.selector, dtype=np.int64).copy()
             sel.flags.writeable = False
@@ -368,11 +374,7 @@ class TableFactor:
     log_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.table, dtype=np.float64)
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise ValidationError("target table factor must be finite and non-negative")
-        arr = arr.copy()
-        arr.flags.writeable = False
+        arr = _frozen(self.table, "target table factor", nonnegative=True)
         object.__setattr__(self, "table", arr)
         object.__setattr__(self, "log_table", _frozen_log(arr))
         object.__setattr__(self, "vars", tuple(self.vars))
@@ -388,16 +390,11 @@ class ConditionalFactor:
     log_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.table, dtype=np.float64)
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise ValidationError("target conditional factor must be finite and non-negative")
-        sums = arr.sum(axis=-1)
-        if np.any(np.abs(sums - 1.0) > NORMALIZATION_TOL):
+        arr = _frozen(self.table, "target conditional factor", nonnegative=True)
+        if np.any(np.abs(arr.sum(axis=-1) - 1.0) > NORMALIZATION_TOL):
             raise ValidationError(
                 f"target conditional for {self.child!r} is not normalized per parent slice"
             )
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "table", arr)
         object.__setattr__(self, "log_table", _frozen_log(arr))
         object.__setattr__(self, "parents", tuple(self.parents))
@@ -411,12 +408,7 @@ class RewardFactor:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("reward values must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen(self.values, "reward values"))
         object.__setattr__(self, "vars", tuple(self.vars))
 
 
@@ -429,12 +421,7 @@ class ParamFactor:
     logits: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.logits, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("target logits must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "logits", arr)
+        object.__setattr__(self, "logits", _frozen(self.logits, "target logits"))
         object.__setattr__(self, "parents", tuple(self.parents))
 
 
@@ -480,11 +467,6 @@ class TargetSpec:
                     raise ValidationError(
                         f"target factor references {n!r} outside scope {self.scope}"
                     )
-
-    def replace_factor(self, index: int, factor: TargetFactor) -> "TargetSpec":
-        factors = list(self.factors)
-        factors[index] = factor
-        return TargetSpec(self.scope, factors)
 
     def with_logits(self, logits: Mapping[int, np.ndarray]) -> "TargetSpec":
         """This target with new logits for the parameterized factors at the
@@ -589,11 +571,6 @@ def build_target(
     """
     scope = tuple(map(system.variable, target.scope))
     shape = tuple(v.cardinality for v in scope)
-    size = 1
-    for c in shape:
-        size *= c
-    if size > CAPACITY_LIMIT:
-        raise CapacityError(f"target outcome space of size {size} exceeds {CAPACITY_LIMIT}")
     needs_joint = any(isinstance(f, MarginalMirror) for f in target.factors)
     if needs_joint and joint is None:
         joint = build_joint(system)
@@ -633,7 +610,7 @@ class ParameterBlock:
 class ParameterSpace:
     """Flat view of every parameterized factor in a (system, target) pair."""
 
-    def __init__(self, system: ActualSystem, target: TargetSpec | None = None) -> None:
+    def __init__(self, system: ActualSystem, target: TargetSpec) -> None:
         self.system = system
         self.target = target
         blocks: list[ParameterBlock] = []
@@ -642,13 +619,10 @@ class ParameterSpace:
             if f.logits is not None:
                 blocks.append(ParameterBlock("p", name, f.logits.shape, offset))
                 offset += blocks[-1].size
-        if target is not None:
-            for i, tf in enumerate(target.factors):
-                if isinstance(tf, ParamFactor):
-                    blocks.append(
-                        ParameterBlock("q", f"{i}:{tf.child}", tf.logits.shape, offset)
-                    )
-                    offset += blocks[-1].size
+        for i, tf in enumerate(target.factors):
+            if isinstance(tf, ParamFactor):
+                blocks.append(ParameterBlock("q", f"{i}:{tf.child}", tf.logits.shape, offset))
+                offset += blocks[-1].size
         self.blocks = tuple(blocks)
         self.size = offset
 
@@ -683,13 +657,10 @@ class ParameterSpace:
                 target[b.index] = chunk
         return system, target
 
-    def set(self, phi: np.ndarray) -> tuple[ActualSystem, TargetSpec | None]:
+    def set(self, phi: np.ndarray) -> tuple[ActualSystem, TargetSpec]:
         """New system/target with logits replaced by ``phi`` (inputs unchanged)."""
         system, target = self.logits(phi)
-        return (
-            self.system.with_logits(system),
-            None if self.target is None else self.target.with_logits(target),
-        )
+        return self.system.with_logits(system), self.target.with_logits(target)
 
     def label(self, flat_index: int) -> tuple[str, str, tuple[int, ...], int]:
         """Map a flat coordinate to (side, factor, parent slice, outcome)."""

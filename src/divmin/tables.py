@@ -278,20 +278,6 @@ def entropy(table: Table, subset: Iterable[str] | None = None) -> float:
     return -_xlogx_sum(marg.probs)
 
 
-def conditional_entropy(table: Table, targets: Iterable[str], conditions: Iterable[str]) -> float:
-    """H[targets | conditions] = H[targets, conditions] - H[conditions]."""
-    targets = _validate_subset(table, targets)
-    conditions = _validate_subset(table, conditions)
-    if not targets:
-        raise ValidationError("targets must be non-empty")
-    if set(targets) & set(conditions):
-        raise ValidationError("targets and conditions must be disjoint")
-    joint = entropy(table, targets + conditions)
-    if not conditions:
-        return joint
-    return joint - entropy(table, conditions)
-
-
 def kl(p: Table, q: Table | UnnormalizedTable) -> KLResult:
     """KL(p || q / Z) in nats, with ln Z reported separately.
 

@@ -28,7 +28,7 @@ DIVERGENT_DOC = {
 def test_list_shows_families_presets_and_checks(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    assert "config schema version: 1" in out
+    assert "config schema version: 2" in out
     assert "base objective: joint_kl [jointkl]" in out
     assert "skill_discovery [skills]" in out
     assert "free-choice:" in out
@@ -216,6 +216,73 @@ def test_dry_run_rejects_evidence_outside_the_target_scope(tmp_path, capsys):
     assert main(["run", str(doc), "--out", str(out_dir), "--dry-run"]) == 2
     assert "'x' is outside the target scope" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_dry_run_rejects_a_realized_value_out_of_range(tmp_path, capsys):
+    doc = tmp_path / "out-of-range.json"
+    doc.write_text(json.dumps({
+        "seed": 0,
+        "problem": {
+            "family": "joint_kl",
+            "system": {
+                "variables": [
+                    {"name": "x", "cardinality": 2, "role": "past-input"},
+                    {"name": "z", "cardinality": 2, "role": "latent-state"},
+                ],
+                "factors": [
+                    {"child": "x", "parents": [], "table": [0.5, 0.5]},
+                    {"child": "z", "parents": ["x"], "logits": [[0.0, 0.0], [0.0, 0.0]]},
+                ],
+            },
+            "target": {
+                "scope": ["x", "z"],
+                "factors": [{"type": "table", "vars": ["z"], "table": [0.3, 0.7]}],
+            },
+            "realized": {"x": 5},
+        },
+    }))
+    out_dir = tmp_path / "never"
+    assert main(["run", str(doc), "--out", str(out_dir), "--dry-run"]) == 2
+    assert "realized x=5 out of range" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_run_rejects_a_removed_optimizer_setting(tmp_path, capsys):
+    doc = tmp_path / "armijo.json"
+    doc.write_text(json.dumps({"seed": 0, "preset": "free-choice", "optimizer": {"armijo": 0.1}}))
+    assert main(["run", str(doc), "--out", str(tmp_path / "never"), "--dry-run"]) == 2
+    assert "armijo" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+def test_report_keeps_one_entry_per_optimized_block(tmp_path, capsys):
+    # Two target predictors of the same child are two blocks, and each
+    # keeps its own entry next to the system block of that child.
+    predictor = {"type": "param", "child": "z", "parents": ["x"], "logits": [[0.0, 0.0]] * 2}
+    doc = tmp_path / "two-predictors.json"
+    doc.write_text(json.dumps({
+        "seed": 0,
+        "problem": {
+            "family": "joint_kl",
+            "system": {
+                "variables": [
+                    {"name": "x", "cardinality": 2, "role": "past-input"},
+                    {"name": "z", "cardinality": 2, "role": "latent-state"},
+                ],
+                "factors": [
+                    {"child": "x", "parents": [], "table": [0.5, 0.5]},
+                    {"child": "z", "parents": ["x"], "logits": [[0.0, 1.0], [1.0, 0.0]]},
+                ],
+            },
+            "target": {"scope": ["x", "z"], "factors": [predictor, predictor]},
+        },
+        "optimizer": {"max_iters": 3},
+    }))
+    assert main(["run", str(doc), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["version"] == 2
+    assert sorted(report["optimized_factors"]) == ["p:z", "q:0:z", "q:1:z"]
 
 
 def test_verify_json_is_reproducible_apart_from_timestamp(tmp_path, capsys):

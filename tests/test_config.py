@@ -1,5 +1,7 @@
 """Schema enforcement and construction for JSON run configurations."""
 
+import inspect
+
 import jsonschema
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from divmin.config import (
     parse_config,
 )
 from divmin.errors import ConfigError
+from divmin.optim import minimize
 
 
 def inline_problem() -> dict:
@@ -129,3 +132,12 @@ def test_unknown_bundled_name_is_rejected():
 def test_schema_is_a_valid_draft_2020_12_schema():
     # parse_config checks the schema once per process, so check it here too.
     jsonschema.Draft202012Validator.check_schema(SCHEMA)
+
+
+def test_optimizer_settings_are_exactly_the_keywords_of_minimize():
+    keywords = {
+        name
+        for name, param in inspect.signature(minimize).parameters.items()
+        if param.kind is inspect.Parameter.KEYWORD_ONLY
+    }
+    assert set(SCHEMA["properties"]["optimizer"]["properties"]) == keywords

@@ -18,7 +18,6 @@ from divmin.engine import (
     Payoff,
     TargetFactorLog,
     TargetLog,
-    TargetLogRaw,
     Term,
 )
 from divmin.errors import ValidationError
@@ -50,15 +49,11 @@ def fd_grad(engine, phi, h=1e-5):
     return g
 
 
-def kl_terms(scope_vars):
-    """The joint divergence as a functional: E[ln p - ln q~] plus ln Z."""
-    return [
-        Term(
-            "cross",
-            1.0,
-            ((1.0, ActualLog(tuple(scope_vars))), (-1.0, TargetLogRaw())),
-        )
-    ]
+def kl_terms(target):
+    """The joint divergence as a functional: E[ln p - ln q~] plus ln Z, with
+    ln q~ read as the sum of the target's factor logs."""
+    minus_raw = tuple((-1.0, TargetFactorLog(i)) for i in range(len(target.factors)))
+    return [Term("cross", 1.0, ((1.0, ActualLog(tuple(target.scope))), *minus_raw))]
 
 
 def softmax(v):
@@ -99,7 +94,7 @@ def test_single_softmax_kl_closed_form():
         [FactorSpec.parameterized("z", (), logits)],
     )
     target = TargetSpec(("z",), [TableFactor(("z",), np.asarray(ref))])
-    eng = Engine(system, target, kl_terms(("z",)), lnz_coeff=1.0)
+    eng = Engine(system, target, kl_terms(target), lnz_coeff=1.0)
     phi = eng.parameters()
     res = eng.value_and_gradient(phi)
     sig = softmax(logits)
@@ -113,7 +108,7 @@ def test_single_softmax_kl_closed_form():
 
 def test_joint_kl_value_matches_report_path():
     system, target = make_xyz()
-    eng = Engine(system, target, kl_terms(("x", "z", "y")), lnz_coeff=1.0)
+    eng = Engine(system, target, kl_terms(target), lnz_coeff=1.0)
     ref = joint_kl(system, target)
     got = eng.value(eng.parameters())
     assert got.total == pytest.approx(ref.kl_nats, abs=1e-12)
@@ -168,7 +163,7 @@ def test_target_parameter_gradient():
             ParamFactor("x", ("z",), np.linspace(0.3, -0.4, 8).reshape(2, 4)),
         ],
     )
-    eng = Engine(system, target, kl_terms(("x", "z")), lnz_coeff=1.0)
+    eng = Engine(system, target, kl_terms(target), lnz_coeff=1.0)
     phi = eng.parameters()
     assert phi.size == 16
     res = eng.value_and_gradient(phi)
@@ -189,7 +184,7 @@ def test_marginal_mirror_reward_closed_form():
         ("x",),
         [MarginalMirror(("x",), ()), RewardFactor(("x",), np.asarray(r))],
     )
-    eng = Engine(system, target, kl_terms(("x",)))
+    eng = Engine(system, target, kl_terms(target))
     phi = eng.parameters()
     res = eng.value_and_gradient(phi)
     sig = softmax(logits)
@@ -220,7 +215,7 @@ def test_factor_mirror_gradient():
             ParamFactor("z", ("x",), np.asarray([[0.5, -0.5], [-0.5, 0.5]])),
         ],
     )
-    eng = Engine(system, target, kl_terms(("z", "a", "x")), lnz_coeff=1.0)
+    eng = Engine(system, target, kl_terms(target), lnz_coeff=1.0)
     phi = eng.parameters()
     res = eng.value_and_gradient(phi)
     np.testing.assert_allclose(res.grad, fd_grad(eng, phi), rtol=1e-5, atol=1e-8)
@@ -265,7 +260,7 @@ def test_intervened_action_block_is_inert():
     target = TargetSpec(
         ("x", "a", "y"), [RewardFactor(("y",), np.asarray([0.0, 1.0]))]
     )
-    sub = Engine(system, target, kl_terms(("x", "a", "y")), lnz_coeff=1.0, realized={"a": 1})
+    sub = Engine(system, target, kl_terms(target), lnz_coeff=1.0, realized={"a": 1})
     phi = sub.parameters()
     res = sub.value_and_gradient(phi)
     np.testing.assert_allclose(res.grad, np.zeros_like(phi), atol=1e-12)
@@ -273,7 +268,7 @@ def test_intervened_action_block_is_inert():
     obs = Engine(
         system,
         target,
-        kl_terms(("x", "a", "y")),
+        kl_terms(target),
         lnz_coeff=1.0,
         realized={"a": 1},
         realization="condition",
@@ -413,7 +408,7 @@ def test_target_factor_log_values_and_gradient():
 def test_divergent_flag_from_zero_target():
     system, _ = make_xyz()
     target = TargetSpec(("x", "z", "y"), [TableFactor(("z",), np.asarray([1.0, 0.0]))])
-    eng = Engine(system, target, kl_terms(("x", "z", "y")), lnz_coeff=1.0)
+    eng = Engine(system, target, kl_terms(target), lnz_coeff=1.0)
     got = eng.value(eng.parameters())
     assert got.divergent
 
@@ -599,7 +594,7 @@ def test_natural_direction_skips_unreached_parent_slices():
         ("x", "z"),
         [TableFactor(("x",), np.asarray([1.0, 0.0])), TableFactor(("z",), ref)],
     )
-    eng = Engine(system, target, kl_terms(("x", "z")), lnz_coeff=1.0)
+    eng = Engine(system, target, kl_terms(target), lnz_coeff=1.0)
     res = eng.value_and_gradient()
     d = res.direction.reshape(2, 3)
     # The reached slice gets the mirror step ln(sigma / ref), centred.
@@ -647,14 +642,14 @@ def test_target_is_built_once_unless_it_depends_on_phi(factor, realized, varies,
     monkeypatch.setattr(divmin.engine, "build_target", counted)
     system = action_system()
     target = TargetSpec(("x", "a", "y"), [RewardFactor(("y",), np.asarray([0.0, 1.0])), factor])
-    eng = Engine(system, target, kl_terms(("x", "a", "y")), lnz_coeff=1.0, realized=realized)
+    eng = Engine(system, target, kl_terms(target), lnz_coeff=1.0, realized=realized)
     assert calls == []  # nothing is built before the first evaluation
     rng = np.random.default_rng(3)
     for _ in range(3):
         phi = rng.standard_normal(eng.parameters().size)
         got = eng.value_and_gradient(phi)
     assert len(calls) == (3 if varies else 1)
-    fresh = Engine(system, target, kl_terms(("x", "a", "y")), lnz_coeff=1.0, realized=realized)
+    fresh = Engine(system, target, kl_terms(target), lnz_coeff=1.0, realized=realized)
     want = fresh.value_and_gradient(phi)
     assert got.evaluation == want.evaluation
     assert np.array_equal(got.grad, want.grad)

@@ -20,6 +20,7 @@ from divmin.randsys import control_pair
 from divmin.systems import (
     ActualSystem,
     ConditionalFactor,
+    FactorMirror,
     FactorSpec,
     Horizon,
     MarginalMirror,
@@ -149,6 +150,64 @@ def test_joint_kl_family_total_is_the_divergence():
     assert abs(ev.total - rep.joint_kl) < 1.0e-9
     assert rep.terms["joint_kl"] == rep.joint_kl
     assert set(ev.terms) == {"cross"}
+
+
+def _edge_system(point_mass: bool) -> ActualSystem:
+    a = (
+        FactorSpec.point_mass("a", (), 1)
+        if point_mass
+        else FactorSpec.parameterized("a", (), [0.2, -0.3])
+    )
+    return ActualSystem(
+        [
+            Variable("a", 2, Role.ACTION),
+            Variable("z", 3, Role.LATENT_STATE),
+            Variable("y", 2, Role.FUTURE_INPUT),
+        ],
+        [
+            a,
+            FactorSpec.parameterized("z", ("a",), [[0.1, 0.5, -0.2], [0.3, -0.4, 0.0]]),
+            FactorSpec.fixed("y", ("z",), [[0.6, 0.4], [0.2, 0.8], [0.5, 0.5]]),
+        ],
+    )
+
+
+EDGE_TARGETS = {
+    "no factors": [],
+    "untouched scope variable": [TableFactor(("z",), np.asarray([1.0, 2.0, 0.5]))],
+    "mirror of a point mass": [FactorMirror("a"), TableFactor(("y",), np.asarray([0.7, 1.3]))],
+    "zero-weight factor": [TableFactor(("z",), np.asarray([1.0, 0.0, 2.0]))],
+}
+
+# (total, divergent) with ln q~ taken as the log of the materialized product
+# on the full grid. The sum of factor logs must agree up to rounding: a
+# target that leaves a scope variable untouched sums on a smaller marginal.
+EDGE_EXPECTED = {
+    ("joint_kl", "no factors"): (0.1492850083989672, False),
+    ("joint_kl", "untouched scope variable"): (0.23176597360561368, False),
+    ("joint_kl", "mirror of a point mass"): (0.12398491807041245, False),
+    ("joint_kl", "zero-weight factor"): (0.715513083986852, True),
+    ("map_point_mass", "no factors"): (0.1492850083989672, False),
+    ("map_point_mass", "untouched scope variable"): (0.23176597360561346, False),
+    ("map_point_mass", "mirror of a point mass"): (0.12398491807041256, False),
+    ("map_point_mass", "zero-weight factor"): (-0.03623847233216307, True),
+}
+
+
+@pytest.mark.parametrize("family, case", list(EDGE_EXPECTED))
+def test_raw_target_log_is_the_sum_of_factor_logs_on_edge_targets(family, case):
+    target = TargetSpec(("a", "z", "y"), EDGE_TARGETS[case])
+    mirrored = case == "mirror of a point mass"
+    if mirrored and family == "joint_kl":
+        obj = make_objective(family, _edge_system(False), target, realized={"a": 1})
+    else:  # map_point_mass takes no realization, so declare the point mass
+        obj = make_objective(family, _edge_system(mirrored), target)
+    total, divergent = EDGE_EXPECTED[family, case]
+    for ev in (obj.value(), obj.value_and_gradient().evaluation):
+        assert ev.divergent is divergent
+        assert ev.total == pytest.approx(total, rel=0.0, abs=1.0e-15)
+        if not divergent:
+            assert abs(ev.total - obj.report().total) <= 1.0e-12
 
 
 # ---------------------------------------------------------------------------
@@ -673,15 +732,16 @@ def swap_objective(kind, key) -> Objective:
 def validated_engine(engine: Engine, phi: np.ndarray) -> Engine:
     """An engine whose system and target carry ``phi`` as their own logits,
     rebuilt one factor at a time through the fully validating constructors."""
-    system, target = engine.system, engine.target
+    system, factors = engine.system, list(engine.target.factors)
     for b in engine.space.blocks:
         chunk = phi[b.offset : b.offset + b.size].reshape(b.shape)
         if b.side == "p":
             parents = system.factors[b.key].parents
             system = system.with_factor(FactorSpec.parameterized(b.key, parents, chunk))
         else:
-            old = target.factors[b.index]
-            target = target.replace_factor(b.index, ParamFactor(old.child, old.parents, chunk))
+            old = factors[b.index]
+            factors[b.index] = ParamFactor(old.child, old.parents, chunk)
+    target = TargetSpec(engine.target.scope, factors)
     return Engine(
         system, target, engine.terms, engine.lnz_coeff, engine.realized, engine.realization
     )

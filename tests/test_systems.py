@@ -227,10 +227,11 @@ def test_intervene_matches_manual_substitution():
 
 def test_parameter_round_trip_is_bit_exact():
     sys_ = two_var_system()
-    phi = ParameterSpace(sys_).get()
+    target = TargetSpec(sys_.names, [])
+    phi = ParameterSpace(sys_, target).get()
     phi2 = phi + np.linspace(-1.0, 1.0, phi.size)
-    sys2, _ = ParameterSpace(sys_).set(phi2)
-    assert np.array_equal(ParameterSpace(sys2).get(), phi2)
+    sys2, _ = ParameterSpace(sys_, target).set(phi2)
+    assert np.array_equal(ParameterSpace(sys2, target).get(), phi2)
 
 
 def test_parameter_space_covers_target_side():
@@ -310,8 +311,7 @@ def test_logit_swaps_reject_what_they_cannot_replace():
 
 
 def test_parameter_label_round_trip():
-    sys_ = two_var_system()
-    space = ParameterSpace(sys_)
+    space = ParameterSpace(*system_and_target())
     side, key, parent_slice, outcome = space.label(3)
     assert side == "p" and key == "z"
     assert parent_slice == (1,) and outcome == 1

@@ -15,7 +15,6 @@ from divmin.tables import (
     UnnormalizedTable,
     Variable,
     condition,
-    conditional_entropy,
     entropy,
     expected_conditional_kl,
     expected_log,
@@ -161,18 +160,6 @@ def test_entropy_point_mass_is_zero():
 def test_entropy_subset_is_marginal_entropy():
     t = binary_pair([[0.1, 0.2], [0.3, 0.4]])
     assert entropy(t, ["a"]) == pytest.approx(entropy(marginalize(t, ["a"])), abs=1e-15)
-
-
-def test_conditional_entropy_chain_rule():
-    rng = np.random.default_rng(7)
-    probs = rng.random((2, 3))
-    probs /= probs.sum()
-    t = Table(
-        [Variable("a", 2, Role.PAST_INPUT), Variable("b", 3, Role.ACTION)], probs
-    )
-    assert conditional_entropy(t, ["b"], ["a"]) == pytest.approx(
-        entropy(t) - entropy(t, ["a"]), abs=1e-12
-    )
 
 
 # --- kl ---------------------------------------------------------------------
@@ -382,16 +369,6 @@ def random_tables(max_card=3, n_vars=2):
     cards = st.lists(st.integers(2, max_card), min_size=n_vars, max_size=n_vars)
     flat = st.lists(st.floats(0.01, 1.0), min_size=max_card**n_vars, max_size=max_card**n_vars)
     return st.tuples(cards, flat).map(build)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(random_tables())
-def test_property_chain_rule(t):
-    names = list(t.names)
-    h_joint = entropy(t)
-    h_first = entropy(t, [names[0]])
-    h_rest_given = conditional_entropy(t, names[1:], [names[0]])
-    assert h_joint == pytest.approx(h_first + h_rest_given, abs=1e-10)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
