@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--step", type=float, default=1.0e-5, help="finite-difference step size"
     )
     grad_cmd.add_argument(
-        "--rel-tol", type=float, default=1.0e-5, help="relative error threshold"
+        "--rel-tol", type=float, default=1.0e-8, help="relative error threshold"
     )
     grad_cmd.add_argument(
         "--residual-tol",

@@ -32,7 +32,6 @@ from .systems import (
     ConditionalFactor,
     FactorMirror,
     FactorSpec,
-    Horizon,
     MarginalMirror,
     ParamFactor,
     RewardFactor,
@@ -51,7 +50,7 @@ __all__ = [
     "parse_config",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _target_factor_schema(kind: str, fields: dict) -> dict:
@@ -114,7 +113,6 @@ SCHEMA: dict = {
                 "family": {"enum": sorted(FAMILY_TAGS)},
                 "system": {"$ref": "#/$defs/system"},
                 "target": {"$ref": "#/$defs/target"},
-                "horizon": {"$ref": "#/$defs/horizon"},
                 "options": {"type": "object"},
                 "realized": {
                     "type": "object",
@@ -200,16 +198,6 @@ SCHEMA: dict = {
                 ),
             ]
         },
-        "horizon": {
-            "type": "object",
-            "properties": {
-                "steps": {"type": "integer", "minimum": 1},
-                "split": {"type": "integer", "minimum": 0},
-                "skill_every": {"type": "integer", "minimum": 1},
-            },
-            "required": ["steps"],
-            "additionalProperties": False,
-        },
     },
 }
 
@@ -268,14 +256,6 @@ def _build_target(data: Mapping) -> TargetSpec:
     return TargetSpec(tuple(data["scope"]), factors)
 
 
-def _build_horizon(data: Mapping) -> Horizon:
-    return Horizon(
-        steps=int(data["steps"]),
-        split=int(data.get("split", 0)),
-        skill_every=data.get("skill_every"),
-    )
-
-
 def _initial_point(init, seed: int, objective: Objective) -> np.ndarray:
     declared = objective.parameters()
     if init == "system" or init is None:
@@ -318,13 +298,11 @@ def parse_config(data: Mapping, fallback_name: str = "run") -> RunConfig:
         problem = data["problem"]
         system = _build_system(problem["system"])
         target = _build_target(problem["target"]) if "target" in problem else None
-        horizon = _build_horizon(problem["horizon"]) if "horizon" in problem else None
         realized = dict(problem["realized"]) if "realized" in problem else None
         objective = make_objective(
             problem["family"],
             system,
             target=target,
-            horizon=horizon,
             options=problem.get("options"),
             realized=realized,
             realization=problem.get("realization", "intervene"),

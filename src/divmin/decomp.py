@@ -33,7 +33,6 @@ import numpy as np
 from .errors import NullEvidenceError, ValidationError
 from .systems import (
     ActualSystem,
-    Horizon,
     MarginalMirror,
     TargetSpec,
     build_joint,
@@ -211,6 +210,13 @@ def _split_roles(scope: Sequence[Variable]) -> tuple[tuple[str, ...], tuple[str,
     return x, z
 
 
+def _split_time(scope: Sequence[Variable]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(past inputs, future inputs) of a scope, in scope order."""
+    past = tuple(v.name for v in scope if v.role is Role.PAST_INPUT)
+    future = tuple(v.name for v in scope if v.role is Role.FUTURE_INPUT)
+    return past, future
+
+
 # name -> (signed coefficient, value, divergent) of one report term
 Terms = dict[str, tuple[float, float, bool]]
 
@@ -344,7 +350,6 @@ def expected_free_energy(system: ActualSystem, target: TargetSpec) -> Report:
 def past_future_split(
     system: ActualSystem,
     target: TargetSpec,
-    horizon: Horizon,
     realized: Assignment | None = None,
     realization: str = "intervene",
 ) -> Report:
@@ -355,23 +360,16 @@ def past_future_split(
 
     The slack equals E_{p(x_<)} KL[p(z|x_<) || q(z|x_<)], hence it is
     non-negative and vanishes exactly when the target's internal-given-past
-    conditional matches the actual one.
+    conditional matches the actual one. The past inputs x_< and future
+    inputs x_> are the variables with those roles, whatever their order.
     """
-    horizon.validate_with(system)
     p, q, _, _ = _prepare(system, target, realized, realization)
-    in_scope = set(p.names)
-    past = tuple(n for n in horizon.past_inputs(system) if n in in_scope)
-    future = tuple(n for n in horizon.future_inputs(system) if n in in_scope)
-    return _certify(
-        "combined", p, q, _past_future(p, q, past, future), relation="lower-bounds-joint"
-    )
+    return _certify("combined", p, q, _past_future(p, q), relation="lower-bounds-joint")
 
 
-def _past_future(
-    p: Table, q: UnnormalizedTable, past: tuple[str, ...], future: tuple[str, ...]
-) -> Terms:
-    """The terms of :func:`past_future_split`, with the past and future
-    inputs given in scope order."""
+def _past_future(p: Table, q: UnnormalizedTable) -> Terms:
+    """The terms of :func:`past_future_split`."""
+    past, future = _split_time(p.scope)
     x = past + future
     z = tuple(n for n in p.names if n not in set(x))
     log_p_z_past = log_conditional(p, z, past)
@@ -393,7 +391,6 @@ def _past_future(
 def bayesian_future_check(
     system: ActualSystem,
     target: TargetSpec,
-    horizon: Horizon,
     realized: Assignment | None = None,
 ) -> Report:
     """Split into a past inference problem and an uncontrolled future term.
@@ -408,14 +405,13 @@ def bayesian_future_check(
     future factors may not condition on internal variables, and the
     target's future factors may touch only future inputs and internals.
     """
-    horizon.validate_with(system)
     if system.by_role(Role.ACTION, Role.SKILL):
         raise ValidationError(
             "the past/future inference split is for passive systems; "
             "found action or skill variables"
         )
-    past = set(horizon.past_inputs(system))
-    future = set(horizon.future_inputs(system))
+    past = set(system.by_role(Role.PAST_INPUT))
+    future = set(system.by_role(Role.FUTURE_INPUT))
     internal = {v.name for v in system.variables if not v.role.is_input}
     for name in internal:
         extra = set(system.factors[name].parents) - past - internal

@@ -67,7 +67,8 @@ variables on the target scope, and the option keys each one reads:
     the bound is a variational lower bound on I(skill; observations).
 
 ``info_gain`` (``optimize``)
-    The four-term past/future reading. The engine either descends the
+    The four-term past/future reading, with past and future inputs taken
+    from the variables' roles. The engine either descends the
     whole bound ("bound") or just the negated information-gain term
     ("intrinsic"), a lower bound on I(z; all inputs) - I(z; past).
 """
@@ -91,6 +92,7 @@ from .decomp import (
     _past_future,
     _prepare,
     _split_roles,
+    _split_time,
     realize,
 )
 from .engine import (
@@ -108,7 +110,6 @@ from .systems import (
     ActualSystem,
     ConditionalFactor,
     FactorMirror,
-    Horizon,
     MarginalMirror,
     ParamFactor,
     RewardFactor,
@@ -209,7 +210,6 @@ def make_objective(
     family: str,
     system: ActualSystem,
     target: TargetSpec | None = None,
-    horizon: Horizon | None = None,
     options: Mapping[str, object] | None = None,
     realized: Assignment | None = None,
     realization: str = "intervene",
@@ -218,8 +218,10 @@ def make_objective(
 
     Families that derive their target from the options (the control
     modes, skill discovery, and, when none is given, empowerment and
-    info gain) document that behaviour on their builders. An option the
-    family does not read raises :class:`ConfigError`.
+    info gain) document that behaviour on their builders. Families that
+    split the inputs into past and future read that split off the
+    variables' roles. An option the family does not read raises
+    :class:`ConfigError`.
     """
     builder = _BUILDERS.get(family)
     if builder is None:
@@ -228,7 +230,7 @@ def make_objective(
     options = dict(options or {})
     realized = dict(realized or {})
     target, terms, lnz_coeff, report, matches = builder(
-        system, target, horizon, options, realized, realization
+        system, target, options, realized, realization
     )
     if options:
         raise ConfigError(f"family {family!r} does not use the option(s) {sorted(options)}")
@@ -245,7 +247,6 @@ def from_preset(preset) -> Objective:
         preset.family,
         preset.system,
         target=preset.target,
-        horizon=preset.horizon,
         options=options,
         realized=realized,
     )
@@ -296,7 +297,7 @@ def _minus_raw_log(target: TargetSpec) -> tuple[tuple[float, TargetFactorLog], .
 # joint_kl
 
 
-def _build_joint_kl(system, target, horizon, options, realized, realization) -> Parts:
+def _build_joint_kl(system, target, options, realized, realization) -> Parts:
     """The divergence itself; the report holds a single term."""
     if target is None:
         raise ConfigError("family 'joint_kl' needs an explicit target")
@@ -315,7 +316,7 @@ def _build_joint_kl(system, target, horizon, options, realized, realization) -> 
 # elbo_bnn
 
 
-def _build_elbo(system, target, horizon, options, realized, realization) -> Parts:
+def _build_elbo(system, target, options, realized, realization) -> Parts:
     """Variational inference over belief variables against prior times likelihoods.
 
     The target must consist of factors over the belief variables (the
@@ -410,7 +411,7 @@ def _build_elbo(system, target, horizon, options, realized, realization) -> Part
 # map_point_mass
 
 
-def _build_map(system, target, horizon, options, realized, realization) -> Parts:
+def _build_map(system, target, options, realized, realization) -> Parts:
     """Energy minus entropy; over point masses this is raw-weight maximization."""
     _check_no_realization("map_point_mass", realized)
     if target is None:
@@ -430,7 +431,7 @@ def _build_map(system, target, horizon, options, realized, realization) -> Parts
 # amortized_vae
 
 
-def _build_vae(system, target, horizon, options, realized, realization) -> Parts:
+def _build_vae(system, target, options, realized, realization) -> Parts:
     """Encoder-decoder splits of the divergence.
 
     ``form="reconstruction"`` charges the code complexity against a
@@ -490,7 +491,7 @@ def _control_rewards(system, rewards: Mapping) -> dict[str, np.ndarray]:
 
 
 def _build_control(
-    system, target, horizon, options, realized, realization, family="kl_control"
+    system, target, options, realized, realization, family="kl_control"
 ) -> Parts:
     """Shared construction for kl_control and maxent_rl.
 
@@ -618,7 +619,7 @@ def _build_control(
 # empowerment
 
 
-def _build_empowerment(system, target, horizon, options, realized, realization) -> Parts:
+def _build_empowerment(system, target, options, realized, realization) -> Parts:
     """Channel-capacity reading: maximize a bound on I(actions; effects).
 
     Without an explicit target a softmax decoder over the channel
@@ -680,7 +681,7 @@ def _build_empowerment(system, target, horizon, options, realized, realization) 
 # skill_discovery
 
 
-def _build_skills(system, target, horizon, options, realized, realization) -> Parts:
+def _build_skills(system, target, options, realized, realization) -> Parts:
     """Reverse-predictor skill objective; the target comes from the options.
 
     Mirrored dynamics and (optionally mirrored) action priors cancel, so
@@ -776,7 +777,7 @@ def _build_skills(system, target, horizon, options, realized, realization) -> Pa
 # info_gain
 
 
-def _build_info_gain(system, target, horizon, options, realized, realization) -> Parts:
+def _build_info_gain(system, target, options, realized, realization) -> Parts:
     """Belief-update reading of the past/future split.
 
     Without an explicit target a softmax predictor over all inputs is
@@ -785,9 +786,6 @@ def _build_info_gain(system, target, horizon, options, realized, realization) ->
     ``optimize="intrinsic"`` descends only the negated information-gain
     term.
     """
-    if horizon is None:
-        raise ConfigError("family 'info_gain' needs a horizon")
-    horizon.validate_with(system)
     internal = tuple(n for n in system.names if not system.variable(n).role.is_input)
     if not internal:
         raise ConfigError("family 'info_gain' needs at least one belief variable")
@@ -811,12 +809,10 @@ def _build_info_gain(system, target, horizon, options, realized, realization) ->
             factors.append(ParamFactor(w, inputs, np.zeros(shape)))
         target = TargetSpec(system.names, factors)
 
-    scope = tuple(target.scope)
-    in_scope = set(scope)
-    past = tuple(n for n in horizon.past_inputs(system) if n in in_scope)
-    future = tuple(n for n in horizon.future_inputs(system) if n in in_scope)
+    scope = tuple(map(system.variable, target.scope))
+    past, future = _split_time(scope)
     xs = past + future
-    z = tuple(n for n in scope if n in set(internal))
+    z = _split_roles(scope)[1]
 
     terms = [
         Term("simplicity", 1.0, ((1.0, ActualLog(z, past)), (-1.0, TargetLog(z)))),
@@ -835,7 +831,7 @@ def _build_info_gain(system, target, horizon, options, realized, realization) ->
     }
 
     def report(tgt, p, q, joint, rsys) -> Report:
-        parts = _past_future(p, q, past, future)
+        parts = _past_future(p, q)
         info_gain = parts["exploration"][1]
         exact = mutual_information(p, z, xs)
         if past:

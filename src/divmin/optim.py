@@ -245,7 +245,7 @@ class GradientCheck:
     score_residual: float
     step: float
 
-    def passed(self, rel_tol: float = 1.0e-5, residual_tol: float = 1.0e-10) -> bool:
+    def passed(self, rel_tol: float = 1.0e-8, residual_tol: float = 1.0e-10) -> bool:
         return self.rel_err < rel_tol and self.score_residual < residual_tol
 
 

@@ -7,7 +7,7 @@ quantity an objective family optimizes has a hand-checkable optimum:
   input/output pairs; the exact posterior follows from two likelihood
   products, so variational fits can be compared digit for digit.
 * ``vae-toy`` is a four-outcome observation with a two-outcome code; the
-  best achievable code captures one nat ... exactly ``ln 2`` of mutual
+  best achievable code captures one bit, ``ln 2`` nats, of mutual
   information, reached when the encoder groups observations in pairs.
 * ``hmm-filter`` is a three-step hidden Markov model with two observed
   steps; belief factors condition only on observed inputs, which is the
@@ -29,8 +29,7 @@ quantity an objective family optimizes has a hand-checkable optimum:
   source.
 
 Builders take keyword size parameters where a family benefits from scaling
-(state counts, pair counts, cardinalities); every builder validates its
-horizon against the system it constructs before returning.
+(state counts, pair counts, cardinalities).
 """
 
 from __future__ import annotations
@@ -59,6 +58,9 @@ from .tables import Role, Variable
 class Preset:
     """A named system bundle: model, horizon, default family, and options.
 
+    The horizon counts decision steps only; the past/future split of the
+    inputs comes from the variables' roles.
+
     ``target`` is set when the preset's target distribution is plain data
     (priors, likelihoods, rewards, auxiliary predictors). Families that
     assemble their targets from mirrored system factors receive the raw
@@ -74,7 +76,6 @@ class Preset:
     summary: str = ""
 
     def __post_init__(self) -> None:
-        self.horizon.validate_with(self.system)
         object.__setattr__(self, "options", MappingProxyType(dict(self.options)))
 
 
@@ -120,7 +121,7 @@ def bnn_toy(n_pairs: int = 4) -> Preset:
         name="bnn-toy",
         family="elbo_bnn",
         system=system,
-        horizon=Horizon(steps=1, split=2 * n_pairs),
+        horizon=Horizon(steps=1),
         target=target,
         summary="binary-weight Bayesian fit to clamped data",
     )
@@ -163,7 +164,7 @@ def vae_toy(x_card: int = 4, z_card: int = 2) -> Preset:
         name="vae-toy",
         family="amortized_vae",
         system=system,
-        horizon=Horizon(steps=1, split=1),
+        horizon=Horizon(steps=1),
         target=target,
         summary="discrete autoencoder with a learnable decoder",
     )
@@ -213,7 +214,7 @@ def hmm_filter() -> Preset:
         name="hmm-filter",
         family="joint_kl",
         system=system,
-        horizon=Horizon(steps=3, split=2),
+        horizon=Horizon(steps=3),
         target=target,
         options={"realized": {"x1": 0, "x2": 1}},
         summary="hidden Markov chain with two observed steps",
@@ -265,7 +266,7 @@ def chain_mdp(n_states: int = 5, steps: int = 3, slip: float = 0.1) -> Preset:
         name="chain-mdp",
         family="kl_control",
         system=system,
-        horizon=Horizon(steps=steps, split=1),
+        horizon=Horizon(steps=steps),
         options={"rewards": rewards, "mode": "kl-control"},
         summary="five-state random walk with terminal-state reward",
     )
@@ -281,7 +282,7 @@ def free_choice() -> Preset:
         name="free-choice",
         family="kl_control",
         system=system,
-        horizon=Horizon(steps=1, split=0),
+        horizon=Horizon(steps=1),
         options={"rewards": {"x": (0.0, math.log(3.0))}, "mode": "kl-control"},
         summary="single controlled outcome with a log-odds reward",
     )
@@ -317,7 +318,7 @@ def bandit_infogain() -> Preset:
         name="bandit-infogain",
         family="info_gain",
         system=system,
-        horizon=Horizon(steps=2, split=0),
+        horizon=Horizon(steps=2),
         options={"optimize": "intrinsic"},
         summary="two-armed bandit where one arm reveals a hidden coin",
     )
@@ -354,7 +355,7 @@ def two_room_skills() -> Preset:
         name="two-room-skills",
         family="skill_discovery",
         system=system,
-        horizon=Horizon(steps=2, split=1, skill_every=2),
+        horizon=Horizon(steps=2),
         options={
             "predictor": {"child": "z", "parents": ("x3",), "init": predictor_init.tolist()},
             "action_prior": "policy",
@@ -392,7 +393,7 @@ def dead_action() -> Preset:
         name="dead-action",
         family="empowerment",
         system=system,
-        horizon=Horizon(steps=1, split=1),
+        horizon=Horizon(steps=1),
         options={"channel_effects": ("x1",)},
         summary="channel with two writing actions and one dead action",
     )
@@ -415,7 +416,7 @@ def identity_channel(card: int = 2) -> Preset:
         name="identity-channel",
         family="empowerment",
         system=system,
-        horizon=Horizon(steps=1, split=0),
+        horizon=Horizon(steps=1),
         options={"channel_effects": ("x1",)},
         summary="noiseless copy channel from action to effect",
     )

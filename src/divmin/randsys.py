@@ -16,7 +16,6 @@ from .systems import (
     ActualSystem,
     ConditionalFactor,
     FactorSpec,
-    Horizon,
     MarginalMirror,
     TableFactor,
     TargetSpec,
@@ -49,7 +48,7 @@ def _rows(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def generic_pair(seed: int) -> tuple[ActualSystem, TargetSpec, Horizon]:
+def generic_pair(seed: int) -> tuple[ActualSystem, TargetSpec]:
     """Four binary variables with random wiring and a full-support target.
 
     The first latent is always parameterized so the system has something
@@ -83,18 +82,18 @@ def generic_pair(seed: int) -> tuple[ActualSystem, TargetSpec, Horizon]:
         tfactors.append(
             TableFactor((names[i], names[j]), np.exp(rng.normal(size=(2, 2))))
         )
-    return system, TargetSpec(names, tfactors), Horizon(steps=1, split=1)
+    return system, TargetSpec(names, tfactors)
 
 
-def tight_target(seed: int, system: ActualSystem, horizon: Horizon) -> TargetSpec:
+def tight_target(seed: int, system: ActualSystem) -> TargetSpec:
     """A target whose internal-given-past conditional matches the system's.
 
     Mirroring p(past) and p(internal | past) and coupling the future only
     to itself makes the time-split bound exact.
     """
     rng = rng_for(seed, 1)
-    past = horizon.past_inputs(system)
-    future = horizon.future_inputs(system)
+    past = system.by_role(Role.PAST_INPUT)
+    future = system.by_role(Role.FUTURE_INPUT)
     z = tuple(n for n in system.names if not system.variable(n).role.is_input)
     factors: list = []
     if past:
@@ -106,7 +105,7 @@ def tight_target(seed: int, system: ActualSystem, horizon: Horizon) -> TargetSpe
     return TargetSpec(system.names, factors)
 
 
-def filter_pair(seed: int) -> tuple[ActualSystem, TargetSpec, Horizon]:
+def filter_pair(seed: int) -> tuple[ActualSystem, TargetSpec]:
     """Filtering-shaped triple: beliefs read the past, the future reads inputs.
 
     The shape satisfies the structural requirements of the past/future
@@ -133,10 +132,10 @@ def filter_pair(seed: int) -> tuple[ActualSystem, TargetSpec, Horizon]:
             ConditionalFactor("x2", ("z",), _rows(rng, (2, 2))),
         ],
     )
-    return system, target, Horizon(steps=1, split=1)
+    return system, target
 
 
-def control_pair(seed: int) -> tuple[ActualSystem, dict, Horizon]:
+def control_pair(seed: int) -> tuple[ActualSystem, dict]:
     """Two observed steps of a three-state walk with random rewards."""
     rng = rng_for(seed, 3)
     variables = [
@@ -161,10 +160,10 @@ def control_pair(seed: int) -> tuple[ActualSystem, dict, Horizon]:
         },
         "mode": "kl-control",
     }
-    return system, options, Horizon(steps=3, split=1)
+    return system, options
 
 
-def skill_pair(seed: int) -> tuple[ActualSystem, dict, Horizon]:
+def skill_pair(seed: int) -> tuple[ActualSystem, dict]:
     """One skill steering one action into one noisy observation."""
     rng = rng_for(seed, 4)
     variables = [
@@ -188,7 +187,7 @@ def skill_pair(seed: int) -> tuple[ActualSystem, dict, Horizon]:
         },
         "action_prior": "policy" if seed % 2 == 0 else "uniform",
     }
-    return system, options, Horizon(steps=1, split=1, skill_every=1)
+    return system, options
 
 
 def channel_pair(seed: int) -> ActualSystem:
@@ -205,7 +204,7 @@ def channel_pair(seed: int) -> ActualSystem:
     return ActualSystem(variables, factors)
 
 
-def belief_chain(seed: int) -> tuple[ActualSystem, Horizon]:
+def belief_chain(seed: int) -> ActualSystem:
     """A hidden parameter observed through two successive noisy reads."""
     rng = rng_for(seed, 6)
     variables = [
@@ -218,7 +217,7 @@ def belief_chain(seed: int) -> tuple[ActualSystem, Horizon]:
         FactorSpec.fixed("x1", ("w",), _rows(rng, (2, 2))),
         FactorSpec.fixed("x2", ("w", "x1"), _rows(rng, (2, 2, 2))),
     ]
-    return ActualSystem(variables, factors), Horizon(steps=2, split=0)
+    return ActualSystem(variables, factors)
 
 
 def mi_table(seed: int) -> Table:

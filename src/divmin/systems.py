@@ -679,53 +679,14 @@ class ParameterSpace:
 
 @dataclass(frozen=True)
 class Horizon:
-    """Temporal bookkeeping: ``steps`` decision steps, ``split`` past inputs.
+    """The number of decision steps a preset unrolls.
 
-    ``split`` counts how many of the system's input variables (declaration
-    order) are observed past; it may be zero when nothing has been observed.
-    ``skill_every`` is the skill duration K and must divide ``steps`` when
-    skill variables are present.
+    Which inputs are past and which are future is each variable's role,
+    not a property of the horizon.
     """
 
     steps: int
-    split: int = 0
-    skill_every: int | None = None
 
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
-        if self.split < 0:
-            raise ValidationError(f"split must be >= 0, got {self.split}")
-        if self.skill_every is not None and self.skill_every < 1:
-            raise ValidationError("skill_every must be >= 1 when set")
-
-    def validate_with(self, system: ActualSystem) -> None:
-        n_inputs = len(system.inputs())
-        if self.split > n_inputs:
-            raise ValidationError(
-                f"split {self.split} exceeds the {n_inputs} input variables"
-            )
-        past = system.inputs()[: self.split]
-        for name in past:
-            if system.variable(name).role != Role.PAST_INPUT:
-                raise ValidationError(
-                    f"input {name!r} precedes the split but is not a past input"
-                )
-        for name in system.inputs()[self.split :]:
-            if system.variable(name).role != Role.FUTURE_INPUT:
-                raise ValidationError(
-                    f"input {name!r} follows the split but is not a future input"
-                )
-        if system.by_role(Role.SKILL):
-            if self.skill_every is None:
-                raise ValidationError("skill variables present but skill_every is unset")
-            if self.steps % self.skill_every != 0:
-                raise ValidationError(
-                    f"skill duration {self.skill_every} does not divide {self.steps} steps"
-                )
-
-    def past_inputs(self, system: ActualSystem) -> tuple[str, ...]:
-        return system.inputs()[: self.split]
-
-    def future_inputs(self, system: ActualSystem) -> tuple[str, ...]:
-        return system.inputs()[self.split :]

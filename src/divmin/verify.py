@@ -36,7 +36,6 @@ from .presets import preset
 from .systems import (
     ActualSystem,
     FactorSpec,
-    Horizon,
     MarginalMirror,
     TargetSpec,
     build_joint,
@@ -102,13 +101,13 @@ class SuiteResult:
 CaseErrors = float | tuple[float, ...]
 Sweep = Callable[[int, int], Iterator[CaseErrors]]
 # randsys.generic_pair, or a memo of it shared by the checks of one run.
-GenericPairs = Callable[[int], tuple[ActualSystem, TargetSpec, Horizon]]
+GenericPairs = Callable[[int], tuple[ActualSystem, TargetSpec]]
 
 
 def _identity_on_generic(split, generic_pair: GenericPairs) -> Sweep:
     def sweep(seeds: int, draws: int) -> Iterator[CaseErrors]:
         for seed in range(seeds):
-            system, target, _ = generic_pair(seed)
+            system, target = generic_pair(seed)
             yield abs(split(system, target).slack)
 
     return sweep
@@ -116,14 +115,14 @@ def _identity_on_generic(split, generic_pair: GenericPairs) -> Sweep:
 
 def _filter_split(seeds: int, draws: int) -> Iterator[CaseErrors]:
     for seed in range(seeds):
-        system, target, horizon = randsys.filter_pair(seed)
-        report = bayesian_future_check(system, target, horizon)
+        system, target = randsys.filter_pair(seed)
+        report = bayesian_future_check(system, target)
         yield abs(report.slack), -report.terms["uncontrolled_future"]
 
 
 def _maxent_identity(seeds: int, draws: int) -> Iterator[CaseErrors]:
     for seed in range(seeds):
-        system, options, _ = randsys.control_pair(seed)
+        system, options = randsys.control_pair(seed)
         objective = make_objective(
             "maxent_rl", system, options={"rewards": options["rewards"]}
         )
@@ -146,10 +145,8 @@ def _empowerment_bound(seeds: int, draws: int) -> Iterator[CaseErrors]:
 
 def _skill_identity(seeds: int, draws: int) -> Iterator[CaseErrors]:
     for seed in range(seeds):
-        system, options, horizon = randsys.skill_pair(seed)
-        objective = make_objective(
-            "skill_discovery", system, horizon=horizon, options=options
-        )
+        system, options = randsys.skill_pair(seed)
+        objective = make_objective("skill_discovery", system, options=options)
         phi = randsys.rng_for(seed, 32).normal(size=objective.parameters().shape)
         report = objective.report(phi)
         yield abs(report.slack), abs(report.terms["control"])
@@ -159,27 +156,27 @@ def _time_split_bound(
     generic_pair: GenericPairs, seeds: int, draws: int
 ) -> Iterator[CaseErrors]:
     for seed in range(seeds):
-        system, target, horizon = generic_pair(seed)
-        yield -past_future_split(system, target, horizon).slack
+        system, target = generic_pair(seed)
+        yield -past_future_split(system, target).slack
 
 
 def _time_split_tightness(
     generic_pair: GenericPairs, seeds: int, draws: int
 ) -> Iterator[CaseErrors]:
     for seed in range(seeds):
-        system, _, horizon = generic_pair(seed)
-        target = randsys.tight_target(seed, system, horizon)
-        yield abs(past_future_split(system, target, horizon).slack)
+        system, _ = generic_pair(seed)
+        target = randsys.tight_target(seed, system)
+        yield abs(past_future_split(system, target).slack)
 
 
 def _exploration_bound(seeds: int, draws: int) -> Iterator[CaseErrors]:
     for seed in range(seeds):
-        system, horizon = randsys.belief_chain(seed)
-        objective = make_objective("info_gain", system, horizon=horizon)
+        system = randsys.belief_chain(seed)
+        objective = make_objective("info_gain", system)
         phi = randsys.rng_for(seed, 33).normal(size=objective.parameters().shape)
         report = objective.report(phi)
         matched = TargetSpec(system.names, [MarginalMirror(("w",), ("x1", "x2"))])
-        tight = make_objective("info_gain", system, target=matched, horizon=horizon)
+        tight = make_objective("info_gain", system, target=matched)
         tight_phi = randsys.rng_for(seed, 37).normal(size=tight.parameters().shape)
         yield (
             -report.extras["info_gain_gap"],
@@ -219,7 +216,7 @@ def _family_objective(family: str) -> Objective:
         source = preset("bnn-toy")
         return make_objective("map_point_mass", source.system, source.target)
     if family == "maxent_rl":
-        system, options, _ = randsys.control_pair(0)
+        system, options = randsys.control_pair(0)
         return make_objective(
             "maxent_rl", system, options={"rewards": options["rewards"]}
         )
@@ -268,7 +265,7 @@ def _score_residual(seeds: int, draws: int) -> Iterator[CaseErrors]:
 
 def _maxent_reduction(seeds: int, draws: int) -> Iterator[CaseErrors]:
     for seed in range(min(seeds, 20)):
-        system, options, _ = randsys.control_pair(seed)
+        system, options = randsys.control_pair(seed)
         rewards = {"rewards": options["rewards"]}
         maxent = make_objective("maxent_rl", system, options=rewards)
         control = make_objective(
@@ -280,7 +277,7 @@ def _maxent_reduction(seeds: int, draws: int) -> Iterator[CaseErrors]:
 
 def _reward_noise_invariance(seeds: int, draws: int) -> Iterator[CaseErrors]:
     for seed in range(min(seeds, 20)):
-        system, options, _ = randsys.control_pair(seed)
+        system, options = randsys.control_pair(seed)
         opts = {"rewards": options["rewards"], "mode": "expected-reward"}
         base = make_objective("kl_control", system, options=opts)
         rng = randsys.rng_for(seed, 35)
@@ -301,7 +298,7 @@ def _probability_core(
     generic_pair: GenericPairs, seeds: int, draws: int
 ) -> Iterator[CaseErrors]:
     for seed in range(min(seeds, 50)):
-        system, _, _ = generic_pair(seed)
+        system, _ = generic_pair(seed)
         joint = build_joint(system)
         part = marginalize(joint, ("x1", "z2"))
         h_all = entropy(joint)
@@ -322,7 +319,7 @@ def _probability_core(
 
 def _belief_telescope(seeds: int, draws: int) -> Iterator[CaseErrors]:
     for seed in range(min(seeds, 50)):
-        system, horizon = randsys.belief_chain(seed)
+        system = randsys.belief_chain(seed)
         joint = build_joint(system)
         total_gain = mutual_information(joint, ("w",), ("x1", "x2"))
         first = mutual_information(joint, ("w",), ("x1",))
@@ -334,7 +331,7 @@ def _belief_telescope(seeds: int, draws: int) -> Iterator[CaseErrors]:
             np.sum(probs * (np.log(posterior) - np.log(prior_step)[:, :, None]))
         )
         matched = TargetSpec(system.names, [MarginalMirror(("w",), ("x1", "x2"))])
-        objective = make_objective("info_gain", system, target=matched, horizon=horizon)
+        objective = make_objective("info_gain", system, target=matched)
         report = objective.report(objective.parameters())
         yield (
             abs(first + second - total_gain),

@@ -28,7 +28,7 @@ DIVERGENT_DOC = {
 def test_list_shows_families_presets_and_checks(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    assert "config schema version: 2" in out
+    assert "config schema version: 3" in out
     assert "base objective: joint_kl [jointkl]" in out
     assert "skill_discovery [skills]" in out
     assert "free-choice:" in out
@@ -346,4 +346,17 @@ def test_target_factor_of_the_wrong_shape_exits_two(tmp_path, capsys, factor):
     doc.write_text(json.dumps(_three_state_doc(factor)))
     assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 2
     assert "expected (3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_a_removed_horizon(tmp_path, capsys):
+    # Past and future inputs are roles, so a problem has no horizon key.
+    doc = _three_state_doc({"type": "table", "vars": ["x"], "table": [0.2, 0.3, 0.5]})
+    doc["problem"]["horizon"] = {"steps": 1, "split": 1}
+    path = tmp_path / "horizon.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--dry-run"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration at problem" in err
+    assert "'horizon' was unexpected" in err
     assert not (tmp_path / "out").exists()

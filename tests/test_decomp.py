@@ -28,7 +28,6 @@ from divmin.systems import (
     ActualSystem,
     ConditionalFactor,
     FactorSpec,
-    Horizon,
     MarginalMirror,
     RewardFactor,
     TableFactor,
@@ -327,7 +326,7 @@ def test_expected_free_energy_identity():
 
 def test_past_future_split_terms_and_slack():
     p = preset("hmm-filter")
-    rep = past_future_split(p.system, p.target, p.horizon)
+    rep = past_future_split(p.system, p.target)
     names, pmap = oracle_joint(p.system)
     tnames, wmap = oracle_target(p.system, p.target, names, pmap)
     past, future = ("x1", "x2"), ("x3",)
@@ -382,7 +381,7 @@ def test_past_future_split_tight_when_past_conditionals_match():
             MarginalMirror(("z1", "z2", "z3"), ("x1", "x2")),
         ],
     )
-    rep = past_future_split(p.system, matched, p.horizon)
+    rep = past_future_split(p.system, matched)
     assert rep.slack == pytest.approx(0.0, abs=1e-11)
 
 
@@ -399,7 +398,7 @@ def test_past_future_split_without_internals_is_chain_rule():
     target = TargetSpec(
         ("x1", "x2"), [RewardFactor(("x2",), np.asarray([0.0, 0.5]))]
     )
-    rep = past_future_split(system, target, Horizon(steps=2, split=1))
+    rep = past_future_split(system, target)
     assert rep.terms["past_latent_pref"] == 0.0
     assert rep.terms["exploration"] == 0.0
     assert rep.slack == pytest.approx(0.0, abs=1e-12)
@@ -408,11 +407,11 @@ def test_past_future_split_without_internals_is_chain_rule():
 
 def test_past_future_split_with_observed_past():
     p = preset("hmm-filter")
-    rep = past_future_split(p.system, p.target, p.horizon, realized=dict(p.options["realized"]))
+    rep = past_future_split(p.system, p.target, realized=dict(p.options["realized"]))
     assert rep.slack >= -1e-12
     # With the past pinned, its preference terms collapse to point evaluations.
     assert math.isfinite(rep.total)
-    base = past_future_split(p.system, p.target, p.horizon)
+    base = past_future_split(p.system, p.target)
     assert rep.joint_kl != pytest.approx(base.joint_kl, abs=1e-6)
 
 
@@ -443,7 +442,7 @@ def test_realization_semantics_differ_for_actions():
 
 def test_bayesian_future_check_identity_on_filter():
     p = preset("hmm-filter")
-    rep = bayesian_future_check(p.system, p.target, p.horizon)
+    rep = bayesian_future_check(p.system, p.target)
     assert rep.relation == "equals"
     assert rep.slack == pytest.approx(0.0, abs=1e-11)
     # The preset's own input chain differs from the model's predictive law.
@@ -467,7 +466,7 @@ def test_bayesian_future_check_constructed_match():
     target = TargetSpec(
         ("x1", "x2", "z"), [ConditionalFactor("x2", ("z",), stay)]
     )
-    rep = bayesian_future_check(system, target, Horizon(steps=2, split=1))
+    rep = bayesian_future_check(system, target)
     assert rep.terms["uncontrolled_future"] == pytest.approx(0.0, abs=1e-12)
     assert rep.extras["bayesian_satisfied"] == 1.0
     assert rep.slack == pytest.approx(0.0, abs=1e-12)
@@ -480,20 +479,55 @@ def test_bayesian_future_check_structure_validation():
         FactorSpec.parameterized("z3", ("x3",), np.zeros((2, 2)))
     )
     with pytest.raises(ValidationError, match="internal factor"):
-        bayesian_future_check(bad, p.target, p.horizon)
+        bayesian_future_check(bad, p.target)
     # Target factors may not couple past and future inputs directly.
     coupled = TargetSpec(
         tuple(p.system.names),
         [ConditionalFactor("x3", ("x1",), np.asarray([[0.5, 0.5], [0.5, 0.5]]))],
     )
     with pytest.raises(ValidationError, match="target factors over future"):
-        bayesian_future_check(p.system, coupled, p.horizon)
+        bayesian_future_check(p.system, coupled)
     # Active systems are out of scope for this split.
     action = preset("chain-mdp")
     with pytest.raises(ValidationError, match="passive"):
-        bayesian_future_check(
-            action.system, fully_matched_target(action.system), action.horizon
-        )
+        bayesian_future_check(action.system, fully_matched_target(action.system))
+
+
+def filter_in_order(order):
+    """A past input, a belief reading it, and a future input, declared in
+    ``order``; the target scope follows the same order."""
+    roles = {"x1": Role.PAST_INPUT, "z": Role.LATENT_STATE, "x2": Role.FUTURE_INPUT}
+    factors = {
+        "x1": FactorSpec.fixed("x1", (), [0.3, 0.7]),
+        "z": FactorSpec.parameterized("z", ("x1",), [[0.4, -0.1], [-0.6, 0.2]]),
+        "x2": FactorSpec.fixed("x2", ("x1",), [[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]]),
+    }
+    cards = {"x1": 2, "z": 2, "x2": 3}
+    system = ActualSystem(
+        [Variable(n, cards[n], roles[n]) for n in order], [factors[n] for n in order]
+    )
+    target = TargetSpec(
+        tuple(order),
+        [
+            TableFactor(("x1",), np.asarray([1.2, 0.5])),
+            ConditionalFactor("z", ("x1",), np.asarray([[0.9, 0.1], [0.25, 0.75]])),
+            ConditionalFactor(
+                "x2", ("z",), np.asarray([[0.3, 0.3, 0.4], [0.5, 0.2, 0.3]])
+            ),
+        ],
+    )
+    return system, target
+
+
+@pytest.mark.parametrize("split", [past_future_split, bayesian_future_check])
+def test_roles_not_declaration_order_decide_the_time_split(split):
+    past_first = split(*filter_in_order(("x1", "z", "x2")))
+    future_first = split(*filter_in_order(("x2", "x1", "z")))
+    assert future_first.terms.keys() == past_first.terms.keys()
+    for name, value in past_first.terms.items():
+        assert future_first.terms[name] == pytest.approx(value, abs=1e-12), name
+    assert future_first.total == pytest.approx(past_first.total, abs=1e-12)
+    assert future_first.joint_kl == pytest.approx(past_first.joint_kl, abs=1e-12)
 
 
 # --- report plumbing -----------------------------------------------------------------

@@ -306,7 +306,7 @@ def test_per_term_agreement_with_time_split():
         ),
     ]
     eng = Engine(p.system, p.target, terms)
-    rep = past_future_split(p.system, p.target, p.horizon)
+    rep = past_future_split(p.system, p.target)
     got = eng.value(eng.parameters())
     for name, want in rep.terms.items():
         assert got.terms[name] == pytest.approx(want, abs=1e-12), name
@@ -547,7 +547,7 @@ def test_evaluations_revalidate_no_structure(name, monkeypatch):
     if name == "realized vae-toy":
         pre = preset("vae-toy")
         obj = make_objective(
-            "amortized_vae", pre.system, pre.target, pre.horizon,
+            "amortized_vae", pre.system, pre.target,
             {"form": "reconstruction"}, {"x": 1}, "intervene",
         )
     else:

@@ -22,7 +22,6 @@ from divmin.systems import (
     ConditionalFactor,
     FactorMirror,
     FactorSpec,
-    Horizon,
     MarginalMirror,
     ParamFactor,
     RewardFactor,
@@ -114,21 +113,21 @@ def test_report_peak_memory_stays_within_six_outcome_arrays():
 
 
 def family_args(family):
-    """(family, system, target, horizon, options) of the instance verify checks."""
+    """(family, system, target, options) of the instance verify checks."""
     if family == "maxent_rl":
-        system, options, horizon = control_pair(0)
-        return family, system, None, horizon, {"rewards": options["rewards"]}
+        system, options = control_pair(0)
+        return family, system, None, {"rewards": options["rewards"]}
     pre = preset("bnn-toy" if family == "map_point_mass" else _PRESET_FOR_FAMILY[family])
     options = {k: v for k, v in pre.options.items() if k != "realized"}
-    return family, pre.system, pre.target, pre.horizon, options
+    return family, pre.system, pre.target, options
 
 
 @pytest.mark.parametrize("family", list(FAMILY_TAGS))
 def test_misspelled_option_is_rejected(family):
-    family, system, target, horizon, options = family_args(family)
-    make_objective(family, system, target, horizon, options)
+    family, system, target, options = family_args(family)
+    make_objective(family, system, target, options)
     with pytest.raises(ConfigError, match="mdoe"):
-        make_objective(family, system, target, horizon, dict(options, mdoe="kl-control"))
+        make_objective(family, system, target, dict(options, mdoe="kl-control"))
 
 
 @pytest.mark.parametrize("family", list(FAMILY_TAGS))
@@ -305,7 +304,7 @@ def test_vae_forms_agree_with_conditional_splits():
     assert set(rep_r.terms) == {"complexity", "fit_bound"}
 
     contr = make_objective(
-        "amortized_vae", pre.system, target=pre.target, horizon=pre.horizon,
+        "amortized_vae", pre.system, target=pre.target,
         options={"form": "contrastive"},
     )
     ev_c, rep_c = assert_certificate(contr, phi, tol=1.0e-10)
@@ -382,7 +381,7 @@ def test_maxent_rl_is_uniform_prior_kl_control():
     rng = np.random.default_rng(17)
     control = from_preset(pre)
     maxent = make_objective(
-        "maxent_rl", pre.system, horizon=pre.horizon,
+        "maxent_rl", pre.system,
         options={"rewards": dict(pre.options["rewards"])},
     )
     phi = 0.5 * rng.standard_normal(control.parameters().size)
@@ -434,7 +433,7 @@ def test_control_families_reject_an_explicit_target(family):
 def test_kl_regularized_mode_passive_and_identity():
     pre = preset("chain-mdp")
     obj = make_objective(
-        "kl_control", pre.system, horizon=pre.horizon,
+        "kl_control", pre.system,
         options={"rewards": dict(pre.options["rewards"]), "mode": "kl-regularized"},
     )
     # The built target starts with the clamped point mass and the two
@@ -460,7 +459,7 @@ def test_kl_regularized_mode_passive_and_identity():
 def test_expected_reward_mode_is_pure_reward():
     pre = preset("chain-mdp")
     obj = make_objective(
-        "kl_control", pre.system, horizon=pre.horizon,
+        "kl_control", pre.system,
         options={"rewards": dict(pre.options["rewards"]), "mode": "expected-reward"},
     )
     assert not obj.total_matches_report
@@ -570,8 +569,7 @@ def test_skills_uniform_prior_charges_actions():
     pre = preset("two-room-skills")
     options = dict(pre.options)
     options["action_prior"] = "uniform"
-    obj = make_objective("skill_discovery", pre.system, horizon=pre.horizon,
-                         options=options)
+    obj = make_objective("skill_discovery", pre.system, options=options)
     rng = np.random.default_rng(31)
     phi = obj.parameters() + 0.5 * rng.standard_normal(obj.parameters().size)
     ev, rep = assert_certificate(obj, phi, tol=1.0e-10)
@@ -602,7 +600,7 @@ def test_info_gain_intrinsic_bound_and_matched_predictor():
     assert abs(ev.total + ev.terms["info_gain"]) < 1.0e-14
 
     matched = make_objective(
-        "info_gain", pre.system, horizon=pre.horizon,
+        "info_gain", pre.system,
         target=TargetSpec(("w", "x1", "x2"), [MarginalMirror(("w",), ("x1", "x2"))]),
         options={"optimize": "intrinsic"},
     )
@@ -614,7 +612,7 @@ def test_info_gain_intrinsic_bound_and_matched_predictor():
 def test_info_gain_bound_mode_descends_whole_certificate():
     pre = preset("bandit-infogain")
     obj = make_objective(
-        "info_gain", pre.system, horizon=pre.horizon,
+        "info_gain", pre.system,
         options={"optimize": "bound"},
     )
     assert obj.total_matches_report
@@ -628,10 +626,35 @@ def test_info_gain_bound_mode_descends_whole_certificate():
     assert grad.score_residual < 1.0e-12
 
     with pytest.raises(ConfigError):
-        make_objective("info_gain", pre.system, options={"optimize": "bound"})
-    with pytest.raises(ConfigError):
-        make_objective("info_gain", pre.system, horizon=pre.horizon,
-                       options={"optimize": "sideways"})
+        make_objective("info_gain", pre.system, options={"optimize": "sideways"})
+
+
+def belief_in_order(order):
+    """A belief over a parameter read once in the past and once in the
+    future, declared in ``order``."""
+    roles = {"w": Role.PARAMETER, "x1": Role.PAST_INPUT, "x2": Role.FUTURE_INPUT}
+    factors = {
+        "w": FactorSpec.parameterized("w", (), [0.3, -0.2]),
+        "x1": FactorSpec.fixed("x1", ("w",), [[0.8, 0.2], [0.35, 0.65]]),
+        "x2": FactorSpec.fixed(
+            "x2", ("w", "x1"), [[[0.7, 0.3], [0.4, 0.6]], [[0.1, 0.9], [0.55, 0.45]]]
+        ),
+    }
+    return ActualSystem(
+        [Variable(n, 2, roles[n]) for n in order], [factors[n] for n in order]
+    )
+
+
+def test_info_gain_builds_from_roles_alone():
+    past_first = make_objective("info_gain", belief_in_order(("w", "x1", "x2")))
+    future_first = make_objective("info_gain", belief_in_order(("x2", "w", "x1")))
+    want = past_first.report(past_first.parameters())
+    got = future_first.report(future_first.parameters())
+    assert want.extras["exact_info_gain"] > 1.0e-3
+    for name in ("terms", "extras"):
+        for key, value in getattr(want, name).items():
+            assert getattr(got, name)[key] == pytest.approx(value, abs=1e-12), key
+    assert got.total == pytest.approx(want.total, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -639,18 +662,18 @@ def test_info_gain_bound_mode_descends_whole_certificate():
 
 
 def realized_objective_args(case):
-    """(family, system, target, horizon, options) for one realized-value case."""
+    """(family, system, target, options) for one realized-value case."""
     if case.startswith("vae-"):
         pre = preset("vae-toy")
-        return "amortized_vae", pre.system, pre.target, pre.horizon, {"form": case[4:]}
+        return "amortized_vae", pre.system, pre.target, {"form": case[4:]}
     if case == "two-room-skills":
         pre = preset(case)
-        return "skill_discovery", pre.system, None, pre.horizon, dict(pre.options)
-    system, options, _ = control_pair(0)
+        return "skill_discovery", pre.system, None, dict(pre.options)
+    system, options = control_pair(0)
     rewards = {"rewards": options["rewards"]}
     if case == "maxent_rl":
-        return "maxent_rl", system, None, None, rewards
-    return "kl_control", system, None, None, dict(rewards, mode=case)
+        return "maxent_rl", system, None, rewards
+    return "kl_control", system, None, dict(rewards, mode=case)
 
 
 REALIZED_CASES = [
@@ -692,12 +715,12 @@ def test_evidence_outside_the_target_scope_is_rejected_at_construction():
 
 @pytest.mark.parametrize("case, realized, realization", REALIZED_CASES + REJECTED_CASES)
 def test_reports_hold_with_realized_values(case, realized, realization):
-    family, system, target, horizon, options = realized_objective_args(case)
+    family, system, target, options = realized_objective_args(case)
     if (case, realized, realization) in REJECTED_CASES:
         with pytest.raises(ConfigError):
-            make_objective(family, system, target, horizon, options, realized, realization)
+            make_objective(family, system, target, options, realized, realization)
         return
-    obj = make_objective(family, system, target, horizon, options, realized, realization)
+    obj = make_objective(family, system, target, options, realized, realization)
     rng = np.random.default_rng(43)
     for _ in range(3):
         phi = rng.standard_normal(obj.parameters().size)

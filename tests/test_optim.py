@@ -10,6 +10,7 @@ from divmin.engine import Evaluation, GradientEvaluation
 from divmin.errors import ConfigError, DivergenceError
 from divmin.objectives import from_preset, make_objective
 from divmin.optim import (
+    GradientCheck,
     check_gradient,
     finite_difference_gradient,
     map_scan,
@@ -74,6 +75,17 @@ def test_gradient_check_passes(name):
     assert chk.passed()
     assert chk.max_abs_err < 1.0e-7
     assert np.allclose(chk.analytic, chk.numeric, rtol=1.0e-5, atol=1.0e-8)
+
+
+def test_gradient_check_default_gate_is_1e_8_relative():
+    # Central differences at h = 1e-5 agree with the engine gradient to
+    # below 1e-10 relative on every preset, so 1e-7 is a real disagreement.
+    def check(rel_err):
+        zero = np.zeros(1)
+        return GradientCheck(zero, zero, rel_err, rel_err, 0.0, 1.0e-5)
+
+    assert check(1.0e-9).passed()
+    assert not check(1.0e-7).passed()
 
 
 def test_descent_runs_past_the_resolution_of_the_total():

@@ -18,7 +18,6 @@ from divmin import (
     ConditionalFactor,
     FactorMirror,
     FactorSpec,
-    Horizon,
     Role,
     TableFactor,
     TargetSpec,
@@ -26,13 +25,11 @@ from divmin import (
     bayesian_future_check,
     build_joint,
     condition,
-    entropy,
     from_preset,
     make_objective,
     map_scan,
     marginalize,
     minimize,
-    mutual_information,
     preset,
 )
 from divmin.randsys import rng_for
@@ -293,7 +290,7 @@ def test_intrinsic_sum_matches_one_shot_term_under_mirrored_target():
         tuple(pre.system.names), [FactorMirror(v) for v in pre.system.names]
     )
     objective = make_objective(
-        "info_gain", pre.system, target=mirrored, horizon=pre.horizon,
+        "info_gain", pre.system, target=mirrored,
         options={"optimize": "intrinsic"},
     )
     for seed in range(5):
@@ -344,7 +341,7 @@ def test_uncontrolled_future_vanishes_for_a_constructed_filter():
         ("x1", "z", "x2"),
         [TableFactor(("z",), rng.random(2) + 0.1), ConditionalFactor("x2", ("z",), push)],
     )
-    report = bayesian_future_check(system, target, Horizon(steps=2, split=1))
+    report = bayesian_future_check(system, target)
     assert abs(report.terms["uncontrolled_future"]) < 1e-9
     assert report.terms["past_vi"] > 0.0
 
@@ -355,7 +352,5 @@ def test_uncontrolled_future_stays_positive_for_the_mismatched_filter():
     for seed in range(3):
         phi = rng_for(seed, 77).normal(size=objective.parameters().shape)
         system, _ = objective.engine.space.set(phi)
-        report = bayesian_future_check(
-            system, pre.target, pre.horizon, realized=pre.options["realized"]
-        )
+        report = bayesian_future_check(system, pre.target, realized=pre.options["realized"])
         assert report.terms["uncontrolled_future"] > 1e-3

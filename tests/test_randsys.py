@@ -14,8 +14,8 @@ def _payload(factor):
 
 
 def test_same_seed_reproduces_the_instance():
-    first, target_a, _ = randsys.generic_pair(11)
-    second, target_b, _ = randsys.generic_pair(11)
+    first, target_a = randsys.generic_pair(11)
+    second, target_b = randsys.generic_pair(11)
     for name in first.names:
         assert first.factors[name].parents == second.factors[name].parents
         assert np.array_equal(_payload(first.factors[name]), _payload(second.factors[name]))
@@ -26,8 +26,8 @@ def test_same_seed_reproduces_the_instance():
 
 
 def test_distinct_seeds_differ():
-    first, _, _ = randsys.generic_pair(11)
-    second, _, _ = randsys.generic_pair(12)
+    first, _ = randsys.generic_pair(11)
+    second, _ = randsys.generic_pair(12)
 
     def differs():
         for name in first.names:
@@ -54,8 +54,7 @@ def test_rng_paths_are_independent_streams():
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_generic_pair_builds_and_stays_finite(seed):
-    system, target, horizon = randsys.generic_pair(seed)
-    horizon.validate_with(system)
+    system, target = randsys.generic_pair(seed)
     joint = build_joint(system)
     assert joint.probs.sum() == pytest.approx(1.0, abs=1e-12)
     for factor in target.factors:
@@ -65,27 +64,26 @@ def test_generic_pair_builds_and_stays_finite(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_tight_target_closes_the_time_split(seed):
-    system, _, horizon = randsys.generic_pair(seed)
-    target = randsys.tight_target(seed, system, horizon)
-    assert abs(past_future_split(system, target, horizon).slack) < 1e-12
+    system, _ = randsys.generic_pair(seed)
+    target = randsys.tight_target(seed, system)
+    assert abs(past_future_split(system, target).slack) < 1e-12
 
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_filter_pair_splits_exactly(seed):
-    system, target, horizon = randsys.filter_pair(seed)
-    report = bayesian_future_check(system, target, horizon)
+    system, target = randsys.filter_pair(seed)
+    report = bayesian_future_check(system, target)
     assert abs(report.slack) < 1e-12
     assert report.terms["uncontrolled_future"] >= -1e-12
 
 
 def test_control_skill_and_channel_instances_build_objectives():
-    system, options, horizon = randsys.control_pair(0)
-    horizon.validate_with(system)
+    system, options = randsys.control_pair(0)
     control = make_objective("kl_control", system, options=options)
     assert abs(control.report(control.parameters()).slack) < 1e-12
 
-    system, options, horizon = randsys.skill_pair(0)
-    skills = make_objective("skill_discovery", system, horizon=horizon, options=options)
+    system, options = randsys.skill_pair(0)
+    skills = make_objective("skill_discovery", system, options=options)
     assert abs(skills.report(skills.parameters()).slack) < 1e-12
 
     channel = make_objective("empowerment", randsys.channel_pair(0))
@@ -94,9 +92,8 @@ def test_control_skill_and_channel_instances_build_objectives():
 
 
 def test_belief_chain_and_mi_table_shapes():
-    system, horizon = randsys.belief_chain(0)
-    horizon.validate_with(system)
-    objective = make_objective("info_gain", system, horizon=horizon)
+    system = randsys.belief_chain(0)
+    objective = make_objective("info_gain", system)
     report = objective.report(objective.parameters())
     assert report.extras["info_gain_gap"] >= -1e-12
 

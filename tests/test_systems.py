@@ -11,7 +11,6 @@ from divmin.systems import (
     ConditionalFactor,
     FactorMirror,
     FactorSpec,
-    Horizon,
     MarginalMirror,
     ParamFactor,
     ParameterSpace,
@@ -405,28 +404,3 @@ def test_conditional_target_factor_validates_slices():
 def test_target_rejects_out_of_scope_factor():
     with pytest.raises(ValidationError):
         TargetSpec(("x",), [TableFactor(("z",), np.asarray([1.0, 1.0]))])
-
-
-# --- horizon ----------------------------------------------------------------------
-
-
-def test_horizon_validates_split_against_roles():
-    sys_ = chain_system()
-    Horizon(steps=2, split=1).validate_with(sys_)
-    with pytest.raises(ValidationError):
-        Horizon(steps=2, split=2).validate_with(sys_)  # x2 is future-input
-
-
-def test_horizon_requires_skill_divisor():
-    variables = [
-        Variable("s", 2, Role.SKILL),
-        Variable("x", 2, Role.FUTURE_INPUT),
-    ]
-    factors = [
-        FactorSpec.parameterized("s", (), np.zeros(2)),
-        FactorSpec.fixed("x", ("s",), [[0.5, 0.5], [0.5, 0.5]]),
-    ]
-    sys_ = ActualSystem(variables, factors)
-    with pytest.raises(ValidationError):
-        Horizon(steps=3, split=0, skill_every=2).validate_with(sys_)
-    Horizon(steps=4, split=0, skill_every=2).validate_with(sys_)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from divmin.errors import CapacityError, NullEvidenceError, ValidationError
 from divmin.tables import (
-    KLResult,
     Role,
     Table,
     UnnormalizedTable,
