@@ -32,7 +32,9 @@ evaluated on p_S, the actual measure's marginal on S: its value is
 sum_S p_S V, and it is divergent when p_S > 0 where V is not finite,
 which is the outcome-level test because p_S(s) > 0 exactly when some
 outcome with that s carries mass. A term over the whole grid uses p
-itself.
+itself. Each marginal is summed from the smallest marginal of the same
+measure already taken that covers its scope, so nested scopes such as x_t
+inside (x_t, a_t) cost one pass over the grid between them.
 
 Every piece of the gradient is a weight field over outcomes contracted
 against scores, and the fields are assembled from scope-local parts:
@@ -90,8 +92,8 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .decomp import observe, realize
-from .errors import ValidationError
+from .decomp import realize
+from .errors import NullEvidenceError, ValidationError
 from .systems import (
     ActualSystem,
     FactorMirror,
@@ -101,12 +103,11 @@ from .systems import (
     TargetFactor,
     TargetSpec,
     _frozen,
-    build_joint,
-    build_target,
+    _grow,
     softmax,
     target_factor_log_array,
 )
-from .tables import Assignment, Table, UnnormalizedTable, _expand_to_scope, _safe_log
+from .tables import Assignment, Table, UnnormalizedTable, Variable, _safe_log
 
 # ---------------------------------------------------------------------------
 # Log-sources
@@ -280,44 +281,212 @@ def _natural_direction(
     return (scaled - scaled.mean(axis=-1, keepdims=True)).ravel()
 
 
+# ---------------------------------------------------------------------------
+# The evaluation plan and the state of one evaluation
+
+
+class _Layout:
+    """Where the variables ``names`` lie on the axes of ``scope``, worked
+    out once.
+
+    ``place`` moves an array indexed by those variables, in that order,
+    onto the scope's axes with length one elsewhere, as
+    ``tables._expand_to_scope`` does. The array's own lengths carry over,
+    so one that already has length one off some variables keeps it.
+    """
+
+    __slots__ = ("axes", "perm", "ndim")
+
+    def __init__(self, names: tuple[str, ...], scope: tuple[Variable, ...]) -> None:
+        index = {v.name: i for i, v in enumerate(scope)}
+        self.axes = tuple(index[n] for n in names)
+        self.perm = tuple(sorted(range(len(names)), key=self.axes.__getitem__))
+        self.ndim = len(scope)
+
+    def place(self, arr: np.ndarray) -> np.ndarray:
+        shape = [1] * self.ndim
+        for a, n in zip(self.axes, arr.shape):
+            shape[a] = n
+        return arr.transpose(self.perm).reshape(shape)
+
+
 @dataclass(frozen=True)
 class _Block:
-    """One live softmax block resolved against one state.
-
-    ``occupancy`` is the probability of each parent slice, with a trailing
-    axis of length one: for a system block the unobserved joint's, for a
-    target block that of the actual measure its field is weighted by.
-    ``residual`` is the block's score residual, zero for target blocks.
-    """
+    """One live softmax block: a system factor the realization left
+    parameterized, or a parameterized target factor (``index`` is its
+    position in the target)."""
 
     coords: slice
     side: str
     key: str
+    index: int
     parent_axes: tuple[int, ...]
     child_axis: int
-    sigma: np.ndarray
-    occupancy: np.ndarray
-    residual: float
+
+
+# A factor's table on some scope's axes: fixed, or the softmax (or its log)
+# of the live block at that position, laid out.
+_Placed = np.ndarray | tuple[int, _Layout]
+
+
+def _place(entry: _Placed, tables: tuple[np.ndarray, ...]) -> np.ndarray:
+    return entry if isinstance(entry, np.ndarray) else entry[1].place(tables[entry[0]])
 
 
 @dataclass(frozen=True)
 class _QSide:
-    """The materialized target, its weights on the joint's axes, and a cache
-    of what is derived from the target alone: its marginals and the values
-    of the target-side sources. An engine whose target does not depend on
-    phi builds one and shares it between all its states."""
+    """The materialized target, its weights on the joint's axes, each
+    target factor's log on the target's axes, and a cache of what is
+    derived from the target alone: its marginals and the values of the
+    target-side sources. An engine whose target does not depend on phi
+    builds one and shares it between all its states."""
 
     q: UnnormalizedTable
     lift: np.ndarray
+    logs: tuple[np.ndarray, ...]
     cache: dict = field(default_factory=dict)
+
+
+class _Plan:
+    """What every evaluation of one engine shares, resolved from structure
+    on its first evaluation.
+
+    ``blocks`` are the live softmax blocks. ``conditionals`` holds each
+    system factor's conditional on the joint's axes, in the joint's
+    multiplication order: fixed and point-mass tables laid out once,
+    softmax factors as their block's position and layout. ``logs`` does
+    the same for each target factor's log on the target's axes, with a
+    marginal mirror kept as itself, since it reads the joint of each
+    evaluation. ``keep`` is the evidence mask, ``lift`` the layout of the
+    target's axes on the joint's, and ``payoffs`` each payoff source on
+    the joint's axes. Fixed target tables of the wrong shape, and mirrors
+    of factors whose parents lie outside the target, fail here.
+    """
+
+    def __init__(
+        self,
+        system: ActualSystem,
+        target: TargetSpec,
+        evidence: Mapping[str, int],
+        space: ParameterSpace,
+        terms: tuple[Term, ...],
+    ) -> None:
+        self.system, self.target, self.evidence = system, target, evidence
+        self.scope = scope = system.variables
+        self.shape = tuple(v.cardinality for v in scope)
+        self.axis = {v.name: i for i, v in enumerate(scope)}
+        blocks: list[_Block] = []
+        live: dict[tuple[str, str], int] = {}  # (side, key) -> position in blocks
+        for b in space.blocks:
+            if b.side == "p":
+                factor = system.factors[b.key]
+                if factor.logits is None:
+                    continue  # realized into a point mass; no dependence left
+                index = -1
+            else:
+                factor, index = target.factors[b.index], b.index
+            live[(b.side, b.key)] = len(blocks)
+            blocks.append(_Block(
+                slice(b.offset, b.offset + b.size), b.side, b.key, index,
+                self.axes(factor.parents), self.axis[factor.child],
+            ))
+        self.blocks = tuple(blocks)
+        self.conditionals = tuple(
+            (live[("p", name)], _Layout(f.parents + (name,), scope))
+            if f.logits is not None
+            else _Layout(f.parents + (name,), scope).place(system.factor_conditional(name))
+            for name, f in system.factors.items()
+        )
+        self.keep = None
+        for name, value in evidence.items():
+            sel = np.zeros(system.variable(name).cardinality, dtype=bool)
+            sel[value] = True
+            sel = _Layout((name,), scope).place(sel)
+            self.keep = sel if self.keep is None else self.keep & sel
+        self.target_scope = tuple(map(system.variable, target.scope))
+        logs: list[_Placed | MarginalMirror] = []
+        for i, f in enumerate(target.factors):
+            if isinstance(f, MarginalMirror):
+                logs.append(f)
+                continue
+            # Checks shapes and mirror scopes as ``build_target`` does.
+            log = target_factor_log_array(f, target, system)
+            if isinstance(f, ParamFactor):
+                block, names = live[("q", f"{i}:{f.child}")], f.parents + (f.child,)
+                log = (block, _Layout(names, self.target_scope))
+            elif isinstance(f, FactorMirror) and ("p", f.child) in live:
+                block, names = live[("p", f.child)], system.factors[f.child].parents + (f.child,)
+                log = (block, _Layout(names, self.target_scope))
+            logs.append(log)
+        self.logs = tuple(logs)
+        self.lift = _Layout(target.scope, scope)
+        self.payoffs = {
+            src: _Layout(src.vars, scope).place(src.values)
+            for t in terms
+            for _, src in t.parts
+            if isinstance(src, Payoff)
+        }
+
+    def axes(self, names: tuple[str, ...]) -> tuple[int, ...]:
+        return tuple(self.axis[x] for x in names)
+
+    @property
+    def fixed_target(self) -> bool:
+        """Whether no target factor depends on phi: none is parameterized,
+        a marginal mirror, or a mirror of a live softmax block."""
+        return all(isinstance(e, np.ndarray) for e in self.logs)
+
+    def joint(self, sigmas: tuple[np.ndarray, ...]) -> Table:
+        """The factors multiplied into the joint, as ``systems.build_joint``
+        does."""
+        probs = np.ones((1,) * len(self.shape))
+        for entry in self.conditionals:
+            probs = _grow(probs, _place(entry, sigmas), self.shape, np.multiply)
+        total = float(probs.sum())
+        if abs(total - 1.0) > 1e-10:
+            raise ValidationError(
+                f"materialized joint sums to {total!r}; factors are inconsistent"
+            )
+        probs /= total
+        return Table(self.scope, probs, copy=False)
+
+    def observe(self, joint: Table) -> Table:
+        """The joint conditioned on the evidence, on its full scope."""
+        if self.keep is None:
+            return joint
+        masked = np.where(self.keep, joint.probs, 0.0)
+        mass = masked.sum()
+        if mass <= 0.0:
+            raise NullEvidenceError(f"evidence {dict(self.evidence)} has zero mass")
+        return Table(self.scope, masked / mass, copy=False)
+
+    def target_side(self, sigmas: tuple[np.ndarray, ...], joint: Table) -> _QSide:
+        """The target's factor logs summed and exponentiated into its
+        weights, as ``systems.build_target`` does, with their lift."""
+        logs = tuple(
+            target_factor_log_array(e, self.target, self.system, joint)
+            if isinstance(e, MarginalMirror)
+            else e if isinstance(e, np.ndarray)
+            else e[1].place(_safe_log(sigmas[e[0]]))
+            for e in self.logs
+        )
+        shape = tuple(v.cardinality for v in self.target_scope)
+        log_w = np.zeros((1,) * len(shape))
+        for log in logs:
+            log_w = _grow(log_w, log, shape, np.add)
+        # A scope variable that no factor touches still has length one here.
+        log_w = np.broadcast_to(log_w, shape)
+        weights = np.exp(log_w, where=np.isfinite(log_w), out=np.zeros(shape))
+        q = UnnormalizedTable(self.target_scope, weights, copy=False)
+        return _QSide(q, self.lift.place(q.weights), logs)
 
 
 @dataclass
 class _State:
-    """Everything derived from one parameter vector."""
+    """Everything derived from one parameter vector: one softmax per live
+    block, the joint, the actual measure and the target side."""
 
-    realized_system: ActualSystem
-    target: TargetSpec
+    sigmas: tuple[np.ndarray, ...]
     joint: Table
     p: Table
     q_side: _QSide
@@ -334,25 +503,21 @@ class _State:
     def marginal(self, which: str, keep: tuple[int, ...]) -> np.ndarray:
         """The keepdims marginal on ``keep`` of the actual measure (``"p"``),
         the unobserved joint (``"joint"``) or the target weights on the
-        joint's axes (``"q"``), cached."""
+        joint's axes (``"q"``), cached.
+
+        A new marginal is summed from the smallest one of the same measure
+        already taken that covers ``keep``, and from the grid itself only
+        when none does.
+        """
         if which == "joint" and self.p is self.joint:
             which = "p"  # no evidence: one measure, one cache entry
-        cache = self.q_side.cache if which == "q" else self.cache
-        key = ("m", which, frozenset(keep))
-        if key not in cache:
-            arr = {"p": self.p.probs, "joint": self.joint.probs, "q": self.q_lift}[which]
-            cache[key] = _marginal_on(arr, keep)
-        return cache[key]
-
-
-def _depends_on_phi(factor: TargetFactor, system: ActualSystem) -> bool:
-    """Whether a target factor's values change with the parameter vector:
-    a parameterized factor, a marginal mirror of the joint, or a mirror of
-    a softmax factor of ``system``."""
-    if isinstance(factor, FactorMirror):
-        mirrored = system.factors.get(factor.child)
-        return mirrored is not None and mirrored.logits is not None
-    return isinstance(factor, (ParamFactor, MarginalMirror))
+        arr = self.q_lift if which == "q" else self.p.probs if which == "p" else self.joint.probs
+        keep = frozenset(a for a in keep if arr.shape[a] > 1)
+        taken = (self.q_side.cache if which == "q" else self.cache).setdefault(which, {})
+        if keep not in taken:
+            covering = (m for kept, m in taken.items() if keep <= kept)
+            taken[keep] = _marginal_on(min(covering, key=np.size, default=arr), keep)
+        return taken[keep]
 
 
 class Engine:
@@ -364,21 +529,26 @@ class Engine:
     the corresponding report definitions give, so optimization and
     certification never drift apart.
 
-    The realization is applied once, at construction. Each evaluation swaps
-    the logits of ``phi`` (``phi=None`` means the current parameters) into
-    that realized system and the target with ``with_logits``, skipping
-    blocks realized into point masses, so the structure validated at
-    construction is never validated again; only ``phi`` itself, the new
-    logits and the materialized joint are checked per evaluation.
+    The realization is applied once, at construction. The first evaluation
+    resolves everything that depends on structure alone into one plan: each
+    factor's layout on the joint's (or the target's) axes, the fixed and
+    point-mass conditionals and the fixed target-factor logs already laid
+    out, the evidence mask, and each live softmax block's coordinates and
+    axes. Every evaluation then checks ``phi`` (``phi=None`` means the
+    current parameters) once, takes one softmax per live block, which the
+    joint, the target's factor logs, the target-factor sources and the
+    gradient all share, and multiplies and adds in the order of
+    ``build_joint`` and ``build_target``, checking the joint's sum and
+    the tables it builds as they do. No factor is rebuilt per evaluation.
 
-    Construction also decides whether the target depends on ``phi``: it
-    does when some factor is parameterized, a marginal mirror of the joint,
-    or a mirror of a softmax factor of the realized system. A target that
-    does not, such as the dynamics, action prior and exp(reward) of a
-    control problem, is materialized by the first evaluation, and every
-    later one reuses it together with its weights on the joint's axes, its
-    marginals and the values of the target-side sources. Nothing is built
-    at construction, so an engine that is never evaluated costs nothing.
+    The plan also decides whether the target depends on ``phi``: it does
+    when some factor is parameterized, a marginal mirror of the joint, or a
+    mirror of a softmax factor of the realized system. A target that does
+    not, such as the dynamics, action prior and exp(reward) of a control
+    problem, is materialized by the first evaluation, and every later one
+    reuses it together with its weights on the joint's axes, its marginals
+    and the values of the target-side sources. Nothing is built at
+    construction, so an engine that is never evaluated costs nothing.
     """
 
     def __init__(
@@ -401,10 +571,9 @@ class Engine:
             system, self.realized, realization
         )
         self._validate_terms()
-        self._target_varies = any(
-            _depends_on_phi(f, self._realized_system) for f in target.factors
-        )
-        self._fixed_q_side: _QSide | None = None  # built by the first evaluation
+        # Both built by the first evaluation.
+        self._plan: _Plan | None = None
+        self._fixed_q_side: _QSide | None = None
 
     # -- construction checks ---------------------------------------------
 
@@ -462,31 +631,31 @@ class Engine:
         system_logits, target_logits = self.space.logits(
             self.space.get() if phi is None else phi
         )
-        base = self._realized_system
-        realized_system = base.with_logits(
-            {k: v for k, v in system_logits.items() if base.factors[k].logits is not None}
+        if self._plan is None:
+            self._plan = _Plan(
+                self._realized_system, self.target, self._evidence, self.space, self.terms
+            )
+        plan = self._plan
+        sigmas = tuple(
+            softmax(system_logits[b.key] if b.side == "p" else target_logits[b.index])
+            for b in plan.blocks
         )
-        target = self.target.with_logits(target_logits)
-        joint = build_joint(realized_system)
-        # Threads that race on a fixed target build and cache equal values,
-        # so the shared side needs no lock.
+        joint = plan.joint(sigmas)
         q_side = self._fixed_q_side
         if q_side is None:
-            q = build_target(target, realized_system, joint)
-            q_side = _QSide(q, _expand_to_scope(q.weights, q.names, joint.scope))
-            if not self._target_varies:
+            q_side = plan.target_side(sigmas, joint)
+            if plan.fixed_target:
                 self._fixed_q_side = q_side
-        p = observe(joint, self._evidence) if self._evidence else joint
-        return _State(
-            realized_system=realized_system, target=target, joint=joint, p=p, q_side=q_side
-        )
+        return _State(sigmas=sigmas, joint=joint, p=plan.observe(joint), q_side=q_side)
 
     # -- per-source arrays --------------------------------------------------
 
     def _source_values(self, src: LogSource, st: _State) -> np.ndarray:
         """A source's values on the joint's axes, with length one on every
         axis outside the source's own scope."""
-        cache = st.cache if isinstance(src, (ActualLog, Payoff)) else st.q_side.cache
+        if isinstance(src, Payoff):
+            return self._plan.payoffs[src]
+        cache = st.cache if isinstance(src, ActualLog) else st.q_side.cache
         key = ("v", src)
         if key in cache:
             return cache[key]
@@ -494,19 +663,8 @@ class Engine:
             arr = self._log_conditional(st, "p", src.vars, src.given)
         elif isinstance(src, TargetLog):
             arr = self._log_conditional(st, "q", src.vars, src.given)
-        elif isinstance(src, TargetFactorLog):
-            raw = target_factor_log_array(
-                st.target.factors[src.index], st.target, st.realized_system, st.joint
-            )
-            # raw lies on the target's axes, with length one outside the
-            # factor's own scope; those lengths carry over to the joint's.
-            axes = self._axes(st, st.q.names)
-            shape = [1] * st.joint.probs.ndim
-            for a, n in zip(axes, raw.shape):
-                shape[a] = n
-            arr = raw.transpose(np.argsort(axes)).reshape(shape)
         else:
-            arr = _expand_to_scope(src.values, src.vars, st.joint.scope)
+            arr = self._plan.lift.place(st.q_side.logs[src.index])
         cache[key] = arr
         return arr
 
@@ -520,7 +678,7 @@ class Engine:
             return np.zeros((1,) * st.joint.probs.ndim)
 
         def log_marginal(names: tuple[str, ...]) -> np.ndarray:
-            m = st.marginal(which, self._axes(st, names))
+            m = st.marginal(which, self._plan.axes(names))
             return _safe_log(m / m.sum())
 
         out = log_marginal(vars + given)
@@ -556,7 +714,7 @@ class Engine:
             values[term.name] = val
             if not with_grad:
                 continue
-            centred = centred + term.coeff * (v - val)
+            centred = _grow(centred, term.coeff * (v - val), st.p.probs.shape, np.add)
             # Payoffs carry no gradient, and an ActualLog adds none in
             # expectation: E_p[ E_p[s | G, H] - E_p[s | H] ] = 0.
             for w, src in term.parts:
@@ -579,10 +737,6 @@ class Engine:
         grad, direction, residual = self._contract(st, centred, c_factor, towers)
         return GradientEvaluation(evaluation, grad, direction, residual)
 
-    @staticmethod
-    def _axes(st: _State, names: tuple[str, ...]) -> tuple[int, ...]:
-        return tuple(st.joint.axis(x) for x in names)
-
     def _target_ratios(
         self, st: _State, towers: list[tuple[float, TargetLog]]
     ) -> np.ndarray | None:
@@ -597,7 +751,7 @@ class Engine:
             return None
 
         def ratio(names: tuple[str, ...]) -> np.ndarray:
-            axes = self._axes(st, names)
+            axes = self._plan.axes(names)
             return _ratio(st.marginal("p", axes), st.marginal("q", axes))
 
         r = np.zeros((1,) * st.p.probs.ndim)
@@ -620,13 +774,13 @@ class Engine:
         residual."""
         pm = st.p.probs
         blocks = list(self._blocks(st))
-        live = {(b.side, b.key) for b in blocks}
-        p_field = pm * centred if any(b.side == "p" for b in blocks) else None
+        live = {(b.side, b.key) for b, *_ in blocks}
+        p_field = pm * centred if any(b.side == "p" for b, *_ in blocks) else None
         # The target factors whose field some live block consumes: a
         # parameterized factor's own block, a factor mirror's child block,
         # and a marginal mirror's tower into the p-field.
         consumers: list[tuple[int, TargetFactor, tuple[str, str] | None]] = []
-        for idx, tf in enumerate(st.target.factors):
+        for idx, tf in enumerate(self.target.factors):
             if isinstance(tf, ParamFactor):
                 key = ("q", f"{idx}:{tf.child}")
             elif isinstance(tf, FactorMirror):
@@ -647,7 +801,7 @@ class Engine:
                 continue
             f = q_part if c == 0.0 else c * pm if q_part is None else c * pm + q_part
             if key is None:
-                keep, given = self._axes(st, tf.given + tf.vars), self._axes(st, tf.given)
+                keep, given = self._plan.axes(tf.given + tf.vars), self._plan.axes(tf.given)
                 p_field = p_field + st.joint.probs * (
                     _ratio(_marginal_on(f, keep), st.marginal("joint", keep))
                     - _ratio(_marginal_on(f, given), st.marginal("joint", given))
@@ -657,45 +811,41 @@ class Engine:
         grad = np.zeros(self.space.size)
         direction = np.zeros(self.space.size)
         residual = 0.0
-        for b in blocks:
+        for b, sigma, occupancy, block_residual in blocks:
             field = own.get((b.side, b.key))
             if b.side == "p":
                 field = p_field if field is None else p_field + field
             if field is not None:
-                g = _block_grad(field, b.sigma, b.parent_axes, b.child_axis)
+                g = _block_grad(field, sigma, b.parent_axes, b.child_axis)
                 grad[b.coords] = g
-                direction[b.coords] = _natural_direction(g, b.sigma, b.occupancy)
-            residual = max(residual, b.residual)
+                direction[b.coords] = _natural_direction(g, sigma, occupancy)
+            residual = max(residual, block_residual)
         return grad, direction, residual
 
-    def _blocks(self, st: _State) -> Iterator[_Block]:
-        """Every softmax block that still depends on its logits at ``st``.
+    def _blocks(
+        self, st: _State
+    ) -> Iterator[tuple[_Block, np.ndarray, np.ndarray, float]]:
+        """Every live softmax block with its sigma, parent occupancy (with a
+        trailing axis of length one) and score residual at ``st``.
 
-        A system block's occupancy and score residual both come from the
-        unobserved joint's marginal on (parents, child), which the residual
-        needs anyway; a target block's occupancy is the actual measure's
-        marginal on its parents. Both come from the state's marginal cache,
-        so a scope some term was already evaluated on costs no second pass.
+        A system block's occupancy is that of the unobserved joint, and it
+        and the score residual both come from the joint's marginal on
+        (parents, child), which the residual needs anyway; a target block's
+        occupancy is the actual measure's marginal on its parents, the
+        measure its field is weighted by, and its residual is zero. Both
+        come from the state's marginal cache, so a scope some term was
+        already evaluated on costs no second pass.
         """
-        for b in self.space.blocks:
-            coords = slice(b.offset, b.offset + b.size)
+        for b, sigma in zip(self._plan.blocks, st.sigmas):
             if b.side == "p":
-                factor = st.realized_system.factors[b.key]
-                if factor.logits is None:
-                    continue  # realized into a point mass; no dependence left
-                parents, child = self._axes(st, factor.parents), st.joint.axis(b.key)
-                sigma = factor.conditional()
-                axes = parents + (child,)
+                axes = b.parent_axes + (b.child_axis,)
                 joint = _on_axes(st.marginal("joint", axes), axes)
                 occupancy = joint.sum(axis=-1, keepdims=True)
                 residual = float(np.max(np.abs(joint - sigma * occupancy)))
             else:
-                tf = st.target.factors[b.index]
-                parents, child = self._axes(st, tf.parents), st.joint.axis(tf.child)
-                sigma = softmax(tf.logits, axis=-1)
-                occupancy = _on_axes(st.marginal("p", parents), parents)[..., np.newaxis]
-                residual = 0.0
-            yield _Block(coords, b.side, b.key, parents, child, sigma, occupancy, residual)
+                occupancy = _on_axes(st.marginal("p", b.parent_axes), b.parent_axes)
+                occupancy, residual = occupancy[..., np.newaxis], 0.0
+            yield b, sigma, occupancy, residual
 
     def value(self, phi: np.ndarray | None = None) -> Evaluation:
         """The functional's value and term breakdown at ``phi``."""

@@ -15,15 +15,21 @@ descent direction; where g . d is not positive, as for a ln Z term whose
 target-weighted gradient lives only on slices the actual distribution
 never reaches, the search falls back to d = g.
 
-Each line search starts from the mirror step, 1, and halves it at most
-30 times until the strict Armijo condition f(phi - t d) < f(phi) - c t
-g . d holds, with c = 1e-4, rejecting any candidate whose evaluation is
-divergent or non-finite. That candidates are rejected rather than
-compared means divergent regions act as infinite walls, so descent
-never walks onto a zero of the target that carries actual mass. No
-step above 1 is tried: plain gradient descent needed steps of up to 1e6
-to follow logits running off to infinity at boundary optima, and the
-1 / (occupancy sigma) scaling of d does that stretching itself.
+The first line search starts from the mirror step, 1, and each later
+one from twice the step the previous search accepted, capped at 1. It
+halves that start at most 30 times until the strict Armijo condition
+f(phi - t d) < f(phi) - c t g . d holds, with c = 1e-4, rejecting any
+candidate whose evaluation is divergent or non-finite. Carrying the
+step spares the trials a search would spend halving back down where the
+mirror step keeps overshooting, as on ``hmm-filter``, whose joint
+divergence couples blocks that the per-block Fisher scale treats as
+independent; doubling lets the step grow back to 1. That candidates are
+rejected rather than compared means divergent regions act as infinite
+walls, so descent never walks onto a zero of the target that carries
+actual mass. No step above 1 is tried: plain gradient descent needed
+steps of up to 1e6 to follow logits running off to infinity at boundary
+optima, and the 1 / (occupancy sigma) scaling of d does that stretching
+itself.
 
 Near a minimum the Armijo decrease falls below the rounding of the total,
 a few float spacings of its summed term magnitudes. A candidate whose
@@ -81,9 +87,9 @@ __all__ = [
 # term magnitudes are level up to rounding.
 _ROUNDING = 4.0 * np.finfo(np.float64).eps
 
-# The line search: its first trial step (the mirror step), how often it may
-# halve that step, and the fraction of the linear decrease it demands.
-_INITIAL_STEP = 1.0
+# The line search: its largest trial step (the mirror step), how often it
+# may halve its start, and the fraction of the linear decrease it demands.
+_MIRROR_STEP = 1.0
 _MAX_HALVINGS = 30
 _ARMIJO = 1.0e-4
 
@@ -136,8 +142,9 @@ def minimize(
 
     Each iteration searches along the objective's natural direction d,
     falling back to the gradient g when g . d is not positive. The line
-    search starts every iteration from the mirror step 1 and halves it up
-    to 30 times until f(phi - t d) < f(phi) - 1e-4 t g . d, or until a
+    search starts from the mirror step 1 on the first iteration and from
+    min(1, 2 t) after accepting a step t, and halves that start up to 30
+    times until f(phi - t d) < f(phi) - 1e-4 t g . d, or until a
     candidate level with f(phi) up to rounding still slopes downhill along
     d and has a smaller max-abs gradient. The keywords are exactly the
     ``optimizer`` settings a run configuration may give. Only
@@ -166,6 +173,7 @@ def minimize(
 
     records: list[IterationRecord] = []
     reason = "max-iterations"
+    start = _MIRROR_STEP
     for it in range(int(max_iters)):
         g = ge.grad
         gnorm = float(np.max(np.abs(g))) if g.size else 0.0
@@ -179,7 +187,7 @@ def minimize(
             d, slope = g, float(np.dot(g, g))
         total = ge.evaluation.total
         level = _ROUNDING * (sum(abs(t) for t in ge.evaluation.terms.values()) + abs(total))
-        trial = _INITIAL_STEP
+        trial = start
         accepted: tuple[np.ndarray, GradientEvaluation | None] | None = None
         for calls in range(1, _MAX_HALVINGS + 2):
             cand = phi - trial * d
@@ -203,6 +211,7 @@ def minimize(
             break
         phi, at_cand = accepted
         records.append(record(it, trial, calls))
+        start = min(_MIRROR_STEP, 2.0 * trial)
         ge = at_cand if at_cand is not None else objective.value_and_gradient(phi)
     else:
         records.append(record(int(max_iters), 0.0, 0))

@@ -633,13 +633,13 @@ def test_target_is_built_once_unless_it_depends_on_phi(factor, realized, varies,
     import divmin.engine
 
     calls = []
-    build = divmin.engine.build_target
+    build = divmin.engine._Plan.target_side
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(divmin.engine, "build_target", counted)
+    monkeypatch.setattr(divmin.engine._Plan, "target_side", counted)
     system = action_system()
     target = TargetSpec(("x", "a", "y"), [RewardFactor(("y",), np.asarray([0.0, 1.0])), factor])
     eng = Engine(system, target, kl_terms(target), lnz_coeff=1.0, realized=realized)
@@ -654,3 +654,47 @@ def test_target_is_built_once_unless_it_depends_on_phi(factor, realized, varies,
     assert got.evaluation == want.evaluation
     assert np.array_equal(got.grad, want.grad)
     assert np.array_equal(got.direction, want.direction)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_evaluations_build_no_factor(name, monkeypatch):
+    obj = from_preset(preset(name))
+    calls = []
+    post_init = FactorSpec.__post_init__
+
+    def counted(self):
+        calls.append(self.child)
+        post_init(self)
+
+    monkeypatch.setattr(FactorSpec, "__post_init__", counted)
+    phi = np.random.default_rng(5).standard_normal(obj.parameters().size)
+    obj.value(phi)
+    obj.value_and_gradient(phi)
+    obj.value()
+    obj.value_and_gradient()
+    assert calls == []
+    FactorSpec.fixed("x", (), [1.0])
+    assert calls == ["x"]  # the counter is live
+
+
+def test_each_marginal_is_summed_from_the_smallest_one_taken(monkeypatch):
+    # chain-mdp's value asks p for the marginals on (x_t, a_t) and x_t at
+    # five steps; each x_t comes from its (x_t, a_t), so only those five
+    # pass over the grid.
+    import divmin.engine
+
+    obj = from_preset(preset("chain-mdp", n_states=6, steps=5))
+    phi = np.random.default_rng(1).standard_normal(obj.parameters().size)
+    obj.value(phi)  # the fixed target is built by the first evaluation
+    grid = 6**5 * 2**5
+    full: list[tuple[int, ...]] = []
+    marginal_on = divmin.engine._marginal_on
+
+    def counted(arr, keep):
+        if arr.size == grid:
+            full.append(tuple(sorted(keep)))
+        return marginal_on(arr, keep)
+
+    monkeypatch.setattr(divmin.engine, "_marginal_on", counted)
+    obj.value(phi)
+    assert sorted(full) == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]

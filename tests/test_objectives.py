@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from divmin.decomp import observe, realize
 from divmin.engine import Engine
 from divmin.errors import ConfigError, ValidationError
 from divmin.objectives import FAMILY_TAGS, Objective, from_preset, make_objective
@@ -27,6 +28,8 @@ from divmin.systems import (
     RewardFactor,
     TableFactor,
     TargetSpec,
+    build_joint,
+    build_target,
 )
 from divmin.tables import Role, Variable
 from divmin.verify import _PRESET_FOR_FAMILY, _family_objective
@@ -786,6 +789,28 @@ def test_logit_swaps_match_fully_validated_systems(kind, key):
             assert got.log_partition == reference.evaluation.log_partition
         assert np.array_equal(fast.grad, reference.grad)
         assert fast.score_residual == reference.score_residual
+
+
+@pytest.mark.parametrize("kind, key", SWAP_CASES)
+def test_planned_tables_match_the_materialized_ones(kind, key):
+    # The engine multiplies and adds its planned factors in the order of
+    # build_joint and build_target, so its tables are the same bits.
+    obj = swap_objective(kind, key)
+    eng = obj.engine
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        phi = rng.standard_normal(obj.parameters().size)
+        system, target = eng.space.set(phi)
+        realized, evidence = realize(system, eng.realized, eng.realization)
+        joint = build_joint(realized)
+        q = build_target(target, realized, joint)
+        p = observe(joint, evidence) if evidence else joint
+        st = eng._state(phi)
+        assert np.array_equal(st.joint.probs, joint.probs)
+        assert np.array_equal(st.p.probs, p.probs)
+        assert np.array_equal(st.q.weights, q.weights)
+        assert st.q.names == q.names
+        assert st.q.log_partition == q.log_partition
 
 
 @pytest.mark.parametrize("kind, key", SWAP_CASES)

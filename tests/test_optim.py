@@ -168,6 +168,16 @@ class _Protocol:
         return dataclasses.replace(res, direction=np.zeros_like(res.direction))
 
 
+def test_line_search_starts_from_twice_the_last_step():
+    # On hmm-filter the mirror step overshoots on most iterations; a search
+    # that restarted at 1 every time spent 97 value calls here.
+    wrapped = _Protocol(from_preset(preset("hmm-filter")))
+    trace = minimize(wrapped, max_iters=500, grad_tol=1.0e-9)
+    assert trace.reason == "gradient-tolerance"
+    assert wrapped.value_calls <= 80
+    assert all(r.step <= 1.0 for r in trace.records)
+
+
 def test_minimize_needs_only_the_objective_protocol():
     obj = from_preset(preset("vae-toy"))
     wrapped = _Protocol(obj)
