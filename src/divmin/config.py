@@ -6,7 +6,9 @@ settings. Validation is two-staged: the JSON schema rejects unknown
 keys and malformed documents outright, then the ordinary constructors
 enforce the semantic rules (row normalization, scope membership,
 family requirements), so a configuration can only ever build the same
-objects the Python API would.
+objects the Python API would. ``jsonschema`` is imported on the first
+validation, not with the package, so code that never parses a
+configuration never loads it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 
-import jsonschema
 import numpy as np
 
 from .errors import ConfigError
@@ -272,15 +273,24 @@ def _initial_point(init, seed: int, objective: Objective) -> np.ndarray:
 
 
 @functools.cache
-def _validator() -> jsonschema.Draft202012Validator:
-    """The validator for ``SCHEMA``, whose own check runs once per process."""
-    jsonschema.Draft202012Validator.check_schema(SCHEMA)
-    return jsonschema.Draft202012Validator(SCHEMA)
+def _validator():
+    """The ``Draft202012Validator`` for ``SCHEMA``, whose own check runs
+    once per process."""
+    from jsonschema import Draft202012Validator
+
+    Draft202012Validator.check_schema(SCHEMA)
+    return Draft202012Validator(SCHEMA)
 
 
-def parse_config(data: Mapping, fallback_name: str = "run") -> RunConfig:
-    """Validate a configuration document and build its objective."""
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(data))
+def parse_config(data: Mapping) -> RunConfig:
+    """Validate a configuration document and build its objective.
+
+    An unnamed configuration is named after its preset, or else after
+    its problem's family.
+    """
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator().iter_errors(data))
     if error is not None:
         where = "/".join(str(p) for p in error.absolute_path) or "top level"
         raise ConfigError(f"invalid configuration at {where}: {error.message}")
@@ -310,7 +320,7 @@ def parse_config(data: Mapping, fallback_name: str = "run") -> RunConfig:
         default_name = problem["family"]
 
     return RunConfig(
-        name=data.get("name", default_name or fallback_name),
+        name=data.get("name", default_name),
         seed=seed,
         objective=objective,
         phi0=_initial_point(data.get("init"), seed, objective),
@@ -331,7 +341,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must hold a JSON object at the top level")
-    return parse_config(data, fallback_name=path.stem)
+    return parse_config(data)
 
 
 def bundled_config_names() -> tuple[str, ...]:

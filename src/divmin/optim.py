@@ -224,12 +224,17 @@ def minimize(
     )
 
 
+def _positive(what: str, value: float) -> None:
+    """Reject a step or tolerance that is not finite and positive."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{what} must be finite and positive, got {value}")
+
+
 def finite_difference_gradient(
     objective: Objective, phi: np.ndarray | None = None, h: float = 1.0e-5
 ) -> np.ndarray:
     """Central differences of the total, one coordinate at a time."""
-    if h <= 0.0:
-        raise ConfigError(f"finite difference step must be positive, got {h}")
+    _positive("finite difference step", h)
     base = np.array(
         objective.parameters() if phi is None else np.asarray(phi, dtype=np.float64)
     )
@@ -255,6 +260,8 @@ class GradientCheck:
     step: float
 
     def passed(self, rel_tol: float = 1.0e-8, residual_tol: float = 1.0e-10) -> bool:
+        _positive("relative error tolerance", rel_tol)
+        _positive("score residual tolerance", residual_tol)
         return self.rel_err < rel_tol and self.score_residual < residual_tol
 
 

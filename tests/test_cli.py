@@ -160,6 +160,22 @@ def test_gradcheck_without_parameters_passes(tmp_path, capsys):
     assert out.splitlines()[-1] == "PASS"
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--step", "nan", "finite difference step"),
+        ("--step", "inf", "finite difference step"),
+        ("--rel-tol", "nan", "relative error tolerance"),
+        ("--residual-tol", "-1", "score residual tolerance"),
+    ],
+)
+def test_gradcheck_rejects_a_bad_step_or_tolerance(capsys, flag, value, message):
+    assert main(["gradcheck", "free-choice", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert f"{message} must be finite and positive" in captured.err
+    assert "FAIL" not in captured.out
+
+
 def test_run_dry_run_validates_without_artifacts(tmp_path, capsys):
     out_dir = tmp_path / "never"
     code = main(["run", "free-choice", "--out", str(out_dir), "--dry-run"])

@@ -1,6 +1,11 @@
 """Schema enforcement and construction for JSON run configurations."""
 
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -15,6 +20,17 @@ from divmin.config import (
 )
 from divmin.errors import ConfigError
 from divmin.optim import minimize
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(code: str) -> None:
+    """Run ``code`` in a new interpreter that imports divmin from ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def inline_problem() -> dict:
@@ -58,6 +74,15 @@ def test_inline_problem_builds_a_working_objective():
     assert np.array_equal(config.phi0, config.objective.parameters())
     evaluation = config.objective.value(config.phi0)
     assert np.isfinite(evaluation.total)
+
+
+def test_an_unnamed_config_is_named_after_its_preset_or_family(tmp_path):
+    inline = tmp_path / "inline-run.json"
+    inline.write_text(json.dumps({"seed": 0, "problem": inline_problem()}))
+    assert load_config(inline).name == "joint_kl"
+    named = tmp_path / "preset-run.json"
+    named.write_text(json.dumps({"seed": 0, "preset": "free-choice"}))
+    assert load_config(named).name == "free-choice"
 
 
 def test_random_init_is_seed_deterministic():
@@ -141,3 +166,46 @@ def test_optimizer_settings_are_exactly_the_keywords_of_minimize():
         if param.kind is inspect.Parameter.KEYWORD_ONLY
     }
     assert set(SCHEMA["properties"]["optimizer"]["properties"]) == keywords
+
+
+def test_building_objectives_and_verifying_never_load_jsonschema():
+    run_fresh("""
+import sys
+import divmin
+from divmin import from_preset, preset, run_suite
+from_preset(preset("chain-mdp"))
+run_suite(seeds=1, draws=1, only=["probability_core"])
+loaded = [m for m in sys.modules if m.split(".")[0] == "jsonschema"]
+assert not loaded, loaded
+""")
+
+
+def test_the_first_parse_loads_jsonschema_and_still_rejects():
+    run_fresh("""
+import sys
+from divmin.config import parse_config
+from divmin.errors import ConfigError
+try:
+    parse_config({"seed": 0, "preset": "bnn-toy", "unexpected": True})
+except ConfigError as exc:
+    assert "invalid configuration at top level" in str(exc), exc
+else:
+    raise AssertionError("an unknown key was accepted")
+assert "jsonschema" in sys.modules
+""")
+
+
+def test_the_first_parse_checks_the_schema_itself():
+    run_fresh("""
+import jsonschema
+from divmin import config
+config.parse_config({"seed": 0, "preset": "bnn-toy"})
+config.SCHEMA = {"type": 12}
+config._validator.cache_clear()
+try:
+    config.parse_config({"seed": 0, "preset": "bnn-toy"})
+except jsonschema.SchemaError:
+    pass
+else:
+    raise AssertionError("an invalid schema went unchecked")
+""")

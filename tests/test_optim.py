@@ -88,6 +88,16 @@ def test_gradient_check_default_gate_is_1e_8_relative():
     assert not check(1.0e-7).passed()
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_gradient_check_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    zero = np.zeros(1)
+    chk = GradientCheck(zero, zero, 0.0, 0.0, 0.0, 1.0e-5)
+    with pytest.raises(ConfigError, match="relative error tolerance"):
+        chk.passed(rel_tol=tol)
+    with pytest.raises(ConfigError, match="score residual tolerance"):
+        chk.passed(residual_tol=tol)
+
+
 def test_descent_runs_past_the_resolution_of_the_total():
     # With no gradient tolerance the Armijo decrease drops below float
     # resolution; descent must keep shrinking the gradient and then stop
@@ -202,8 +212,9 @@ def test_minimize_falls_back_to_the_gradient():
 
 def test_argument_validation():
     obj = from_preset(preset("free-choice"))
-    with pytest.raises(ConfigError):
-        finite_difference_gradient(obj, h=0.0)
+    for h in (0.0, -1.0e-5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="finite difference step"):
+            finite_difference_gradient(obj, h=h)
     with pytest.raises(ConfigError):
         minimize(obj, max_iters=0)
     with pytest.raises(ConfigError):
