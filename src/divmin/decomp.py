@@ -33,11 +33,11 @@ import numpy as np
 from .errors import NullEvidenceError, ValidationError
 from .systems import (
     ActualSystem,
+    FactorSpec,
     MarginalMirror,
     TargetSpec,
     build_joint,
     build_target,
-    intervene,
     target_factor_scope,
 )
 from .tables import (
@@ -147,8 +147,11 @@ def realize(
     Actions and skills are substituted into the system unless
     ``realization="condition"`` demotes them to evidence; observed past
     inputs always become evidence, since observing an exogenous input never
-    severs its incoming arrows. Every value is range-checked here, so an
-    objective with an impossible realization fails when it is built.
+    severs its incoming arrows. A substituted variable's factor becomes a
+    parentless point mass and the factors downstream are left untouched,
+    so upstream marginals keep their values, unlike under conditioning.
+    Every value is range-checked here, so an objective with an impossible
+    realization fails when it is built.
     """
     if realization not in ("intervene", "condition"):
         raise ValidationError(
@@ -172,7 +175,12 @@ def realize(
             evidence[name] = value
         else:
             substituted[name] = value
-    return (intervene(system, substituted) if substituted else system), evidence
+    if not substituted:
+        return system, evidence
+    factors = dict(system.factors)
+    for name, value in substituted.items():
+        factors[name] = FactorSpec.point_mass(name, (), value)
+    return ActualSystem(system.variables, factors.values()), evidence
 
 
 def _check_evidence_scope(evidence: Assignment, scope: Sequence[str]) -> None:

@@ -73,14 +73,14 @@ block's gradient preconditioned by that block's Fisher information,
 occupancy(pa) (diag(sigma) - sigma sigma^T) on every parent slice. Its
 pseudo-inverse applied to a slice's gradient, which sums to zero over
 the child, is the gradient divided by occupancy * sigma and centred
-over the child axis. One resolver walks the live blocks: a system
-block's occupancy is the sum over the child of the joint's (parents,
-child) marginal that the residual already takes, and a target block's
-is the actual measure's marginal on its parents, the measure its field
-is weighted by. Slices whose occupancy lies below a floor get a zero
-direction, since dividing by a vanishing Fisher scale would only blow
-up rounding. Then g . d = sum g^2 / (occupancy sigma) >= 0, so the
-direction descends wherever it is nonzero.
+over the child axis. Every block, on either side, takes its occupancy
+from one rule: the actual measure's marginal on its parents, evidence
+included, since that is the measure the functional weighs it by. The
+unobserved joint is read only for the score residual. Slices whose
+occupancy lies below a floor get a zero direction, since dividing by a
+vanishing Fisher scale would only blow up rounding. Then g . d = sum g^2
+/ (occupancy sigma) >= 0, so the direction descends wherever it is
+nonzero.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -100,7 +100,6 @@ from .systems import (
     MarginalMirror,
     ParameterSpace,
     ParamFactor,
-    TargetFactor,
     TargetSpec,
     _frozen,
     _grow,
@@ -196,7 +195,8 @@ class GradientEvaluation:
     ``direction`` has the layout of ``grad``: per softmax block, the
     gradient divided by occupancy * sigma and centred over the child axis,
     and zero on parent slices whose occupancy is below the floor, so that
-    grad . direction >= 0.
+    grad . direction >= 0. A block's occupancy is the actual measure's
+    marginal on its parents, evidence included.
 
     ``score_residual`` is the max-abs entry, over every softmax block of the
     realized system, of the unobserved joint contracted against that block's
@@ -272,8 +272,9 @@ def _natural_direction(
 
     The gradient is divided by occupancy * sigma, set to zero on parent
     slices whose occupancy is below the floor, and centred over the child
-    axis; ``occupancy`` carries a trailing axis of length one.
+    axis; ``occupancy`` is indexed by the parents alone.
     """
+    occupancy = occupancy[..., np.newaxis]
     live = (occupancy >= _OCCUPANCY_FLOOR) & (sigma > 0.0)
     scaled = np.divide(
         grad.reshape(sigma.shape), occupancy * sigma, out=np.zeros(sigma.shape), where=live
@@ -361,6 +362,15 @@ class _Plan:
     target's axes on the joint's, and ``payoffs`` each payoff source on
     the joint's axes. Fixed target tables of the wrong shape, and mirrors
     of factors whose parents lie outside the target, fail here.
+
+    The gradient's structure is resolved here too, from the terms alone:
+    ``towers`` holds each normalized-target source's coefficient with the
+    axes of its two ratios, ``ratio`` whether some tower or ln Z adds a
+    q r part to a consumed field, ``copies`` how many system outcomes share each target
+    outcome, ``system_blocks`` whether a live system block needs the
+    p-field, and ``consumers`` each target factor whose field a live block
+    consumes, with its coefficient of p and the block position, or the
+    axes of a marginal mirror's tower into the p-field, that it feeds.
     """
 
     def __init__(
@@ -370,6 +380,7 @@ class _Plan:
         evidence: Mapping[str, int],
         space: ParameterSpace,
         terms: tuple[Term, ...],
+        lnz_coeff: float,
     ) -> None:
         self.system, self.target, self.evidence = system, target, evidence
         self.scope = scope = system.variables
@@ -403,22 +414,51 @@ class _Plan:
             sel[value] = True
             sel = _Layout((name,), scope).place(sel)
             self.keep = sel if self.keep is None else self.keep & sel
+        # The gradient's structure. Payoffs carry no gradient, and an
+        # ActualLog adds none in expectation: E_p[ E_p[s | G, H] - E_p[s | H] ]
+        # = 0. A target factor's log adds its coefficient to that factor's
+        # field, and a normalized-target source adds a tower to the ratio.
+        c_factor: dict[int, float] = {}
+        towers: list[tuple[float, tuple[int, ...], tuple[int, ...]]] = []
+        for t in terms:
+            for w, src in t.parts:
+                c = t.coeff * w
+                if isinstance(src, TargetFactorLog):
+                    c_factor[src.index] = c_factor.get(src.index, 0.0) + c
+                elif isinstance(src, TargetLog) and src.vars:
+                    towers.append((c, self.axes(src.vars + src.given), self.axes(src.given)))
+        self.towers = tuple(towers)
+        ratio = bool(towers) or lnz_coeff != 0.0
+        self.system_blocks = any(b.side == "p" for b in blocks)
         self.target_scope = tuple(map(system.variable, target.scope))
+        self.copies = math.prod(self.shape) / math.prod(v.cardinality for v in self.target_scope)
         logs: list[_Placed | MarginalMirror] = []
+        consumers: list[tuple[float, int | tuple[tuple[int, ...], tuple[int, ...]]]] = []
         for i, f in enumerate(target.factors):
+            # What the factor's field c p + q r feeds: a live block's
+            # position, or a marginal mirror's tower into the p-field.
+            feeds = None
             if isinstance(f, MarginalMirror):
                 logs.append(f)
-                continue
-            # Checks shapes and mirror scopes as ``build_target`` does.
-            log = target_factor_log_array(f, target, system)
-            if isinstance(f, ParamFactor):
-                block, names = live[("q", f"{i}:{f.child}")], f.parents + (f.child,)
-                log = (block, _Layout(names, self.target_scope))
-            elif isinstance(f, FactorMirror) and ("p", f.child) in live:
-                block, names = live[("p", f.child)], system.factors[f.child].parents + (f.child,)
-                log = (block, _Layout(names, self.target_scope))
-            logs.append(log)
+                if self.system_blocks:
+                    feeds = (self.axes(f.given + f.vars), self.axes(f.given))
+            else:
+                # Checks shapes and mirror scopes as ``build_target`` does.
+                log = target_factor_log_array(f, target, system)
+                if isinstance(f, ParamFactor):
+                    feeds, names = live[("q", f"{i}:{f.child}")], f.parents + (f.child,)
+                    log = (feeds, _Layout(names, self.target_scope))
+                elif isinstance(f, FactorMirror) and ("p", f.child) in live:
+                    feeds = live[("p", f.child)]
+                    names = system.factors[f.child].parents + (f.child,)
+                    log = (feeds, _Layout(names, self.target_scope))
+                logs.append(log)
+            c = c_factor.get(i, 0.0)
+            if feeds is not None and (c != 0.0 or ratio):
+                consumers.append((c, feeds))  # a zero field is left out
         self.logs = tuple(logs)
+        self.consumers = tuple(consumers)
+        self.ratio = ratio and bool(consumers)
         self.lift = _Layout(target.scope, scope)
         self.payoffs = {
             src: _Layout(src.vars, scope).place(src.values)
@@ -533,8 +573,9 @@ class Engine:
     resolves everything that depends on structure alone into one plan: each
     factor's layout on the joint's (or the target's) axes, the fixed and
     point-mass conditionals and the fixed target-factor logs already laid
-    out, the evidence mask, and each live softmax block's coordinates and
-    axes. Every evaluation then checks ``phi`` (``phi=None`` means the
+    out, the evidence mask, each live softmax block's coordinates and
+    axes, and which fields the gradient builds for which blocks. Every
+    evaluation then checks ``phi`` (``phi=None`` means the
     current parameters) once, takes one softmax per live block, which the
     joint, the target's factor logs, the target-factor sources and the
     gradient all share, and multiplies and adds in the order of
@@ -633,7 +674,12 @@ class Engine:
         )
         if self._plan is None:
             self._plan = _Plan(
-                self._realized_system, self.target, self._evidence, self.space, self.terms
+                self._realized_system,
+                self.target,
+                self._evidence,
+                self.space,
+                self.terms,
+                self.lnz_coeff,
             )
         plan = self._plan
         sigmas = tuple(
@@ -694,8 +740,6 @@ class Engine:
         values: dict[str, float] = {}
         divergent = False
         centred = np.zeros(ones)  # sum_t c_t (V_t - E_p V_t), for the p-field
-        c_factor: dict[int, float] = {}  # coefficient of p in a target factor's field
-        towers: list[tuple[float, TargetLog]] = []
         for term in self.terms:
             v = np.zeros(ones)
             # Opposite infinities from stacked log sources cancel into nans
@@ -712,17 +756,8 @@ class Engine:
                 ps, v = np.where(ok, ps, 0.0), np.where(ok, v, 0.0)
             val = float(np.vdot(ps, v))
             values[term.name] = val
-            if not with_grad:
-                continue
-            centred = _grow(centred, term.coeff * (v - val), st.p.probs.shape, np.add)
-            # Payoffs carry no gradient, and an ActualLog adds none in
-            # expectation: E_p[ E_p[s | G, H] - E_p[s | H] ] = 0.
-            for w, src in term.parts:
-                c = term.coeff * w
-                if isinstance(src, TargetFactorLog):
-                    c_factor[src.index] = c_factor.get(src.index, 0.0) + c
-                elif isinstance(src, TargetLog) and src.vars:
-                    towers.append((c, src))
+            if with_grad:
+                centred = _grow(centred, term.coeff * (v - val), st.p.probs.shape, np.add)
         parts = [term.coeff * values[term.name] for term in self.terms]
         parts.append(self.lnz_coeff * st.q.log_partition)
         total = math.fsum(parts)
@@ -734,118 +769,82 @@ class Engine:
         )
         if not with_grad:
             return evaluation
-        grad, direction, residual = self._contract(st, centred, c_factor, towers)
+        grad, direction, residual = self._contract(st, centred)
         return GradientEvaluation(evaluation, grad, direction, residual)
 
-    def _target_ratios(
-        self, st: _State, towers: list[tuple[float, TargetLog]]
-    ) -> np.ndarray | None:
+    def _target_ratios(self, st: _State) -> np.ndarray:
         """r such that q r is the part of every target factor's field that
-        the normalized-target sources and ln Z contribute, or None if none
-        does.
+        the normalized-target sources and ln Z contribute.
 
         q is the target weights broadcast over the system variables outside
         the target scope, so each of its marginals counts those copies.
         """
-        if not towers and self.lnz_coeff == 0.0:
-            return None
 
-        def ratio(names: tuple[str, ...]) -> np.ndarray:
-            axes = self._plan.axes(names)
+        def ratio(axes: tuple[int, ...]) -> np.ndarray:
             return _ratio(st.marginal("p", axes), st.marginal("q", axes))
 
         r = np.zeros((1,) * st.p.probs.ndim)
-        for c, src in towers:
-            r = r + c * (ratio(src.vars + src.given) - ratio(src.given))
+        for c, keep, given in self._plan.towers:
+            r = r + c * (ratio(keep) - ratio(given))
         if self.lnz_coeff != 0.0:
             r = r + self.lnz_coeff / st.marginal("q", ())
-        return r / (st.p.probs.size / st.q_lift.size)
+        return r / self._plan.copies
 
     def _contract(
-        self,
-        st: _State,
-        centred: np.ndarray,
-        c_factor: dict[int, float],
-        towers: list[tuple[float, TargetLog]],
+        self, st: _State, centred: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Builds each weight field once and only for the live blocks that
-        consume it, contracts every softmax block once, preconditions each
-        block's gradient into the natural direction, and measures the score
-        residual."""
-        pm = st.p.probs
-        blocks = list(self._blocks(st))
-        live = {(b.side, b.key) for b, *_ in blocks}
-        p_field = pm * centred if any(b.side == "p" for b, *_ in blocks) else None
-        # The target factors whose field some live block consumes: a
-        # parameterized factor's own block, a factor mirror's child block,
-        # and a marginal mirror's tower into the p-field.
-        consumers: list[tuple[int, TargetFactor, tuple[str, str] | None]] = []
-        for idx, tf in enumerate(self.target.factors):
-            if isinstance(tf, ParamFactor):
-                key = ("q", f"{idx}:{tf.child}")
-            elif isinstance(tf, FactorMirror):
-                key = ("p", tf.child)
-            elif isinstance(tf, MarginalMirror) and p_field is not None:
-                key = None
-            else:
-                continue
-            if key is None or key in live:
-                consumers.append((idx, tf, key))
-        r = self._target_ratios(st, towers) if consumers else None
+        """Measures the score residual, builds each weight field once and
+        only for the live blocks that consume it, contracts every softmax
+        block once, and preconditions each block's gradient into the
+        natural direction.
+
+        Each new marginal is summed from the smallest cached one that
+        covers it, so the order marginals are first taken in fixes their
+        rounding. The residual's are taken first and the occupancies last,
+        after every field's.
+        """
+        plan, pm = self._plan, st.p.probs
+        residual = self._score_residual(st)
+        p_field = pm * centred if plan.system_blocks else None
+        r = self._target_ratios(st) if plan.ratio else None
         q_part = None if r is None else np.broadcast_to(st.q_lift * r, pm.shape)
-        own: dict[tuple[str, str], np.ndarray] = {}  # fields for one block only
-        for idx, tf, key in consumers:
-            # c p + q r, skipped where it is zero
-            c = c_factor.get(idx, 0.0)
-            if c == 0.0 and q_part is None:
-                continue
+        own: dict[int, np.ndarray] = {}  # fields for one block only, by position
+        for c, feeds in plan.consumers:
+            # c p + q r, never zero here
             f = q_part if c == 0.0 else c * pm if q_part is None else c * pm + q_part
-            if key is None:
-                keep, given = self._plan.axes(tf.given + tf.vars), self._plan.axes(tf.given)
+            if isinstance(feeds, int):
+                own[feeds] = own[feeds] + f if feeds in own else f
+            else:
+                keep, given = feeds
                 p_field = p_field + st.joint.probs * (
                     _ratio(_marginal_on(f, keep), st.marginal("joint", keep))
                     - _ratio(_marginal_on(f, given), st.marginal("joint", given))
                 )
-            else:
-                own[key] = own[key] + f if key in own else f
         grad = np.zeros(self.space.size)
         direction = np.zeros(self.space.size)
-        residual = 0.0
-        for b, sigma, occupancy, block_residual in blocks:
-            field = own.get((b.side, b.key))
+        for i, (b, sigma) in enumerate(zip(plan.blocks, st.sigmas)):
+            field = own.get(i)
             if b.side == "p":
                 field = p_field if field is None else p_field + field
             if field is not None:
                 g = _block_grad(field, sigma, b.parent_axes, b.child_axis)
+                occupancy = _on_axes(st.marginal("p", b.parent_axes), b.parent_axes)
                 grad[b.coords] = g
                 direction[b.coords] = _natural_direction(g, sigma, occupancy)
-            residual = max(residual, block_residual)
         return grad, direction, residual
 
-    def _blocks(
-        self, st: _State
-    ) -> Iterator[tuple[_Block, np.ndarray, np.ndarray, float]]:
-        """Every live softmax block with its sigma, parent occupancy (with a
-        trailing axis of length one) and score residual at ``st``.
-
-        A system block's occupancy is that of the unobserved joint, and it
-        and the score residual both come from the joint's marginal on
-        (parents, child), which the residual needs anyway; a target block's
-        occupancy is the actual measure's marginal on its parents, the
-        measure its field is weighted by, and its residual is zero. Both
-        come from the state's marginal cache, so a scope some term was
-        already evaluated on costs no second pass.
-        """
+    def _score_residual(self, st: _State) -> float:
+        """The max-abs entry, over the live system blocks, of the unobserved
+        joint contracted against each block's scores: p(parents, child) -
+        sigma p(parents), exactly zero in theory."""
+        residual = 0.0
         for b, sigma in zip(self._plan.blocks, st.sigmas):
             if b.side == "p":
                 axes = b.parent_axes + (b.child_axis,)
                 joint = _on_axes(st.marginal("joint", axes), axes)
-                occupancy = joint.sum(axis=-1, keepdims=True)
-                residual = float(np.max(np.abs(joint - sigma * occupancy)))
-            else:
-                occupancy = _on_axes(st.marginal("p", b.parent_axes), b.parent_axes)
-                occupancy, residual = occupancy[..., np.newaxis], 0.0
-            yield b, sigma, occupancy, residual
+                off = joint - sigma * joint.sum(axis=-1, keepdims=True)
+                residual = max(residual, float(np.max(np.abs(off))))
+        return residual
 
     def value(self, phi: np.ndarray | None = None) -> Evaluation:
         """The functional's value and term breakdown at ``phi``."""

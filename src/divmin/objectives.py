@@ -576,7 +576,7 @@ def _build_control(
                     f"input {v!r} conditions on {sorted(extra)}; passive dynamics "
                     "need input and decision parents only"
                 )
-            cond = f.conditional_with(system.variable(v).cardinality)
+            cond = system.factor_conditional(v)
             dec_axes = tuple(i for i, pname in enumerate(f.parents) if pname in decisions)
             avg = cond.mean(axis=dec_axes) if dec_axes else cond
             state_parents = tuple(pname for pname in f.parents if pname not in decisions)

@@ -3,33 +3,34 @@
 The minimizer is natural-gradient descent with a backtracking line search.
 Every parameter block is a per-slice softmax, and for a joint divergence
 over such blocks the Fisher information of a block is diagonal in its
-parent slices: occupancy times (diag(sigma) - sigma sigma^T). The engine
-returns the matching natural direction d with every gradient g, namely
-g / (occupancy sigma) centred over each slice, and zero on slices the
-actual distribution does not reach. In logit space a step along d is
-exponentiated-gradient (mirror) descent, and its step of size 1 is the
-closed-form update where one exists: the exact fit of a single
-divergence block, Blahut-Arimoto on empowerment, soft policy iteration
-on control. Since g . d = sum g^2 / (occupancy sigma) >= 0, d is a
-descent direction; where g . d is not positive, as for a ln Z term whose
-target-weighted gradient lives only on slices the actual distribution
-never reaches, the search falls back to d = g.
+parent slices: occupancy times (diag(sigma) - sigma sigma^T), where the
+occupancy is the actual distribution's marginal on the parents, evidence
+included. The engine returns the matching natural direction d with every
+gradient g, namely g / (occupancy sigma) centred over each slice, and zero
+on slices the actual distribution does not reach. In logit space a step
+along d is exponentiated-gradient (mirror) descent. Its step of size 1 is
+exact on a system block whose share of the divergence reads
+sum occupancy sigma (ln sigma + V), with V free of that block: from any
+start the step lands on the block's minimizer, sigma proportional to
+exp(-V). That covers every system block of the presets but
+bandit-infogain's ``x1`` and two-room-skills' ``a1``, whose conditionals
+also enter the divergence through marginals. It never holds for target
+predictor blocks (decoders, the skill predictor, the information-gain
+belief), whose exact update is the posterior under the actual
+distribution. Since g . d = sum g^2 / (occupancy sigma) >= 0, d is
+a descent direction; where g . d is not positive, as for a ln Z term
+whose target-weighted gradient lives only on slices the actual
+distribution never reaches, the search falls back to d = g.
 
-The first line search starts from the mirror step, 1, and each later
-one from twice the step the previous search accepted, capped at 1. It
-halves that start at most 30 times until the strict Armijo condition
-f(phi - t d) < f(phi) - c t g . d holds, with c = 1e-4, rejecting any
-candidate whose evaluation is divergent or non-finite. Carrying the
-step spares the trials a search would spend halving back down where the
-mirror step keeps overshooting, as on ``hmm-filter``, whose joint
-divergence couples blocks that the per-block Fisher scale treats as
-independent; doubling lets the step grow back to 1. That candidates are
-rejected rather than compared means divergent regions act as infinite
-walls, so descent never walks onto a zero of the target that carries
-actual mass. No step above 1 is tried: plain gradient descent needed
-steps of up to 1e6 to follow logits running off to infinity at boundary
-optima, and the 1 / (occupancy sigma) scaling of d does that stretching
-itself.
+Every line search starts from the mirror step, 1, and halves it at most
+30 times until the strict Armijo condition f(phi - t d) < f(phi) - c t
+g . d holds, with c = 1e-4, rejecting any candidate whose evaluation is
+divergent or non-finite. That candidates are rejected rather than
+compared means divergent regions act as infinite walls, so descent never
+walks onto a zero of the target that carries actual mass. No step above
+1 is tried: plain gradient descent needed steps of up to 1e6 to follow
+logits running off to infinity at boundary optima, and the 1 /
+(occupancy sigma) scaling of d does that stretching itself.
 
 Near a minimum the Armijo decrease falls below the rounding of the total,
 a few float spacings of its summed term magnitudes. A candidate whose
@@ -39,12 +40,12 @@ f(phi - t d) > 0, and its max-abs gradient is strictly below the
 current point's; the gradient computed for that test is reused by the
 next iteration. This rule stays because gradient tolerances such as
 1e-9 lie below what the total can resolve: without it descent on
-``hmm-filter`` stops with ``"no-descent"`` at a gradient of 4.5e-9.
-Requiring the gradient to shrink keeps level steps from cycling between
-points whose gradients are rounding noise. Descent thus keeps shrinking
-the gradient past the resolution of the total, never takes a step that
-merely rounds level, and stops with ``"no-descent"`` once neither test
-can pass.
+``hmm-filter`` stops with ``"no-descent"`` at a gradient of 1.0e-9, just
+above that tolerance. Requiring the gradient to shrink keeps level steps
+from cycling between points whose gradients are rounding noise. Descent
+thus keeps shrinking the gradient past the resolution of the total,
+never takes a step that merely rounds level, and stops with
+``"no-descent"`` once neither test can pass.
 
 ``check_gradient`` compares the engine's exact gradient against central
 finite differences of the total. The reported relative error is the
@@ -87,8 +88,8 @@ __all__ = [
 # term magnitudes are level up to rounding.
 _ROUNDING = 4.0 * np.finfo(np.float64).eps
 
-# The line search: its largest trial step (the mirror step), how often it
-# may halve its start, and the fraction of the linear decrease it demands.
+# The line search: its first trial step (the mirror step), how often it
+# may halve it, and the fraction of the linear decrease it demands.
 _MIRROR_STEP = 1.0
 _MAX_HALVINGS = 30
 _ARMIJO = 1.0e-4
@@ -142,9 +143,8 @@ def minimize(
 
     Each iteration searches along the objective's natural direction d,
     falling back to the gradient g when g . d is not positive. The line
-    search starts from the mirror step 1 on the first iteration and from
-    min(1, 2 t) after accepting a step t, and halves that start up to 30
-    times until f(phi - t d) < f(phi) - 1e-4 t g . d, or until a
+    search starts from the mirror step 1 and halves it up to 30 times
+    until f(phi - t d) < f(phi) - 1e-4 t g . d, or until a
     candidate level with f(phi) up to rounding still slopes downhill along
     d and has a smaller max-abs gradient. The keywords are exactly the
     ``optimizer`` settings a run configuration may give. Only
@@ -173,7 +173,6 @@ def minimize(
 
     records: list[IterationRecord] = []
     reason = "max-iterations"
-    start = _MIRROR_STEP
     for it in range(int(max_iters)):
         g = ge.grad
         gnorm = float(np.max(np.abs(g))) if g.size else 0.0
@@ -187,7 +186,7 @@ def minimize(
             d, slope = g, float(np.dot(g, g))
         total = ge.evaluation.total
         level = _ROUNDING * (sum(abs(t) for t in ge.evaluation.terms.values()) + abs(total))
-        trial = start
+        trial = _MIRROR_STEP
         accepted: tuple[np.ndarray, GradientEvaluation | None] | None = None
         for calls in range(1, _MAX_HALVINGS + 2):
             cand = phi - trial * d
@@ -211,7 +210,6 @@ def minimize(
             break
         phi, at_cand = accepted
         records.append(record(it, trial, calls))
-        start = min(_MIRROR_STEP, 2.0 * trial)
         ge = at_cand if at_cand is not None else objective.value_and_gradient(phi)
     else:
         records.append(record(int(max_iters), 0.0, 0))

@@ -63,14 +63,14 @@ def report_payload(config: RunConfig, trace: OptimTrace) -> dict:
     """
     objective = config.objective
     records = trace.records
-    system, target = objective.engine.space.set(np.asarray(trace.phi, dtype=np.float64))
-    optimized = {}
-    for block in objective.engine.space.blocks:
-        if block.side == "p":
-            table = system.factors[block.key].conditional()
-        else:
-            table = softmax(target.factors[block.index].logits, axis=-1)
-        optimized[f"{block.side}:{block.key}"] = table.tolist()
+    space = objective.engine.space
+    system, target = space.logits(trace.phi)
+    optimized = {
+        f"{b.side}:{b.key}": softmax(
+            system[b.key] if b.side == "p" else target[b.index]
+        ).tolist()
+        for b in space.blocks
+    }
     return {
         "version": REPORT_VERSION,
         "name": config.name,

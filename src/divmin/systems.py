@@ -38,7 +38,6 @@ from .errors import CapacityError, ValidationError
 from .tables import (
     CAPACITY_LIMIT,
     NORMALIZATION_TOL,
-    Assignment,
     Role,
     Table,
     UnnormalizedTable,
@@ -48,11 +47,12 @@ from .tables import (
     log_conditional,
 )
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Per-slice softmax along ``axis``; strictly positive for finite logits."""
-    shifted = logits - logits.max(axis=axis, keepdims=True)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Per-slice softmax along the last axis; strictly positive for finite
+    logits."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _frozen(values, what: str, nonnegative: bool = False) -> np.ndarray:
@@ -127,19 +127,6 @@ class FactorSpec:
         if self.logits is not None:
             return "parameterized"
         return "point-mass"
-
-    def conditional(self) -> np.ndarray:
-        """The conditional probability table, parents-then-child layout."""
-        if self.table is not None:
-            return self.table
-        if self.logits is not None:
-            return softmax(self.logits, axis=-1)
-        raise ValidationError("point-mass factor needs cardinality context; use conditional_with")
-
-    def conditional_with(self, child_cardinality: int) -> np.ndarray:
-        if self.selector is not None:
-            return _one_hot(self.selector, child_cardinality)
-        return self.conditional()
 
 
 class ActualSystem:
@@ -288,8 +275,14 @@ class ActualSystem:
         return tuple(v.name for v in self.variables if v.role in roles)
 
     def factor_conditional(self, name: str) -> np.ndarray:
+        """The conditional probability table of ``name``'s factor,
+        parents-then-child layout."""
         f = self.factors[name]
-        return f.conditional_with(self.variable(name).cardinality)
+        if f.table is not None:
+            return f.table
+        if f.logits is not None:
+            return softmax(f.logits)
+        return _one_hot(f.selector, self.variable(name).cardinality)
 
     def __repr__(self) -> str:
         kinds = {n: f.kind for n, f in self.factors.items()}
@@ -326,32 +319,6 @@ def build_joint(system: ActualSystem) -> Table:
         raise ValidationError(f"materialized joint sums to {total!r}; factors are inconsistent")
     probs /= total
     return Table(system.variables, probs, copy=False)
-
-
-def intervene(system: ActualSystem, realized: Assignment) -> ActualSystem:
-    """Replace each realized variable's factor with a parentless point mass.
-
-    Only variables whose role admits realization (actions, skills, past
-    inputs) may be intervened on; downstream factors are left untouched, so
-    upstream marginals are unchanged, unlike conditioning.
-    """
-    if not realized:
-        raise ValidationError("realized must bind at least one variable")
-    factors = dict(system.factors)
-    for name, value in realized.items():
-        v = system.variable(name)
-        if not v.role.realizable:
-            raise ValidationError(
-                f"cannot realize {name!r} with role {v.role.value}; "
-                "only actions, skills, and past inputs are realizable"
-            )
-        value = int(value)
-        if not 0 <= value < v.cardinality:
-            raise ValidationError(
-                f"realized {name}={value} out of range for cardinality {v.cardinality}"
-            )
-        factors[name] = FactorSpec.point_mass(name, (), np.asarray(value, dtype=np.int64))
-    return ActualSystem(system.variables, factors.values())
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +506,7 @@ def target_factor_log_array(
     if isinstance(f, RewardFactor):
         return fixed(f.values, f.vars)
     if isinstance(f, ParamFactor):
-        return logify(softmax(f.logits, axis=-1), f.parents + (f.child,))
+        return logify(softmax(f.logits), f.parents + (f.child,))
     if isinstance(f, FactorMirror):
         cond = system.factor_conditional(f.child)
         names = system.factors[f.child].parents + (f.child,)

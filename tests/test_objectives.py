@@ -334,7 +334,7 @@ def chain_oracle_total(sys2, n_states=5, reward=None):
     """Enumerate sum_t E[ln pi/prior] - E[r] + ln Z for the three-step chain."""
     reward = reward if reward is not None else [0.0, 0.0, 0.0, 0.0, 2.0]
     start = n_states // 2
-    env = sys2.factors["x2"].conditional()
+    env = sys2.factor_conditional("x2")
     pis = {t: softmax_rows(sys2.factors[f"a{t}"].logits) for t in (1, 2, 3)}
     cost_parts, reward_parts, zmass = [], [], []
     for a1 in range(2):
@@ -470,7 +470,7 @@ def test_expected_reward_mode_is_pure_reward():
     phi = 0.6 * rng.standard_normal(obj.parameters().size)
     sys2, _ = obj.engine.space.set(phi)
 
-    env = sys2.factors["x2"].conditional()
+    env = sys2.factor_conditional("x2")
     pis = {t: softmax_rows(sys2.factors[f"a{t}"].logits) for t in (1, 2)}
     reward = [0.0, 0.0, 0.0, 0.0, 2.0]
     parts = []

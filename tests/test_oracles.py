@@ -200,7 +200,7 @@ def test_dead_action_suppresses_the_uninformative_action():
     objective = from_preset(preset("dead-action"))
     trace = minimize(objective, max_iters=1500, grad_tol=1e-9)
     system = optimized_system(objective, trace)
-    policy = system.factors["a"].conditional()
+    policy = system.factor_conditional("a")
     assert policy[2] < policy[0]
     assert policy[2] < policy[1]
 
@@ -252,7 +252,7 @@ def test_bandit_per_arm_gains_by_posterior_enumeration():
     for seed in range(5):
         phi = rng_for(seed, 3).normal(size=objective.parameters().shape)
         system, _ = objective.engine.space.set(phi)
-        arm_probs = system.factors["x1"].conditional()
+        arm_probs = system.factor_conditional("x1")
         mixture = float(arm_probs @ gains)
         report = objective.report(phi)
         assert abs(report.extras["exact_info_gain"] - mixture) < 1e-9
@@ -262,7 +262,7 @@ def test_bandit_optimized_policy_commits_to_the_informative_arm():
     objective = from_preset(preset("bandit-infogain"))
     trace = minimize(objective, max_iters=5000, grad_tol=1e-8)
     system = optimized_system(objective, trace)
-    arm_probs = system.factors["x1"].conditional()
+    arm_probs = system.factor_conditional("x1")
     assert arm_probs[0] >= 0.9
 
 

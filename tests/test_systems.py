@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from divmin.decomp import realize
 from divmin.errors import CapacityError, ValidationError
 from divmin.systems import (
     ActualSystem,
@@ -19,7 +20,6 @@ from divmin.systems import (
     TargetSpec,
     build_joint,
     build_target,
-    intervene,
     softmax,
 )
 from divmin.tables import Role, Variable, condition, marginalize
@@ -174,12 +174,13 @@ def test_softmax_logit_example():
     assert np.allclose(probs, [0.75, 0.25], atol=1e-12)
 
 
-# --- intervene --------------------------------------------------------------------
+# --- realize: intervention ---------------------------------------------------------
 
 
 def test_intervene_replaces_factor_with_point_mass():
     sys_ = chain_system()
-    done = intervene(sys_, {"a": 1})
+    done, evidence = realize(sys_, {"a": 1})
+    assert evidence == {}
     f = done.factors["a"]
     assert f.kind == "point-mass"
     assert f.parents == ()
@@ -197,7 +198,7 @@ def test_intervene_preserves_ancestor_marginal_unlike_conditioning():
     sys_ = ActualSystem(variables, factors)
     joint = build_joint(sys_)
     conditioned = condition(joint, {"a": 1})
-    intervened = marginalize(build_joint(intervene(sys_, {"a": 1})), ["x1"])
+    intervened = marginalize(build_joint(realize(sys_, {"a": 1})[0]), ["x1"])
     assert np.allclose(intervened.probs, [0.3, 0.7], atol=1e-12)
     assert not np.allclose(conditioned.probs, [0.3, 0.7], atol=1e-6)
 
@@ -210,14 +211,14 @@ def test_intervene_rejects_latent_roles():
     ]
     sys_ = ActualSystem(variables, factors)
     with pytest.raises(ValidationError):
-        intervene(sys_, {"z": 0})
+        realize(sys_, {"z": 0})
 
 
 def test_intervene_matches_manual_substitution():
     sys_ = chain_system()
     manual = sys_.with_factor(FactorSpec.point_mass("a", (), np.asarray(0)))
     assert np.allclose(
-        build_joint(intervene(sys_, {"a": 0})).probs, build_joint(manual).probs, atol=0
+        build_joint(realize(sys_, {"a": 0})[0]).probs, build_joint(manual).probs, atol=0
     )
 
 
