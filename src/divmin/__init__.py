@@ -5,8 +5,10 @@ of a directed system p so that the joint comes as close as possible,
 in KL divergence, to an unnormalized target product q. Everything is
 enumerated exactly, so decompositions of that divergence (inference,
 control, empowerment, skill discovery, information gain) can be
-certified against each other term by term, and gradients can be
-checked against finite differences to machine precision.
+certified against each other term by term: ``verify`` compares the
+engine's values with the reports' to about 1e-15. ``gradcheck``
+compares exact gradients with central differences of the engine's
+value, at a relative tolerance of 1e-8 by default.
 
 Layers, bottom up: ``tables`` holds exact distributions and
 information quantities; ``systems`` declares factored systems and

@@ -47,7 +47,7 @@ from .tables import (
     Table,
     UnnormalizedTable,
     Variable,
-    _expand_to_scope,
+    _Layout,
     _safe_log,
     entropy,
     expected_log,
@@ -122,19 +122,31 @@ def observe(table: Table, evidence: Assignment) -> Table:
     Off-evidence entries become zero and the remainder renormalizes, so the
     result is the conditional distribution embedded in the original shape.
     """
-    keep = np.ones(table.probs.shape, dtype=bool)
     for name, value in evidence.items():
         card = table.variable(name).cardinality
         if not 0 <= value < card:
             raise ValidationError(f"evidence {name}={value} outside 0..{card - 1}")
-        sel = np.zeros(card, dtype=bool)
-        sel[value] = True
-        keep &= _expand_to_scope(sel, (name,), table.scope)
+    return _observed(table, _evidence_mask(table.scope, evidence), evidence)
+
+
+def _evidence_mask(scope: Sequence[Variable], evidence: Assignment) -> np.ndarray:
+    """True on the outcomes that agree with ``evidence``, on the axes of
+    ``scope`` with length one off the evidence variables."""
+    keep = np.ones((1,) * len(scope), dtype=bool)
+    for v in scope:
+        if v.name in evidence:
+            sel = np.arange(v.cardinality) == evidence[v.name]
+            keep = keep & _Layout((v.name,), scope).place(sel)
+    return keep
+
+
+def _observed(table: Table, keep: np.ndarray, evidence: Assignment) -> Table:
+    """``table`` zeroed off the mask ``keep`` of ``evidence`` and renormalized."""
     masked = np.where(keep, table.probs, 0.0)
     mass = masked.sum()
     if mass <= 0.0:
         raise NullEvidenceError(f"evidence {dict(evidence)} has zero mass")
-    return Table(table.scope, masked / mass)
+    return Table(table.scope, masked / mass, copy=False)
 
 
 def realize(

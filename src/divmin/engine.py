@@ -92,21 +92,24 @@ from typing import Mapping
 
 import numpy as np
 
-from .decomp import realize
-from .errors import NullEvidenceError, ValidationError
+from .decomp import _evidence_mask, _observed, realize
+from .errors import ValidationError
 from .systems import (
     ActualSystem,
     FactorMirror,
     MarginalMirror,
     ParameterSpace,
-    ParamFactor,
     TargetSpec,
+    _check_target_factor,
     _frozen,
     _grow,
+    _joint_product,
+    _target_table,
     softmax,
     target_factor_log_array,
+    target_factor_scope,
 )
-from .tables import Assignment, Table, UnnormalizedTable, Variable, _safe_log
+from .tables import Assignment, Table, UnnormalizedTable, _Layout, _safe_log
 
 # ---------------------------------------------------------------------------
 # Log-sources
@@ -286,41 +289,15 @@ def _natural_direction(
 # The evaluation plan and the state of one evaluation
 
 
-class _Layout:
-    """Where the variables ``names`` lie on the axes of ``scope``, worked
-    out once.
-
-    ``place`` moves an array indexed by those variables, in that order,
-    onto the scope's axes with length one elsewhere, as
-    ``tables._expand_to_scope`` does. The array's own lengths carry over,
-    so one that already has length one off some variables keeps it.
-    """
-
-    __slots__ = ("axes", "perm", "ndim")
-
-    def __init__(self, names: tuple[str, ...], scope: tuple[Variable, ...]) -> None:
-        index = {v.name: i for i, v in enumerate(scope)}
-        self.axes = tuple(index[n] for n in names)
-        self.perm = tuple(sorted(range(len(names)), key=self.axes.__getitem__))
-        self.ndim = len(scope)
-
-    def place(self, arr: np.ndarray) -> np.ndarray:
-        shape = [1] * self.ndim
-        for a, n in zip(self.axes, arr.shape):
-            shape[a] = n
-        return arr.transpose(self.perm).reshape(shape)
-
-
 @dataclass(frozen=True)
 class _Block:
     """One live softmax block: a system factor the realization left
-    parameterized, or a parameterized target factor (``index`` is its
-    position in the target)."""
+    parameterized, or a parameterized target factor. ``at`` is its
+    position among the parameter space's blocks."""
 
+    at: int
     coords: slice
     side: str
-    key: str
-    index: int
     parent_axes: tuple[int, ...]
     child_axis: int
 
@@ -358,10 +335,12 @@ class _Plan:
     softmax factors as their block's position and layout. ``logs`` does
     the same for each target factor's log on the target's axes, with a
     marginal mirror kept as itself, since it reads the joint of each
-    evaluation. ``keep`` is the evidence mask, ``lift`` the layout of the
-    target's axes on the joint's, and ``payoffs`` each payoff source on
-    the joint's axes. Fixed target tables of the wrong shape, and mirrors
-    of factors whose parents lie outside the target, fail here.
+    evaluation; only the factors that do not depend on phi have their
+    logs taken here. ``keep`` is the evidence mask, or None without
+    evidence, ``lift`` the layout of the target's axes on the joint's,
+    and ``payoffs`` each payoff source on the joint's axes. The tables
+    are materialized by the steps the reports use: ``_joint_product``,
+    ``decomp._observed`` and ``_target_table``.
 
     The gradient's structure is resolved here too, from the terms alone:
     ``towers`` holds each normalized-target source's coefficient with the
@@ -387,33 +366,30 @@ class _Plan:
         self.shape = tuple(v.cardinality for v in scope)
         self.axis = {v.name: i for i, v in enumerate(scope)}
         blocks: list[_Block] = []
-        live: dict[tuple[str, str], int] = {}  # (side, key) -> position in blocks
-        for b in space.blocks:
+        # A system child's name, or a target factor's position, to the
+        # position of its live block in ``blocks``.
+        live: dict[str | int, int] = {}
+        for at, b in enumerate(space.blocks):
             if b.side == "p":
-                factor = system.factors[b.key]
+                factor = system.factors[b.child]
                 if factor.logits is None:
                     continue  # realized into a point mass; no dependence left
-                index = -1
+                live[b.child] = len(blocks)
             else:
-                factor, index = target.factors[b.index], b.index
-            live[(b.side, b.key)] = len(blocks)
+                factor = target.factors[b.index]
+                live[b.index] = len(blocks)
             blocks.append(_Block(
-                slice(b.offset, b.offset + b.size), b.side, b.key, index,
+                at, slice(b.offset, b.offset + b.size), b.side,
                 self.axes(factor.parents), self.axis[factor.child],
             ))
         self.blocks = tuple(blocks)
         self.conditionals = tuple(
-            (live[("p", name)], _Layout(f.parents + (name,), scope))
+            (live[name], _Layout(f.parents + (name,), scope))
             if f.logits is not None
             else _Layout(f.parents + (name,), scope).place(system.factor_conditional(name))
             for name, f in system.factors.items()
         )
-        self.keep = None
-        for name, value in evidence.items():
-            sel = np.zeros(system.variable(name).cardinality, dtype=bool)
-            sel[value] = True
-            sel = _Layout((name,), scope).place(sel)
-            self.keep = sel if self.keep is None else self.keep & sel
+        self.keep = _evidence_mask(scope, evidence) if evidence else None
         # The gradient's structure. Payoffs carry no gradient, and an
         # ActualLog adds none in expectation: E_p[ E_p[s | G, H] - E_p[s | H] ]
         # = 0. A target factor's log adds its coefficient to that factor's
@@ -443,16 +419,13 @@ class _Plan:
                 if self.system_blocks:
                     feeds = (self.axes(f.given + f.vars), self.axes(f.given))
             else:
-                # Checks shapes and mirror scopes as ``build_target`` does.
-                log = target_factor_log_array(f, target, system)
-                if isinstance(f, ParamFactor):
-                    feeds, names = live[("q", f"{i}:{f.child}")], f.parents + (f.child,)
-                    log = (feeds, _Layout(names, self.target_scope))
-                elif isinstance(f, FactorMirror) and ("p", f.child) in live:
-                    feeds = live[("p", f.child)]
-                    names = system.factors[f.child].parents + (f.child,)
-                    log = (feeds, _Layout(names, self.target_scope))
-                logs.append(log)
+                # A factor mirror feeds its child's live block, and a
+                # parameterized factor the block at its own position.
+                feeds = live.get(f.child if isinstance(f, FactorMirror) else i)
+                logs.append(
+                    target_factor_log_array(f, target, system) if feeds is None
+                    else (feeds, _Layout(target_factor_scope(f, system), self.target_scope))
+                )
             c = c_factor.get(i, 0.0)
             if feeds is not None and (c != 0.0 or ratio):
                 consumers.append((c, feeds))  # a zero field is left out
@@ -477,32 +450,18 @@ class _Plan:
         return all(isinstance(e, np.ndarray) for e in self.logs)
 
     def joint(self, sigmas: tuple[np.ndarray, ...]) -> Table:
-        """The factors multiplied into the joint, as ``systems.build_joint``
-        does."""
-        probs = np.ones((1,) * len(self.shape))
-        for entry in self.conditionals:
-            probs = _grow(probs, _place(entry, sigmas), self.shape, np.multiply)
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise ValidationError(
-                f"materialized joint sums to {total!r}; factors are inconsistent"
-            )
-        probs /= total
-        return Table(self.scope, probs, copy=False)
+        """The laid-out conditionals multiplied into the joint by
+        ``systems._joint_product``."""
+        return _joint_product(self.scope, (_place(e, sigmas) for e in self.conditionals))
 
     def observe(self, joint: Table) -> Table:
-        """The joint conditioned on the evidence, on its full scope."""
-        if self.keep is None:
-            return joint
-        masked = np.where(self.keep, joint.probs, 0.0)
-        mass = masked.sum()
-        if mass <= 0.0:
-            raise NullEvidenceError(f"evidence {dict(self.evidence)} has zero mass")
-        return Table(self.scope, masked / mass, copy=False)
+        """The joint conditioned on the evidence, on its full scope, by
+        ``decomp._observed``."""
+        return joint if self.keep is None else _observed(joint, self.keep, self.evidence)
 
     def target_side(self, sigmas: tuple[np.ndarray, ...], joint: Table) -> _QSide:
-        """The target's factor logs summed and exponentiated into its
-        weights, as ``systems.build_target`` does, with their lift."""
+        """The target's factor logs summed into its weights by
+        ``systems._target_table``, with their lift."""
         logs = tuple(
             target_factor_log_array(e, self.target, self.system, joint)
             if isinstance(e, MarginalMirror)
@@ -510,14 +469,7 @@ class _Plan:
             else e[1].place(_safe_log(sigmas[e[0]]))
             for e in self.logs
         )
-        shape = tuple(v.cardinality for v in self.target_scope)
-        log_w = np.zeros((1,) * len(shape))
-        for log in logs:
-            log_w = _grow(log_w, log, shape, np.add)
-        # A scope variable that no factor touches still has length one here.
-        log_w = np.broadcast_to(log_w, shape)
-        weights = np.exp(log_w, where=np.isfinite(log_w), out=np.zeros(shape))
-        q = UnnormalizedTable(self.target_scope, weights, copy=False)
+        q = _target_table(self.target_scope, logs)
         return _QSide(q, self.lift.place(q.weights), logs)
 
 
@@ -578,9 +530,11 @@ class Engine:
     evaluation then checks ``phi`` (``phi=None`` means the
     current parameters) once, takes one softmax per live block, which the
     joint, the target's factor logs, the target-factor sources and the
-    gradient all share, and multiplies and adds in the order of
-    ``build_joint`` and ``build_target``, checking the joint's sum and
-    the tables it builds as they do. No factor is rebuilt per evaluation.
+    gradient all share, and materializes its tables through the steps
+    ``build_joint``, ``decomp.observe`` and ``build_target`` use. No
+    factor is rebuilt per evaluation. Every target factor's shape is
+    checked at construction, so a malformed one fails before the first
+    evaluation.
 
     The plan also decides whether the target depends on ``phi``: it does
     when some factor is parameterized, a marginal mirror of the joint, or a
@@ -612,6 +566,8 @@ class Engine:
             system, self.realized, realization
         )
         self._validate_terms()
+        for f in target.factors:
+            _check_target_factor(f, target, self._realized_system)
         # Both built by the first evaluation.
         self._plan: _Plan | None = None
         self._fixed_q_side: _QSide | None = None
@@ -669,9 +625,7 @@ class Engine:
         return self.space.get()
 
     def _state(self, phi: np.ndarray | None) -> _State:
-        system_logits, target_logits = self.space.logits(
-            self.space.get() if phi is None else phi
-        )
+        logits = self.space.logits(self.space.get() if phi is None else phi)
         if self._plan is None:
             self._plan = _Plan(
                 self._realized_system,
@@ -682,10 +636,7 @@ class Engine:
                 self.lnz_coeff,
             )
         plan = self._plan
-        sigmas = tuple(
-            softmax(system_logits[b.key] if b.side == "p" else target_logits[b.index])
-            for b in plan.blocks
-        )
+        sigmas = tuple(softmax(logits[b.at]) for b in plan.blocks)
         joint = plan.joint(sigmas)
         q_side = self._fixed_q_side
         if q_side is None:

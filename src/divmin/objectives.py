@@ -123,7 +123,7 @@ from .tables import (
     Role,
     Table,
     UnnormalizedTable,
-    _expand_to_scope,
+    _Layout,
     entropy,
     expected_conditional_kl,
     expected_log,
@@ -267,7 +267,7 @@ def _summed(coeff: float, parts: list[tuple[float, bool]]) -> tuple[float, float
 
 
 def _expected_payoff(p: Table, name: str, values: np.ndarray) -> float:
-    arr = _expand_to_scope(np.asarray(values, dtype=np.float64), (name,), p.scope)
+    arr = _Layout((name,), p.scope).place(np.asarray(values, dtype=np.float64))
     return float((p.probs * arr).sum())
 
 

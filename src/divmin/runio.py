@@ -64,12 +64,9 @@ def report_payload(config: RunConfig, trace: OptimTrace) -> dict:
     objective = config.objective
     records = trace.records
     space = objective.engine.space
-    system, target = space.logits(trace.phi)
     optimized = {
-        f"{b.side}:{b.key}": softmax(
-            system[b.key] if b.side == "p" else target[b.index]
-        ).tolist()
-        for b in space.blocks
+        f"{b.side}:{b.key}": softmax(logits).tolist()
+        for b, logits in zip(space.blocks, space.logits(trace.phi))
     }
     return {
         "version": REPORT_VERSION,

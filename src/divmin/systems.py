@@ -18,19 +18,25 @@ dynamics are expressed.
 
 Parameters are owned by a :class:`ParameterSpace` that flattens every
 parameterized factor (system side first, then target side) into one float64
-vector with an index map back to (side, factor, parent slice, outcome).
-Setting a vector swaps logits only: ``ActualSystem.with_logits`` and
-``TargetSpec.with_logits`` check each new array's shape and finiteness and
-reuse everything else the constructors validated (variables, DAG, fixed
-tables, capacity), since logits cannot change it. Fixed target tables take
-their logarithm once, at construction, so materializing a target per
-parameter vector only broadcasts them.
+vector of blocks, with an index map back to (side, factor, parent slice,
+outcome). ``ParameterSpace.logits`` cuts a checked vector into one logits
+array per block, and ``ParameterSpace.set`` swaps those arrays into copies
+of the system and target without re-running the constructors' checks,
+since logits cannot change what they checked.
+
+Each materialization step has one implementation, which the reports and
+the engine's evaluation plan both call: :func:`_joint_product` multiplies
+laid-out conditionals, :func:`_target_table` sums factor logs into the
+target's weights, and :func:`_check_target_factor` checks a target
+factor's shape before any log is taken. Fixed target tables take their
+logarithm once, at construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -42,7 +48,7 @@ from .tables import (
     Table,
     UnnormalizedTable,
     Variable,
-    _expand_to_scope,
+    _Layout,
     _safe_log,
     log_conditional,
 )
@@ -232,41 +238,10 @@ class ActualSystem:
         except KeyError:
             raise ValidationError(f"unknown variable {name!r}") from None
 
-    def axis(self, name: str) -> int:
-        if name not in self._index:
-            raise ValidationError(f"unknown variable {name!r}")
-        return self._index[name]
-
     def with_factor(self, factor: FactorSpec) -> "ActualSystem":
         replaced = dict(self.factors)
         replaced[factor.child] = factor
         return ActualSystem(self.variables, replaced.values())
-
-    def with_logits(self, logits: Mapping[str, np.ndarray]) -> "ActualSystem":
-        """This system with new logits for the named parameterized factors.
-
-        Each new array is checked for finiteness and for the shape of the
-        logits it replaces. Logits change no variable, parent or factor
-        kind, so the DAG, shape, normalization and capacity checks this
-        system passed at construction still hold and are not re-run.
-        """
-        factors = dict(self.factors)
-        for name, arr in logits.items():
-            old = self.factors.get(name)
-            if old is None or old.logits is None:
-                raise ValidationError(f"factor for {name!r} is not parameterized")
-            new = FactorSpec.parameterized(name, old.parents, arr)
-            if new.logits.shape != old.logits.shape:
-                raise ValidationError(
-                    f"logits for {name!r} have shape {new.logits.shape}, "
-                    f"expected {old.logits.shape}"
-                )
-            factors[name] = new
-        out = object.__new__(ActualSystem)
-        out.variables = self.variables
-        out.factors = factors
-        out._index = self._index
-        return out
 
     def inputs(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables if v.role.is_input)
@@ -305,20 +280,26 @@ def _grow(
     return op(acc, term)
 
 
-def build_joint(system: ActualSystem) -> Table:
-    """Multiply all factors into the exact joint table over the full scope."""
-    shape = tuple(v.cardinality for v in system.variables)
+def _joint_product(scope: tuple[Variable, ...], conditionals: Iterable[np.ndarray]) -> Table:
+    """The joint over ``scope`` of conditionals already laid out on its
+    axes, multiplied in the order given; their sum must be one to 1e-10."""
+    shape = tuple(v.cardinality for v in scope)
     probs = np.ones((1,) * len(shape))
-    for name, f in system.factors.items():
-        cond = _expand_to_scope(
-            system.factor_conditional(name), f.parents + (name,), system.variables
-        )
+    for cond in conditionals:
         probs = _grow(probs, cond, shape, np.multiply)
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-10:
         raise ValidationError(f"materialized joint sums to {total!r}; factors are inconsistent")
     probs /= total
-    return Table(system.variables, probs, copy=False)
+    return Table(scope, probs, copy=False)
+
+
+def build_joint(system: ActualSystem) -> Table:
+    """Multiply all factors into the exact joint table over the full scope."""
+    return _joint_product(system.variables, (
+        _Layout(f.parents + (name,), system.variables).place(system.factor_conditional(name))
+        for name, f in system.factors.items()
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -435,27 +416,6 @@ class TargetSpec:
                         f"target factor references {n!r} outside scope {self.scope}"
                     )
 
-    def with_logits(self, logits: Mapping[int, np.ndarray]) -> "TargetSpec":
-        """This target with new logits for the parameterized factors at the
-        given positions; like :meth:`ActualSystem.with_logits`, only each
-        new array's finiteness and shape are checked."""
-        factors = list(self.factors)
-        for index, arr in logits.items():
-            old = self.factors[index] if 0 <= index < len(self.factors) else None
-            if not isinstance(old, ParamFactor):
-                raise ValidationError(f"target factor {index} is not parameterized")
-            new = ParamFactor(old.child, old.parents, arr)
-            if new.logits.shape != old.logits.shape:
-                raise ValidationError(
-                    f"logits for target factor {index} have shape "
-                    f"{new.logits.shape}, expected {old.logits.shape}"
-                )
-            factors[index] = new
-        out = object.__new__(TargetSpec)
-        out.scope = self.scope
-        out.factors = tuple(factors)
-        return out
-
     def __repr__(self) -> str:
         return f"TargetSpec(scope={self.scope}, factors={[type(f).__name__ for f in self.factors]})"
 
@@ -479,52 +439,70 @@ def target_factor_scope(f: TargetFactor, system: ActualSystem) -> tuple[str, ...
     return _factor_vars(f)
 
 
-def target_factor_log_array(
-    f: TargetFactor, target: TargetSpec, system: ActualSystem, joint: Table | None = None
-) -> np.ndarray:
-    """ln factor value over the target scope shape; -inf where the factor is 0."""
-    scope = tuple(map(system.variable, target.scope))
+def _check_target_factor(f: TargetFactor, target: TargetSpec, system: ActualSystem) -> None:
+    """Reject a target factor whose array is not laid out one axis per
+    variable with that variable's cardinality, or a factor mirror whose
+    factor reads a variable outside the target scope. Takes no log.
 
-    def logify(values: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
-        return _expand_to_scope(_safe_log(values), names, scope)
-
-    def fixed(values: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
-        # A fixed table comes from user data: a length-one axis would
-        # broadcast, and a transposed one reshape, into a factor nobody wrote.
-        want = tuple(system.variable(n).cardinality for n in names)
-        if values.shape != want:
-            raise ValidationError(
-                f"target {type(f).__name__} over {names} has shape "
-                f"{values.shape}, expected {want}"
-            )
-        return _expand_to_scope(values, names, scope)
-
-    if isinstance(f, TableFactor):
-        return fixed(f.log_table, f.vars)
-    if isinstance(f, ConditionalFactor):
-        return fixed(f.log_table, f.parents + (f.child,))
-    if isinstance(f, RewardFactor):
-        return fixed(f.values, f.vars)
-    if isinstance(f, ParamFactor):
-        return logify(softmax(f.logits), f.parents + (f.child,))
+    Tables, rewards and logits come from user data: a length-one axis
+    would broadcast, and a transposed one reshape, into a factor nobody
+    wrote.
+    """
     if isinstance(f, FactorMirror):
-        cond = system.factor_conditional(f.child)
-        names = system.factors[f.child].parents + (f.child,)
-        for n in names:
+        for n in system.factors[f.child].parents + (f.child,):
             if n not in target.scope:
                 raise ValidationError(
                     f"mirrored factor {f.child!r} uses {n!r} outside the target scope"
                 )
-        return logify(cond, names)
+    elif not isinstance(f, MarginalMirror):
+        names = _factor_vars(f)
+        values = f.values if isinstance(f, RewardFactor) else (
+            f.logits if isinstance(f, ParamFactor) else f.table
+        )
+        want = tuple(system.variable(n).cardinality for n in names)
+        if values.shape != want:
+            raise ValidationError(
+                f"target {type(f).__name__} over {names} has shape {values.shape}, "
+                f"expected {want}"
+            )
+
+
+def target_factor_log_array(
+    f: TargetFactor, target: TargetSpec, system: ActualSystem, joint: Table | None = None
+) -> np.ndarray:
+    """ln factor value over the target scope shape; -inf where the factor
+    is 0. A marginal mirror reads ``joint``, the system's materialized
+    joint, which no other factor needs."""
+    _check_target_factor(f, target, system)
+    scope = tuple(map(system.variable, target.scope))
     if isinstance(f, MarginalMirror):
-        if joint is None:
-            joint = build_joint(system)
         full = log_conditional(joint, f.vars, f.given)
         # Move the array from the system's axes onto the target's; it has
         # length one off (given + vars).
         names = tuple(v.name for v, n in zip(joint.scope, full.shape) if n > 1)
-        return _expand_to_scope(np.squeeze(full), names, scope)
-    raise ValidationError(f"unknown target factor type {type(f).__name__}")
+        return _Layout(names, scope).place(np.squeeze(full))
+    if isinstance(f, (TableFactor, ConditionalFactor)):
+        log = f.log_table
+    elif isinstance(f, RewardFactor):
+        log = f.values
+    elif isinstance(f, ParamFactor):
+        log = _safe_log(softmax(f.logits))
+    else:
+        log = _safe_log(system.factor_conditional(f.child))
+    return _Layout(target_factor_scope(f, system), scope).place(log)
+
+
+def _target_table(scope: tuple[Variable, ...], logs: Iterable[np.ndarray]) -> UnnormalizedTable:
+    """The target over ``scope`` whose log-weights are the sum of ``logs``,
+    each on its axes, added in the order given."""
+    shape = tuple(v.cardinality for v in scope)
+    log_w = np.zeros((1,) * len(shape))
+    for log in logs:
+        log_w = _grow(log_w, log, shape, np.add)
+    # A scope variable that no factor touches still has length one here.
+    log_w = np.broadcast_to(log_w, shape)
+    weights = np.exp(log_w, where=np.isfinite(log_w), out=np.zeros(shape))
+    return UnnormalizedTable(scope, weights, copy=False)
 
 
 def build_target(
@@ -536,18 +514,12 @@ def build_target(
     weight of one. Mirror factors need the system (and, for marginal
     mirrors, its materialized joint).
     """
-    scope = tuple(map(system.variable, target.scope))
-    shape = tuple(v.cardinality for v in scope)
-    needs_joint = any(isinstance(f, MarginalMirror) for f in target.factors)
-    if needs_joint and joint is None:
+    if joint is None and any(isinstance(f, MarginalMirror) for f in target.factors):
         joint = build_joint(system)
-    log_w = np.zeros((1,) * len(shape))
-    for f in target.factors:
-        log_w = _grow(log_w, target_factor_log_array(f, target, system, joint), shape, np.add)
-    # A scope variable that no factor touches still has length one here.
-    log_w = np.broadcast_to(log_w, shape)
-    weights = np.exp(log_w, where=np.isfinite(log_w), out=np.zeros(shape))
-    return UnnormalizedTable(scope, weights, copy=False)
+    return _target_table(
+        tuple(map(system.variable, target.scope)),
+        (target_factor_log_array(f, target, system, joint) for f in target.factors),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -557,21 +529,19 @@ def build_target(
 @dataclass(frozen=True)
 class ParameterBlock:
     side: str  # "p" for system factors, "q" for target factors
-    key: str  # child name (system) or "<index>:<child>" (target)
+    child: str
     shape: tuple[int, ...]
     offset: int
+    index: int = -1  # position of a target-side block's factor in the target
 
     @property
     def size(self) -> int:
-        n = 1
-        for c in self.shape:
-            n *= c
-        return n
+        return math.prod(self.shape)
 
     @property
-    def index(self) -> int:
-        """Position of a target-side block's factor in the target."""
-        return int(self.key.split(":", 1)[0])
+    def key(self) -> str:
+        """The child's name (system) or "<index>:<child>" (target)."""
+        return self.child if self.side == "p" else f"{self.index}:{self.child}"
 
 
 class ParameterSpace:
@@ -588,7 +558,7 @@ class ParameterSpace:
                 offset += blocks[-1].size
         for i, tf in enumerate(target.factors):
             if isinstance(tf, ParamFactor):
-                blocks.append(ParameterBlock("q", f"{i}:{tf.child}", tf.logits.shape, offset))
+                blocks.append(ParameterBlock("q", tf.child, tf.logits.shape, offset, i))
                 offset += blocks[-1].size
         self.blocks = tuple(blocks)
         self.size = offset
@@ -598,36 +568,41 @@ class ParameterSpace:
         out = np.empty(self.size, dtype=np.float64)
         for b in self.blocks:
             if b.side == "p":
-                arr = self.system.factors[b.key].logits
+                arr = self.system.factors[b.child].logits
             else:
                 arr = self.target.factors[b.index].logits
             out[b.offset : b.offset + b.size] = arr.ravel()
         return out
 
-    def logits(
-        self, phi: np.ndarray
-    ) -> tuple[dict[str, np.ndarray], dict[int, np.ndarray]]:
-        """``phi`` cut into blocks: system logits by child name and target
-        logits by factor position, as views of a checked float64 vector."""
+    def logits(self, phi: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``phi`` cut into one logits array per block, in block order, as
+        views of a checked float64 vector."""
         phi = np.asarray(phi, dtype=np.float64)
         if phi.shape != (self.size,):
             raise ValidationError(f"parameter vector has shape {phi.shape}, expected ({self.size},)")
         if not np.all(np.isfinite(phi)):
             raise ValidationError("parameter vector must be finite")
-        system: dict[str, np.ndarray] = {}
-        target: dict[int, np.ndarray] = {}
-        for b in self.blocks:
-            chunk = phi[b.offset : b.offset + b.size].reshape(b.shape)
-            if b.side == "p":
-                system[b.key] = chunk
-            else:
-                target[b.index] = chunk
-        return system, target
+        return tuple(phi[b.offset : b.offset + b.size].reshape(b.shape) for b in self.blocks)
 
     def set(self, phi: np.ndarray) -> tuple[ActualSystem, TargetSpec]:
-        """New system/target with logits replaced by ``phi`` (inputs unchanged)."""
-        system, target = self.logits(phi)
-        return self.system.with_logits(system), self.target.with_logits(target)
+        """New system/target with logits replaced by ``phi`` (inputs
+        unchanged). Logits change no variable, parent or factor kind, so
+        the constructors' checks still hold and are not re-run."""
+        factors = dict(self.system.factors)
+        target_factors = list(self.target.factors)
+        for b, arr in zip(self.blocks, self.logits(phi)):
+            if b.side == "p":
+                factors[b.child] = FactorSpec.parameterized(b.child, factors[b.child].parents, arr)
+            else:
+                old = target_factors[b.index]
+                target_factors[b.index] = ParamFactor(old.child, old.parents, arr)
+        system = object.__new__(ActualSystem)
+        system.variables, system.factors, system._index = (
+            self.system.variables, factors, self.system._index
+        )
+        target = object.__new__(TargetSpec)
+        target.scope, target.factors = self.target.scope, tuple(target_factors)
+        return system, target
 
     def label(self, flat_index: int) -> tuple[str, str, tuple[int, ...], int]:
         """Map a flat coordinate to (side, factor, parent slice, outcome)."""

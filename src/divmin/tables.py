@@ -376,20 +376,35 @@ def variational_mi_lower_bound(
     sums = dec.reshape(z_shape + (-1,)).sum(axis=-1)
     if np.any(np.abs(sums - 1.0) > NORMALIZATION_TOL):
         raise ValidationError("decoder slices must each be normalized over x")
-    log_dec = _expand_to_scope(_safe_log(dec), z_vars + x_vars, p.scope)
+    log_dec = _Layout(z_vars + x_vars, p.scope).place(_safe_log(dec))
     value, divergent = expected_log(p, log_dec, log_conditional(p, x_vars, ()))
     return -math.inf if divergent else value
 
 
-def _expand_to_scope(
-    arr: np.ndarray, arr_names: tuple[str, ...], scope: Sequence[Variable]
-) -> np.ndarray:
-    """Lay an array indexed by ``arr_names`` onto the axes of ``scope``, with
-    length one on every axis outside ``arr_names``."""
-    order = [v.name for v in scope]
-    perm = sorted(range(len(arr_names)), key=lambda i: order.index(arr_names[i]))
-    shape = [v.cardinality if v.name in arr_names else 1 for v in scope]
-    return np.transpose(arr, perm).reshape(shape)
+class _Layout:
+    """Where the variables ``names`` lie on the axes of ``scope``, worked
+    out once.
+
+    ``place`` moves an array indexed by those variables, in that order,
+    onto the scope's axes with length one on every other axis. The
+    array's own lengths carry over, so one that already has length one
+    off some variables keeps it; an array from user data is checked
+    against the cardinalities before it is placed.
+    """
+
+    __slots__ = ("axes", "perm", "ndim")
+
+    def __init__(self, names: tuple[str, ...], scope: Sequence[Variable]) -> None:
+        index = {v.name: i for i, v in enumerate(scope)}
+        self.axes = tuple(index[n] for n in names)
+        self.perm = tuple(sorted(range(len(names)), key=self.axes.__getitem__))
+        self.ndim = len(index)
+
+    def place(self, arr: np.ndarray) -> np.ndarray:
+        shape = [1] * self.ndim
+        for a, n in zip(self.axes, arr.shape):
+            shape[a] = n
+        return arr.transpose(self.perm).reshape(shape)
 
 
 def log_conditional(

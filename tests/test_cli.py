@@ -8,6 +8,8 @@ import pytest
 
 import divmin.verify
 from divmin.cli import main
+from divmin.config import bundled_config_names
+from divmin.presets import names as preset_names
 
 DIVERGENT_DOC = {
     "seed": 0,
@@ -354,14 +356,41 @@ def _three_state_doc(factor: dict) -> dict:
         {"type": "table", "vars": ["x", "z"], "table": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]},
         {"type": "conditional", "child": "z", "parents": ["x"], "table": [[0.5, 0.5]]},
         {"type": "reward", "vars": ["x"], "values": [1.0]},
+        {"type": "param", "child": "z", "parents": ["x"], "logits": [[0.0, 0.0]]},
+        {"type": "param", "child": "z", "parents": ["x"], "logits": [[0.0]] * 3},
     ],
-    ids=["length-one table", "transposed table", "one-slice conditional", "length-one reward"],
+    ids=[
+        "length-one table",
+        "transposed table",
+        "one-slice conditional",
+        "length-one reward",
+        "one-slice param",
+        "one-outcome param",
+    ],
 )
 def test_target_factor_of_the_wrong_shape_exits_two(tmp_path, capsys, factor):
+    # The objective checks every target factor's shape when it is built,
+    # so a dry run rejects the factor too.
     doc = tmp_path / "bad-shape.json"
     doc.write_text(json.dumps(_three_state_doc(factor)))
-    assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 2
-    assert "expected (3" in capsys.readouterr().err
+    for dry_run in ([], ["--dry-run"]):
+        assert main(["run", str(doc), "--out", str(tmp_path / "out"), *dry_run]) == 2
+        assert "expected (3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [("config", n) for n in bundled_config_names()] + [("preset", n) for n in preset_names()],
+    ids=lambda v: v,
+)
+def test_every_bundled_config_and_preset_passes_a_dry_run(tmp_path, capsys, kind, name):
+    ref = name
+    if kind == "preset":
+        ref = tmp_path / f"{name}.json"
+        ref.write_text(json.dumps({"seed": 0, "preset": name}))
+    assert main(["run", str(ref), "--out", str(tmp_path / "out"), "--dry-run"]) == 0
+    assert "configuration valid" in capsys.readouterr().out
     assert not (tmp_path / "out").exists()
 
 

@@ -793,8 +793,9 @@ def test_logit_swaps_match_fully_validated_systems(kind, key):
 
 @pytest.mark.parametrize("kind, key", SWAP_CASES)
 def test_planned_tables_match_the_materialized_ones(kind, key):
-    # The engine multiplies and adds its planned factors in the order of
-    # build_joint and build_target, so its tables are the same bits.
+    # The engine's plan lays its factors out once and hands them to the
+    # steps build_joint, observe and build_target use, so its tables are
+    # the same bits.
     obj = swap_objective(kind, key)
     eng = obj.engine
     rng = np.random.default_rng(31)

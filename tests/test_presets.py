@@ -154,8 +154,11 @@ def test_chain_mdp_reward_and_start():
 def test_chain_mdp_sizing():
     p = preset("chain-mdp", n_states=3, steps=2)
     assert build_joint(p.system).probs.size == 3 * 2 * 3 * 2
-    with pytest.raises(ValidationError):
-        preset("chain-mdp", slip=0.7)
+    for bad in ({"n_states": 1}, {"steps": 0}):
+        with pytest.raises(ValidationError):
+            preset("chain-mdp", **bad)
+    with pytest.raises(TypeError):
+        preset("chain-mdp", slip=0.1)  # the slip is fixed at 0.1
 
 
 # --- free-choice ---------------------------------------------------------------

@@ -7,6 +7,9 @@ import pytest
 
 from divmin.decomp import realize
 from divmin.errors import CapacityError, ValidationError
+from divmin.objectives import from_preset
+from divmin.presets import names as preset_names
+from divmin.presets import preset
 from divmin.systems import (
     ActualSystem,
     ConditionalFactor,
@@ -276,6 +279,27 @@ def test_parameter_set_checks_every_vector(bad):
         space.set(phi)
 
 
+@pytest.mark.parametrize("name", preset_names())
+def test_parameter_set_reruns_no_structure_check(name, monkeypatch):
+    # Logits change no variable, parent or factor kind, so set swaps them
+    # into copies without running the constructors' checks again.
+    space = from_preset(preset(name)).engine.space
+    calls = []
+    check_acyclic, check_shapes = ActualSystem._check_acyclic, ActualSystem._check_shapes
+    monkeypatch.setattr(
+        ActualSystem, "_check_acyclic", lambda self: calls.append(self) or check_acyclic(self)
+    )
+    monkeypatch.setattr(
+        ActualSystem, "_check_shapes", lambda self: calls.append(self) or check_shapes(self)
+    )
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        system, target = space.set(rng.standard_normal(space.size))
+    assert calls == []
+    ActualSystem(system.variables, system.factors.values())
+    assert len(calls) == 2  # the counters are live
+
+
 def test_parameter_set_copies_into_read_only_logits():
     space = ParameterSpace(*system_and_target())
     phi = space.get() + np.linspace(-1.0, 1.0, space.size)
@@ -287,27 +311,6 @@ def test_parameter_set_copies_into_read_only_logits():
         assert not logits.flags.writeable
         with pytest.raises(ValueError):
             logits[0, 0] = 1.0
-
-
-def test_logit_swaps_reject_what_they_cannot_replace():
-    system, target = system_and_target()
-    for bad in (
-        {"x": np.zeros(2)},  # a fixed factor
-        {"w": np.zeros((2, 2))},  # no such variable
-        {"z": np.zeros((2, 3))},
-        {"z": np.full((2, 2), math.nan)},
-    ):
-        with pytest.raises(ValidationError):
-            system.with_logits(bad)
-    for bad in (
-        {0: np.zeros(2)},  # a table factor
-        {2: np.zeros((2, 2))},  # no such factor
-        {-1: np.zeros((2, 2))},
-        {1: np.zeros((2, 3))},
-        {1: np.full((2, 2), math.inf)},
-    ):
-        with pytest.raises(ValidationError):
-            target.with_logits(bad)
 
 
 def test_parameter_label_round_trip():

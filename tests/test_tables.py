@@ -13,6 +13,7 @@ from divmin.tables import (
     Table,
     UnnormalizedTable,
     Variable,
+    _Layout,
     condition,
     entropy,
     expected_conditional_kl,
@@ -387,3 +388,27 @@ def test_property_mi_bounded_by_entropies(t):
     names = list(t.names)
     mi = mutual_information(t, [names[0]], [names[1]])
     assert -1e-12 <= mi <= min(entropy(t, [names[0]]), entropy(t, [names[1]])) + 1e-10
+
+
+@st.composite
+def layouts(draw):
+    """A scope of 1-5 variables with cardinalities 1-4, and some of its
+    names in a random order."""
+    cards = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    scope = tuple(Variable(f"v{i}", c, Role.LATENT_STATE) for i, c in enumerate(cards))
+    order = draw(st.permutations([v.name for v in scope]))
+    return scope, tuple(order[: draw(st.integers(0, len(scope)))])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(layouts())
+def test_property_layout_places_like_a_transpose_and_reshape(case):
+    scope, names = case
+    card = {v.name: v.cardinality for v in scope}
+    arr = np.arange(math.prod(card[n] for n in names), dtype=float)
+    arr = arr.reshape([card[n] for n in names])
+    order = [v.name for v in scope]
+    perm = sorted(range(len(names)), key=lambda i: order.index(names[i]))
+    shape = [v.cardinality if v.name in names else 1 for v in scope]
+    want = np.transpose(arr, perm).reshape(shape)
+    assert np.array_equal(_Layout(names, scope).place(arr), want)
