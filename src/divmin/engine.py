@@ -81,6 +81,12 @@ occupancy lies below a floor get a zero direction, since dividing by a
 vanishing Fisher scale would only blow up rounding. Then g . d = sum g^2
 / (occupancy sigma) >= 0, so the direction descends wherever it is
 nonzero.
+
+A line search asks for the gradient at the point it accepts right after
+the value there, so a value call keeps its state for a gradient call
+that comes next at the bit-identical parameter vector. Any other call
+releases it first: an engine holds at most one state, and none after a
+gradient call.
 """
 
 from __future__ import annotations
@@ -536,6 +542,16 @@ class Engine:
     checked at construction, so a malformed one fails before the first
     evaluation.
 
+    ``value`` keeps the state it built, keyed by the exact bytes of the
+    checked float64 ``phi``, and the next call always empties that slot.
+    Only ``value_and_gradient`` at bit-identical ``phi`` assembles from the
+    kept state; every other call releases it before building a fresh one.
+    The engine therefore holds at most one state, and none after a
+    gradient call, so peak memory is that of one evaluation. The gradient
+    is the same either way: a fresh ``value_and_gradient`` runs the value
+    pass first, which caches exactly what the kept state holds. An engine
+    is not meant for concurrent use from several threads.
+
     The plan also decides whether the target depends on ``phi``: it does
     when some factor is parameterized, a marginal mirror of the joint, or a
     mirror of a softmax factor of the realized system. A target that does
@@ -562,7 +578,9 @@ class Engine:
         self.realized = dict(realized or {})
         self.realization = realization
         self.space = ParameterSpace(system, target)
-        self._realized_system, self._evidence = realize(
+        # The evidence the realization leaves; ``make_objective`` checks its
+        # scope against the target's.
+        self._realized_system, self.evidence = realize(
             system, self.realized, realization
         )
         self._validate_terms()
@@ -571,6 +589,9 @@ class Engine:
         # Both built by the first evaluation.
         self._plan: _Plan | None = None
         self._fixed_q_side: _QSide | None = None
+        # The last ``value`` call's state, keyed by the bytes of its phi;
+        # emptied by the next evaluation.
+        self._kept: tuple[bytes, _State] | None = None
 
     # -- construction checks ---------------------------------------------
 
@@ -624,13 +645,13 @@ class Engine:
     def parameters(self) -> np.ndarray:
         return self.space.get()
 
-    def _state(self, phi: np.ndarray | None) -> _State:
-        logits = self.space.logits(self.space.get() if phi is None else phi)
+    def _state(self, phi: np.ndarray) -> _State:
+        logits = self.space.logits(phi)
         if self._plan is None:
             self._plan = _Plan(
                 self._realized_system,
                 self.target,
-                self._evidence,
+                self.evidence,
                 self.space,
                 self.terms,
                 self.lnz_coeff,
@@ -797,13 +818,36 @@ class Engine:
                 residual = max(residual, float(np.max(np.abs(off))))
         return residual
 
+    def _vector(self, phi: np.ndarray | None) -> np.ndarray:
+        """``phi`` as a float64 array; the current parameters when None."""
+        return np.asarray(self.space.get() if phi is None else phi, dtype=np.float64)
+
     def value(self, phi: np.ndarray | None = None) -> Evaluation:
-        """The functional's value and term breakdown at ``phi``."""
-        return self._assemble(self._state(phi), with_grad=False)
+        """The functional's value and term breakdown at ``phi``.
+
+        The state it builds is kept for a ``value_and_gradient`` call at the
+        same point that comes next."""
+        self._kept = None
+        phi = self._vector(phi)
+        st = self._state(phi)
+        evaluation = self._assemble(st, with_grad=False)
+        self._kept = (phi.tobytes(), st)
+        return evaluation
 
     def value_and_gradient(
         self, phi: np.ndarray | None = None
     ) -> GradientEvaluation:
         """Value plus the exact gradient and natural direction over every
-        parameterized factor."""
-        return self._assemble(self._state(phi), with_grad=True)
+        parameterized factor.
+
+        Right after a ``value`` call at bit-identical ``phi`` this assembles
+        from the state that call built, whose caches hold what a fresh
+        state's value pass would put there, so the result is the same."""
+        kept, self._kept = self._kept, None
+        phi = self._vector(phi)
+        if kept is not None and phi.shape == (self.space.size,) and phi.tobytes() == kept[0]:
+            st = kept[1]
+        else:
+            kept = None  # release the old state before building the new one
+            st = self._state(phi)
+        return self._assemble(st, with_grad=True)

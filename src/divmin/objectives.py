@@ -234,8 +234,8 @@ def make_objective(
     )
     if options:
         raise ConfigError(f"family {family!r} does not use the option(s) {sorted(options)}")
-    _check_evidence_scope(realize(system, realized, realization)[1], target.scope)
     engine = Engine(system, target, terms, lnz_coeff, realized, realization)
+    _check_evidence_scope(engine.evidence, target.scope)
     return Objective(family, engine, matches, report)
 
 

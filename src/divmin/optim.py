@@ -149,7 +149,10 @@ def minimize(
     d and has a smaller max-abs gradient. The keywords are exactly the
     ``optimizer`` settings a run configuration may give. Only
     ``parameters``, ``value`` and ``value_and_gradient`` of ``objective``
-    are called.
+    are called. The gradient at an accepted point is asked for right after
+    the value call that accepted it, at the same vector, and an engine
+    answers it from that call's state: an accepted step costs one forward
+    pass plus one contraction.
 
     Termination reasons: ``"gradient-tolerance"`` (converged),
     ``"no-descent"`` (the line search exhausted its halvings), and

@@ -7,6 +7,7 @@ hand-derived gradients.
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -698,3 +699,109 @@ def test_each_marginal_is_summed_from_the_smallest_one_taken(monkeypatch):
     monkeypatch.setattr(divmin.engine, "_marginal_on", counted)
     obj.value(phi)
     assert sorted(full) == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
+
+
+# ---------------------------------------------------------------------------
+# A value call hands its state to the gradient at the same phi
+
+
+def count_joints(monkeypatch) -> list:
+    import divmin.engine
+
+    calls = []
+    joint = divmin.engine._Plan.joint
+
+    def counted(plan, sigmas):
+        calls.append(sigmas)
+        return joint(plan, sigmas)
+
+    monkeypatch.setattr(divmin.engine._Plan, "joint", counted)
+    return calls
+
+
+def assert_same_gradient(got, want):
+    assert got.evaluation == want.evaluation  # total, terms, ln Z, divergent
+    assert got.grad.tobytes() == want.grad.tobytes()
+    assert got.direction.tobytes() == want.direction.tobytes()
+    assert got.score_residual == want.score_residual
+
+
+def chain_objective():
+    return from_preset(preset("chain-mdp", n_states=3, steps=2))
+
+
+@pytest.mark.parametrize(
+    "calls, joints",
+    [
+        ((("value", 0), ("grad", 0)), 1),
+        ((("value", 0), ("grad", 1)), 2),
+        ((("grad", 0), ("grad", 0)), 2),
+        ((("value", 0), ("value", 0)), 2),
+        ((("value", 0), ("value", 1), ("grad", 0)), 3),
+    ],
+)
+def test_only_a_gradient_at_the_same_phi_takes_the_kept_state(calls, joints, monkeypatch):
+    obj = chain_objective()
+    rng = np.random.default_rng(7)
+    points = [rng.standard_normal(obj.parameters().size) for _ in range(2)]
+    built = count_joints(monkeypatch)
+    for method, at in calls:
+        phi = points[at].copy()  # the same bits, another array
+        (obj.value if method == "value" else obj.value_and_gradient)(phi)
+    assert len(built) == joints
+
+
+def test_a_point_mutated_in_place_is_built_again(monkeypatch):
+    obj = chain_objective()
+    phi = np.random.default_rng(8).standard_normal(obj.parameters().size)
+    built = count_joints(monkeypatch)
+    obj.value(phi)
+    phi[0] += 1.0
+    got = obj.value_and_gradient(phi)
+    assert len(built) == 2
+    assert_same_gradient(got, chain_objective().value_and_gradient(phi))
+
+
+def test_current_parameters_hand_over_to_an_explicit_copy(monkeypatch):
+    obj = chain_objective()
+    built = count_joints(monkeypatch)
+    obj.value()
+    got = obj.value_and_gradient(obj.parameters())
+    assert len(built) == 1
+    assert_same_gradient(got, chain_objective().value_and_gradient())
+
+
+def test_an_engine_holds_at_most_one_state(monkeypatch):
+    import divmin.engine
+
+    obj = chain_objective()
+    eng = obj.engine
+    phi = np.random.default_rng(9).standard_normal(obj.parameters().size)
+    assert eng._kept is None
+    obj.value(phi)
+    kept = weakref.ref(eng._kept[1])
+    obj.value_and_gradient(phi)
+    assert eng._kept is None  # consumed
+    assert kept() is None
+    # Any other call drops the kept state before it builds its joint.
+    alive = []
+    joint = divmin.engine._Plan.joint
+
+    def watched(plan, sigmas):
+        alive.append(kept() is not None)
+        return joint(plan, sigmas)
+
+    monkeypatch.setattr(divmin.engine._Plan, "joint", watched)
+    for call in (obj.value, obj.value_and_gradient):
+        obj.value(phi)
+        kept = weakref.ref(eng._kept[1])
+        call(phi + 1.0)
+    assert alive == [False, False, False, False]
+    assert eng._kept is None
+    with pytest.raises(ValidationError):
+        obj.value(np.full(phi.shape, np.nan))
+    assert eng._kept is None
+    obj.value(phi)
+    with pytest.raises(ValidationError, match="shape"):
+        obj.value_and_gradient(phi.reshape(1, -1))  # the same bytes
+    assert eng._kept is None

@@ -716,6 +716,24 @@ def test_evidence_outside_the_target_scope_is_rejected_at_construction():
         make_objective("joint_kl", system, target, realized={"x": 1})
 
 
+@pytest.mark.parametrize("realization", ["intervene", "condition"])
+def test_make_objective_realizes_once(realization, monkeypatch):
+    import divmin.engine
+    import divmin.objectives
+
+    calls = []
+    realize = divmin.engine.realize
+
+    def counted(*args):
+        calls.append(args)
+        return realize(*args)
+
+    monkeypatch.setattr(divmin.engine, "realize", counted)
+    monkeypatch.setattr(divmin.objectives, "realize", counted)
+    make_objective(*realized_objective_args("vae-reconstruction"), {"x": 1}, realization)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("case, realized, realization", REALIZED_CASES + REJECTED_CASES)
 def test_reports_hold_with_realized_values(case, realized, realization):
     family, system, target, options = realized_objective_args(case)
@@ -789,6 +807,23 @@ def test_logit_swaps_match_fully_validated_systems(kind, key):
             assert got.log_partition == reference.evaluation.log_partition
         assert np.array_equal(fast.grad, reference.grad)
         assert fast.score_residual == reference.score_residual
+
+
+@pytest.mark.parametrize("kind, key", SWAP_CASES)
+def test_gradient_after_a_value_call_is_the_fresh_one(kind, key):
+    # The gradient takes the state of a value call at the same phi just
+    # before it; a fresh engine builds its own.
+    obj = swap_objective(kind, key)
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        phi = rng.standard_normal(obj.parameters().size)
+        obj.value(phi)
+        got = obj.value_and_gradient(phi)
+        want = swap_objective(kind, key).value_and_gradient(phi)
+        assert got.evaluation == want.evaluation  # total, terms, ln Z, divergent
+        assert got.grad.tobytes() == want.grad.tobytes()
+        assert got.direction.tobytes() == want.direction.tobytes()
+        assert got.score_residual == want.score_residual
 
 
 @pytest.mark.parametrize("kind, key", SWAP_CASES)

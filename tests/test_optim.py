@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from divmin.config import bundled_config_path, load_config
 from divmin.engine import Evaluation, GradientEvaluation
 from divmin.errors import ConfigError, DivergenceError
 from divmin.objectives import from_preset, make_objective
@@ -301,3 +302,33 @@ def test_minimize_rejects_divergent_start():
     assert obj.value().divergent
     with pytest.raises(DivergenceError):
         minimize(obj)
+
+
+@pytest.mark.parametrize(
+    "name, value_calls, grad_calls",
+    [("hmm-filter", 23, 24), ("vae-toy", 11, 7), ("bandit-infogain", 28, 29)],
+)
+def test_an_accepted_point_builds_its_joint_once(name, value_calls, grad_calls, monkeypatch):
+    # Every gradient but the starting one is asked for at the point of the
+    # value call just before it, and takes that call's state. bandit-infogain
+    # runs as its bundled config, with the config's own optimizer settings.
+    import divmin.engine
+
+    if name == "bandit-infogain":
+        config = load_config(bundled_config_path(name))
+        objective, phi0, settings = config.objective, config.phi0, config.optimizer
+    else:
+        objective, phi0 = from_preset(preset(name)), None
+        settings = {"max_iters": 500, "grad_tol": 1.0e-9}
+    joints = []
+    joint = divmin.engine._Plan.joint
+
+    def counted(plan, sigmas):
+        joints.append(sigmas)
+        return joint(plan, sigmas)
+
+    monkeypatch.setattr(divmin.engine._Plan, "joint", counted)
+    wrapped = _Protocol(objective)
+    assert minimize(wrapped, phi0, **settings).converged
+    assert (wrapped.value_calls, len(wrapped.gradients)) == (value_calls, grad_calls)
+    assert len(joints) == wrapped.value_calls + 1
