@@ -34,13 +34,19 @@ which is the outcome-level test because p_S(s) > 0 exactly when some
 outcome with that s carries mass. A term over the whole grid uses p
 itself. Each marginal is summed from the smallest marginal of the same
 measure already taken that covers its scope, so nested scopes such as x_t
-inside (x_t, a_t) cost one pass over the grid between them.
+inside (x_t, a_t) cost one pass over the grid between them. Every
+reduction is compiled once per (layout, kept axes) into one einsum call,
+which also reads a block's table straight in (parents, child) order; a
+reduction that sums a long contiguous run takes that sum pairwise from
+``np.add.reduce`` instead, as exact as the reports' ``np.sum``.
 
 Every piece of the gradient is a weight field over outcomes contracted
 against scores, and the fields are assembled from scope-local parts:
 
 * the measure part is a single p-field, p h with h = sum_k c_k (V_k -
-  E_p V_k) summed by broadcasting, contracted against s_p;
+  E_p V_k), contracted against s_p. Each centred piece is first summed
+  into a piece whose scope covers it, at term scope, and only the grouped
+  pieces are grown onto the grid, smallest first;
 * one target factor's log contributes c p to that factor's field alone,
   so only its scalar coefficient is summed;
 * ln q(G | H) contributes c q (p(A)/q(A) - p(H)/q(H)), with A = G + H,
@@ -94,7 +100,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -230,19 +236,71 @@ class GradientEvaluation:
 _OCCUPANCY_FLOOR = 1.0e-12
 
 
-def _marginal_on(arr: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """``arr`` summed over every axis outside ``keep``, keeping its axes;
-    ``arr`` itself when no axis of length above one lies outside."""
-    drop = tuple(i for i, n in enumerate(arr.shape) if n > 1 and i not in keep)
-    return arr.sum(axis=drop, keepdims=True) if drop else arr
+# np.add.reduce sums a contiguous run of more than this many elements
+# pairwise, so its error stays near one rounding (2.2e-16 relative on
+# uniform rows), while einsum's accumulators drift as the run grows:
+# 4.5e-16 at 1024 elements, 3.3e-15 at 16384, 6.3e-15 at 2**18. Up to it
+# the two agree to a rounding. einsum is the faster at any run length,
+# 2.2-4.5x at runs of 4-128 elements and 1.5-2x above (2**18 elements).
+_PAIRWISE_RUN = 128
+
+_LABELS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"  # einsum's 52
 
 
-def _on_axes(marginal: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """A keepdims marginal on ``axes`` with just those axes, in that order."""
-    kept = sorted(axes)
-    return marginal.reshape([marginal.shape[a] for a in kept]).transpose(
-        [kept.index(a) for a in axes]
-    )
+class _Reduction:
+    """The reduction onto ``axes`` of an array on the grid of ``shape``
+    whose axes of length above one are ``layout``, compiled once: just
+    ``axes``, in their order, when ``ordered``, and otherwise the set
+    ``axes`` on the grid's axes with length one elsewhere. Iterating gives
+    ``axes``.
+
+    It is one einsum call on ``subscripts``, which labels only the axes of
+    length above one: at most 22 under the cap, where einsum takes 52
+    labels and an array may have 64 axes. Where it sums a contiguous run
+    longer than ``_PAIRWISE_RUN``, one ``np.add.reduce`` over ``summed``
+    takes that sum first, as exact as the reports' ``np.sum``, and einsum
+    only reorders what is left, if anything. Where nothing is summed and
+    no axis moves, a reshape does.
+    """
+
+    __slots__ = ("axes", "summed", "source", "subscripts", "shape")
+
+    def __init__(
+        self, shape: tuple[int, ...], layout: Collection[int], axes: Collection[int], ordered: bool
+    ) -> None:
+        self.axes = axes
+        src = sorted(layout)
+        out = [a for a in axes if a in layout] if ordered else sorted(axes)
+        run = 1  # the contiguous run summed: the trailing axes not kept
+        for a in reversed(src):
+            if a in out:
+                break
+            run *= shape[a]
+        self.summed = self.subscripts = None
+        if run > _PAIRWISE_RUN:
+            self.summed = tuple(a for a in src if a not in out)
+            src = sorted(out)
+        if out != src:
+            label = dict(zip((a for a, n in enumerate(shape) if n > 1), _LABELS))
+            self.subscripts = "".join(label[a] for a in src) + "->" + "".join(label[a] for a in out)
+        self.source = tuple(shape[a] for a in src)
+        self.shape = (
+            tuple(shape[a] for a in axes) if ordered
+            else tuple(n if a in axes else 1 for a, n in enumerate(shape))
+        )
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.axes)
+
+
+def _marginal_on(arr: np.ndarray, keep: _Reduction) -> np.ndarray:
+    """``arr`` summed onto the axes ``keep`` holds: one einsum call, a
+    pairwise ``np.add.reduce`` on a long run, or a reshape."""
+    if keep.summed is not None:
+        arr = np.add.reduce(arr, axis=keep.summed, keepdims=True)
+    if keep.subscripts is not None:
+        arr = np.einsum(keep.subscripts, arr.reshape(keep.source))
+    return arr.reshape(keep.shape)
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -257,21 +315,40 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     )
 
 
-def _block_grad(
-    weights: np.ndarray,
-    conditional: np.ndarray,
-    parent_axes: tuple[int, ...],
-    child_axis: int,
-) -> np.ndarray:
+def _block_grad(weights: np.ndarray, conditional: np.ndarray, block: _Block) -> np.ndarray:
     """A weight field contracted against one softmax block's scores, flattened.
 
     The score of logit (parents', c') is 1[parents = parents'] (1[child =
     c'] - sigma[parents', c']), so the contraction is the field's marginal
-    on (parents, child) minus sigma times its marginal on the parents.
+    on (parents, child), read in that order, minus sigma times its
+    marginal on the parents.
     """
-    axes = parent_axes + (child_axis,)
-    marginal = _on_axes(_marginal_on(weights, axes), axes)
+    marginal = _marginal_on(weights, block.contract)
     return (marginal - conditional * marginal.sum(axis=-1, keepdims=True)).ravel()
+
+
+def _summed_on_grid(pieces: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """The sum of scope-sized ``pieces`` on the grid of ``shape``.
+
+    Each piece, largest first, is added into the first group so far whose
+    scope covers its own, or starts a group, so a term on x_t costs
+    nothing on the grid once a term on (x_t, a_t) is there. Only the groups
+    reach the grid, grown onto it smallest first. The pieces are the
+    caller's own arrays, and the groups are summed into them in place.
+    """
+    groups: list[tuple[frozenset[int], np.ndarray]] = []
+    for piece in sorted(pieces, key=np.size, reverse=True):
+        scope = frozenset(i for i, n in enumerate(piece.shape) if n > 1)
+        for covering, group in groups:
+            if scope <= covering:
+                group += piece
+                break
+        else:
+            groups.append((scope, piece))
+    out = np.zeros((1,) * len(shape))
+    for _, group in reversed(groups):
+        out = _grow(out, group, shape, np.add)
+    return out
 
 
 def _natural_direction(
@@ -299,13 +376,17 @@ def _natural_direction(
 class _Block:
     """One live softmax block: a system factor the realization left
     parameterized, or a parameterized target factor. ``at`` is its
-    position among the parameter space's blocks."""
+    position among the parameter space's blocks. Its reductions read
+    tables in (parents, child) order: ``contract`` from a field on the
+    grid, ``family`` and ``parents`` from the cached marginals on (parents,
+    child) and on the parents."""
 
     at: int
     coords: slice
     side: str
-    parent_axes: tuple[int, ...]
-    child_axis: int
+    contract: _Reduction
+    family: _Reduction
+    parents: _Reduction
 
 
 # A factor's table on some scope's axes: fixed, or the softmax (or its log)
@@ -348,6 +429,14 @@ class _Plan:
     are materialized by the steps the reports use: ``_joint_product``,
     ``decomp._observed`` and ``_target_table``.
 
+    Reductions are compiled here too. ``grid`` and ``q_grid`` are the axes
+    of length above one of the joint and of the target's weights laid out
+    on it, and ``reduction`` works out each (layout, kept axes) once: one
+    einsum call, or a pairwise sum first where it sums a long contiguous
+    run. Each block holds its own: the field's contraction onto (parents,
+    child) and the reads of the cached marginals on (parents, child) and
+    on the parents, all in that order.
+
     The gradient's structure is resolved here too, from the terms alone:
     ``towers`` holds each normalized-target source's coefficient with the
     axes of its two ratios, ``ratio`` whether some tower or ln Z adds a
@@ -355,7 +444,8 @@ class _Plan:
     outcome, ``system_blocks`` whether a live system block needs the
     p-field, and ``consumers`` each target factor whose field a live block
     consumes, with its coefficient of p and the block position, or the
-    axes of a marginal mirror's tower into the p-field, that it feeds.
+    two reductions of a marginal mirror's tower into the p-field, that it
+    feeds.
     """
 
     def __init__(
@@ -371,6 +461,9 @@ class _Plan:
         self.scope = scope = system.variables
         self.shape = tuple(v.cardinality for v in scope)
         self.axis = {v.name: i for i, v in enumerate(scope)}
+        # The joint's axes of length above one, the only ones einsum labels.
+        self.grid = frozenset(a for a, n in enumerate(self.shape) if n > 1)
+        self._reductions: dict[tuple, _Reduction] = {}
         blocks: list[_Block] = []
         # A system child's name, or a target factor's position, to the
         # position of its live block in ``blocks``.
@@ -384,9 +477,13 @@ class _Plan:
             else:
                 factor = target.factors[b.index]
                 live[b.index] = len(blocks)
+            parents = self.axes(factor.parents)
+            family = parents + (self.axis[factor.child],)
             blocks.append(_Block(
                 at, slice(b.offset, b.offset + b.size), b.side,
-                self.axes(factor.parents), self.axis[factor.child],
+                self.reduction(self.grid, family, ordered=True),
+                self.reduction(self.grid.intersection(family), family, ordered=True),
+                self.reduction(self.grid.intersection(parents), parents, ordered=True),
             ))
         self.blocks = tuple(blocks)
         self.conditionals = tuple(
@@ -413,9 +510,10 @@ class _Plan:
         ratio = bool(towers) or lnz_coeff != 0.0
         self.system_blocks = any(b.side == "p" for b in blocks)
         self.target_scope = tuple(map(system.variable, target.scope))
+        self.q_grid = frozenset(self.axis[v.name] for v in self.target_scope if v.cardinality > 1)
         self.copies = math.prod(self.shape) / math.prod(v.cardinality for v in self.target_scope)
         logs: list[_Placed | MarginalMirror] = []
-        consumers: list[tuple[float, int | tuple[tuple[int, ...], tuple[int, ...]]]] = []
+        consumers: list[tuple[float, int | tuple[_Reduction, _Reduction]]] = []
         for i, f in enumerate(target.factors):
             # What the factor's field c p + q r feeds: a live block's
             # position, or a marginal mirror's tower into the p-field.
@@ -423,7 +521,10 @@ class _Plan:
             if isinstance(f, MarginalMirror):
                 logs.append(f)
                 if self.system_blocks:
-                    feeds = (self.axes(f.given + f.vars), self.axes(f.given))
+                    feeds = tuple(
+                        self.reduction(self.grid, self.grid.intersection(self.axes(names)))
+                        for names in (f.given + f.vars, f.given)
+                    )
             else:
                 # A factor mirror feeds its child's live block, and a
                 # parameterized factor the block at its own position.
@@ -448,6 +549,17 @@ class _Plan:
 
     def axes(self, names: tuple[str, ...]) -> tuple[int, ...]:
         return tuple(self.axis[x] for x in names)
+
+    def reduction(
+        self, source: frozenset[int], axes: Collection[int], ordered: bool = False
+    ) -> _Reduction:
+        """The :class:`_Reduction` on the grid, compiled once per (layout,
+        kept axes)."""
+        key = (source, axes, ordered)
+        r = self._reductions.get(key)
+        if r is None:
+            r = self._reductions[key] = _Reduction(self.shape, source, axes, ordered)
+        return r
 
     @property
     def fixed_target(self) -> bool:
@@ -482,8 +594,10 @@ class _Plan:
 @dataclass
 class _State:
     """Everything derived from one parameter vector: one softmax per live
-    block, the joint, the actual measure and the target side."""
+    block, the joint, the actual measure and the target side, with the
+    plan that compiles their reductions."""
 
+    plan: _Plan
     sigmas: tuple[np.ndarray, ...]
     joint: Table
     p: Table
@@ -498,24 +612,38 @@ class _State:
     def q_lift(self) -> np.ndarray:
         return self.q_side.lift
 
-    def marginal(self, which: str, keep: tuple[int, ...]) -> np.ndarray:
+    def marginal(self, which: str, keep: Iterable[int]) -> np.ndarray:
         """The keepdims marginal on ``keep`` of the actual measure (``"p"``),
         the unobserved joint (``"joint"``) or the target weights on the
         joint's axes (``"q"``), cached.
 
-        A new marginal is summed from the smallest one of the same measure
-        already taken that covers ``keep``, and from the grid itself only
-        when none does.
+        A new marginal is summed by one compiled reduction from the
+        smallest one of the same measure already taken that covers
+        ``keep``, and from the grid itself only when none does.
         """
         if which == "joint" and self.p is self.joint:
             which = "p"  # no evidence: one measure, one cache entry
-        arr = self.q_lift if which == "q" else self.p.probs if which == "p" else self.joint.probs
-        keep = frozenset(a for a in keep if arr.shape[a] > 1)
-        taken = (self.q_side.cache if which == "q" else self.cache).setdefault(which, {})
-        if keep not in taken:
-            covering = (m for kept, m in taken.items() if keep <= kept)
-            taken[keep] = _marginal_on(min(covering, key=np.size, default=arr), keep)
-        return taken[keep]
+        if which == "q":
+            arr, layout, cache = self.q_lift, self.plan.q_grid, self.q_side.cache
+        else:
+            arr = self.p.probs if which == "p" else self.joint.probs
+            layout, cache = self.plan.grid, self.cache
+        keep = layout.intersection(keep)
+        taken = cache.setdefault(which, {})
+        m = taken.get(keep)
+        if m is None:
+            source, arr = min(
+                ((kept, marginal) for kept, marginal in taken.items() if keep <= kept),
+                key=lambda entry: entry[1].size,
+                default=(layout, arr),
+            )
+            m = taken[keep] = _marginal_on(arr, self.plan.reduction(source, keep))
+        return m
+
+    def table(self, which: str, axes: _Reduction) -> np.ndarray:
+        """The marginal on ``axes``, in their order, read by one call from
+        the cached marginal on them."""
+        return _marginal_on(self.marginal(which, axes), axes)
 
 
 class Engine:
@@ -664,7 +792,7 @@ class Engine:
             q_side = plan.target_side(sigmas, joint)
             if plan.fixed_target:
                 self._fixed_q_side = q_side
-        return _State(sigmas=sigmas, joint=joint, p=plan.observe(joint), q_side=q_side)
+        return _State(plan, sigmas, joint, plan.observe(joint), q_side)
 
     # -- per-source arrays --------------------------------------------------
 
@@ -711,7 +839,11 @@ class Engine:
         ones = (1,) * st.p.probs.ndim
         values: dict[str, float] = {}
         divergent = False
-        centred = np.zeros(ones)  # sum_t c_t (V_t - E_p V_t), for the p-field
+        # c_t (V_t - E_p V_t) on each term's scope, summed into the p-field's
+        # h when some live system block consumes it
+        centred: list[np.ndarray] | None = (
+            [] if with_grad and self._plan.system_blocks else None
+        )
         for term in self.terms:
             v = np.zeros(ones)
             # Opposite infinities from stacked log sources cancel into nans
@@ -721,15 +853,15 @@ class Engine:
                     v = v + w * self._source_values(src, st)
             # p on the term's scope S: p_S(s) > 0 exactly when some outcome
             # with that s carries mass, so this is the outcome-level test.
-            ps = st.marginal("p", tuple(i for i, n in enumerate(v.shape) if n > 1))
+            ps = st.marginal("p", (i for i, n in enumerate(v.shape) if n > 1))
             ok = np.isfinite(v)
             if not ok.all():
                 divergent = divergent or bool(np.any((ps > 0.0) & ~ok))
                 ps, v = np.where(ok, ps, 0.0), np.where(ok, v, 0.0)
             val = float(np.vdot(ps, v))
             values[term.name] = val
-            if with_grad:
-                centred = _grow(centred, term.coeff * (v - val), st.p.probs.shape, np.add)
+            if centred is not None:
+                centred.append(term.coeff * (v - val))
         parts = [term.coeff * values[term.name] for term in self.terms]
         parts.append(self.lnz_coeff * st.q.log_partition)
         total = math.fsum(parts)
@@ -763,13 +895,15 @@ class Engine:
         return r / self._plan.copies
 
     def _contract(
-        self, st: _State, centred: np.ndarray
+        self, st: _State, centred: list[np.ndarray] | None
     ) -> tuple[np.ndarray, np.ndarray, float]:
         """Measures the score residual, builds each weight field once and
         only for the live blocks that consume it, contracts every softmax
         block once, and preconditions each block's gradient into the
         natural direction.
 
+        ``centred`` holds the terms' pieces of h, each on its own scope;
+        they are grouped by scope before the p-field p h reaches the grid.
         Each new marginal is summed from the smallest cached one that
         covers it, so the order marginals are first taken in fixes their
         rounding. The residual's are taken first and the occupancies last,
@@ -777,7 +911,9 @@ class Engine:
         """
         plan, pm = self._plan, st.p.probs
         residual = self._score_residual(st)
-        p_field = pm * centred if plan.system_blocks else None
+        p_field = None
+        if centred is not None:
+            p_field = _grow(_summed_on_grid(centred, pm.shape), pm, pm.shape, np.multiply)
         r = self._target_ratios(st) if plan.ratio else None
         q_part = None if r is None else np.broadcast_to(st.q_lift * r, pm.shape)
         own: dict[int, np.ndarray] = {}  # fields for one block only, by position
@@ -789,8 +925,8 @@ class Engine:
             else:
                 keep, given = feeds
                 p_field = p_field + st.joint.probs * (
-                    _ratio(_marginal_on(f, keep), st.marginal("joint", keep))
-                    - _ratio(_marginal_on(f, given), st.marginal("joint", given))
+                    _ratio(_marginal_on(f, keep), st.marginal("joint", keep.axes))
+                    - _ratio(_marginal_on(f, given), st.marginal("joint", given.axes))
                 )
         grad = np.zeros(self.space.size)
         direction = np.zeros(self.space.size)
@@ -799,10 +935,9 @@ class Engine:
             if b.side == "p":
                 field = p_field if field is None else p_field + field
             if field is not None:
-                g = _block_grad(field, sigma, b.parent_axes, b.child_axis)
-                occupancy = _on_axes(st.marginal("p", b.parent_axes), b.parent_axes)
+                g = _block_grad(field, sigma, b)
                 grad[b.coords] = g
-                direction[b.coords] = _natural_direction(g, sigma, occupancy)
+                direction[b.coords] = _natural_direction(g, sigma, st.table("p", b.parents))
         return grad, direction, residual
 
     def _score_residual(self, st: _State) -> float:
@@ -812,8 +947,7 @@ class Engine:
         residual = 0.0
         for b, sigma in zip(self._plan.blocks, st.sigmas):
             if b.side == "p":
-                axes = b.parent_axes + (b.child_axis,)
-                joint = _on_axes(st.marginal("joint", axes), axes)
+                joint = st.table("joint", b.family)
                 off = joint - sigma * joint.sum(axis=-1, keepdims=True)
                 residual = max(residual, float(np.max(np.abs(off))))
         return residual

@@ -93,7 +93,6 @@ from .decomp import (
     _prepare,
     _split_roles,
     _split_time,
-    realize,
 )
 from .engine import (
     ActualLog,
@@ -155,8 +154,11 @@ OBJECTIVE_FAMILIES: tuple[str, ...] = tuple(
 
 # (target, p, q, full joint, realized system) -> certified report
 ReportBody = Callable[[TargetSpec, Table, UnnormalizedTable, Table, ActualSystem], Report]
-# (target, engine terms, ln Z coefficient, report body, total_matches_report)
-Parts = tuple[TargetSpec, list[Term], float, ReportBody, bool]
+# Rejects evidence, realized by the engine, that a family cannot take.
+EvidenceCheck = Callable[[Assignment], None]
+# (target, engine terms, ln Z coefficient, report body, total_matches_report,
+# evidence check beyond the target scope, or None)
+Parts = tuple[TargetSpec, list[Term], float, ReportBody, bool, EvidenceCheck | None]
 
 
 @dataclass(frozen=True)
@@ -229,12 +231,14 @@ def make_objective(
         raise ConfigError(f"unknown objective family {family!r}; known families: {known}")
     options = dict(options or {})
     realized = dict(realized or {})
-    target, terms, lnz_coeff, report, matches = builder(
-        system, target, options, realized, realization
+    target, terms, lnz_coeff, report, matches, check_evidence = builder(
+        system, target, options, realized
     )
     if options:
         raise ConfigError(f"family {family!r} does not use the option(s) {sorted(options)}")
     engine = Engine(system, target, terms, lnz_coeff, realized, realization)
+    if check_evidence is not None:
+        check_evidence(engine.evidence)
     _check_evidence_scope(engine.evidence, target.scope)
     return Objective(family, engine, matches, report)
 
@@ -297,7 +301,7 @@ def _minus_raw_log(target: TargetSpec) -> tuple[tuple[float, TargetFactorLog], .
 # joint_kl
 
 
-def _build_joint_kl(system, target, options, realized, realization) -> Parts:
+def _build_joint_kl(system, target, options, realized) -> Parts:
     """The divergence itself; the report holds a single term."""
     if target is None:
         raise ConfigError("family 'joint_kl' needs an explicit target")
@@ -309,14 +313,14 @@ def _build_joint_kl(system, target, options, realized, realization) -> Parts:
         ref = kl(p, q)
         return _certify("jointkl", p, q, {"joint_kl": (1.0, ref.kl_nats, ref.divergent)})
 
-    return target, terms, 1.0, report, True
+    return target, terms, 1.0, report, True, None
 
 
 # ---------------------------------------------------------------------------
 # elbo_bnn
 
 
-def _build_elbo(system, target, options, realized, realization) -> Parts:
+def _build_elbo(system, target, options, realized) -> Parts:
     """Variational inference over belief variables against prior times likelihoods.
 
     The target must consist of factors over the belief variables (the
@@ -404,14 +408,14 @@ def _build_elbo(system, target, options, realized, realization) -> Parts:
         extras = {"posterior_kl": expected_conditional_kl(p, q, z, x).kl_nats}
         return _certify("elbo", p, q, parts, extras=extras)
 
-    return target, terms, 0.0, report, True
+    return target, terms, 0.0, report, True, None
 
 
 # ---------------------------------------------------------------------------
 # map_point_mass
 
 
-def _build_map(system, target, options, realized, realization) -> Parts:
+def _build_map(system, target, options, realized) -> Parts:
     """Energy minus entropy; over point masses this is raw-weight maximization."""
     _check_no_realization("map_point_mass", realized)
     if target is None:
@@ -424,14 +428,14 @@ def _build_map(system, target, options, realized, realization) -> Parts:
     def report(tgt, p, q, joint, rsys) -> Report:
         return _certify("map", p, q, _energy_entropy(p, q), lnz_coeff=1.0)
 
-    return target, terms, 1.0, report, True
+    return target, terms, 1.0, report, True, None
 
 
 # ---------------------------------------------------------------------------
 # amortized_vae
 
 
-def _build_vae(system, target, options, realized, realization) -> Parts:
+def _build_vae(system, target, options, realized) -> Parts:
     """Encoder-decoder splits of the divergence.
 
     ``form="reconstruction"`` charges the code complexity against a
@@ -467,7 +471,7 @@ def _build_vae(system, target, options, realized, realization) -> Parts:
         parts = split(p, q)
         return _certify("vae", p, q, {new: parts[old] for old, new in names.items()})
 
-    return target, terms, 0.0, report, True
+    return target, terms, 0.0, report, True, None
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +494,7 @@ def _control_rewards(system, rewards: Mapping) -> dict[str, np.ndarray]:
     return out
 
 
-def _build_control(
-    system, target, options, realized, realization, family="kl_control"
-) -> Parts:
+def _build_control(system, target, options, realized, family="kl_control") -> Parts:
     """Shared construction for kl_control and maxent_rl.
 
     The target is built from the options, so an explicit target is an
@@ -531,13 +533,14 @@ def _build_control(
     # Conditioning p breaks the cancellation of the mirrored dynamics, so
     # only "kl-regularized", whose target mirrors nothing, takes evidence,
     # and only on the inputs it scores.
-    _, evidence = realize(system, realized, realization)
     allowed = set(states) if mode == "kl-regularized" else set()
-    stray = sorted(set(evidence) - allowed)
-    if stray:
-        raise ConfigError(
-            f"mode {mode!r} cannot take {stray} as evidence; realize actions by intervention"
-        )
+
+    def check_evidence(evidence: Assignment) -> None:
+        stray = sorted(set(evidence) - allowed)
+        if stray:
+            raise ConfigError(
+                f"mode {mode!r} cannot take {stray} as evidence; realize actions by intervention"
+            )
     gains = [(f"{gain_name}_{inputs.index(v) + 1}", v) for v in inputs if v in rewards]
 
     factors: list = []
@@ -612,14 +615,16 @@ def _build_control(
             parts[name] = (-1.0, _expected_payoff(p, v, rewards[v]), False)
         return _certify(FAMILY_TAGS[family], p, q, parts, lnz_coeff=1.0)
 
-    return TargetSpec(scope, factors), terms, 1.0 if matches else 0.0, report, matches
+    return (
+        TargetSpec(scope, factors), terms, 1.0 if matches else 0.0, report, matches, check_evidence
+    )
 
 
 # ---------------------------------------------------------------------------
 # empowerment
 
 
-def _build_empowerment(system, target, options, realized, realization) -> Parts:
+def _build_empowerment(system, target, options, realized) -> Parts:
     """Channel-capacity reading: maximize a bound on I(actions; effects).
 
     Without an explicit target a softmax decoder over the channel
@@ -674,14 +679,14 @@ def _build_empowerment(system, target, options, realized, realization) -> Parts:
         }
         return _certify("empowerment", p, q, renamed, extras=extras)
 
-    return target, terms, 0.0, report, False
+    return target, terms, 0.0, report, False, None
 
 
 # ---------------------------------------------------------------------------
 # skill_discovery
 
 
-def _build_skills(system, target, options, realized, realization) -> Parts:
+def _build_skills(system, target, options, realized) -> Parts:
     """Reverse-predictor skill objective; the target comes from the options.
 
     Mirrored dynamics and (optionally mirrored) action priors cancel, so
@@ -770,14 +775,14 @@ def _build_skills(system, target, options, realized, realization) -> Parts:
         extras = {"exact_mi": mutual_information(p, (zname,), pred_parents)}
         return _certify("skills", p, q, parts, lnz_coeff=1.0, extras=extras)
 
-    return TargetSpec(system.names, factors), terms, 0.0, report, False
+    return TargetSpec(system.names, factors), terms, 0.0, report, False, None
 
 
 # ---------------------------------------------------------------------------
 # info_gain
 
 
-def _build_info_gain(system, target, options, realized, realization) -> Parts:
+def _build_info_gain(system, target, options, realized) -> Parts:
     """Belief-update reading of the past/future split.
 
     Without an explicit target a softmax predictor over all inputs is
@@ -864,7 +869,7 @@ def _build_info_gain(system, target, options, realized, realization) -> Parts:
             extras=extras,
         )
 
-    return target, terms, 0.0, report, optimize == "bound"
+    return target, terms, 0.0, report, optimize == "bound", None
 
 
 _BUILDERS: dict[str, Callable[..., Parts]] = {

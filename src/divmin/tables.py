@@ -79,9 +79,16 @@ Assignment = Mapping[str, int]
 
 def _as_probs(
     values: np.ndarray | Sequence, shape: tuple[int, ...], copy: bool = True
-) -> np.ndarray:
-    """``values`` as a checked, read-only float64 array: a copy, or with
-    ``copy=False`` the caller's own array, which it hands over."""
+) -> tuple[np.ndarray, float]:
+    """``values`` as a checked, read-only float64 array, with its sum: a
+    copy, or with ``copy=False`` the caller's own array, which it hands
+    over.
+
+    Two passes check it. An inf or a nan carries through the sum, so only
+    a sum that is not finite sends the array to the elementwise test, which
+    still accepts finite entries whose sum overflows. The minimum then
+    checks the signs.
+    """
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != shape:
         raise ValidationError(f"array shape {arr.shape} does not match scope shape {shape}")
@@ -89,14 +96,15 @@ def _as_probs(
         raise CapacityError(
             f"outcome space of size {arr.size} exceeds the cap of {CAPACITY_LIMIT}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("probabilities must be finite")
-    if np.any(arr < 0.0):
-        raise ValidationError("probabilities must be non-negative")
     if copy:
         arr = arr.copy()
+    total = float(arr.sum())
+    if not math.isfinite(total) and not np.isfinite(arr).all():
+        raise ValidationError("probabilities must be finite")
+    if arr.min() < 0.0:
+        raise ValidationError("probabilities must be non-negative")
     arr.flags.writeable = False
-    return arr
+    return arr, total
 
 
 class _Scoped:
@@ -141,8 +149,7 @@ class Table(_Scoped):
     ) -> None:
         super().__init__(scope)
         shape = tuple(v.cardinality for v in self.scope)
-        arr = _as_probs(probs, shape, copy)
-        total = float(arr.sum())
+        arr, total = _as_probs(probs, shape, copy)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValidationError(f"probabilities sum to {total!r}, not 1")
         self.probs = arr
@@ -162,8 +169,7 @@ class UnnormalizedTable(_Scoped):
     ) -> None:
         super().__init__(scope)
         shape = tuple(v.cardinality for v in self.scope)
-        arr = _as_probs(weights, shape, copy)
-        total = float(arr.sum())
+        arr, total = _as_probs(weights, shape, copy)
         if total <= 0.0:
             raise ValidationError("target weights must have positive total mass")
         self.weights = arr
@@ -254,8 +260,9 @@ def condition(table: Table, evidence: Assignment) -> Table:
 
 
 def _safe_log(values: np.ndarray) -> np.ndarray:
-    """Elementwise ln, with -inf wherever an entry is not positive."""
-    return np.where(values > 0.0, np.log(np.where(values > 0.0, values, 1.0)), -np.inf)
+    """Elementwise ln, with -inf wherever an entry is not positive (nan
+    included), as one masked log."""
+    return np.log(values, out=np.full(values.shape, -np.inf), where=values > 0.0)
 
 
 def _xlogx_sum(p: np.ndarray) -> float:

@@ -20,6 +20,8 @@ from divmin.engine import (
     TargetFactorLog,
     TargetLog,
     Term,
+    _Reduction,
+    _marginal_on,
 )
 from divmin.errors import ValidationError
 from divmin.objectives import from_preset, make_objective
@@ -507,7 +509,7 @@ def test_value_and_gradient_memory_stays_near_the_joint():
     assert peak <= 6 * outcomes * 8
 
 
-@pytest.mark.parametrize("n_states, steps", [(8, 3), (8, 4)])
+@pytest.mark.parametrize("n_states, steps", [(8, 3), (8, 4), (6, 5)])
 def test_engine_agrees_with_report_above_preset_sizes(n_states, steps):
     objective = from_preset(preset("chain-mdp", n_states=n_states, steps=steps))
     rng = np.random.default_rng(29)
@@ -699,6 +701,47 @@ def test_each_marginal_is_summed_from_the_smallest_one_taken(monkeypatch):
     monkeypatch.setattr(divmin.engine, "_marginal_on", counted)
     obj.value(phi)
     assert sorted(full) == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
+
+
+def summed_as_numpy_does(arr, axes, ordered):
+    drop = tuple(a for a, n in enumerate(arr.shape) if n > 1 and a not in axes)
+    want = arr.sum(axis=drop, keepdims=True)
+    if ordered:
+        kept = sorted(axes)
+        want = want.reshape([arr.shape[a] for a in kept]).transpose([kept.index(a) for a in axes])
+    return want
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1,), (3,), (1, 3, 1, 2, 4, 1), (2, 1, 1, 5, 3), (4, 1, 2, 1, 3, 1, 2), (1, 6, 2, 6, 2, 1),
+     (6, 2) * 5, (1,) + (2,) * 20],
+)
+def test_each_reduction_matches_the_numpy_sum(shape):
+    rng = np.random.default_rng(len(shape))
+    grid = rng.random(shape)
+    layout = frozenset(a for a, n in enumerate(shape) if n > 1)
+    big = sorted(layout)
+    ones = [a for a, n in enumerate(shape) if n == 1]
+    half = len(big) // 2
+    keeps = [(), tuple(big), tuple(big[half:half + 2]), tuple(big[-2:]), tuple(big[:2])]
+    # From the grid, and from a marginal that keeps only the trailing half.
+    tail = tuple(big[half:])
+    marginal = summed_as_numpy_does(grid, tail, ordered=False)
+    for arr, kept, candidates in (
+        (grid, layout, keeps),
+        (marginal, frozenset(tail), [(), tail, tail[:1], tail[-1:]]),
+    ):
+        for keep in candidates:
+            for ordered in (False, True):
+                if ordered:
+                    axes = tuple(int(a) for a in rng.permutation(list(keep) + ones[:1]))
+                else:
+                    axes = frozenset(keep)
+                got = _marginal_on(arr, _Reduction(shape, kept, axes, ordered))
+                want = summed_as_numpy_does(arr, axes, ordered)
+                assert got.shape == want.shape, (keep, ordered)
+                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -716,21 +716,42 @@ def test_evidence_outside_the_target_scope_is_rejected_at_construction():
         make_objective("joint_kl", system, target, realized={"x": 1})
 
 
-@pytest.mark.parametrize("realization", ["intervene", "condition"])
-def test_make_objective_realizes_once(realization, monkeypatch):
-    import divmin.engine
-    import divmin.objectives
+def count_realize(monkeypatch) -> list:
+    """Counts ``decomp.realize`` calls through every divmin module that
+    binds the name."""
+    import sys
+
+    import divmin.decomp
 
     calls = []
-    realize = divmin.engine.realize
+    realize = divmin.decomp.realize
 
     def counted(*args):
         calls.append(args)
         return realize(*args)
 
-    monkeypatch.setattr(divmin.engine, "realize", counted)
-    monkeypatch.setattr(divmin.objectives, "realize", counted)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "divmin" and getattr(module, "realize", None) is realize:
+            monkeypatch.setattr(module, "realize", counted)
+    return calls
+
+
+@pytest.mark.parametrize("realization", ["intervene", "condition"])
+def test_make_objective_realizes_once(realization, monkeypatch):
+    calls = count_realize(monkeypatch)
     make_objective(*realized_objective_args("vae-reconstruction"), {"x": 1}, realization)
+    assert len(calls) == 1
+
+
+CONTROL_CASES = [c for c in REALIZED_CASES if not c[0].startswith(("vae-", "two-room"))]
+
+
+@pytest.mark.parametrize("case, realized, realization", CONTROL_CASES)
+def test_control_objectives_realize_once(case, realized, realization, monkeypatch):
+    # The stray-evidence check reads the engine's realized evidence.
+    assert len(CONTROL_CASES) == 5
+    calls = count_realize(monkeypatch)
+    make_objective(*realized_objective_args(case), realized, realization)
     assert len(calls) == 1
 
 

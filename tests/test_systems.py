@@ -21,6 +21,7 @@ from divmin.systems import (
     RewardFactor,
     TableFactor,
     TargetSpec,
+    _grow,
     build_joint,
     build_target,
     softmax,
@@ -121,6 +122,31 @@ def test_build_joint_matches_manual_product():
             for k in range(2):
                 assert probs[i, j, k] == pytest.approx(0.5 * 0.5 * env[i, j, k], abs=1e-15)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("op, start", [(np.multiply, np.ones), (np.add, np.zeros)])
+def test_each_growth_step_is_the_broadcast_op(op, start):
+    # Every step is op(acc, term) to the bit, and a step that grows the
+    # product writes into an array no factor owns.
+    shape = (3, 1, 2, 4, 2)
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        factors = []
+        for _ in range(int(rng.integers(1, 5))):
+            spans = rng.random(len(shape)) < 0.5
+            term = rng.standard_normal([n if s else 1 for n, s in zip(shape, spans)])
+            term[rng.random(term.shape) < 0.2] = rng.choice([0.0, -0.0, np.inf])
+            factors.append(term)
+        acc = start((1,) * len(shape))
+        for term in factors:
+            with np.errstate(invalid="ignore"):
+                want = op(acc, term)
+                grown = acc.shape != shape
+                acc = _grow(acc, term, shape, op)
+            assert acc.shape == want.shape
+            assert acc.tobytes() == want.tobytes()
+            if grown:
+                assert not any(np.shares_memory(acc, f) for f in factors)
 
 
 def test_build_joint_invariant_to_declaration_order():

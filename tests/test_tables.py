@@ -14,6 +14,7 @@ from divmin.tables import (
     UnnormalizedTable,
     Variable,
     _Layout,
+    _safe_log,
     condition,
     entropy,
     expected_conditional_kl,
@@ -73,6 +74,43 @@ def test_unnormalized_table_caches_log_partition():
 def test_unnormalized_table_rejects_zero_mass():
     with pytest.raises(ValidationError):
         UnnormalizedTable([Variable("a", 2, Role.ACTION)], [0.0, 0.0])
+
+
+def on_scope(values):
+    return [Variable("a", len(values), Role.ACTION)], values
+
+
+@pytest.mark.parametrize("kind", [Table, UnnormalizedTable])
+@pytest.mark.parametrize("values", [[math.inf], [math.nan], [-math.inf], [-1.0, math.inf]])
+def test_non_finite_entries_are_rejected_before_signs(kind, values):
+    with pytest.raises(ValidationError, match="must be finite"):
+        kind(*on_scope(values))
+
+
+@pytest.mark.parametrize("kind", [Table, UnnormalizedTable])
+def test_negative_entries_are_rejected(kind):
+    with pytest.raises(ValidationError, match="non-negative"):
+        kind(*on_scope([-0.5, 1.5]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in reduce")
+def test_finite_weights_whose_sum_overflows_are_accepted():
+    # The sum is inf, but every entry is finite; ln Z reads the sum.
+    t = UnnormalizedTable(*on_scope([1e308, 1e308]))
+    assert t.weights.tolist() == [1e308, 1e308]
+    assert t.log_partition == math.inf
+
+
+def test_safe_log_is_the_two_pass_expression_bit_for_bit():
+    tiny = np.nextafter(0.0, 1.0)
+    values = np.array(
+        [0.0, -0.0, -1.0, -tiny, np.nan, np.inf, -np.inf, tiny, 2.2e-308, 1e-310, 0.5, 1.0, 3.0]
+    )
+    for arr in (values, values.reshape(13, 1), np.float64(0.25) * np.ones(()), np.zeros(())):
+        want = np.where(arr > 0.0, np.log(np.where(arr > 0.0, arr, 1.0)), -np.inf)
+        got = _safe_log(arr)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 # --- marginalize / condition ----------------------------------------------
