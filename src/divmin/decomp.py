@@ -126,7 +126,11 @@ def observe(table: Table, evidence: Assignment) -> Table:
         card = table.variable(name).cardinality
         if not 0 <= value < card:
             raise ValidationError(f"evidence {name}={value} outside 0..{card - 1}")
-    return _observed(table, _evidence_mask(table.scope, evidence), evidence)
+    masked = np.where(_evidence_mask(table.scope, evidence), table.probs, 0.0)
+    mass = masked.sum()
+    if mass <= 0.0:
+        raise NullEvidenceError(f"evidence {dict(evidence)} has zero mass")
+    return Table(table.scope, masked / mass, copy=False)
 
 
 def _evidence_mask(scope: Sequence[Variable], evidence: Assignment) -> np.ndarray:
@@ -138,15 +142,6 @@ def _evidence_mask(scope: Sequence[Variable], evidence: Assignment) -> np.ndarra
             sel = np.arange(v.cardinality) == evidence[v.name]
             keep = keep & _Layout((v.name,), scope).place(sel)
     return keep
-
-
-def _observed(table: Table, keep: np.ndarray, evidence: Assignment) -> Table:
-    """``table`` zeroed off the mask ``keep`` of ``evidence`` and renormalized."""
-    masked = np.where(keep, table.probs, 0.0)
-    mass = masked.sum()
-    if mass <= 0.0:
-        raise NullEvidenceError(f"evidence {dict(evidence)} has zero mass")
-    return Table(table.scope, masked / mass, copy=False)
 
 
 def realize(

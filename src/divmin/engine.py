@@ -1,4 +1,4 @@
-"""Exact values and gradients for objectives over materialized tables.
+"""Exact values and gradients for objectives, contracted from factor tables.
 
 Every functional handled here is an expectation under the actual joint of a
 signed sum of log-quantities, plus an optional multiple of the target's log
@@ -6,122 +6,94 @@ normalizer:
 
     F(phi) = sum_k c_k E_p[ V_k(omega) ] + c_Z ln Z(phi)
 
-where each integrand V_k is built from four kinds of sources: conditional
-log-marginals of the actual distribution, conditional log-marginals of the
-normalized target, the log of one target factor, and fixed payoff arrays.
-The raw unnormalized target log-weight is the sum of its factors' logs,
-ln q~ = sum_i ln f_i, so a functional reads it as one factor log per
-factor. Differentiation goes through both the measure and the integrand,
+where each integrand V_k is built from conditional log-marginals of the
+actual distribution, conditional log-marginals of the normalized target,
+the log of one target factor (ln q~ = sum_i ln f_i is read one factor at a
+time), and fixed payoff arrays. Differentiation goes through both the
+measure and the integrand,
 
     dF = sum_k c_k ( E_p[ s_p (V_k - E_p V_k) ] + E_p[ dV_k ] ) + c_Z E_q[ s_q ],
 
-with s_p(omega) the gradient of ln p(omega) and s_q(omega) the gradient of
-ln q~(omega). Centring V_k is exact under evidence, where conditioning
-shifts ln p by a constant, and adds zero in theory without it. A conditional
-log-marginal differentiates into a difference of conditional score
-expectations under the matching measure,
+with s_p the gradient of ln p and s_q that of ln q~; centring V_k is exact
+under evidence, which shifts ln p by a constant. A conditional log-marginal
+differentiates into E[s | G, H] - E[s | H] under the matching measure.
 
-    d ln m(G | H)(omega) = E[ s | G, H ](omega) - E[ s | H ](omega).
+No outcome grid is built. Each measure is a product of small tables: the
+unobserved joint j of the system's conditionals on their (parents, child)
+axes; the actual measure p, which adds one indicator vector per evidence
+variable and divides by its total; and the target q~, its factors' weights
+on their own scopes. Every quantity the engine reads is a marginal of one
+of them, run by a variable-elimination program compiled once per (measure,
+axes) (Dechter 1999; Koller & Friedman 2009, ch. 9), or summed from the
+smallest marginal of the same measure already taken that covers it; ln Z is
+the log of the target's total. The engine so shares no materialization step
+with the reports it is certified against, which multiply the dense grid.
 
-Every source depends on a few variables only: its scope. The engine keeps
-each source scope-sized, on the joint's axes with length one elsewhere,
-and derives the conditional log-marginals of p and of the normalized
-target itself, from their marginals, rather than through the report
-code it is certified against. A term whose sources span the scope S is
-evaluated on p_S, the actual measure's marginal on S: its value is
-sum_S p_S V, and it is divergent when p_S > 0 where V is not finite,
-which is the outcome-level test because p_S(s) > 0 exactly when some
-outcome with that s carries mass. A term over the whole grid uses p
-itself. Each marginal is summed from the smallest marginal of the same
-measure already taken that covers its scope, so nested scopes such as x_t
-inside (x_t, a_t) cost one pass over the grid between them. Every
-reduction is compiled once per (layout, kept axes) into one einsum call,
-which also reads a block's table straight in (parents, child) order; a
-reduction that sums a long contiguous run takes that sum pairwise from
-``np.add.reduce`` instead, as exact as the reports' ``np.sum``.
+A term whose sources span the scope S is evaluated as sum_S p_S V, and it
+is divergent when p_S > 0 where V is not finite: p_S(s) > 0 exactly when
+some outcome with that s carries mass.
 
-Every piece of the gradient is a weight field over outcomes contracted
-against scores, and the fields are assembled from scope-local parts:
+Each gradient piece is a measure times a scope-sized piece g_G, contracted
+against a block's scores: onto the block's family F, the measure's marginal
+on G + F contracted with g_G.
 
-* the measure part is a single p-field, p h with h = sum_k c_k (V_k -
-  E_p V_k), contracted against s_p. Each centred piece is first summed
-  into a piece whose scope covers it, at term scope, and only the grouped
-  pieces are grown onto the grid, smallest first;
-* one target factor's log contributes c p to that factor's field alone,
-  so only its scalar coefficient is summed;
-* ln q(G | H) contributes c q (p(A)/q(A) - p(H)/q(H)), with A = G + H,
-  by the tower property E_p[ E_q[s | A] ] = E_q[ (p(A)/q(A)) s ], and
-  ln Z contributes c_Z q / Z. Both are q r for one scope-local r. Here q
-  is the target weights broadcast over the k system outcomes that share
-  each target outcome, so every q-marginal, Z included, counts k copies;
+* the measure part is p h with h = sum_k c_k (V_k - E_p V_k);
+* one target factor's log contributes c p to that factor's field alone;
+* ln q(G | H) contributes c q~ (p(A)/q~(A) - p(H)/q~(H)), A = G + H, by the
+  tower property E_p[ E_q[s | A] ] = E_q[ (p(A)/q~(A)) s ], and ln Z
+  contributes c_Z q~ / Z: both q~ r for scope-local pieces r;
 * ln p(G | H) adds nothing, since E_p[ E_p[s | A] ] - E_p[ E_p[s | H] ] = 0.
 
-A target factor's field, c p + q r, goes to the block its score lives
-in: a parameterized factor's own block, a factor mirror's child block on
-the system side, and, for a marginal mirror j(G | H) of the joint j, the
-p-field gains j (F(A)/j(A) - F(H)/j(H)) by the same tower property. Each
-outcome-sized field is built once, and only when a live block consumes
-it; where no target factor has one, no target field is built at all.
+A target factor's field, c p + q~ r, goes to the block its score lives in:
+a parameterized factor's own block, a factor mirror's child block, and, for
+a marginal mirror j(G | H), the system blocks gain j (F(A)/j(A) - F(H)/j(H))
+by the same tower property. A piece whose scope holds no descendant of a
+block's child, under a measure with no evidence on one, meets that block's
+score only through E[s | non-descendants] = 0, and is skipped.
 
-For a softmax factor the score of logit (parents', c') is 1[parents =
-parents'] (1[child = c'] - sigma_c'), so a field contracts against a block
-as its marginal on (parents, child) minus sigma times its marginal on the
-parents: one pass over the grid per block and memory linear in the number
-of outcomes. Everything is evaluated on the dense outcome grid, so gradients
-are exact up to floating point; no sampling or automatic differentiation is
-involved. The same contraction applied to the unobserved joint is zero in
-theory, p(pa, c) = sigma p(pa), and its largest entry over the system
-blocks is returned as a residual so callers can assert that the
-contraction stayed honest.
+The score of softmax logit (parents', c') is 1[parents = parents'] (1[child
+= c'] - sigma_c'), so a field contracts against a block as its marginal on
+(parents, child) minus sigma times its marginal on the parents. For the
+unobserved joint that is zero in theory, j(pa, c) = sigma j(pa); its
+largest entry over the system blocks is returned as the score residual.
 
-Alongside the gradient the engine returns the natural direction: each
-block's gradient preconditioned by that block's Fisher information,
-occupancy(pa) (diag(sigma) - sigma sigma^T) on every parent slice. Its
-pseudo-inverse applied to a slice's gradient, which sums to zero over
-the child, is the gradient divided by occupancy * sigma and centred
-over the child axis. Every block, on either side, takes its occupancy
-from one rule: the actual measure's marginal on its parents, evidence
-included, since that is the measure the functional weighs it by. The
-unobserved joint is read only for the score residual. Slices whose
-occupancy lies below a floor get a zero direction, since dividing by a
-vanishing Fisher scale would only blow up rounding. Then g . d = sum g^2
-/ (occupancy sigma) >= 0, so the direction descends wherever it is
-nonzero.
+The natural direction divides each block's gradient by occupancy * sigma,
+with occupancy the actual measure's marginal on the block's parents, and
+centres it over the child axis: the pseudo-inverse of the block's Fisher
+information. Slices whose occupancy lies below a floor get a zero
+direction, so g . d = sum g^2 / (occupancy sigma) >= 0.
 
 A line search asks for the gradient at the point it accepts right after
-the value there, so a value call keeps its state for a gradient call
-that comes next at the bit-identical parameter vector. Any other call
-releases it first: an engine holds at most one state, and none after a
-gradient call.
+the value there, so a value call keeps its state for a gradient call at the
+bit-identical parameter vector; any other call releases it first.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .decomp import _evidence_mask, _observed, realize
-from .errors import ValidationError
+from .decomp import realize
+from .errors import NullEvidenceError, ValidationError
 from .systems import (
     ActualSystem,
     FactorMirror,
     MarginalMirror,
     ParameterSpace,
+    RewardFactor,
     TargetSpec,
     _check_target_factor,
     _frozen,
-    _grow,
-    _joint_product,
-    _target_table,
     softmax,
-    target_factor_log_array,
     target_factor_scope,
 )
-from .tables import Assignment, Table, UnnormalizedTable, _Layout, _safe_log
+from .tables import Assignment, _Layout, _safe_log
 
 # ---------------------------------------------------------------------------
 # Log-sources
@@ -227,7 +199,149 @@ class GradientEvaluation:
 
 
 # ---------------------------------------------------------------------------
-# Weight fields and their contraction
+# Variable elimination
+
+# A step is merged into the call that consumes its result while the merged
+# call's variables span at most this many outcomes, and a wider call is cut
+# into pairwise ones. An einsum call costs about 2.5 us and loops over every
+# outcome its variables span: on a chain of five (x, a, x') tables, one call
+# beats two at a span of 32 outcomes (4.3 against 5.2 us) and is 3x slower
+# at 864 (15.6 against 5.6 us). Spans of 16 to 256 time the same on chain-mdp
+# and on a descent pass.
+_MERGE_SPACE = 64
+
+# The system blocks' field pieces of one measure are bundled into one
+# piece while the bundle's scope and every system block's family span at
+# most this many outcomes: one marginal and one contraction per block then
+# replace one per piece. On chain-mdp's value plus gradient that is 10 %
+# faster at 1000 outcomes and 3 % at 4096, and twice as slow at 65536.
+_BUNDLE_SPACE = 4096
+
+_LABELS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"  # einsum's 52
+
+
+class _Program:
+    """One marginal of a product of tables, compiled once.
+
+    ``operands`` holds each table's variables in its own axis order, and
+    ``out`` the variables of the result in the order it is written.
+    Variables are eliminated greedily: each step takes the variable whose
+    tables span the fewest outcomes, multiplies those tables and sums out
+    every variable no other table and no output holds. Each step is one
+    einsum call, and a step whose result feeds one later step is merged
+    into it while the merged call spans at most ``_MERGE_SPACE`` outcomes,
+    so a small network is one call. Every intermediate lies on a subset of
+    the network's variables, so none outgrows the network's outcome space.
+
+    ``calls`` lists each einsum call's subscripts and the slots of its
+    inputs: the tables first, then each call's result in turn. ``shape``
+    is the shape the result is read in.
+    """
+
+    __slots__ = ("calls", "result", "shape")
+
+    def __init__(self, operands: tuple[tuple[int, ...], ...], out: tuple, card: tuple) -> None:
+        self.shape = tuple(n if a in out else 1 for a, n in enumerate(card))
+
+        def span(names: Iterable[int]) -> int:
+            return math.prod(card[v] for v in names)
+
+        held = dict(enumerate(operands))  # live slot -> its variables
+        steps = []
+        todo = set().union(*held.values()) - set(out)
+        while todo:
+            v = min(todo, key=lambda u: (span(set().union(*(s for s in held.values() if u in s))),
+                                         u))
+            used = [i for i, s in held.items() if v in s]
+            joined = set().union(*(held[i] for i in used))
+            rest = set(out).union(*(s for i, s in held.items() if i not in used))
+            result = tuple(sorted(joined & rest))
+            for i in used:
+                del held[i]
+            held[len(operands) + len(steps)] = result
+            steps.append((used, result))
+            todo -= joined - rest
+        steps.append((list(held), out))
+        # Merge each step into its consumer while the merged span allows.
+        calls, names = {}, dict(enumerate(operands))
+        for k, (used, result) in enumerate(steps):
+            slot = len(operands) + k
+            inputs, joined = [], set(result).union(*(names[i] for i in used))
+            for i in used:
+                merged = calls.get(i)
+                if merged is not None and span(joined | merged[1]) <= _MERGE_SPACE:
+                    del calls[i]
+                    inputs += merged[0]
+                    joined |= merged[1]
+                else:
+                    inputs.append(i)
+            calls[slot] = (inputs, joined, result)
+            names[slot] = result
+        slots, self.calls = {i: i for i in range(len(operands))}, []
+
+        def emit(inputs: list[int], result: tuple[int, ...]) -> int:
+            label = dict(zip(sorted(set().union(*(names[i] for i in inputs))), _LABELS))
+            subscripts = ",".join("".join(label[v] for v in names[i]) for i in inputs)
+            subscripts += "->" + "".join(label[v] for v in result)
+            self.calls.append((subscripts, tuple(slots[i] for i in inputs)))
+            return len(operands) + len(self.calls) - 1
+
+        for slot, (inputs, joined, result) in calls.items():
+            if len(inputs) == 1 and names[inputs[0]] == result:
+                slots[slot] = slots[inputs[0]]  # nothing to sum or move
+                continue
+            # A wide call multiplies pairwise, the product that spans the
+            # fewest outcomes first, summing each variable once no later
+            # table holds it.
+            while span(joined) > _MERGE_SPACE and len(inputs) > 2:
+                a, b = min(
+                    itertools.combinations(inputs, 2),
+                    key=lambda ab: span({*names[ab[0]], *names[ab[1]]}),
+                )
+                inputs = [i for i in inputs if i not in (a, b)]
+                need = set(result).union(*(names[i] for i in inputs))
+                pair = len(names)
+                names[pair] = tuple(sorted({*names[a], *names[b]} & need))
+                slots[pair] = emit([a, b], names[pair])
+                inputs.append(pair)
+            slots[slot] = emit(inputs, result)
+        self.result = slots[len(operands) + len(steps) - 1]
+
+    def run(self, tables: Sequence[np.ndarray]) -> np.ndarray:
+        values = list(tables)
+        for subscripts, inputs in self.calls:
+            values.append(np.einsum(subscripts, *[values[i] for i in inputs]))
+        return values[self.result].reshape(self.shape)
+
+
+# Programs are compiled once per structure: engines over systems of one
+# shape, such as a sweep's seeded instances, share them.
+_compiled = functools.lru_cache(maxsize=4096)(_Program)
+
+
+@functools.lru_cache(maxsize=4096)
+def _order(axes: tuple[int, ...], ndim: int) -> tuple[int, ...]:
+    """The transposition of ``ndim`` axes that puts ``axes`` first."""
+    return axes + tuple(a for a in range(ndim) if a not in axes)
+
+
+@functools.lru_cache(maxsize=4096)
+def _contraction(scope: frozenset[int], onto: tuple[int, ...], shape: tuple[int, ...]) -> tuple:
+    """The einsum that contracts a measure's marginal on the axes
+    ``joined`` of ``scope`` and ``onto`` of length above one against a
+    piece on ``scope`` onto ``onto`` in their order, with ``joined``, the
+    shapes it reads its two operands in and the shape of its result."""
+    joined = tuple(a for a in sorted(scope.union(onto)) if shape[a] > 1)
+    label = dict(zip(joined, _LABELS))
+    subscripts = "".join(map(label.get, joined)) + "," + "".join(map(label.get, sorted(scope)))
+    subscripts += "->" + "".join(label[a] for a in onto if a in label)
+    sizes = [tuple(shape[a] for a in axes) for axes in (joined, sorted(scope), onto)]
+    return (frozenset(joined), subscripts, *sizes)
+
+
+# ---------------------------------------------------------------------------
+# Gradient pieces
+
 
 # Parent slices reached with less probability than this get no natural
 # step: their Fisher scale occupancy * sigma vanishes, and dividing by it
@@ -236,124 +350,33 @@ class GradientEvaluation:
 _OCCUPANCY_FLOOR = 1.0e-12
 
 
-# np.add.reduce sums a contiguous run of more than this many elements
-# pairwise, so its error stays near one rounding (2.2e-16 relative on
-# uniform rows), while einsum's accumulators drift as the run grows:
-# 4.5e-16 at 1024 elements, 3.3e-15 at 16384, 6.3e-15 at 2**18. Up to it
-# the two agree to a rounding. einsum is the faster at any run length,
-# 2.2-4.5x at runs of 4-128 elements and 1.5-2x above (2**18 elements).
-_PAIRWISE_RUN = 128
-
-_LABELS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"  # einsum's 52
-
-
-class _Reduction:
-    """The reduction onto ``axes`` of an array on the grid of ``shape``
-    whose axes of length above one are ``layout``, compiled once: just
-    ``axes``, in their order, when ``ordered``, and otherwise the set
-    ``axes`` on the grid's axes with length one elsewhere. Iterating gives
-    ``axes``.
-
-    It is one einsum call on ``subscripts``, which labels only the axes of
-    length above one: at most 22 under the cap, where einsum takes 52
-    labels and an array may have 64 axes. Where it sums a contiguous run
-    longer than ``_PAIRWISE_RUN``, one ``np.add.reduce`` over ``summed``
-    takes that sum first, as exact as the reports' ``np.sum``, and einsum
-    only reorders what is left, if anything. Where nothing is summed and
-    no axis moves, a reshape does.
-    """
-
-    __slots__ = ("axes", "summed", "source", "subscripts", "shape")
-
-    def __init__(
-        self, shape: tuple[int, ...], layout: Collection[int], axes: Collection[int], ordered: bool
-    ) -> None:
-        self.axes = axes
-        src = sorted(layout)
-        out = [a for a in axes if a in layout] if ordered else sorted(axes)
-        run = 1  # the contiguous run summed: the trailing axes not kept
-        for a in reversed(src):
-            if a in out:
-                break
-            run *= shape[a]
-        self.summed = self.subscripts = None
-        if run > _PAIRWISE_RUN:
-            self.summed = tuple(a for a in src if a not in out)
-            src = sorted(out)
-        if out != src:
-            label = dict(zip((a for a, n in enumerate(shape) if n > 1), _LABELS))
-            self.subscripts = "".join(label[a] for a in src) + "->" + "".join(label[a] for a in out)
-        self.source = tuple(shape[a] for a in src)
-        self.shape = (
-            tuple(shape[a] for a in axes) if ordered
-            else tuple(n if a in axes else 1 for a, n in enumerate(shape))
-        )
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.axes)
-
-
-def _marginal_on(arr: np.ndarray, keep: _Reduction) -> np.ndarray:
-    """``arr`` summed onto the axes ``keep`` holds: one einsum call, a
-    pairwise ``np.add.reduce`` on a long run, or a reshape."""
-    if keep.summed is not None:
-        arr = np.add.reduce(arr, axis=keep.summed, keepdims=True)
-    if keep.subscripts is not None:
-        arr = np.einsum(keep.subscripts, arr.reshape(keep.source))
-    return arr.reshape(keep.shape)
-
-
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den, zero where den is.
-
-    Between marginals on the same axes A this is the tower weight
-    w(A) / m(A): sum w * E_m[s | A] equals sum m * (w(A) / m(A)) * s for any
-    per-outcome s.
-    """
+    """num / den, zero where den is: between marginals on the same axes A,
+    the tower weight w(A) / m(A), as sum w E_m[s | A] = sum m (w(A) / m(A)) s."""
     return np.divide(
         num, den, out=np.zeros(np.broadcast_shapes(num.shape, den.shape)), where=den > 0.0
     )
 
 
-def _block_grad(weights: np.ndarray, conditional: np.ndarray, block: _Block) -> np.ndarray:
-    """A weight field contracted against one softmax block's scores, flattened.
-
-    The score of logit (parents', c') is 1[parents = parents'] (1[child =
-    c'] - sigma[parents', c']), so the contraction is the field's marginal
-    on (parents, child), read in that order, minus sigma times its
-    marginal on the parents.
-    """
-    marginal = _marginal_on(weights, block.contract)
-    return (marginal - conditional * marginal.sum(axis=-1, keepdims=True)).ravel()
-
-
-def _summed_on_grid(pieces: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-    """The sum of scope-sized ``pieces`` on the grid of ``shape``.
-
-    Each piece, largest first, is added into the first group so far whose
-    scope covers its own, or starts a group, so a term on x_t costs
-    nothing on the grid once a term on (x_t, a_t) is there. Only the groups
-    reach the grid, grown onto it smallest first. The pieces are the
-    caller's own arrays, and the groups are summed into them in place.
-    """
-    groups: list[tuple[frozenset[int], np.ndarray]] = []
-    for piece in sorted(pieces, key=np.size, reverse=True):
-        scope = frozenset(i for i, n in enumerate(piece.shape) if n > 1)
-        for covering, group in groups:
-            if scope <= covering:
-                group += piece
+def _grouped(pieces: list[tuple], fits=lambda joined: False) -> list[list]:
+    """(measure, scope, piece) ``pieces`` summed into groups. Each piece,
+    largest first, is added into the first group so far of its measure
+    whose scope covers its own, or whose scope joined with it ``fits``, or
+    starts a group: a piece on x_t costs nothing once one on (x_t, a_t) is
+    there."""
+    groups: list[list] = []
+    for which, scope, piece in sorted(pieces, key=lambda entry: entry[2].size, reverse=True):
+        for group in groups:
+            joined = group[1] | scope
+            if group[0] == which and (joined == group[1] or fits(joined)):
+                group[1], group[2] = joined, group[2] + piece
                 break
         else:
-            groups.append((scope, piece))
-    out = np.zeros((1,) * len(shape))
-    for _, group in reversed(groups):
-        out = _grow(out, group, shape, np.add)
-    return out
+            groups.append([which, scope, piece])
+    return groups
 
 
-def _natural_direction(
-    grad: np.ndarray, sigma: np.ndarray, occupancy: np.ndarray
-) -> np.ndarray:
+def _natural_direction(grad: np.ndarray, sigma: np.ndarray, occupancy: np.ndarray) -> np.ndarray:
     """One block's gradient preconditioned by its Fisher information, flattened.
 
     The gradient is divided by occupancy * sigma, set to zero on parent
@@ -365,7 +388,7 @@ def _natural_direction(
     scaled = np.divide(
         grad.reshape(sigma.shape), occupancy * sigma, out=np.zeros(sigma.shape), where=live
     )
-    return (scaled - scaled.mean(axis=-1, keepdims=True)).ravel()
+    return (scaled - np.add.reduce(scaled, axis=-1, keepdims=True) / sigma.shape[-1]).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -375,40 +398,34 @@ def _natural_direction(
 @dataclass(frozen=True)
 class _Block:
     """One live softmax block: a system factor the realization left
-    parameterized, or a parameterized target factor. ``at`` is its
-    position among the parameter space's blocks. Its reductions read
-    tables in (parents, child) order: ``contract`` from a field on the
-    grid, ``family`` and ``parents`` from the cached marginals on (parents,
-    child) and on the parents."""
+    parameterized, or a parameterized target factor. ``at`` is its position
+    among the parameter space's blocks, ``family`` and ``parents`` its axes
+    in (parents, child) order, ``shape`` its softmax's shape and ``compact``
+    that shape without length-one axes. A system block's ``below`` holds
+    its child and the child's descendants, and ``conditioned`` whether
+    evidence lies among them."""
 
     at: int
     coords: slice
     side: str
-    contract: _Reduction
-    family: _Reduction
-    parents: _Reduction
+    family: tuple[int, ...]
+    parents: tuple[int, ...]
+    shape: tuple[int, ...]
+    compact: tuple[int, ...]
+    below: frozenset[int]
+    conditioned: bool
 
 
-# A factor's table on some scope's axes: fixed, or the softmax (or its log)
-# of the live block at that position, laid out.
-_Placed = np.ndarray | tuple[int, _Layout]
-
-
-def _place(entry: _Placed, tables: tuple[np.ndarray, ...]) -> np.ndarray:
-    return entry if isinstance(entry, np.ndarray) else entry[1].place(tables[entry[0]])
-
-
-@dataclass(frozen=True)
+@dataclass
 class _QSide:
-    """The materialized target, its weights on the joint's axes, each
-    target factor's log on the target's axes, and a cache of what is
-    derived from the target alone: its marginals and the values of the
-    target-side sources. An engine whose target does not depend on phi
-    builds one and shares it between all its states."""
+    """The target's tables, its total Z, its marginals taken so far, and
+    its source values: each marginal mirror's log by factor position, the
+    others by source. An engine whose target does not depend on phi builds
+    one and shares it."""
 
-    q: UnnormalizedTable
-    lift: np.ndarray
-    logs: tuple[np.ndarray, ...]
+    tables: tuple[np.ndarray, ...]
+    total: float
+    values: dict
     cache: dict = field(default_factory=dict)
 
 
@@ -416,54 +433,37 @@ class _Plan:
     """What every evaluation of one engine shares, resolved from structure
     on its first evaluation.
 
-    ``blocks`` are the live softmax blocks. ``conditionals`` holds each
-    system factor's conditional on the joint's axes, in the joint's
-    multiplication order: fixed and point-mass tables laid out once,
-    softmax factors as their block's position and layout. ``logs`` does
-    the same for each target factor's log on the target's axes, with a
-    marginal mirror kept as itself, since it reads the joint of each
-    evaluation; only the factors that do not depend on phi have their
-    logs taken here. ``keep`` is the evidence mask, or None without
-    evidence, ``lift`` the layout of the target's axes on the joint's,
-    and ``payoffs`` each payoff source on the joint's axes. The tables
-    are materialized by the steps the reports use: ``_joint_product``,
-    ``decomp._observed`` and ``_target_table``.
+    ``networks`` holds each measure's tables and ``variables`` their axes
+    of length above one: ``"joint"`` the system's conditionals, ``"p"``
+    those and one indicator per evidence variable, ``"q"`` each target
+    factor's weights and a ones vector per target variable no factor
+    reads. A table is fixed and laid out once, or the position of the live
+    block whose softmax it is, or a marginal mirror. ``logs`` holds each
+    target factor's log on the joint's axes, or what it reads.
 
-    Reductions are compiled here too. ``grid`` and ``q_grid`` are the axes
-    of length above one of the joint and of the target's weights laid out
-    on it, and ``reduction`` works out each (layout, kept axes) once: one
-    einsum call, or a pairwise sum first where it sums a long contiguous
-    run. Each block holds its own: the field's contraction onto (parents,
-    child) and the reads of the cached marginals on (parents, child) and
-    on the parents, all in that order.
-
-    The gradient's structure is resolved here too, from the terms alone:
-    ``towers`` holds each normalized-target source's coefficient with the
-    axes of its two ratios, ``ratio`` whether some tower or ln Z adds a
-    q r part to a consumed field, ``copies`` how many system outcomes share each target
-    outcome, ``system_blocks`` whether a live system block needs the
-    p-field, and ``consumers`` each target factor whose field a live block
-    consumes, with its coefficient of p and the block position, or the
-    two reductions of a marginal mirror's tower into the p-field, that it
-    feeds.
+    The gradient's structure: ``scopes`` holds each term's axes,
+    ``towers`` each normalized-target source's coefficient with the axes
+    of its two ratios, ``ratio`` whether a tower or ln Z adds q~ r to a
+    consumed field, and ``consumers`` each target factor whose field a
+    live block consumes, with its coefficient of p and what it feeds: a
+    block position, or a marginal mirror's (given + vars, given) axes.
     """
 
-    def __init__(
-        self,
-        system: ActualSystem,
-        target: TargetSpec,
-        evidence: Mapping[str, int],
-        space: ParameterSpace,
-        terms: tuple[Term, ...],
-        lnz_coeff: float,
-    ) -> None:
-        self.system, self.target, self.evidence = system, target, evidence
-        self.scope = scope = system.variables
-        self.shape = tuple(v.cardinality for v in scope)
-        self.axis = {v.name: i for i, v in enumerate(scope)}
-        # The joint's axes of length above one, the only ones einsum labels.
-        self.grid = frozenset(a for a, n in enumerate(self.shape) if n > 1)
-        self._reductions: dict[tuple, _Reduction] = {}
+    def __init__(self, system: ActualSystem, target: TargetSpec, evidence: Mapping[str, int],
+                 space: ParameterSpace, terms: tuple[Term, ...], lnz_coeff: float) -> None:
+        self.evidence = evidence
+        self.shape = shape = tuple(v.cardinality for v in system.variables)
+        self.axis = {v.name: i for i, v in enumerate(system.variables)}
+        self.grid = frozenset(a for a, n in enumerate(shape) if n > 1)
+        above: dict[str, set[str]] = {}
+
+        def ancestors(name: str) -> set[str]:
+            if name not in above:
+                parents = system.factors[name].parents
+                above[name] = set(parents).union(*map(ancestors, parents))
+            return above[name]
+
+        seen = self.grid.intersection(self.axes(tuple(evidence)))
         blocks: list[_Block] = []
         # A system child's name, or a target factor's position, to the
         # position of its live block in ``blocks``.
@@ -473,75 +473,93 @@ class _Plan:
                 factor = system.factors[b.child]
                 if factor.logits is None:
                     continue  # realized into a point mass; no dependence left
-                live[b.child] = len(blocks)
+                below = self.grid.intersection(self.axes(tuple(
+                    n for n in system.names if n == b.child or b.child in ancestors(n)
+                )))
             else:
-                factor = target.factors[b.index]
-                live[b.index] = len(blocks)
+                factor, below = target.factors[b.index], frozenset()
+            live[b.child if b.side == "p" else b.index] = len(blocks)
             parents = self.axes(factor.parents)
-            family = parents + (self.axis[factor.child],)
             blocks.append(_Block(
                 at, slice(b.offset, b.offset + b.size), b.side,
-                self.reduction(self.grid, family, ordered=True),
-                self.reduction(self.grid.intersection(family), family, ordered=True),
-                self.reduction(self.grid.intersection(parents), parents, ordered=True),
+                parents + (self.axis[factor.child],), parents, b.shape,
+                tuple(n for n in b.shape if n > 1), below, bool(below & seen),
             ))
         self.blocks = tuple(blocks)
-        self.conditionals = tuple(
-            (live[name], _Layout(f.parents + (name,), scope))
-            if f.logits is not None
-            else _Layout(f.parents + (name,), scope).place(system.factor_conditional(name))
-            for name, f in system.factors.items()
-        )
-        self.keep = _evidence_mask(scope, evidence) if evidence else None
-        # The gradient's structure. Payoffs carry no gradient, and an
-        # ActualLog adds none in expectation: E_p[ E_p[s | G, H] - E_p[s | H] ]
-        # = 0. A target factor's log adds its coefficient to that factor's
-        # field, and a normalized-target source adds a tower to the ratio.
-        c_factor: dict[int, float] = {}
-        towers: list[tuple[float, tuple[int, ...], tuple[int, ...]]] = []
-        for t in terms:
-            for w, src in t.parts:
-                c = t.coeff * w
-                if isinstance(src, TargetFactorLog):
-                    c_factor[src.index] = c_factor.get(src.index, 0.0) + c
-                elif isinstance(src, TargetLog) and src.vars:
-                    towers.append((c, self.axes(src.vars + src.given), self.axes(src.given)))
-        self.towers = tuple(towers)
-        ratio = bool(towers) or lnz_coeff != 0.0
         self.system_blocks = any(b.side == "p" for b in blocks)
-        self.target_scope = tuple(map(system.variable, target.scope))
-        self.q_grid = frozenset(self.axis[v.name] for v in self.target_scope if v.cardinality > 1)
-        self.copies = math.prod(self.shape) / math.prod(v.cardinality for v in self.target_scope)
-        logs: list[_Placed | MarginalMirror] = []
-        consumers: list[tuple[float, int | tuple[_Reduction, _Reduction]]] = []
+        # Every system block's family: what a bundle of field pieces joins.
+        self.families = self.grid.intersection(
+            set().union(*(b.family for b in blocks if b.side == "p"))
+        )
+        joint = [
+            (self.compact(f.parents + (n,)), live[n] if f.logits is not None
+             else self.squeezed(system.factor_conditional(n)))
+            for n, f in system.factors.items()
+        ]
+        joint_ind = joint + [
+            ((self.axis[n],), (np.arange(shape[self.axis[n]]) == v) * 1.0)
+            for n, v in evidence.items() if self.axis[n] in self.grid
+        ]
+        # Payoffs carry no gradient, and an ActualLog adds none in
+        # expectation: E_p[ E_p[s | G, H] - E_p[s | H] ] = 0.
+        c_factor: dict[int, float] = {}
+        towers = []
+        scopes = []
+        for t in terms:
+            names: tuple[str, ...] = ()
+            for w, src in t.parts:
+                if isinstance(src, TargetFactorLog):
+                    c_factor[src.index] = c_factor.get(src.index, 0.0) + t.coeff * w
+                    names += target_factor_scope(target.factors[src.index], system)
+                elif isinstance(src, Payoff):
+                    names += src.vars
+                elif src.vars:
+                    names += src.vars + src.given
+                    if isinstance(src, TargetLog):
+                        towers.append(
+                            (t.coeff * w, self.axes(src.vars + src.given), self.axes(src.given))
+                        )
+            scopes.append(self.grid.intersection(self.axes(names)))
+        self.scopes, self.towers = tuple(scopes), tuple(towers)
+        ratio = bool(towers) or lnz_coeff != 0.0
+        target_axes = [self.axis[system.variable(n).name] for n in target.scope]
+        self.q_grid = self.grid.intersection(target_axes)
+        logs: list = []
+        weights: list[tuple[tuple[int, ...], np.ndarray | int | MarginalMirror]] = []
+        consumers = []
         for i, f in enumerate(target.factors):
-            # What the factor's field c p + q r feeds: a live block's
-            # position, or a marginal mirror's tower into the p-field.
-            feeds = None
+            names = target_factor_scope(f, system)
+            # A factor mirror feeds its child's live block, a parameterized
+            # factor its own, and a marginal mirror the system blocks.
             if isinstance(f, MarginalMirror):
+                feeds = (self.axes(names), self.axes(f.given)) if self.system_blocks else None
                 logs.append(f)
-                if self.system_blocks:
-                    feeds = tuple(
-                        self.reduction(self.grid, self.grid.intersection(self.axes(names)))
-                        for names in (f.given + f.vars, f.given)
-                    )
+                weights.append((tuple(sorted(self.grid.intersection(self.axes(names)))), f))
+            elif (feeds := live.get(f.child if isinstance(f, FactorMirror) else i)) is not None:
+                logs.append((feeds, _Layout(names, system.variables)))
+                weights.append((self.compact(names), feeds))
+            elif isinstance(f, RewardFactor):
+                logs.append(_Layout(names, system.variables).place(f.values))
+                weights.append((self.compact(names), self.squeezed(np.exp(f.values))))
             else:
-                # A factor mirror feeds its child's live block, and a
-                # parameterized factor the block at its own position.
-                feeds = live.get(f.child if isinstance(f, FactorMirror) else i)
-                logs.append(
-                    target_factor_log_array(f, target, system) if feeds is None
-                    else (feeds, _Layout(target_factor_scope(f, system), self.target_scope))
-                )
+                mirror = isinstance(f, FactorMirror)
+                table = system.factor_conditional(f.child) if mirror else f.table
+                logs.append(_Layout(names, system.variables).place(_safe_log(table)))
+                weights.append((self.compact(names), self.squeezed(table)))
             c = c_factor.get(i, 0.0)
             if feeds is not None and (c != 0.0 or ratio):
                 consumers.append((c, feeds))  # a zero field is left out
-        self.logs = tuple(logs)
-        self.consumers = tuple(consumers)
+        read = set().union(*(v for v, _ in weights))
+        weights += [((a,), np.ones(shape[a])) for a in sorted(self.q_grid - read)]
+        weights = weights or [((), np.ones(()))]
+        self.logs, self.consumers = tuple(logs), tuple(consumers)
         self.ratio = ratio and bool(consumers)
-        self.lift = _Layout(target.scope, scope)
+        self.networks, self.variables = {}, {}
+        for which, tables in (("joint", joint), ("p", joint_ind), ("q", weights)):
+            self.variables[which] = tuple(v for v, _ in tables)
+            self.networks[which] = tuple(e for _, e in tables)
         self.payoffs = {
-            src: _Layout(src.vars, scope).place(src.values)
+            src: _Layout(src.vars, system.variables).place(src.values)
             for t in terms
             for _, src in t.parts
             if isinstance(src, Payoff)
@@ -550,16 +568,17 @@ class _Plan:
     def axes(self, names: tuple[str, ...]) -> tuple[int, ...]:
         return tuple(self.axis[x] for x in names)
 
-    def reduction(
-        self, source: frozenset[int], axes: Collection[int], ordered: bool = False
-    ) -> _Reduction:
-        """The :class:`_Reduction` on the grid, compiled once per (layout,
-        kept axes)."""
-        key = (source, axes, ordered)
-        r = self._reductions.get(key)
-        if r is None:
-            r = self._reductions[key] = _Reduction(self.shape, source, axes, ordered)
-        return r
+    def compact(self, names: tuple[str, ...]) -> tuple[int, ...]:
+        """The axes of ``names`` of length above one, in that order."""
+        return tuple(a for a in self.axes(names) if a in self.grid)
+
+    @staticmethod
+    def squeezed(table: np.ndarray) -> np.ndarray:
+        return table.reshape(tuple(n for n in table.shape if n > 1))
+
+    def program(self, which: str, keep: frozenset[int]) -> _Program:
+        """The marginal of measure ``which`` on the axes ``keep``."""
+        return _compiled(self.variables[which], tuple(sorted(keep)), self.shape)
 
     @property
     def fixed_target(self) -> bool:
@@ -567,83 +586,122 @@ class _Plan:
         a marginal mirror, or a mirror of a live softmax block."""
         return all(isinstance(e, np.ndarray) for e in self.logs)
 
-    def joint(self, sigmas: tuple[np.ndarray, ...]) -> Table:
-        """The laid-out conditionals multiplied into the joint by
-        ``systems._joint_product``."""
-        return _joint_product(self.scope, (_place(e, sigmas) for e in self.conditionals))
 
-    def observe(self, joint: Table) -> Table:
-        """The joint conditioned on the evidence, on its full scope, by
-        ``decomp._observed``."""
-        return joint if self.keep is None else _observed(joint, self.keep, self.evidence)
-
-    def target_side(self, sigmas: tuple[np.ndarray, ...], joint: Table) -> _QSide:
-        """The target's factor logs summed into its weights by
-        ``systems._target_table``, with their lift."""
-        logs = tuple(
-            target_factor_log_array(e, self.target, self.system, joint)
-            if isinstance(e, MarginalMirror)
-            else e if isinstance(e, np.ndarray)
-            else e[1].place(_safe_log(sigmas[e[0]]))
-            for e in self.logs
-        )
-        q = _target_table(self.target_scope, logs)
-        return _QSide(q, self.lift.place(q.weights), logs)
-
-
-@dataclass
 class _State:
     """Everything derived from one parameter vector: one softmax per live
-    block, the joint, the actual measure and the target side, with the
-    plan that compiles their reductions."""
+    block, each measure's tables, their totals and the marginals taken."""
 
-    plan: _Plan
-    sigmas: tuple[np.ndarray, ...]
-    joint: Table
-    p: Table
-    q_side: _QSide
-    cache: dict = field(default_factory=dict)
+    def __init__(self, plan: _Plan, sigmas: tuple[np.ndarray, ...], q_side: _QSide | None) -> None:
+        self.plan, self.sigmas = plan, sigmas
+        compact = tuple(s.reshape(b.compact) for b, s in zip(plan.blocks, sigmas))
+        self.networks = {
+            which: tuple(
+                e if isinstance(e, np.ndarray) else compact[e] for e in plan.networks[which]
+            )
+            for which in ("joint", "p")
+        }
+        self.totals: dict[str, float] = {}
+        self.cache: dict[str, dict] = {"joint": {}, "p": {}}
+        self.values: dict = {}  # actual-side source values
+        self.q_side = q_side or self._target_side(compact)
 
-    @property
-    def q(self) -> UnnormalizedTable:
-        return self.q_side.q
-
-    @property
-    def q_lift(self) -> np.ndarray:
-        return self.q_side.lift
+    def _target_side(self, compact: tuple[np.ndarray, ...]) -> _QSide:
+        """The target's tables and its checked total Z at this state."""
+        plan = self.plan
+        logs = {
+            i: self.log_conditional("joint", e.vars, e.given)
+            for i, e in enumerate(plan.logs)
+            if isinstance(e, MarginalMirror)
+        }
+        tables = []
+        for i, (axes, e) in enumerate(zip(plan.variables["q"], plan.networks["q"])):
+            if isinstance(e, MarginalMirror):
+                w = np.exp(logs[i], where=np.isfinite(logs[i]), out=np.zeros(logs[i].shape))
+                e = w.reshape(tuple(plan.shape[a] for a in axes))
+            tables.append(e if isinstance(e, np.ndarray) else compact[e])
+        total = plan.program("q", frozenset()).run(tables).item()
+        if not math.isfinite(total):
+            raise ValidationError("target weights must be finite")
+        if total <= 0.0:
+            raise ValidationError("target weights must have positive total mass")
+        return _QSide(tuple(tables), total, logs)
 
     def marginal(self, which: str, keep: Iterable[int]) -> np.ndarray:
-        """The keepdims marginal on ``keep`` of the actual measure (``"p"``),
-        the unobserved joint (``"joint"``) or the target weights on the
-        joint's axes (``"q"``), cached.
+        """The marginal on ``keep`` of the actual measure (``"p"``), the
+        unobserved joint (``"joint"``) or the target weights (``"q"``,
+        unnormalized), on the joint's axes with length one elsewhere, cached.
 
-        A new marginal is summed by one compiled reduction from the
-        smallest one of the same measure already taken that covers
-        ``keep``, and from the grid itself only when none does.
+        A new marginal is summed from the smallest one of the same measure
+        already taken that covers ``keep``, and otherwise run by its
+        program. The first program a measure runs fixes its total: the
+        joint's must be one to 1e-10, checked with p's under evidence, and
+        evidence must keep some mass.
         """
-        if which == "joint" and self.p is self.joint:
-            which = "p"  # no evidence: one measure, one cache entry
+        plan = self.plan
         if which == "q":
-            arr, layout, cache = self.q_lift, self.plan.q_grid, self.q_side.cache
+            keep, cache = plan.q_grid.intersection(keep), self.q_side.cache
         else:
-            arr = self.p.probs if which == "p" else self.joint.probs
-            layout, cache = self.plan.grid, self.cache
-        keep = layout.intersection(keep)
-        taken = cache.setdefault(which, {})
-        m = taken.get(keep)
+            if which == "joint" and not plan.evidence:
+                which = "p"  # no evidence: one measure, one cache
+            keep, cache = plan.grid.intersection(keep), self.cache[which]
+        m = cache.get(keep)
         if m is None:
-            source, arr = min(
-                ((kept, marginal) for kept, marginal in taken.items() if keep <= kept),
-                key=lambda entry: entry[1].size,
-                default=(layout, arr),
-            )
-            m = taken[keep] = _marginal_on(arr, self.plan.reduction(source, keep))
+            covering = [(kept, m) for kept, m in cache.items() if keep <= kept]
+            if covering:
+                kept, m = min(covering, key=lambda entry: entry[1].size)
+                m = np.add.reduce(m, axis=tuple(sorted(kept - keep)), keepdims=True)
+            elif which == "q":
+                m = plan.program(which, keep).run(self.q_side.tables)
+            else:
+                m = plan.program(which, keep).run(self.networks[which])
+                total = self.totals.get(which)
+                if total is None:
+                    total = self.totals[which] = float(m.sum())
+                    if which == "p" and plan.evidence:
+                        self.marginal("joint", ())  # the joint's sum is checked too
+                        if total <= 0.0:
+                            raise NullEvidenceError(
+                                f"evidence {dict(plan.evidence)} has zero mass"
+                            )
+                    elif abs(total - 1.0) > 1e-10:
+                        raise ValidationError(
+                            f"materialized joint sums to {total!r}; factors are inconsistent"
+                        )
+                m = m / total
+            cache[keep] = m
         return m
 
-    def table(self, which: str, axes: _Reduction) -> np.ndarray:
-        """The marginal on ``axes``, in their order, read by one call from
-        the cached marginal on them."""
-        return _marginal_on(self.marginal(which, axes), axes)
+    def read(self, which: str, axes: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
+        """The marginal on ``axes`` read in their order, in ``shape``."""
+        order = _order(axes, len(self.plan.shape))
+        return self.marginal(which, axes).transpose(order).reshape(shape)
+
+    def onto(self, which: str, scope: frozenset, piece: np.ndarray, axes: tuple) -> np.ndarray:
+        """Measure ``which`` times a piece on ``scope``, summed onto
+        ``axes`` in their order: the measure's marginal on both scopes
+        contracted with the piece."""
+        joined, subscripts, m_shape, piece_shape, shape = _contraction(
+            scope, axes, self.plan.shape
+        )
+        m = self.marginal(which, joined).reshape(m_shape)
+        return np.einsum(subscripts, m, piece.reshape(piece_shape)).reshape(shape)
+
+    def log_conditional(self, which: str, vars: tuple, given: tuple) -> np.ndarray:
+        """ln m(vars | given) of measure ``which``, from its marginals; -inf
+        where the marginal on vars + given is 0, and ln 1 for empty
+        ``vars``."""
+        if not vars:
+            return np.zeros((1,) * len(self.plan.shape))
+
+        def log_marginal(names: tuple[str, ...]) -> np.ndarray:
+            m = self.marginal(which, self.plan.axes(names))
+            return _safe_log(m / m.sum())
+
+        out = log_marginal(vars + given)
+        if given:
+            with np.errstate(invalid="ignore"):
+                out = out - log_marginal(given)
+        return out
 
 
 class Engine:
@@ -651,43 +709,22 @@ class Engine:
 
     The engine is bound to a (system, target) pair, a term list, and a
     realization; parameter vectors index every parameterized factor on both
-    sides through a :class:`ParameterSpace`. Term values always match what
-    the corresponding report definitions give, so optimization and
-    certification never drift apart.
+    sides through a :class:`ParameterSpace`. Term values match what the
+    report definitions give, although the two share no table: the reports
+    multiply the dense outcome grid, and the engine contracts factor tables.
 
-    The realization is applied once, at construction. The first evaluation
-    resolves everything that depends on structure alone into one plan: each
-    factor's layout on the joint's (or the target's) axes, the fixed and
-    point-mass conditionals and the fixed target-factor logs already laid
-    out, the evidence mask, each live softmax block's coordinates and
-    axes, and which fields the gradient builds for which blocks. Every
-    evaluation then checks ``phi`` (``phi=None`` means the
-    current parameters) once, takes one softmax per live block, which the
-    joint, the target's factor logs, the target-factor sources and the
-    gradient all share, and materializes its tables through the steps
-    ``build_joint``, ``decomp.observe`` and ``build_target`` use. No
-    factor is rebuilt per evaluation. Every target factor's shape is
-    checked at construction, so a malformed one fails before the first
-    evaluation.
+    The realization is applied and every target factor's shape checked at
+    construction. The first evaluation resolves structure into one plan;
+    every evaluation then takes one softmax per live block and runs only
+    the marginal programs its terms and blocks ask for. A target that does
+    not depend on ``phi`` is contracted once, and its ln Z, marginals and
+    source values are reused.
 
-    ``value`` keeps the state it built, keyed by the exact bytes of the
-    checked float64 ``phi``, and the next call always empties that slot.
-    Only ``value_and_gradient`` at bit-identical ``phi`` assembles from the
-    kept state; every other call releases it before building a fresh one.
-    The engine therefore holds at most one state, and none after a
-    gradient call, so peak memory is that of one evaluation. The gradient
-    is the same either way: a fresh ``value_and_gradient`` runs the value
-    pass first, which caches exactly what the kept state holds. An engine
-    is not meant for concurrent use from several threads.
-
-    The plan also decides whether the target depends on ``phi``: it does
-    when some factor is parameterized, a marginal mirror of the joint, or a
-    mirror of a softmax factor of the realized system. A target that does
-    not, such as the dynamics, action prior and exp(reward) of a control
-    problem, is materialized by the first evaluation, and every later one
-    reuses it together with its weights on the joint's axes, its marginals
-    and the values of the target-side sources. Nothing is built at
-    construction, so an engine that is never evaluated costs nothing.
+    ``value`` keeps its state, keyed by the exact bytes of the checked
+    float64 ``phi``, for a ``value_and_gradient`` call at bit-identical
+    ``phi`` right after it, which gives what a fresh state gives. Every
+    other call releases it first, so an engine holds at most one state of
+    scope-sized marginals. An engine is not meant for concurrent use.
     """
 
     def __init__(
@@ -725,8 +762,7 @@ class Engine:
 
     def _validate_terms(self) -> None:
         seen: set[str] = set()
-        in_system = set(self.system.names)
-        in_target = set(self.target.scope)
+        in_system, in_target = set(self.system.names), set(self.target.scope)
         for t in self.terms:
             if t.name in seen:
                 raise ValidationError(f"duplicate term name {t.name!r}")
@@ -742,27 +778,21 @@ class Engine:
                     missing = set(src.vars + src.given) - in_target
                 elif isinstance(src, Payoff):
                     missing = set(src.vars) - in_system
-                    if not missing:
-                        want = tuple(
-                            self.system.variable(n).cardinality for n in src.vars
+                    want = tuple(self.system.variable(n).cardinality for n in src.vars
+                                 if not missing)
+                    if not missing and src.values.shape != want:
+                        raise ValidationError(
+                            f"payoff over {src.vars} has shape {src.values.shape}, expected {want}"
                         )
-                        if src.values.shape != want:
-                            raise ValidationError(
-                                f"payoff over {src.vars} has shape "
-                                f"{src.values.shape}, expected {want}"
-                            )
                 elif isinstance(src, TargetFactorLog):
                     missing = set()
                     if not 0 <= src.index < len(self.target.factors):
                         raise ValidationError(
-                            f"term {t.name!r} references target factor "
-                            f"{src.index}, but the target has "
-                            f"{len(self.target.factors)} factors"
+                            f"term {t.name!r} references target factor {src.index}, "
+                            f"but the target has {len(self.target.factors)} factors"
                         )
                 else:
-                    raise ValidationError(
-                        f"unknown source type {type(src).__name__}"
-                    )
+                    raise ValidationError(f"unknown source type {type(src).__name__}")
                 if missing:
                     raise ValidationError(
                         f"term {t.name!r} references unknown variables {sorted(missing)}"
@@ -776,23 +806,13 @@ class Engine:
     def _state(self, phi: np.ndarray) -> _State:
         logits = self.space.logits(phi)
         if self._plan is None:
-            self._plan = _Plan(
-                self._realized_system,
-                self.target,
-                self.evidence,
-                self.space,
-                self.terms,
-                self.lnz_coeff,
-            )
+            self._plan = _Plan(self._realized_system, self.target, self.evidence, self.space,
+                               self.terms, self.lnz_coeff)
         plan = self._plan
-        sigmas = tuple(softmax(logits[b.at]) for b in plan.blocks)
-        joint = plan.joint(sigmas)
-        q_side = self._fixed_q_side
-        if q_side is None:
-            q_side = plan.target_side(sigmas, joint)
-            if plan.fixed_target:
-                self._fixed_q_side = q_side
-        return _State(plan, sigmas, joint, plan.observe(joint), q_side)
+        st = _State(plan, tuple(softmax(logits[b.at]) for b in plan.blocks), self._fixed_q_side)
+        if plan.fixed_target:
+            self._fixed_q_side = st.q_side
+        return st
 
     # -- per-source arrays --------------------------------------------------
 
@@ -801,59 +821,40 @@ class Engine:
         axis outside the source's own scope."""
         if isinstance(src, Payoff):
             return self._plan.payoffs[src]
-        cache = st.cache if isinstance(src, ActualLog) else st.q_side.cache
-        key = ("v", src)
-        if key in cache:
-            return cache[key]
+        cache = st.values if isinstance(src, ActualLog) else st.q_side.values
+        arr = cache.get(src)
+        if arr is not None:
+            return arr
         if isinstance(src, ActualLog):
-            arr = self._log_conditional(st, "p", src.vars, src.given)
+            arr = st.log_conditional("p", src.vars, src.given)
         elif isinstance(src, TargetLog):
-            arr = self._log_conditional(st, "q", src.vars, src.given)
+            arr = st.log_conditional("q", src.vars, src.given)
         else:
-            arr = self._plan.lift.place(st.q_side.logs[src.index])
-        cache[key] = arr
+            e = self._plan.logs[src.index]
+            if isinstance(e, MarginalMirror):
+                return st.q_side.values[src.index]
+            arr = e if isinstance(e, np.ndarray) else e[1].place(_safe_log(st.sigmas[e[0]]))
+        cache[src] = arr
         return arr
-
-    def _log_conditional(
-        self, st: _State, which: str, vars: tuple[str, ...], given: tuple[str, ...]
-    ) -> np.ndarray:
-        """ln m(vars | given) of the actual measure or the normalized target,
-        from their marginals; -inf where the marginal on vars + given is 0,
-        and ln 1 when ``vars`` is empty."""
-        if not vars:
-            return np.zeros((1,) * st.joint.probs.ndim)
-
-        def log_marginal(names: tuple[str, ...]) -> np.ndarray:
-            m = st.marginal(which, self._plan.axes(names))
-            return _safe_log(m / m.sum())
-
-        out = log_marginal(vars + given)
-        if given:
-            with np.errstate(invalid="ignore"):
-                out = out - log_marginal(given)
-        return out
 
     # -- assembly -----------------------------------------------------------
 
     def _assemble(self, st: _State, with_grad: bool) -> Evaluation | GradientEvaluation:
-        ones = (1,) * st.p.probs.ndim
+        ones = (1,) * len(self._plan.shape)
         values: dict[str, float] = {}
         divergent = False
-        # c_t (V_t - E_p V_t) on each term's scope, summed into the p-field's
-        # h when some live system block consumes it
-        centred: list[np.ndarray] | None = (
-            [] if with_grad and self._plan.system_blocks else None
-        )
-        for term in self.terms:
-            v = np.zeros(ones)
+        # c_t (V_t - E_p V_t) on each term's scope: the p-field's pieces,
+        # when some live system block consumes them
+        centred = [] if with_grad and self._plan.system_blocks else None
+        for term, scope in zip(self.terms, self._plan.scopes):
             # Opposite infinities from stacked log sources cancel into nans
             # off the support; the finite mask below discards them.
             with np.errstate(invalid="ignore"):
-                for w, src in term.parts:
-                    v = v + w * self._source_values(src, st)
+                weighted = [w * self._source_values(src, st) for w, src in term.parts]
+                v = sum(weighted[1:], weighted[0]) if weighted else np.zeros(ones)
             # p on the term's scope S: p_S(s) > 0 exactly when some outcome
             # with that s carries mass, so this is the outcome-level test.
-            ps = st.marginal("p", (i for i, n in enumerate(v.shape) if n > 1))
+            ps = st.marginal("p", scope)
             ok = np.isfinite(v)
             if not ok.all():
                 divergent = divergent or bool(np.any((ps > 0.0) & ~ok))
@@ -861,95 +862,95 @@ class Engine:
             val = float(np.vdot(ps, v))
             values[term.name] = val
             if centred is not None:
-                centred.append(term.coeff * (v - val))
+                centred.append((scope, term.coeff * (v - val)))
+        log_partition = math.log(st.q_side.total)
         parts = [term.coeff * values[term.name] for term in self.terms]
-        parts.append(self.lnz_coeff * st.q.log_partition)
-        total = math.fsum(parts)
-        evaluation = Evaluation(
-            total=total,
-            terms=values,
-            log_partition=st.q.log_partition,
-            divergent=divergent,
-        )
+        parts.append(self.lnz_coeff * log_partition)
+        evaluation = Evaluation(math.fsum(parts), values, log_partition, divergent)
         if not with_grad:
             return evaluation
         grad, direction, residual = self._contract(st, centred)
         return GradientEvaluation(evaluation, grad, direction, residual)
 
-    def _target_ratios(self, st: _State) -> np.ndarray:
-        """r such that q r is the part of every target factor's field that
-        the normalized-target sources and ln Z contribute.
-
-        q is the target weights broadcast over the system variables outside
-        the target scope, so each of its marginals counts those copies.
-        """
+    def _target_ratios(self, st: _State) -> list[list]:
+        """The pieces r, grouped, of every target factor's field q~ r."""
 
         def ratio(axes: tuple[int, ...]) -> np.ndarray:
             return _ratio(st.marginal("p", axes), st.marginal("q", axes))
 
-        r = np.zeros((1,) * st.p.probs.ndim)
+        q_grid = self._plan.q_grid
+        pieces = []
         for c, keep, given in self._plan.towers:
-            r = r + c * (ratio(keep) - ratio(given))
+            pieces += [("q", q_grid.intersection(keep), c * ratio(keep)),
+                       ("q", q_grid.intersection(given), -c * ratio(given))]
         if self.lnz_coeff != 0.0:
-            r = r + self.lnz_coeff / st.marginal("q", ())
-        return r / self._plan.copies
+            lnz = np.full((1,) * len(self._plan.shape), self.lnz_coeff / st.q_side.total)
+            pieces.append(("q", frozenset(), lnz))
+        return _grouped(pieces)
+
+    def _field(self, st: _State, c: float, ratios: list, axes: tuple, shape: tuple) -> np.ndarray:
+        """A target factor's field c p + q~ r onto ``axes``, in ``shape``."""
+        field = c * st.read("p", axes, shape) if c != 0.0 else 0.0
+        for _, scope, r in ratios:
+            field = field + st.onto("q", scope, r, axes).reshape(shape)
+        return field
 
     def _contract(
         self, st: _State, centred: list[np.ndarray] | None
     ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Measures the score residual, builds each weight field once and
-        only for the live blocks that consume it, contracts every softmax
-        block once, and preconditions each block's gradient into the
-        natural direction.
-
-        ``centred`` holds the terms' pieces of h, each on its own scope;
-        they are grouped by scope before the p-field p h reaches the grid.
-        Each new marginal is summed from the smallest cached one that
-        covers it, so the order marginals are first taken in fixes their
-        rounding. The residual's are taken first and the occupancies last,
-        after every field's.
-        """
-        plan, pm = self._plan, st.p.probs
+        """The score residual, then every block's gradient from the field
+        pieces that reach it, and its natural direction. ``centred`` holds
+        the terms' (scope, piece) pieces of h. Marginals are summed from the
+        smallest cached cover, so the residual's are taken first and the
+        occupancies last, as the rounding depends on that order."""
+        plan = self._plan
         residual = self._score_residual(st)
-        p_field = None
-        if centred is not None:
-            p_field = _grow(_summed_on_grid(centred, pm.shape), pm, pm.shape, np.multiply)
-        r = self._target_ratios(st) if plan.ratio else None
-        q_part = None if r is None else np.broadcast_to(st.q_lift * r, pm.shape)
+        # (measure, scope, piece) for every piece of the system blocks' field
+        pieces = [("p", *piece) for piece in centred or ()]
+        ratios = self._target_ratios(st) if plan.ratio else []
         own: dict[int, np.ndarray] = {}  # fields for one block only, by position
         for c, feeds in plan.consumers:
-            # c p + q r, never zero here
-            f = q_part if c == 0.0 else c * pm if q_part is None else c * pm + q_part
             if isinstance(feeds, int):
+                b = plan.blocks[feeds]
+                f = self._field(st, c, ratios, b.family, b.shape)
                 own[feeds] = own[feeds] + f if feeds in own else f
             else:
                 keep, given = feeds
-                p_field = p_field + st.joint.probs * (
-                    _ratio(_marginal_on(f, keep), st.marginal("joint", keep.axes))
-                    - _ratio(_marginal_on(f, given), st.marginal("joint", given.axes))
-                )
+                scope = plan.grid.intersection(keep)
+                keepdims = tuple(n if a in scope else 1 for a, n in enumerate(plan.shape))
+                fa = self._field(st, c, ratios, tuple(sorted(scope)), keepdims)
+                fh = np.add.reduce(fa, axis=tuple(sorted(scope.difference(given))), keepdims=True)
+                pieces.append(("joint", scope, _ratio(fa, st.marginal("joint", keep))
+                               - _ratio(fh, st.marginal("joint", given))))
+        bundles = _grouped(pieces, lambda joined: math.prod(
+            plan.shape[a] for a in joined | plan.families) <= _BUNDLE_SPACE)
         grad = np.zeros(self.space.size)
         direction = np.zeros(self.space.size)
         for i, (b, sigma) in enumerate(zip(plan.blocks, st.sigmas)):
             field = own.get(i)
-            if b.side == "p":
-                field = p_field if field is None else p_field + field
+            for which, scope, piece in bundles if b.side == "p" else ():
+                # A piece that reads no descendant of the block's child, under
+                # a measure with no evidence on one, adds zero in theory.
+                if scope & b.below or (which == "p" and b.conditioned):
+                    part = st.onto(which, scope, piece, b.family)
+                    field = part if field is None else field + part
             if field is not None:
-                g = _block_grad(field, sigma, b)
+                g = (field - sigma * np.add.reduce(field, axis=-1, keepdims=True)).ravel()
                 grad[b.coords] = g
-                direction[b.coords] = _natural_direction(g, sigma, st.table("p", b.parents))
+                occupancy = st.read("p", b.parents, b.shape[:-1])
+                direction[b.coords] = _natural_direction(g, sigma, occupancy)
         return grad, direction, residual
 
     def _score_residual(self, st: _State) -> float:
         """The max-abs entry, over the live system blocks, of the unobserved
-        joint contracted against each block's scores: p(parents, child) -
-        sigma p(parents), exactly zero in theory."""
+        joint contracted against each block's scores: j(parents, child) -
+        sigma j(parents), exactly zero in theory."""
         residual = 0.0
         for b, sigma in zip(self._plan.blocks, st.sigmas):
             if b.side == "p":
-                joint = st.table("joint", b.family)
-                off = joint - sigma * joint.sum(axis=-1, keepdims=True)
-                residual = max(residual, float(np.max(np.abs(off))))
+                joint = st.read("joint", b.family, b.shape)
+                off = joint - sigma * np.add.reduce(joint, axis=-1, keepdims=True)
+                residual = max(residual, float(np.abs(off).max()))
         return residual
 
     def _vector(self, phi: np.ndarray | None) -> np.ndarray:
@@ -968,9 +969,7 @@ class Engine:
         self._kept = (phi.tobytes(), st)
         return evaluation
 
-    def value_and_gradient(
-        self, phi: np.ndarray | None = None
-    ) -> GradientEvaluation:
+    def value_and_gradient(self, phi: np.ndarray | None = None) -> GradientEvaluation:
         """Value plus the exact gradient and natural direction over every
         parameterized factor.
 

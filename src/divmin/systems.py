@@ -24,12 +24,11 @@ array per block, and ``ParameterSpace.set`` swaps those arrays into copies
 of the system and target without re-running the constructors' checks,
 since logits cannot change what they checked.
 
-Each materialization step has one implementation, which the reports and
-the engine's evaluation plan both call: :func:`_joint_product` multiplies
-laid-out conditionals, :func:`_target_table` sums factor logs into the
-target's weights, and :func:`_check_target_factor` checks a target
-factor's shape before any log is taken. Fixed target tables take their
-logarithm once, at construction.
+The reports materialize dense tables through :func:`build_joint` and
+:func:`build_target`; the engine contracts the factor tables instead and
+shares only :func:`_check_target_factor`, which checks a target factor's
+shape before any log is taken. Fixed target tables take their logarithm
+once, at construction.
 """
 
 from __future__ import annotations
@@ -287,26 +286,20 @@ def _grow(
     return op(out, term, out=out)
 
 
-def _joint_product(scope: tuple[Variable, ...], conditionals: Iterable[np.ndarray]) -> Table:
-    """The joint over ``scope`` of conditionals already laid out on its
-    axes, multiplied in the order given; their sum must be one to 1e-10."""
+def build_joint(system: ActualSystem) -> Table:
+    """Multiply all factors into the exact joint table over the full scope,
+    in the system's order; their sum must be one to 1e-10."""
+    scope = system.variables
     shape = tuple(v.cardinality for v in scope)
     probs = np.ones((1,) * len(shape))
-    for cond in conditionals:
+    for name, f in system.factors.items():
+        cond = _Layout(f.parents + (name,), scope).place(system.factor_conditional(name))
         probs = _grow(probs, cond, shape, np.multiply)
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-10:
         raise ValidationError(f"materialized joint sums to {total!r}; factors are inconsistent")
     probs /= total
     return Table(scope, probs, copy=False)
-
-
-def build_joint(system: ActualSystem) -> Table:
-    """Multiply all factors into the exact joint table over the full scope."""
-    return _joint_product(system.variables, (
-        _Layout(f.parents + (name,), system.variables).place(system.factor_conditional(name))
-        for name, f in system.factors.items()
-    ))
 
 
 # ---------------------------------------------------------------------------
@@ -499,23 +492,11 @@ def target_factor_log_array(
     return _Layout(target_factor_scope(f, system), scope).place(log)
 
 
-def _target_table(scope: tuple[Variable, ...], logs: Iterable[np.ndarray]) -> UnnormalizedTable:
-    """The target over ``scope`` whose log-weights are the sum of ``logs``,
-    each on its axes, added in the order given."""
-    shape = tuple(v.cardinality for v in scope)
-    log_w = np.zeros((1,) * len(shape))
-    for log in logs:
-        log_w = _grow(log_w, log, shape, np.add)
-    # A scope variable that no factor touches still has length one here.
-    log_w = np.broadcast_to(log_w, shape)
-    weights = np.exp(log_w, where=np.isfinite(log_w), out=np.zeros(shape))
-    return UnnormalizedTable(scope, weights, copy=False)
-
-
 def build_target(
     target: TargetSpec, system: ActualSystem, joint: Table | None = None
 ) -> UnnormalizedTable:
-    """Materialize the unnormalized target over its scope.
+    """Materialize the unnormalized target over its scope: its factors'
+    logs, added in order, exponentiated.
 
     Variables in scope without any factor contribute an implicit uniform
     weight of one. Mirror factors need the system (and, for marginal
@@ -523,10 +504,15 @@ def build_target(
     """
     if joint is None and any(isinstance(f, MarginalMirror) for f in target.factors):
         joint = build_joint(system)
-    return _target_table(
-        tuple(map(system.variable, target.scope)),
-        (target_factor_log_array(f, target, system, joint) for f in target.factors),
-    )
+    scope = tuple(map(system.variable, target.scope))
+    shape = tuple(v.cardinality for v in scope)
+    log_w = np.zeros((1,) * len(shape))
+    for f in target.factors:
+        log_w = _grow(log_w, target_factor_log_array(f, target, system, joint), shape, np.add)
+    # A scope variable that no factor touches still has length one here.
+    log_w = np.broadcast_to(log_w, shape)
+    weights = np.exp(log_w, where=np.isfinite(log_w), out=np.zeros(shape))
+    return UnnormalizedTable(scope, weights, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divmin.decomp import (
     Report,
@@ -20,6 +22,7 @@ from divmin.decomp import (
     expected_free_energy,
     fully_matched_target,
     joint_kl,
+    observe,
     past_future_split,
 )
 from divmin.errors import ValidationError
@@ -33,7 +36,7 @@ from divmin.systems import (
     TableFactor,
     TargetSpec,
 )
-from divmin.tables import Role, Variable
+from divmin.tables import Role, Table, Variable
 
 
 # --- oracle helpers (independent path) -------------------------------------------
@@ -582,3 +585,33 @@ def test_divergence_flag_propagates():
     rep = decompose_latent_side(system, target)
     assert rep.divergent
     assert joint_kl(system, target).divergent
+
+
+@st.composite
+def observed_tables(draw):
+    """A positive table over 1-4 variables of 3 or 4 states, with evidence on
+    a non-empty subset of them."""
+    cards = draw(st.lists(st.integers(3, 4), min_size=1, max_size=4))
+    scope = tuple(Variable(f"v{i}", c, Role.LATENT_STATE) for i, c in enumerate(cards))
+    weights = draw(st.lists(
+        st.floats(0.01, 1.0), min_size=math.prod(cards), max_size=math.prod(cards)
+    ))
+    probs = np.asarray(weights).reshape(cards)
+    names = draw(st.lists(st.sampled_from([v.name for v in scope]), min_size=1, unique=True))
+    evidence = {n: draw(st.integers(0, cards[int(n[1:])] - 1)) for n in names}
+    return Table(scope, probs / probs.sum()), evidence
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(observed_tables())
+def test_observe_is_slicing_and_renormalizing(case):
+    # observe keeps the full scope; an explicit loop over outcomes keeps
+    # those that agree with the evidence and renormalizes them.
+    table, evidence = case
+    want = np.zeros(table.probs.shape)
+    for index in itertools.product(*(range(n) for n in table.probs.shape)):
+        if all(index[table.axis(n)] == v for n, v in evidence.items()):
+            want[index] = table.probs[index]
+    want /= math.fsum(want.ravel())
+    got = observe(table, evidence).probs
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)

@@ -11,8 +11,10 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from divmin.decomp import joint_kl, past_future_split
+from divmin.decomp import joint_kl, past_future_split, realize
 from divmin.engine import (
     ActualLog,
     Engine,
@@ -20,10 +22,12 @@ from divmin.engine import (
     TargetFactorLog,
     TargetLog,
     Term,
-    _Reduction,
-    _marginal_on,
+    _MERGE_SPACE,
+    _Program,
+    _State,
+    _compiled,
 )
-from divmin.errors import ValidationError
+from divmin.errors import NullEvidenceError, ValidationError
 from divmin.objectives import from_preset, make_objective
 from divmin.presets import names as preset_names
 from divmin.presets import preset
@@ -37,6 +41,7 @@ from divmin.systems import (
     RewardFactor,
     TableFactor,
     TargetSpec,
+    build_joint,
 )
 from divmin.tables import Role, Variable
 
@@ -345,6 +350,30 @@ def test_payoff_term_value_and_shape_check():
         )
 
 
+@pytest.mark.parametrize(
+    "x_table, realized, error, match",
+    [
+        ([0.3, 0.8], None, ValidationError, "materialized joint sums to"),
+        ([0.3, 0.8], {"y": 1}, ValidationError, "materialized joint sums to"),
+        ([1.0, 0.0], {"y": 1}, NullEvidenceError, "zero mass"),
+    ],
+)
+def test_every_evaluation_checks_the_joint_and_the_evidence(x_table, realized, error, match):
+    # A factor swapped in after the system's own checks: the joint no
+    # longer sums to one, or the evidence has no mass. A value call alone
+    # must notice, with evidence or without.
+    system = ActualSystem(
+        [Variable("x", 2, Role.LATENT_STATE), Variable("y", 2, Role.PAST_INPUT)],
+        [FactorSpec.parameterized("x", (), [0.2, -0.1]),
+         FactorSpec.fixed("y", ("x",), [[1.0, 0.0], [0.4, 0.6]])],
+    )
+    target = TargetSpec(("x", "y"), [TableFactor(("x", "y"), np.full((2, 2), 0.5))])
+    system.factors["x"] = FactorSpec.fixed("x", (), x_table)
+    eng = Engine(system, target, kl_terms(target), lnz_coeff=1.0, realized=realized)
+    with pytest.raises(error, match=match):
+        eng.value()
+
+
 def test_term_validation():
     system, target = make_xyz()
     with pytest.raises(ValidationError, match="duplicate"):
@@ -358,6 +387,9 @@ def test_term_validation():
         )
     with pytest.raises(ValidationError, match="unknown variables"):
         Engine(system, target, [Term("t", 1.0, ((1.0, ActualLog(("w",))),))])
+    ghost = TargetSpec(target.scope + ("w",), target.factors)
+    with pytest.raises(ValidationError, match="unknown variable 'w'"):
+        Engine(system, ghost, [Term("t", 1.0, ((1.0, ActualLog(("x",))),))]).value()
 
 
 def test_target_factor_log_values_and_gradient():
@@ -633,16 +665,15 @@ def action_system():
     ],
 )
 def test_target_is_built_once_unless_it_depends_on_phi(factor, realized, varies, monkeypatch):
-    import divmin.engine
-
+    # Counts the target network's builds: its tables and its total.
     calls = []
-    build = divmin.engine._Plan.target_side
+    build = _State._target_side
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(divmin.engine._Plan, "target_side", counted)
+    monkeypatch.setattr(_State, "_target_side", counted)
     system = action_system()
     target = TargetSpec(("x", "a", "y"), [RewardFactor(("y",), np.asarray([0.0, 1.0])), factor])
     eng = Engine(system, target, kl_terms(target), lnz_coeff=1.0, realized=realized)
@@ -682,34 +713,46 @@ def test_evaluations_build_no_factor(name, monkeypatch):
 
 def test_each_marginal_is_summed_from_the_smallest_one_taken(monkeypatch):
     # chain-mdp's value asks p for the marginals on (x_t, a_t) and x_t at
-    # five steps; each x_t comes from its (x_t, a_t), so only those five
-    # pass over the grid.
-    import divmin.engine
-
+    # five steps; each x_t is summed from its (x_t, a_t), so only those
+    # five run a program over the factor tables.
     obj = from_preset(preset("chain-mdp", n_states=6, steps=5))
     phi = np.random.default_rng(1).standard_normal(obj.parameters().size)
-    obj.value(phi)  # the fixed target is built by the first evaluation
-    grid = 6**5 * 2**5
-    full: list[tuple[int, ...]] = []
-    marginal_on = divmin.engine._marginal_on
+    obj.value(phi)  # the fixed target is contracted by the first evaluation
+    runs = []
+    run = _Program.run
 
-    def counted(arr, keep):
-        if arr.size == grid:
-            full.append(tuple(sorted(keep)))
-        return marginal_on(arr, keep)
+    def counted(program, tables):
+        runs.append(tuple(a for a, n in enumerate(program.shape) if n > 1))
+        return run(program, tables)
 
-    monkeypatch.setattr(divmin.engine, "_marginal_on", counted)
+    monkeypatch.setattr(_Program, "run", counted)
     obj.value(phi)
-    assert sorted(full) == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
+    assert sorted(runs) == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
 
 
-def summed_as_numpy_does(arr, axes, ordered):
-    drop = tuple(a for a, n in enumerate(arr.shape) if n > 1 and a not in axes)
-    want = arr.sum(axis=drop, keepdims=True)
-    if ordered:
-        kept = sorted(axes)
-        want = want.reshape([arr.shape[a] for a in kept]).transpose([kept.index(a) for a in axes])
-    return want
+def chain_network(shape, rng, draw=None):
+    """Random positive tables over the axes of ``shape`` of length above
+    one: a unary on the first, one on each neighbouring pair, and one on
+    the first, middle and last axes, which closes a loop. By default the
+    entries are powers of two, so every product is exact and only the
+    sums round."""
+    draw = draw or (lambda size: 2.0 ** rng.integers(-3, 4, size))
+    big = [a for a, n in enumerate(shape) if n > 1]
+    scopes = [tuple(big[:1])] + [tuple(big[i:i + 2]) for i in range(len(big) - 1)]
+    if len(big) > 2:
+        scopes.append((big[-1], big[len(big) // 2], big[0]))
+    return [(v, draw([shape[a] for a in v])) for v in scopes]
+
+
+def dense_product(shape, network):
+    grid = np.ones(shape)
+    for axes, table in network:
+        order = sorted(range(len(axes)), key=axes.__getitem__)
+        placed = [1] * len(shape)
+        for a in axes:
+            placed[a] = shape[a]
+        grid = grid * table.transpose(order).reshape(placed)
+    return grid
 
 
 @pytest.mark.parametrize(
@@ -718,47 +761,154 @@ def summed_as_numpy_does(arr, axes, ordered):
      (6, 2) * 5, (1,) + (2,) * 20],
 )
 def test_each_reduction_matches_the_numpy_sum(shape):
+    # Every compiled marginal of a product of tables, on the grid's axes
+    # with length one elsewhere, equals the sum of the dense product. The
+    # tables' products are exact, so the compiled sums are checked against
+    # the exactly rounded sum (math.fsum): np.sum over the leading axes of
+    # the 2**20 grid is itself off by 6.5e-15.
     rng = np.random.default_rng(len(shape))
-    grid = rng.random(shape)
-    layout = frozenset(a for a, n in enumerate(shape) if n > 1)
-    big = sorted(layout)
-    ones = [a for a, n in enumerate(shape) if n == 1]
+    network = chain_network(shape, rng)
+    grid = dense_product(shape, network)
+    big = [a for a, n in enumerate(shape) if n > 1]
     half = len(big) // 2
-    keeps = [(), tuple(big), tuple(big[half:half + 2]), tuple(big[-2:]), tuple(big[:2])]
-    # From the grid, and from a marginal that keeps only the trailing half.
-    tail = tuple(big[half:])
-    marginal = summed_as_numpy_does(grid, tail, ordered=False)
-    for arr, kept, candidates in (
-        (grid, layout, keeps),
-        (marginal, frozenset(tail), [(), tail, tail[:1], tail[-1:]]),
-    ):
-        for keep in candidates:
-            for ordered in (False, True):
-                if ordered:
-                    axes = tuple(int(a) for a in rng.permutation(list(keep) + ones[:1]))
-                else:
-                    axes = frozenset(keep)
-                got = _marginal_on(arr, _Reduction(shape, kept, axes, ordered))
-                want = summed_as_numpy_does(arr, axes, ordered)
-                assert got.shape == want.shape, (keep, ordered)
-                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    variables = tuple(v for v, _ in network)
+    got = _compiled(variables, tuple(big), shape).run([t for _, t in network])
+    assert got.shape == shape
+    assert np.array_equal(got, grid)
+    for keep in [(), tuple(big[half:half + 2]), tuple(big[-2:]), tuple(big[:2])]:
+        got = _compiled(variables, keep, shape).run([t for _, t in network])
+        kept = [shape[a] if a in keep else 1 for a in range(len(shape))]
+        rows = np.moveaxis(grid, keep, range(len(keep))).reshape(math.prod(kept), -1)
+        want = np.asarray([math.fsum(row) for row in rows]).reshape(kept)
+        assert got.shape == want.shape, keep
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def observed_slice(joint: np.ndarray, axes: dict[int, int]) -> np.ndarray:
+    """``joint`` zeroed off the outcomes whose axis ``a`` holds ``axes[a]``,
+    by slicing, and renormalized."""
+    index = tuple(
+        slice(axes[a], axes[a] + 1) if a in axes else slice(None) for a in range(joint.ndim)
+    )
+    out = np.zeros(joint.shape)
+    out[index] = joint[index] / joint[index].sum()
+    return out
+
+
+def summed(dense: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """``dense`` summed onto ``axes``, in their order."""
+    kept = dense.sum(axis=tuple(a for a in range(dense.ndim) if a not in axes))
+    return kept.transpose(np.argsort(np.argsort(axes)))
+
+
+def evidence_objectives():
+    """Objectives whose actual measure is conditioned, on variables of
+    three and four states as well as binary ones."""
+    system = ActualSystem(
+        [Variable("x", 3, Role.LATENT_STATE), Variable("y", 3, Role.PAST_INPUT),
+         Variable("z", 2, Role.LATENT_STATE)],
+        [FactorSpec.parameterized("x", (), [0.2, -0.5, 0.4]),
+         FactorSpec.fixed("y", ("x",), [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]]),
+         FactorSpec.parameterized("z", ("y",), [[0.3, -0.3], [0.0, 0.8], [-0.6, 0.1]])],
+    )
+    target = TargetSpec(("x", "y", "z"), [
+        TableFactor(("x", "y"), np.asarray([[0.5, 0.2, 0.9], [0.3, 0.8, 0.1], [0.6, 0.4, 0.7]])),
+        TableFactor(("z",), np.asarray([0.3, 0.7])),
+    ])
+    vae = preset("vae-toy")
+    return [
+        make_objective("joint_kl", system, target, realized={"y": 2}),
+        from_preset(preset("hmm-filter")),
+        make_objective("amortized_vae", vae.system, vae.target, {"form": "reconstruction"},
+                       {"x": 1}, "condition"),
+    ]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_engine_marginals_under_evidence_are_slices_of_the_joint(index):
+    obj = evidence_objectives()[index]
+    eng = obj.engine
+    rng = np.random.default_rng(43)
+    for _ in range(3):
+        phi = rng.standard_normal(obj.parameters().size)
+        eng.value(phi)
+        st = eng._kept[1]
+        eng._assemble(st, with_grad=True)
+        system, _ = eng.space.set(phi)
+        joint = build_joint(realize(system, eng.realized, eng.realization)[0]).probs
+        axes = {system.names.index(n): v for n, v in eng.evidence.items()}
+        assert axes
+        p = observed_slice(joint, axes)
+        for which, dense in (("p", p), ("joint", joint)):
+            for keep, m in st.cache[which].items():
+                want = summed(dense, tuple(sorted(keep)))
+                got = m.reshape(want.shape)
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-300, err_msg=which)
+
+
+@st.composite
+def random_networks(draw):
+    """A DAG of 1-6 variables with 1-4 states each, fixed or softmax
+    conditionals, evidence on some of them, and sets of axes in random
+    orders to take marginals on."""
+    cards = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = []
+    for i, card in enumerate(cards):
+        parents = tuple(sorted(draw(st.sets(st.integers(0, i - 1), max_size=3)))) if i else ()
+        shape = tuple(cards[j] for j in parents) + (card,)
+        names = tuple(f"v{j}" for j in parents)
+        if draw(st.booleans()) or i == len(cards) - 1:
+            factors.append(FactorSpec.parameterized(f"v{i}", names, rng.normal(size=shape)))
+        else:
+            table = rng.uniform(0.1, 1.0, shape)
+            factors.append(FactorSpec.fixed(f"v{i}", names, table / table.sum(-1, keepdims=True)))
+    system = ActualSystem(
+        [Variable(f"v{i}", c, Role.ACTION) for i, c in enumerate(cards)], factors
+    )
+    observed = draw(st.sets(st.integers(0, len(cards) - 1), max_size=2))
+    evidence = {f"v{i}": draw(st.integers(0, cards[i] - 1)) for i in observed}
+    orders = draw(st.lists(st.permutations(range(len(cards))), min_size=1, max_size=4))
+    keeps = [tuple(order[: draw(st.integers(0, len(cards)))]) for order in orders]
+    return system, evidence, keeps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(random_networks())
+def test_each_compiled_marginal_is_the_sum_of_the_dense_product(case):
+    system, evidence, keeps = case
+    eng = Engine(system, TargetSpec(system.names, []), [], realized=evidence,
+                 realization="condition")
+    phi = np.random.default_rng(len(keeps)).standard_normal(eng.parameters().size)
+    joint = build_joint(eng.space.set(phi)[0]).probs
+    observed = {int(n[1:]): v for n, v in evidence.items()}
+    dense = {"joint": joint, "p": observed_slice(joint, observed)}
+    shape = joint.shape
+    for keep in keeps:
+        for which in ("p", "joint"):
+            st = eng._state(phi)  # a fresh state: every marginal runs its program
+            got = st.read(which, keep, tuple(shape[a] for a in keep))
+            np.testing.assert_allclose(got, summed(dense[which], keep), rtol=1e-14, atol=1e-300)
+            program = st.plan.program(which, frozenset(a for a in keep if shape[a] > 1))
+            if math.prod(shape) <= _MERGE_SPACE:
+                assert len(program.calls) <= 1  # a small network is one call
 
 
 # ---------------------------------------------------------------------------
 # A value call hands its state to the gradient at the same phi
 
 
-def count_joints(monkeypatch) -> list:
-    import divmin.engine
-
+def count_states(monkeypatch) -> list:
+    """Records every state an engine builds: one softmax per live block and
+    the tables of every measure."""
     calls = []
-    joint = divmin.engine._Plan.joint
+    init = _State.__init__
 
-    def counted(plan, sigmas):
+    def counted(state, plan, sigmas, q_side):
         calls.append(sigmas)
-        return joint(plan, sigmas)
+        init(state, plan, sigmas, q_side)
 
-    monkeypatch.setattr(divmin.engine._Plan, "joint", counted)
+    monkeypatch.setattr(_State, "__init__", counted)
     return calls
 
 
@@ -787,7 +937,7 @@ def test_only_a_gradient_at_the_same_phi_takes_the_kept_state(calls, joints, mon
     obj = chain_objective()
     rng = np.random.default_rng(7)
     points = [rng.standard_normal(obj.parameters().size) for _ in range(2)]
-    built = count_joints(monkeypatch)
+    built = count_states(monkeypatch)
     for method, at in calls:
         phi = points[at].copy()  # the same bits, another array
         (obj.value if method == "value" else obj.value_and_gradient)(phi)
@@ -797,7 +947,7 @@ def test_only_a_gradient_at_the_same_phi_takes_the_kept_state(calls, joints, mon
 def test_a_point_mutated_in_place_is_built_again(monkeypatch):
     obj = chain_objective()
     phi = np.random.default_rng(8).standard_normal(obj.parameters().size)
-    built = count_joints(monkeypatch)
+    built = count_states(monkeypatch)
     obj.value(phi)
     phi[0] += 1.0
     got = obj.value_and_gradient(phi)
@@ -807,7 +957,7 @@ def test_a_point_mutated_in_place_is_built_again(monkeypatch):
 
 def test_current_parameters_hand_over_to_an_explicit_copy(monkeypatch):
     obj = chain_objective()
-    built = count_joints(monkeypatch)
+    built = count_states(monkeypatch)
     obj.value()
     got = obj.value_and_gradient(obj.parameters())
     assert len(built) == 1
@@ -815,8 +965,6 @@ def test_current_parameters_hand_over_to_an_explicit_copy(monkeypatch):
 
 
 def test_an_engine_holds_at_most_one_state(monkeypatch):
-    import divmin.engine
-
     obj = chain_objective()
     eng = obj.engine
     phi = np.random.default_rng(9).standard_normal(obj.parameters().size)
@@ -826,15 +974,15 @@ def test_an_engine_holds_at_most_one_state(monkeypatch):
     obj.value_and_gradient(phi)
     assert eng._kept is None  # consumed
     assert kept() is None
-    # Any other call drops the kept state before it builds its joint.
+    # Any other call drops the kept state before it builds its own.
     alive = []
-    joint = divmin.engine._Plan.joint
+    init = _State.__init__
 
-    def watched(plan, sigmas):
+    def watched(state, plan, sigmas, q_side):
         alive.append(kept() is not None)
-        return joint(plan, sigmas)
+        init(state, plan, sigmas, q_side)
 
-    monkeypatch.setattr(divmin.engine._Plan, "joint", watched)
+    monkeypatch.setattr(_State, "__init__", watched)
     for call in (obj.value, obj.value_and_gradient):
         obj.value(phi)
         kept = weakref.ref(eng._kept[1])

@@ -44,3 +44,38 @@ def test_no_module_imports_a_name_it_never_reads():
         if (names := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+# Helpers that materialize tables for the reports. The engine must not
+# import them: the certificate checks compare its contractions against
+# the reports, and a shared step would hide its own errors from both.
+MATERIALIZATION = {
+    "divmin.systems": {"_grow", "build_joint", "build_target", "target_factor_log_array"},
+    "divmin.decomp": {"_evidence_mask", "observe"},
+}
+
+
+def materialization_imports(source: str, package: str = "divmin") -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            module = f"{package}.{module}" if node.level else module
+            found += [
+                f"{module}.{a.name}" for a in node.names
+                if a.name in MATERIALIZATION.get(module, ()) or a.name == "*"
+            ]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name in MATERIALIZATION]
+    return found
+
+
+def test_the_guard_finds_a_materialization_import():
+    source = "from .systems import softmax, build_joint\nfrom .decomp import realize\n"
+    assert materialization_imports(source) == ["divmin.systems.build_joint"]
+    assert materialization_imports("import divmin.decomp\n") == ["divmin.decomp"]
+
+
+def test_the_engine_imports_no_materialization_helper():
+    source = (ROOT / "src" / "divmin" / "engine.py").read_text()
+    assert materialization_imports(source) == []

@@ -15,6 +15,7 @@ from divmin.decomp import observe, realize
 from divmin.engine import Engine
 from divmin.errors import ConfigError, ValidationError
 from divmin.objectives import FAMILY_TAGS, Objective, from_preset, make_objective
+from divmin.optim import check_gradient
 from divmin.presets import names as preset_names
 from divmin.presets import preset
 from divmin.randsys import control_pair
@@ -849,9 +850,11 @@ def test_gradient_after_a_value_call_is_the_fresh_one(kind, key):
 
 @pytest.mark.parametrize("kind, key", SWAP_CASES)
 def test_planned_tables_match_the_materialized_ones(kind, key):
-    # The engine's plan lays its factors out once and hands them to the
-    # steps build_joint, observe and build_target use, so its tables are
-    # the same bits.
+    # The engine contracts factor tables and the reports multiply the dense
+    # grid: two algorithms, whose marginals must agree. Every marginal the
+    # engine takes for a value and a gradient, of the actual measure, the
+    # unobserved joint and the target weights, matches the materialized
+    # tables' to 1e-15 relative, and so does ln Z.
     obj = swap_objective(kind, key)
     eng = obj.engine
     rng = np.random.default_rng(31)
@@ -862,12 +865,23 @@ def test_planned_tables_match_the_materialized_ones(kind, key):
         joint = build_joint(realized)
         q = build_target(target, realized, joint)
         p = observe(joint, evidence) if evidence else joint
-        st = eng._state(phi)
-        assert np.array_equal(st.joint.probs, joint.probs)
-        assert np.array_equal(st.p.probs, p.probs)
-        assert np.array_equal(st.q.weights, q.weights)
-        assert st.q.names == q.names
-        assert st.q.log_partition == q.log_partition
+        eng.value(phi)
+        st = eng._kept[1]
+        eng._assemble(st, with_grad=True)
+        assert st.q_side.total == pytest.approx(math.exp(q.log_partition), rel=1e-15)
+        lift = [realized.names.index(n) for n in q.names]
+        q_lifted = np.expand_dims(q.weights.transpose(np.argsort(lift)), tuple(
+            a for a in range(len(realized.names)) if a not in lift
+        ))
+        taken = [("q", keep, m, q_lifted) for keep, m in st.q_side.cache.items()]
+        for which, dense in (("p", p.probs), ("joint", joint.probs)):
+            taken += [(which, keep, m, dense) for keep, m in st.cache[which].items()]
+        assert taken
+        for which, keep, m, dense in taken:
+            drop = tuple(a for a in range(dense.ndim) if a not in keep and dense.shape[a] > 1)
+            want = dense.sum(axis=drop, keepdims=True)
+            assert m.shape == want.shape, (which, keep)
+            np.testing.assert_allclose(m, want, rtol=1e-15, atol=1e-300, err_msg=which)
 
 
 @pytest.mark.parametrize("kind, key", SWAP_CASES)
@@ -890,3 +904,103 @@ def test_earlier_evaluations_leave_no_stale_state(kind, key):
     assert np.array_equal(fast.grad, reference.grad)
     assert np.array_equal(fast.direction, reference.direction)
     assert fast.score_residual == reference.score_residual
+
+
+# ---------------------------------------------------------------------------
+# Where the gates had no case: ln Z that depends on phi, and option settings
+# that verify does not certify
+
+
+def decoder_pair():
+    """A three-state x read by a two-state softmax code z."""
+    system = ActualSystem(
+        [Variable("x", 3, Role.PAST_INPUT), Variable("z", 2, Role.LATENT_STATE)],
+        [FactorSpec.fixed("x", (), [0.2, 0.5, 0.3]),
+         FactorSpec.parameterized("z", ("x",), [[0.3, -0.4], [0.1, 0.6], [-0.5, 0.2]])],
+    )
+    decoder = ParamFactor("x", ("z",), np.asarray([[0.4, -0.3, 0.2], [-0.6, 0.5, 0.1]]))
+    return system, decoder
+
+
+def lnz_objective(case: str) -> Objective:
+    """joint_kl whose target's ln Z moves with phi."""
+    if case == "vae-toy plus a reward on x":
+        pre = preset("vae-toy")
+        reward = RewardFactor(("x",), np.asarray([0.5, -1.0, 2.0, 0.0]))
+        target = TargetSpec(pre.target.scope, list(pre.target.factors) + [reward])
+        return make_objective("joint_kl", pre.system, target)
+    system, decoder = decoder_pair()
+    second = (
+        RewardFactor(("x",), np.asarray([1.0, -0.5, 2.5]))
+        if case == "a reward on a softmax factor's child"
+        else TableFactor(("z", "x"), np.asarray([[0.9, 0.1, 0.6], [0.2, 0.7, 0.4]]))
+    )
+    return make_objective("joint_kl", system, TargetSpec(("x", "z"), [decoder, second]))
+
+
+LNZ_CASES = [
+    "a reward on a softmax factor's child",
+    "two target factors on one child",
+    "vae-toy plus a reward on x",
+]
+
+
+@pytest.mark.parametrize("case", LNZ_CASES)
+def test_gradient_holds_where_ln_z_depends_on_phi(case):
+    obj = lnz_objective(case)
+    rng = np.random.default_rng(37)
+    size = obj.parameters().size
+    lnz = []
+    for phi in [obj.parameters()] + [rng.standard_normal(size) for _ in range(3)]:
+        check = check_gradient(obj, phi)
+        assert check.rel_err <= 1e-8, check.rel_err
+        assert check.score_residual <= 1e-10
+        value, report = obj.value(phi), obj.report(phi)
+        assert abs(value.total - report.total) <= 1e-12 * max(1.0, abs(report.total))
+        lnz.append(value.log_partition)
+    assert np.ptp(lnz) > 0.1  # the case exercises a moving ln Z
+
+
+def elbo_with_data_entropy() -> Objective:
+    """A binary-weight fit to data (x, y) drawn from a distribution with
+    positive entropy, unlike bnn-toy's clamped points."""
+    system = ActualSystem(
+        [Variable("w", 2, Role.PARAMETER), Variable("x", 3, Role.PAST_INPUT),
+         Variable("y", 2, Role.PAST_INPUT)],
+        [FactorSpec.parameterized("w", (), [0.3, -0.2]),
+         FactorSpec.fixed("x", (), [0.5, 0.3, 0.2]),
+         FactorSpec.fixed("y", ("x",), [[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]])],
+    )
+    likelihood = np.asarray([[[0.8, 0.2], [0.3, 0.7]], [[0.5, 0.5], [0.6, 0.4]],
+                             [[0.1, 0.9], [0.35, 0.65]]])
+    target = TargetSpec(
+        ("w", "x", "y"),
+        [TableFactor(("w",), np.asarray([0.6, 0.4])),
+         ConditionalFactor("y", ("x", "w"), likelihood)],
+    )
+    return make_objective("elbo_bnn", system, target)
+
+
+def info_gain_bound() -> Objective:
+    """The full bound over a belief read once in the past, so that every
+    one of its four terms is nonzero."""
+    return make_objective(
+        "info_gain", belief_in_order(("w", "x1", "x2")), options={"optimize": "bound"}
+    )
+
+
+@pytest.mark.parametrize("make", [elbo_with_data_entropy, info_gain_bound])
+def test_engine_matches_report_on_settings_verify_skips(make):
+    obj = make()
+    assert obj.total_matches_report
+    rng = np.random.default_rng(41)
+    size = obj.parameters().size
+    for phi in [obj.parameters()] + [rng.standard_normal(size) for _ in range(3)]:
+        value, report = obj.value(phi), obj.report(phi)
+        assert abs(value.total - report.total) <= 1e-12 * max(1.0, abs(report.total))
+        for name, v in value.terms.items():
+            assert abs(v - report.terms[name]) <= 1e-12 * max(1.0, abs(v)), name
+        assert min(abs(v) for v in value.terms.values()) > 1e-3  # every term counts
+    if make is elbo_with_data_entropy:
+        x = build_joint(obj.system).probs.sum(axis=0)
+        assert -float(np.sum(x * np.log(x))) > 0.5  # the data entropy counts

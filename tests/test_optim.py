@@ -310,8 +310,9 @@ def test_minimize_rejects_divergent_start():
 )
 def test_an_accepted_point_builds_its_joint_once(name, value_calls, grad_calls, monkeypatch):
     # Every gradient but the starting one is asked for at the point of the
-    # value call just before it, and takes that call's state. bandit-infogain
-    # runs as its bundled config, with the config's own optimizer settings.
+    # value call just before it, and takes that call's state: the tables of
+    # every measure at that point, built once. bandit-infogain runs as its
+    # bundled config, with the config's own optimizer settings.
     import divmin.engine
 
     if name == "bandit-infogain":
@@ -321,13 +322,13 @@ def test_an_accepted_point_builds_its_joint_once(name, value_calls, grad_calls, 
         objective, phi0 = from_preset(preset(name)), None
         settings = {"max_iters": 500, "grad_tol": 1.0e-9}
     joints = []
-    joint = divmin.engine._Plan.joint
+    init = divmin.engine._State.__init__
 
-    def counted(plan, sigmas):
+    def counted(state, plan, sigmas, q_side):
         joints.append(sigmas)
-        return joint(plan, sigmas)
+        init(state, plan, sigmas, q_side)
 
-    monkeypatch.setattr(divmin.engine._Plan, "joint", counted)
+    monkeypatch.setattr(divmin.engine._State, "__init__", counted)
     wrapped = _Protocol(objective)
     assert minimize(wrapped, phi0, **settings).converged
     assert (wrapped.value_calls, len(wrapped.gradients)) == (value_calls, grad_calls)
