@@ -64,8 +64,9 @@ information. Slices whose occupancy lies below a floor get a zero
 direction, so g . d = sum g^2 / (occupancy sigma) >= 0.
 
 A line search asks for the gradient at the point it accepts right after
-the value there, so a value call keeps its state for a gradient call at the
-bit-identical parameter vector; any other call releases it first.
+the value there, so a value call keeps its state, evaluation and p-field
+pieces for a gradient call at the bit-identical parameter vector, which
+then only contracts; any other call releases them first.
 """
 
 from __future__ import annotations
@@ -720,11 +721,12 @@ class Engine:
     not depend on ``phi`` is contracted once, and its ln Z, marginals and
     source values are reused.
 
-    ``value`` keeps its state, keyed by the exact bytes of the checked
-    float64 ``phi``, for a ``value_and_gradient`` call at bit-identical
-    ``phi`` right after it, which gives what a fresh state gives. Every
-    other call releases it first, so an engine holds at most one state of
-    scope-sized marginals. An engine is not meant for concurrent use.
+    ``value`` keeps its state, with its evaluation and p-field pieces,
+    keyed by the exact bytes of the checked float64 ``phi``: a
+    ``value_and_gradient`` call at bit-identical ``phi`` right after it
+    only contracts them. Every other call releases the state first, so an
+    engine holds at most one state of scope-sized marginals and pieces. An
+    engine is not meant for concurrent use.
     """
 
     def __init__(
@@ -754,9 +756,9 @@ class Engine:
         # Both built by the first evaluation.
         self._plan: _Plan | None = None
         self._fixed_q_side: _QSide | None = None
-        # The last ``value`` call's state, keyed by the bytes of its phi;
-        # emptied by the next evaluation.
-        self._kept: tuple[bytes, _State] | None = None
+        # The last ``value`` call's state, evaluation and p-field pieces,
+        # keyed by the bytes of its phi; emptied by the next evaluation.
+        self._kept: tuple[bytes, _State, Evaluation, list | None] | None = None
 
     # -- construction checks ---------------------------------------------
 
@@ -837,15 +839,16 @@ class Engine:
         cache[src] = arr
         return arr
 
-    # -- assembly -----------------------------------------------------------
+    # -- evaluation ---------------------------------------------------------
 
-    def _assemble(self, st: _State, with_grad: bool) -> Evaluation | GradientEvaluation:
+    def _evaluate(self, st: _State) -> tuple[Evaluation, list | None]:
+        """The term pass at ``st``: the evaluation, and the p-field's pieces
+        c_t (V_t - E_p V_t), each on its term's scope, when some live system
+        block consumes them."""
         ones = (1,) * len(self._plan.shape)
         values: dict[str, float] = {}
         divergent = False
-        # c_t (V_t - E_p V_t) on each term's scope: the p-field's pieces,
-        # when some live system block consumes them
-        centred = [] if with_grad and self._plan.system_blocks else None
+        centred = [] if self._plan.system_blocks else None
         for term, scope in zip(self.terms, self._plan.scopes):
             # Opposite infinities from stacked log sources cancel into nans
             # off the support; the finite mask below discards them.
@@ -866,11 +869,7 @@ class Engine:
         log_partition = math.log(st.q_side.total)
         parts = [term.coeff * values[term.name] for term in self.terms]
         parts.append(self.lnz_coeff * log_partition)
-        evaluation = Evaluation(math.fsum(parts), values, log_partition, divergent)
-        if not with_grad:
-            return evaluation
-        grad, direction, residual = self._contract(st, centred)
-        return GradientEvaluation(evaluation, grad, direction, residual)
+        return Evaluation(math.fsum(parts), values, log_partition, divergent), centred
 
     def _target_ratios(self, st: _State) -> list[list]:
         """The pieces r, grouped, of every target factor's field q~ r."""
@@ -896,7 +895,7 @@ class Engine:
         return field
 
     def _contract(
-        self, st: _State, centred: list[np.ndarray] | None
+        self, st: _State, centred: list[tuple] | None
     ) -> tuple[np.ndarray, np.ndarray, float]:
         """The score residual, then every block's gradient from the field
         pieces that reach it, and its natural direction. ``centred`` holds
@@ -960,27 +959,27 @@ class Engine:
     def value(self, phi: np.ndarray | None = None) -> Evaluation:
         """The functional's value and term breakdown at ``phi``.
 
-        The state it builds is kept for a ``value_and_gradient`` call at the
-        same point that comes next."""
+        The state it builds, with its evaluation and p-field pieces, is kept
+        for a ``value_and_gradient`` call at the same point that comes next."""
         self._kept = None
         phi = self._vector(phi)
         st = self._state(phi)
-        evaluation = self._assemble(st, with_grad=False)
-        self._kept = (phi.tobytes(), st)
+        evaluation, centred = self._evaluate(st)
+        self._kept = (phi.tobytes(), st, evaluation, centred)
         return evaluation
 
     def value_and_gradient(self, phi: np.ndarray | None = None) -> GradientEvaluation:
         """Value plus the exact gradient and natural direction over every
         parameterized factor.
 
-        Right after a ``value`` call at bit-identical ``phi`` this assembles
-        from the state that call built, whose caches hold what a fresh
-        state's value pass would put there, so the result is the same."""
+        Right after a ``value`` call at bit-identical ``phi`` this only
+        contracts what that call kept, so the term pass runs once per
+        point and the result is what a fresh state gives."""
         kept, self._kept = self._kept, None
         phi = self._vector(phi)
-        if kept is not None and phi.shape == (self.space.size,) and phi.tobytes() == kept[0]:
-            st = kept[1]
-        else:
+        if kept is None or phi.shape != (self.space.size,) or phi.tobytes() != kept[0]:
             kept = None  # release the old state before building the new one
             st = self._state(phi)
-        return self._assemble(st, with_grad=True)
+            kept = (None, st, *self._evaluate(st))
+        _, st, evaluation, centred = kept
+        return GradientEvaluation(evaluation, *self._contract(st, centred))

@@ -114,7 +114,6 @@ from .systems import (
     RewardFactor,
     TableFactor,
     TargetSpec,
-    build_joint,
     target_factor_log_array,
     target_factor_scope,
 )
@@ -128,7 +127,6 @@ from .tables import (
     expected_log,
     kl,
     log_conditional,
-    marginalize,
     mutual_information,
 )
 
@@ -326,8 +324,8 @@ def _build_elbo(system, target, options, realized) -> Parts:
     The target must consist of factors over the belief variables (the
     prior pieces) plus normalized conditionals whose child is an input
     (the likelihoods). Keeping the data distribution fixed makes the
-    leftover constant parameter-free, so the engine can carry it as a
-    payoff.
+    leftover constant parameter-free: the engine reads it as E_p[ln p(x)]
+    plus the covariates' log counts, with no gradient.
     """
     _check_no_realization("elbo_bnn", realized)
     if target is None:
@@ -381,14 +379,11 @@ def _build_elbo(system, target, options, realized) -> Parts:
 
     x_scope, z_scope = _split_roles(tuple(map(system.variable, target.scope)))
     covariates = tuple(n for n in x_scope if n not in children)
-    data_entropy = entropy(marginalize(build_joint(system), x_scope))
-    constant = math.fsum(
-        [math.log(system.variable(n).cardinality) for n in covariates] + [-data_entropy]
-    )
+    log_counts = math.fsum(math.log(system.variable(n).cardinality) for n in covariates)
     terms = [
         Term("complexity", 1.0, ((1.0, ActualLog(z_scope, x_scope)), (-1.0, TargetLog(z_scope)))),
         Term("accuracy", -1.0, tuple((1.0, TargetFactorLog(i)) for i in lik_idx)),
-        Term("constant", 1.0, ((1.0, Payoff((), constant)),)),
+        Term("constant", 1.0, ((1.0, ActualLog(x_scope)), (1.0, Payoff((), log_counts)))),
     ]
 
     def report(tgt, p, q, joint, rsys) -> Report:

@@ -33,19 +33,20 @@ logits running off to infinity at boundary optima, and the 1 /
 (occupancy sigma) scaling of d does that stretching itself.
 
 Near a minimum the Armijo decrease falls below the rounding of the total,
-a few float spacings of its summed term magnitudes. A candidate whose
-total lies within that rounding of f(phi) is accepted only if it moves
-phi, the slope along the step is still downhill there, d . grad
-f(phi - t d) > 0, and its max-abs gradient is strictly below the
-current point's; the gradient computed for that test is reused by the
-next iteration. This rule stays because gradient tolerances such as
-1e-9 lie below what the total can resolve: without it descent on
-``hmm-filter`` stops with ``"no-descent"`` at a gradient of 1.0e-9, just
-above that tolerance. Requiring the gradient to shrink keeps level steps
-from cycling between points whose gradients are rounding noise. Descent
-thus keeps shrinking the gradient past the resolution of the total,
-never takes a step that merely rounds level, and stops with
-``"no-descent"`` once neither test can pass.
+a few float spacings of its summed term magnitudes, so a candidate passes
+the Armijo test only if its total also falls by more than that rounding. A
+candidate whose total lies within that rounding of f(phi), even one that
+rounds lower, is accepted only if it moves phi, the slope along the step
+is still downhill there, d . grad f(phi - t d) > 0, and its max-abs
+gradient is strictly below the current point's; the gradient computed for
+that test is reused by the next iteration. This rule stays because
+gradient tolerances such as 1e-9 lie below what the total can resolve:
+without it descent on ``hmm-filter`` stops with ``"no-descent"`` at a
+gradient of 1.0e-9, just above that tolerance. Requiring the gradient to
+shrink keeps level steps from cycling between points whose gradients are
+rounding noise. Descent thus keeps shrinking the gradient past the
+resolution of the total, never takes a step that merely rounds level, and
+stops with ``"no-descent"`` once neither test can pass.
 
 ``check_gradient`` compares the engine's exact gradient against central
 finite differences of the total. The reported relative error is the
@@ -143,11 +144,11 @@ def minimize(
 
     Each iteration searches along the objective's natural direction d,
     falling back to the gradient g when g . d is not positive. The line
-    search starts from the mirror step 1 and halves it up to 30 times
-    until f(phi - t d) < f(phi) - 1e-4 t g . d, or until a
-    candidate level with f(phi) up to rounding still slopes downhill along
-    d and has a smaller max-abs gradient. The keywords are exactly the
-    ``optimizer`` settings a run configuration may give. Only
+    search starts from the mirror step 1 and halves it up to 30 times until
+    f(phi - t d) < f(phi) - max(1e-4 t g . d, r), with r the rounding of the
+    total, or until a candidate level with f(phi) up to r still slopes
+    downhill along d and has a smaller max-abs gradient. The keywords are
+    exactly the ``optimizer`` settings a run configuration may give. Only
     ``parameters``, ``value`` and ``value_and_gradient`` of ``objective``
     are called. The gradient at an accepted point is asked for right after
     the value call that accepted it, at the same vector, and an engine
@@ -195,7 +196,7 @@ def minimize(
             cand = phi - trial * d
             ev = objective.value(cand)
             if math.isfinite(ev.total) and not ev.divergent:
-                if ev.total < total - _ARMIJO * trial * slope:
+                if ev.total < total - max(_ARMIJO * trial * slope, level):
                     accepted = (cand, None)
                     break
                 if abs(ev.total - total) <= level and np.any(cand != phi):

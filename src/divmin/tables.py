@@ -84,10 +84,9 @@ def _as_probs(
     copy, or with ``copy=False`` the caller's own array, which it hands
     over.
 
-    Two passes check it. An inf or a nan carries through the sum, so only
-    a sum that is not finite sends the array to the elementwise test, which
-    still accepts finite entries whose sum overflows. The minimum then
-    checks the signs.
+    Two passes check it. The sum must be finite: an inf or a nan carries
+    through it, and finite entries whose sum overflows are rejected too.
+    The minimum then checks the signs.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != shape:
@@ -99,7 +98,7 @@ def _as_probs(
     if copy:
         arr = arr.copy()
     total = float(arr.sum())
-    if not math.isfinite(total) and not np.isfinite(arr).all():
+    if not math.isfinite(total):
         raise ValidationError("probabilities must be finite")
     if arr.min() < 0.0:
         raise ValidationError("probabilities must be non-negative")

@@ -833,7 +833,7 @@ def test_engine_marginals_under_evidence_are_slices_of_the_joint(index):
         phi = rng.standard_normal(obj.parameters().size)
         eng.value(phi)
         st = eng._kept[1]
-        eng._assemble(st, with_grad=True)
+        eng.value_and_gradient(phi)  # contracts the kept state
         system, _ = eng.space.set(phi)
         joint = build_joint(realize(system, eng.realized, eng.realization)[0]).probs
         axes = {system.names.index(n): v for n, v in eng.evidence.items()}
@@ -962,6 +962,28 @@ def test_current_parameters_hand_over_to_an_explicit_copy(monkeypatch):
     got = obj.value_and_gradient(obj.parameters())
     assert len(built) == 1
     assert_same_gradient(got, chain_objective().value_and_gradient())
+
+
+def test_the_term_pass_runs_once_per_point(monkeypatch):
+    # A gradient right after a value at the same phi only contracts what the
+    # value call kept; a fresh gradient runs its own term pass once.
+    obj = chain_objective()
+    phi = np.random.default_rng(10).standard_normal(obj.parameters().size)
+    passes = []
+    evaluate = Engine._evaluate
+
+    def counted(engine, state):
+        passes.append(state)
+        return evaluate(engine, state)
+
+    monkeypatch.setattr(Engine, "_evaluate", counted)
+    value = obj.value(phi)
+    kept = obj.value_and_gradient(phi.copy())
+    assert len(passes) == 1
+    assert kept.evaluation == value
+    fresh = obj.value_and_gradient(phi)
+    assert len(passes) == 2
+    assert_same_gradient(kept, fresh)
 
 
 def test_an_engine_holds_at_most_one_state(monkeypatch):

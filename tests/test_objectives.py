@@ -434,6 +434,19 @@ def test_control_families_reject_an_explicit_target(family):
                        options={"rewards": dict(pre.options["rewards"])})
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in reduce")
+def test_target_weights_whose_sum_overflows_are_rejected_on_both_sides():
+    # e^709 and e^709.5 are finite, but their sum is not: the engine and the
+    # report hold the target's total to one finiteness rule.
+    system = ActualSystem([Variable("x", 2, Role.LATENT_STATE)],
+                          [FactorSpec.parameterized("x", (), [0.0, 0.0])])
+    target = TargetSpec(("x",), [RewardFactor(("x",), np.asarray([709.0, 709.5]))])
+    obj = make_objective("joint_kl", system, target)
+    for call in (obj.value, obj.value_and_gradient, obj.report):
+        with pytest.raises(ValidationError, match="must be finite"):
+            call()
+
+
 def test_kl_regularized_mode_passive_and_identity():
     pre = preset("chain-mdp")
     obj = make_objective(
@@ -717,29 +730,27 @@ def test_evidence_outside_the_target_scope_is_rejected_at_construction():
         make_objective("joint_kl", system, target, realized={"x": 1})
 
 
-def count_realize(monkeypatch) -> list:
-    """Counts ``decomp.realize`` calls through every divmin module that
-    binds the name."""
+def count_calls(monkeypatch, function) -> list:
+    """Counts calls of ``function`` through every divmin module that binds
+    its name."""
     import sys
 
-    import divmin.decomp
-
     calls = []
-    realize = divmin.decomp.realize
 
     def counted(*args):
         calls.append(args)
-        return realize(*args)
+        return function(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "divmin" and getattr(module, "realize", None) is realize:
-            monkeypatch.setattr(module, "realize", counted)
+    name = function.__name__
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "divmin" and getattr(module, name, None) is function:
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
 @pytest.mark.parametrize("realization", ["intervene", "condition"])
 def test_make_objective_realizes_once(realization, monkeypatch):
-    calls = count_realize(monkeypatch)
+    calls = count_calls(monkeypatch, realize)
     make_objective(*realized_objective_args("vae-reconstruction"), {"x": 1}, realization)
     assert len(calls) == 1
 
@@ -751,9 +762,17 @@ CONTROL_CASES = [c for c in REALIZED_CASES if not c[0].startswith(("vae-", "two-
 def test_control_objectives_realize_once(case, realized, realization, monkeypatch):
     # The stray-evidence check reads the engine's realized evidence.
     assert len(CONTROL_CASES) == 5
-    calls = count_realize(monkeypatch)
+    calls = count_calls(monkeypatch, realize)
     make_objective(*realized_objective_args(case), realized, realization)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_make_objective_builds_no_dense_joint(name, monkeypatch):
+    # The engine contracts factor tables; only the reports build the joint.
+    calls = count_calls(monkeypatch, build_joint)
+    from_preset(preset(name))
+    assert calls == []
 
 
 @pytest.mark.parametrize("case, realized, realization", REALIZED_CASES + REJECTED_CASES)
@@ -867,7 +886,7 @@ def test_planned_tables_match_the_materialized_ones(kind, key):
         p = observe(joint, evidence) if evidence else joint
         eng.value(phi)
         st = eng._kept[1]
-        eng._assemble(st, with_grad=True)
+        eng.value_and_gradient(phi)  # contracts the kept state
         assert st.q_side.total == pytest.approx(math.exp(q.log_partition), rel=1e-15)
         lift = [realized.names.index(n) for n in q.names]
         q_lifted = np.expand_dims(q.weights.transpose(np.argsort(lift)), tuple(

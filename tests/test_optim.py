@@ -136,6 +136,31 @@ def test_level_steps_must_shrink_the_gradient():
     assert trace.phi[0] < 0.0
 
 
+class _RoundingStub:
+    """A total one float spacing lower per unit step, 1.5 + phi * 2**-52,
+    with a gradient of 1e-16 that never shrinks and a unit direction."""
+
+    def parameters(self):
+        return np.zeros(1)
+
+    def value(self, phi=None):
+        total = 1.5 + (0.0 if phi is None else phi[0]) * 2.0**-52
+        return Evaluation(total=total, terms={"t": total}, log_partition=0.0, divergent=False)
+
+    def value_and_gradient(self, phi=None):
+        return GradientEvaluation(self.value(phi), np.asarray([1.0e-16]), np.ones(1), 0.0)
+
+
+def test_a_decrease_within_rounding_is_no_armijo_step():
+    # Each unit step rounds the total one spacing lower, which beats the
+    # Armijo decrease of 1e-20; it is only a level step, and the gradient
+    # does not shrink, so descent stops at once.
+    trace = minimize(_RoundingStub(), max_iters=50, grad_tol=0.0)
+    assert trace.reason == "no-descent"
+    assert len(trace.records) == 1
+    assert trace.phi[0] == 0.0
+
+
 @pytest.mark.parametrize(
     "name", ["dead-action", "two-room-skills", "bandit-infogain", "identity-channel"]
 )
