@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when a verification or gradient check
-fails, 2 on usage or configuration errors, 3 when an evaluation
-diverges (actual mass where the target has none).
+fails, 2 on usage errors and on every other library error, which outside
+input causes (a ``DivminError`` such as ``ConfigError``,
+``ValidationError``, ``CapacityError`` or ``NullEvidenceError``), 3 when
+an evaluation diverges (``DivergenceError``: actual mass where the target
+has none).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SCHEMA_VERSION, bundled_config_names, bundled_config_path, load_config
-from .errors import ConfigError, DivergenceError, ValidationError
+from .errors import ConfigError, DivergenceError, DivminError
 from .objectives import FAMILY_TAGS, OBJECTIVE_FAMILIES
 from .optim import check_gradient, minimize
 from .presets import names as preset_names
@@ -85,10 +88,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(_resolve_config(args.config))
     objective = config.objective
     if args.dry_run:
+        # Some inputs fail only when evaluated, such as evidence of zero mass.
+        start = objective.value(config.phi0)
         print(f"{config.name}: configuration valid")
         print(f"  family: {objective.family} [{FAMILY_TAGS[objective.family]}]")
         print(f"  seed: {config.seed}")
         print(f"  parameters: {config.phi0.size}")
+        print(f"  total at phi0: {'divergent' if start.divergent else f'{start.total:.9g}'}")
         print(f"  optimizer: {json.dumps(dict(config.optimizer), sort_keys=True)}")
         return 0
     trace = minimize(objective, phi0=config.phi0, **config.optimizer)
@@ -216,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValidationError) as exc:
+    except DivminError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

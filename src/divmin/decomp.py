@@ -54,7 +54,6 @@ from .tables import (
     kl,
     log_conditional,
     marginalize,
-    reorder,
 )
 
 BAYES_TOL = 1e-9
@@ -202,7 +201,9 @@ def _prepare(
     realized_system, evidence = realize(system, realized, realization)
     joint = build_joint(realized_system)
     q = build_target(target, realized_system, joint)
-    p = reorder(marginalize(joint, q.names), q.names)
+    p = marginalize(joint, q.names)
+    if p.names != q.names:
+        p = Table(q.scope, p.probs.transpose([p.axis(n) for n in q.names]))
     _check_evidence_scope(evidence, q.names)
     if evidence:
         p = observe(p, evidence)
@@ -377,7 +378,7 @@ def _past_future(p: Table, q: UnnormalizedTable) -> Terms:
     """The terms of :func:`past_future_split`."""
     past, future = _split_time(p.scope)
     x = past + future
-    z = tuple(n for n in p.names if n not in set(x))
+    z = _split_roles(p.scope)[1]
     log_p_z_past = log_conditional(p, z, past)
     return {
         "past_latent_pref": (1.0, *expected_log(p, log_p_z_past, log_conditional(q, z, ()))),

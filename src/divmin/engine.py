@@ -541,7 +541,8 @@ class _Plan:
                 weights.append((self.compact(names), feeds))
             elif isinstance(f, RewardFactor):
                 logs.append(_Layout(names, system.variables).place(f.values))
-                weights.append((self.compact(names), self.squeezed(np.exp(f.values))))
+                with np.errstate(over="ignore"):  # an inf weight fails the total's check
+                    weights.append((self.compact(names), self.squeezed(np.exp(f.values))))
             else:
                 mirror = isinstance(f, FactorMirror)
                 table = system.factor_conditional(f.child) if mirror else f.table

@@ -273,6 +273,29 @@ def _expected_payoff(p: Table, name: str, values: np.ndarray) -> float:
     return float((p.probs * arr).sum())
 
 
+def _numbers(option: str, values) -> np.ndarray:
+    """An option's values as a float64 array."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ConfigError(f"option {option!r} must hold numbers, got {values!r}") from None
+
+
+def _per_variable(option: str, values) -> Mapping:
+    """An option that maps variable names to values."""
+    if not isinstance(values, Mapping):
+        raise ConfigError(f"option {option!r} must map variable names to values, got {values!r}")
+    return values
+
+
+def _names(option: str, values) -> tuple:
+    """An option that lists variable names, as a tuple."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ConfigError(f"option {option!r} must list variable names, got {values!r}") from None
+
+
 def _uniform(cardinality: int) -> np.ndarray:
     return np.full(cardinality, 1.0 / cardinality)
 
@@ -287,6 +310,21 @@ def _reject_target(family: str, target: TargetSpec | None, instead: str) -> None
         raise ConfigError(
             f"family {family!r} builds its target from the options; pass {instead} instead"
         )
+
+
+def _beliefs(family: str, system: ActualSystem) -> tuple[str, ...]:
+    """The internal variables, each of which must be a belief: a variable
+    with the parameter role."""
+    internal = _split_roles(system.variables)[1]
+    if not internal:
+        raise ConfigError(f"family {family!r} needs at least one belief variable")
+    for n in internal:
+        role = system.variable(n).role
+        if role is not Role.PARAMETER:
+            raise ConfigError(
+                f"belief variables must carry the parameter role; {n!r} has role {role.value!r}"
+            )
+    return internal
 
 
 def _minus_raw_log(target: TargetSpec) -> tuple[tuple[float, TargetFactorLog], ...]:
@@ -333,15 +371,7 @@ def _build_elbo(system, target, options, realized) -> Parts:
     if system.by_role(Role.ACTION, Role.SKILL):
         raise ConfigError("family 'elbo_bnn' is for passive inference; found action or skill variables")
     inputs = system.inputs()
-    internal = tuple(n for n in system.names if not system.variable(n).role.is_input)
-    if not internal:
-        raise ConfigError("family 'elbo_bnn' needs at least one belief variable")
-    for n in internal:
-        if system.variable(n).role is not Role.PARAMETER:
-            raise ConfigError(
-                f"belief variables must carry the parameter role; {n!r} has role "
-                f"{system.variable(n).role.value!r}"
-            )
+    internal = _beliefs("elbo_bnn", system)
     for n in inputs:
         if system.factors[n].logits is not None:
             raise ConfigError(f"input {n!r} is parameterized; the data distribution must stay fixed")
@@ -377,20 +407,15 @@ def _build_elbo(system, target, options, realized) -> Parts:
                 f"{sorted(bad)}; parents must be covariates or belief variables"
             )
 
-    x_scope, z_scope = _split_roles(tuple(map(system.variable, target.scope)))
-    covariates = tuple(n for n in x_scope if n not in children)
-    log_counts = math.fsum(math.log(system.variable(n).cardinality) for n in covariates)
+    x, z = _split_roles(tuple(map(system.variable, target.scope)))
+    covariate_logs = [math.log(system.variable(n).cardinality) for n in x if n not in children]
     terms = [
-        Term("complexity", 1.0, ((1.0, ActualLog(z_scope, x_scope)), (-1.0, TargetLog(z_scope)))),
+        Term("complexity", 1.0, ((1.0, ActualLog(z, x)), (-1.0, TargetLog(z)))),
         Term("accuracy", -1.0, tuple((1.0, TargetFactorLog(i)) for i in lik_idx)),
-        Term("constant", 1.0, ((1.0, ActualLog(x_scope)), (1.0, Payoff((), log_counts)))),
+        Term("constant", 1.0, ((1.0, ActualLog(x)), (1.0, Payoff((), math.fsum(covariate_logs))))),
     ]
 
     def report(tgt, p, q, joint, rsys) -> Report:
-        x, z = _split_roles(p.scope)
-        const_val = math.fsum(
-            [math.log(rsys.variable(n).cardinality) for n in covariates] + [-entropy(p, x)]
-        )
         parts = {
             "complexity": (
                 1.0, *expected_log(p, log_conditional(p, z, x), log_conditional(q, z, ()))
@@ -398,7 +423,7 @@ def _build_elbo(system, target, options, realized) -> Parts:
             "accuracy": _summed(
                 -1.0, [expected_log(p, _face(tgt, i, rsys, joint)) for i in lik_idx]
             ),
-            "constant": (1.0, const_val, False),
+            "constant": (1.0, math.fsum(covariate_logs + [-entropy(p, x)]), False),
         }
         extras = {"posterior_kl": expected_conditional_kl(p, q, z, x).kl_nats}
         return _certify("elbo", p, q, parts, extras=extras)
@@ -476,10 +501,10 @@ def _build_vae(system, target, options, realized) -> Parts:
 def _control_rewards(system, rewards: Mapping) -> dict[str, np.ndarray]:
     inputs = system.inputs()
     out: dict[str, np.ndarray] = {}
-    for name, values in dict(rewards or {}).items():
+    for name, values in _per_variable("rewards", rewards or {}).items():
         if name not in inputs:
             raise ConfigError(f"reward variable {name!r} is not an input")
-        arr = np.asarray(values, dtype=np.float64)
+        arr = _numbers("rewards", values)
         card = system.variable(name).cardinality
         if arr.shape != (card,):
             raise ConfigError(f"reward for {name!r} has shape {arr.shape}, expected ({card},)")
@@ -543,8 +568,8 @@ def _build_control(system, target, options, realized, family="kl_control") -> Pa
     # read by the engine terms and the report alike.
     kl_terms: list[tuple[str, str, tuple[str, ...], int]] = []
     if mode == "kl-control":
-        priors = {} if family == "maxent_rl" else dict(options.pop("priors", {}) or {})
-        priors = {k: np.asarray(v, dtype=np.float64) for k, v in priors.items()}
+        given = {} if family == "maxent_rl" else options.pop("priors", None) or {}
+        priors = {k: _numbers("priors", v) for k, v in _per_variable("priors", given).items()}
         for k in priors:
             if k not in decisions:
                 raise ConfigError(f"prior given for {k!r}, which is not a decision variable")
@@ -631,11 +656,9 @@ def _build_empowerment(system, target, options, realized) -> Parts:
     if not actions:
         raise ConfigError("family 'empowerment' needs at least one action variable")
     if target is None:
-        effects = tuple(options.pop("channel_effects", None) or ())
+        effects = _names("channel_effects", options.pop("channel_effects", None) or ())
         if not effects:
-            effects = tuple(
-                n for n in system.inputs() if system.variable(n).role is Role.FUTURE_INPUT
-            )
+            effects = system.by_role(Role.FUTURE_INPUT)
         if not effects:
             raise ConfigError("no channel effects: pass channel_effects or add future inputs")
         for n in effects:
@@ -662,11 +685,10 @@ def _build_empowerment(system, target, options, realized) -> Parts:
     ]
 
     def report(tgt, p, q, joint, rsys) -> Report:
-        x, z = _split_roles(p.scope)
         parts = _input_side(p, q)
         extras = {
-            "exact_mi": mutual_information(p, z, x),
-            "mi_cap": min(entropy(p, z), entropy(p, x)),
+            "exact_mi": mutual_information(p, z_scope, x_scope),
+            "mi_cap": min(entropy(p, z_scope), entropy(p, x_scope)),
         }
         renamed = {
             "control": parts["input_pref_kl"],
@@ -704,18 +726,17 @@ def _build_skills(system, target, options, realized) -> Parts:
         raise ConfigError("skill discovery needs a predictor with child, parents, and init")
     if pred_opt["child"] != zname:
         raise ConfigError(f"the predictor must read back {zname!r}, got {pred_opt['child']!r}")
-    pred_parents = tuple(pred_opt["parents"])
+    pred_parents = _names("predictor parents", pred_opt["parents"])
     for n in pred_parents:
         if n not in system.inputs():
             raise ConfigError(f"predictor parent {n!r} is not an input")
-    init = np.asarray(pred_opt["init"], dtype=np.float64)
+    init = _numbers("predictor init", pred_opt["init"])
     want = tuple(system.variable(n).cardinality for n in pred_parents) + (
         system.variable(zname).cardinality,
     )
     if init.shape != want:
         raise ConfigError(f"predictor init has shape {init.shape}, expected {want}")
 
-    mirror_vars = tuple(n for n in system.names if n != zname and n not in actions)
     factors: list = []
     mirror_idx: dict[str, int] = {}
     prior_idx: dict[str, int] = {}
@@ -758,7 +779,7 @@ def _build_skills(system, target, options, realized) -> Parts:
             )
 
         parts = {
-            "control": _summed(1.0, [kl_to(v, mirror_idx[v]) for v in mirror_vars]),
+            "control": _summed(1.0, [kl_to(v, index) for v, index in mirror_idx.items()]),
             "action_complexity": _summed(1.0, [kl_to(a, prior_idx[a]) for a in actions]),
             "skill_info_bound": (
                 -1.0,
@@ -786,15 +807,7 @@ def _build_info_gain(system, target, options, realized) -> Parts:
     ``optimize="intrinsic"`` descends only the negated information-gain
     term.
     """
-    internal = tuple(n for n in system.names if not system.variable(n).role.is_input)
-    if not internal:
-        raise ConfigError("family 'info_gain' needs at least one belief variable")
-    for n in internal:
-        if system.variable(n).role is not Role.PARAMETER:
-            raise ConfigError(
-                f"info gain tracks beliefs over parameters; {n!r} has role "
-                f"{system.variable(n).role.value!r}"
-            )
+    internal = _beliefs("info_gain", system)
     optimize = options.pop("optimize", "bound")
     if optimize not in ("bound", "intrinsic"):
         raise ConfigError(f"unknown optimize choice {optimize!r}")

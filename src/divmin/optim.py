@@ -68,7 +68,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .decomp import energy_entropy
+from .decomp import _split_roles, energy_entropy
 from .engine import Evaluation, GradientEvaluation
 from .errors import ConfigError, DivergenceError
 from .objectives import Objective
@@ -316,9 +316,7 @@ def map_scan(objective: Objective) -> ScanResult:
             f"map_scan needs a 'map_point_mass' objective, got {objective.family!r}"
         )
     system = objective.system
-    internal = tuple(
-        n for n in system.names if not system.variable(n).role.is_input
-    )
+    internal = _split_roles(system.variables)[1]
     if not internal:
         raise ConfigError("the system has no internal variables to scan")
     cards = tuple(system.variable(n).cardinality for n in internal)

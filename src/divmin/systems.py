@@ -511,7 +511,9 @@ def build_target(
         log_w = _grow(log_w, target_factor_log_array(f, target, system, joint), shape, np.add)
     # A scope variable that no factor touches still has length one here.
     log_w = np.broadcast_to(log_w, shape)
-    weights = np.exp(log_w, where=np.isfinite(log_w), out=np.zeros(shape))
+    # A weight that overflows is rejected as not finite by the table.
+    with np.errstate(over="ignore"):
+        weights = np.exp(log_w, where=np.isfinite(log_w), out=np.zeros(shape))
     return UnnormalizedTable(scope, weights, copy=False)
 
 

@@ -78,15 +78,18 @@ Assignment = Mapping[str, int]
 
 
 def _as_probs(
-    values: np.ndarray | Sequence, shape: tuple[int, ...], copy: bool = True
+    values: np.ndarray | Sequence,
+    shape: tuple[int, ...],
+    copy: bool = True,
+    what: str = "probabilities",
 ) -> tuple[np.ndarray, float]:
     """``values`` as a checked, read-only float64 array, with its sum: a
     copy, or with ``copy=False`` the caller's own array, which it hands
-    over.
+    over. ``what`` names the values in errors.
 
     Two passes check it. The sum must be finite: an inf or a nan carries
-    through it, and finite entries whose sum overflows are rejected too.
-    The minimum then checks the signs.
+    through it, and finite entries whose sum overflows are rejected too,
+    without numpy's overflow warning. The minimum then checks the signs.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != shape:
@@ -97,11 +100,12 @@ def _as_probs(
         )
     if copy:
         arr = arr.copy()
-    total = float(arr.sum())
+    with np.errstate(over="ignore"):
+        total = float(arr.sum())
     if not math.isfinite(total):
-        raise ValidationError("probabilities must be finite")
+        raise ValidationError(f"{what} must be finite")
     if arr.min() < 0.0:
-        raise ValidationError("probabilities must be non-negative")
+        raise ValidationError(f"{what} must be non-negative")
     arr.flags.writeable = False
     return arr, total
 
@@ -168,7 +172,7 @@ class UnnormalizedTable(_Scoped):
     ) -> None:
         super().__init__(scope)
         shape = tuple(v.cardinality for v in self.scope)
-        arr, total = _as_probs(weights, shape, copy)
+        arr, total = _as_probs(weights, shape, copy, "target weights")
         if total <= 0.0:
             raise ValidationError("target weights must have positive total mass")
         self.weights = arr
@@ -220,20 +224,6 @@ def marginalize(table: Table, keep: Iterable[str]) -> Table:
     return Table(new_scope, marg, copy=False)
 
 
-def reorder(table: Table, names: Iterable[str]) -> Table:
-    """The same distribution with its scope permuted into ``names`` order."""
-    names = tuple(names)
-    if sorted(names) != sorted(table.names):
-        raise ValidationError(
-            f"reorder needs a permutation of {table.names}, got {names}"
-        )
-    if names == table.names:
-        return table
-    perm = tuple(table.axis(n) for n in names)
-    scope = tuple(table.variable(n) for n in names)
-    return Table(scope, np.transpose(table.probs, perm))
-
-
 def condition(table: Table, evidence: Assignment) -> Table:
     """Condition on ``evidence`` and drop the bound variables from the scope."""
     if not evidence:
@@ -266,10 +256,7 @@ def _safe_log(values: np.ndarray) -> np.ndarray:
 
 def _xlogx_sum(p: np.ndarray) -> float:
     """sum p ln p with 0 ln 0 = 0."""
-    mask = p > 0.0
-    if not mask.any():
-        return 0.0
-    vals = p[mask]
+    vals = p[p > 0.0]
     return float(np.dot(vals, np.log(vals)))
 
 
@@ -308,11 +295,8 @@ def kl(p: Table, q: Table | UnnormalizedTable) -> KLResult:
     support = p_arr > 0.0
     divergent = bool(np.any(support & (q_arr <= 0.0)))
     ok = support & (q_arr > 0.0)
-    if ok.any():
-        pv = p_arr[ok]
-        val = float(np.dot(pv, np.log(pv) - np.log(q_arr[ok])))
-    else:
-        val = 0.0
+    pv = p_arr[ok]
+    val = float(np.dot(pv, np.log(pv) - np.log(q_arr[ok])))
     return KLResult(kl_nats=val, log_partition=lnz, divergent=divergent)
 
 
@@ -455,5 +439,4 @@ def expected_log(
     finite = np.isfinite(log_a) & np.isfinite(log_b)
     divergent = bool(np.any(mask & ~finite))
     ok = mask & finite
-    val = float(np.dot(p.probs[ok].ravel(), (log_a[ok] - log_b[ok]).ravel())) if ok.any() else 0.0
-    return val, divergent
+    return float(np.dot(p.probs[ok], log_a[ok] - log_b[ok])), divergent

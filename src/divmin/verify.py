@@ -17,7 +17,7 @@ import functools
 import math
 import time
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,14 +65,7 @@ class CheckResult:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "equation": self.equation,
-            "passed": self.passed,
-            "cases": self.cases,
-            "max_error": self.max_error,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -104,13 +97,10 @@ Sweep = Callable[[int, int], Iterator[CaseErrors]]
 GenericPairs = Callable[[int], tuple[ActualSystem, TargetSpec]]
 
 
-def _identity_on_generic(split, generic_pair: GenericPairs) -> Sweep:
-    def sweep(seeds: int, draws: int) -> Iterator[CaseErrors]:
-        for seed in range(seeds):
-            system, target = generic_pair(seed)
-            yield abs(split(system, target).slack)
-
-    return sweep
+def _identity(split, generic_pair: GenericPairs, seeds: int, draws: int) -> Iterator[CaseErrors]:
+    for seed in range(seeds):
+        system, target = generic_pair(seed)
+        yield abs(split(system, target).slack)
 
 
 def _filter_split(seeds: int, draws: int) -> Iterator[CaseErrors]:
@@ -349,10 +339,10 @@ def _checks() -> tuple[tuple[str, str, float, Sweep], ...]:
     targets are immutable, so sharing them changes no result."""
     generic = functools.cache(randsys.generic_pair)
     entries: list[tuple[str, str, float, Sweep]] = [
-        ("latent_side_identity", "info_latent", _IDENTITY_TOL, _identity_on_generic(decompose_latent_side, generic)),
-        ("input_side_identity", "info_input", _IDENTITY_TOL, _identity_on_generic(decompose_input_side, generic)),
-        ("free_energy_identity", "efe", _IDENTITY_TOL, _identity_on_generic(expected_free_energy, generic)),
-        ("energy_entropy_identity", "energy_entropy", _IDENTITY_TOL, _identity_on_generic(energy_entropy, generic)),
+        ("latent_side_identity", "info_latent", _IDENTITY_TOL, functools.partial(_identity, decompose_latent_side, generic)),
+        ("input_side_identity", "info_input", _IDENTITY_TOL, functools.partial(_identity, decompose_input_side, generic)),
+        ("free_energy_identity", "efe", _IDENTITY_TOL, functools.partial(_identity, expected_free_energy, generic)),
+        ("energy_entropy_identity", "energy_entropy", _IDENTITY_TOL, functools.partial(_identity, energy_entropy, generic)),
         ("filter_split_identity", "missing_data", _IDENTITY_TOL, _filter_split),
         ("maxent_policy_identity", "maxentrl", _IDENTITY_TOL, _maxent_identity),
         ("empowerment_bound", "empowerment", _IDENTITY_TOL, _empowerment_bound),

@@ -405,3 +405,98 @@ def test_run_rejects_a_removed_horizon(tmp_path, capsys):
     assert "invalid configuration at problem" in err
     assert "'horizon' was unexpected" in err
     assert not (tmp_path / "out").exists()
+
+
+def _over_capacity_doc() -> dict:
+    """23 binary latents and one action: 2**24 outcomes, over the cap."""
+    names = [f"z{i}" for i in range(23)]
+    return {
+        "seed": 0,
+        "problem": {
+            "family": "joint_kl",
+            "system": {
+                "variables": [{"name": n, "cardinality": 2, "role": "latent-state"} for n in names]
+                + [{"name": "a", "cardinality": 2, "role": "action"}],
+                "factors": [{"child": n, "parents": [], "table": [0.5, 0.5]} for n in names]
+                + [{"child": "a", "parents": [], "logits": [0.0, 0.0]}],
+            },
+            "target": {
+                "scope": ["a"],
+                "factors": [{"type": "table", "vars": ["a"], "table": [0.5, 0.5]}],
+            },
+        },
+    }
+
+
+def _null_evidence_doc() -> dict:
+    """x = 1 is realized, but p(x = 1) = 0."""
+    doc = _three_state_doc({"type": "table", "vars": ["z"], "table": [0.3, 0.7]})
+    doc["problem"]["system"]["factors"][0]["table"] = [1.0, 0.0, 0.0]
+    doc["problem"]["realized"] = {"x": 1}
+    return doc
+
+
+@pytest.mark.parametrize("command", [["run", "--dry-run"], ["gradcheck"]], ids=" ".join)
+@pytest.mark.parametrize(
+    "make, message",
+    [(_over_capacity_doc, "exceeds the cap"), (_null_evidence_doc, "has zero mass")],
+    ids=["capacity", "null evidence"],
+)
+def test_a_library_error_from_the_input_exits_two(tmp_path, capsys, make, message, command):
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps(make()))
+    assert main([command[0], str(doc), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def _skill_action_doc(family: str, options: dict) -> dict:
+    """A skill s picks an action a, which moves a future input x."""
+    return {
+        "seed": 0,
+        "problem": {
+            "family": family,
+            "system": {
+                "variables": [
+                    {"name": "s", "cardinality": 2, "role": "skill"},
+                    {"name": "a", "cardinality": 2, "role": "action"},
+                    {"name": "x", "cardinality": 2, "role": "future-input"},
+                ],
+                "factors": [
+                    {"child": "s", "parents": [], "logits": [0.0, 0.0]},
+                    {"child": "a", "parents": ["s"], "logits": [[0.0, 0.0], [0.0, 0.0]]},
+                    {"child": "x", "parents": ["a"], "table": [[0.9, 0.1], [0.2, 0.8]]},
+                ],
+            },
+            "options": options,
+        },
+    }
+
+
+REWARDS = {"x": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "family, options, option",
+    [
+        ("kl_control", {"rewards": [1, 2]}, "rewards"),
+        ("kl_control", {"rewards": {"x": "ab"}}, "rewards"),
+        ("kl_control", {"rewards": REWARDS, "priors": [1, 2]}, "priors"),
+        ("kl_control", {"rewards": REWARDS, "priors": {"a": "zz"}}, "priors"),
+        ("empowerment", {"channel_effects": 3}, "channel_effects"),
+        ("skill_discovery", {"predictor": {"child": "s", "parents": 3, "init": [0.0, 0.0]}},
+         "predictor parents"),
+        ("skill_discovery", {"predictor": {"child": "s", "parents": ["x"], "init": "ab"}},
+         "predictor init"),
+    ],
+    ids=["rewards list", "rewards text", "priors list", "priors text", "channel_effects number",
+         "predictor parents number", "predictor init text"],
+)
+def test_a_malformed_family_option_exits_two(tmp_path, capsys, family, options, option):
+    doc = tmp_path / "bad-option.json"
+    doc.write_text(json.dumps(_skill_action_doc(family, options)))
+    assert main(["run", str(doc), "--out", str(tmp_path / "out"), "--dry-run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: option {option!r}")
+    assert not (tmp_path / "out").exists()

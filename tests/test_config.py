@@ -19,7 +19,8 @@ from divmin.config import (
     parse_config,
 )
 from divmin.errors import ConfigError
-from divmin.optim import minimize
+from divmin.optim import check_gradient, minimize
+from divmin.systems import FactorMirror, MarginalMirror
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -209,3 +210,28 @@ except jsonschema.SchemaError:
 else:
     raise AssertionError("an invalid schema went unchecked")
 """)
+
+
+@pytest.mark.parametrize(
+    "factor, parsed",
+    [
+        ({"type": "mirror", "child": "z"}, FactorMirror("z")),
+        ({"type": "marginal_mirror", "vars": ["z"], "given": ["x"]}, MarginalMirror(("z",), ("x",))),
+        ({"type": "marginal_mirror", "vars": ["z"]}, MarginalMirror(("z",), ())),
+    ],
+    ids=["mirror", "marginal mirror", "marginal mirror without given"],
+)
+def test_mirror_target_factors_parse_and_certify(factor, parsed):
+    doc = {"seed": 0, "problem": inline_problem()}
+    doc["problem"]["target"]["factors"].append(
+        {"type": "param", "child": "z", "parents": ["x"], "logits": [[0.3, -0.2], [0.1, 0.4]]}
+    )
+    doc["problem"]["target"]["factors"].append(factor)
+    objective = parse_config(doc).objective
+    assert objective.target.factors[-1] == parsed
+    rng = np.random.default_rng(5)
+    size = objective.parameters().size
+    for phi in [objective.parameters(), rng.standard_normal(size)]:
+        value, report = objective.value(phi), objective.report(phi)
+        assert abs(value.total - report.total) <= 1e-12 * max(1.0, abs(report.total))
+        assert check_gradient(objective, phi).rel_err <= 1e-8

@@ -434,17 +434,19 @@ def test_control_families_reject_an_explicit_target(family):
                        options={"rewards": dict(pre.options["rewards"])})
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in reduce")
+@pytest.mark.filterwarnings("error")
 def test_target_weights_whose_sum_overflows_are_rejected_on_both_sides():
-    # e^709 and e^709.5 are finite, but their sum is not: the engine and the
-    # report hold the target's total to one finiteness rule.
+    # e^709 and e^709.5 are finite, but their sum is not, and e^710 is not
+    # finite itself: the engine and the report hold the target's total to
+    # one finiteness rule, with one message and no numpy warning.
     system = ActualSystem([Variable("x", 2, Role.LATENT_STATE)],
                           [FactorSpec.parameterized("x", (), [0.0, 0.0])])
-    target = TargetSpec(("x",), [RewardFactor(("x",), np.asarray([709.0, 709.5]))])
-    obj = make_objective("joint_kl", system, target)
-    for call in (obj.value, obj.value_and_gradient, obj.report):
-        with pytest.raises(ValidationError, match="must be finite"):
-            call()
+    for rewards in ([709.0, 709.5], [710.0, 0.0]):
+        target = TargetSpec(("x",), [RewardFactor(("x",), np.asarray(rewards))])
+        obj = make_objective("joint_kl", system, target)
+        for call in (obj.value, obj.value_and_gradient, obj.report):
+            with pytest.raises(ValidationError, match="^target weights must be finite$"):
+                call()
 
 
 def test_kl_regularized_mode_passive_and_identity():
@@ -1023,3 +1025,41 @@ def test_engine_matches_report_on_settings_verify_skips(make):
     if make is elbo_with_data_entropy:
         x = build_joint(obj.system).probs.sum(axis=0)
         assert -float(np.sum(x * np.log(x))) > 0.5  # the data entropy counts
+
+
+def system_x_z_a() -> ActualSystem:
+    """x -> z -> a, listed in that order, so that a target scope can be
+    ordered away from the system's."""
+    rng = np.random.default_rng(43)
+    return ActualSystem(
+        [Variable("x", 2, Role.PAST_INPUT), Variable("z", 3, Role.LATENT_STATE),
+         Variable("a", 2, Role.ACTION)],
+        [FactorSpec.fixed("x", (), [0.35, 0.65]),
+         FactorSpec.parameterized("z", ("x",), rng.standard_normal((2, 3))),
+         FactorSpec.parameterized("a", ("z",), rng.standard_normal((3, 2)))],
+    )
+
+
+@pytest.mark.parametrize("scope", [("z", "x", "a"), ("x", "a", "z"), ("a", "x", "z")], ids="".join)
+@pytest.mark.parametrize("family", ["joint_kl", "map_point_mass", "amortized_vae", "empowerment"])
+def test_a_target_scope_ordered_away_from_the_system_certifies(family, scope):
+    # The report moves p onto the target's axis order, while the engine
+    # never lays out either side on it: the two agree only if that move is
+    # right.
+    rng = np.random.default_rng(47)
+    target = TargetSpec(scope, [
+        TableFactor(("z", "x"), np.exp(rng.standard_normal((3, 2)))),
+        ConditionalFactor("a", ("x",), np.asarray([[0.3, 0.7], [0.8, 0.2]])),
+        ParamFactor("z", ("a",), rng.standard_normal((2, 3))),
+    ])
+    obj = make_objective(family, system_x_z_a(), target)
+    size = obj.parameters().size
+    for phi in [obj.parameters()] + [rng.standard_normal(size) for _ in range(2)]:
+        value, report = obj.value(phi), obj.report(phi)
+        assert report.relation == "equals" and abs(report.slack) <= 1e-12
+        if obj.total_matches_report:
+            assert abs(value.total - report.total) <= 1e-12 * max(1.0, abs(report.total))
+        for name in value.terms.keys() & report.terms.keys():
+            v = value.terms[name]
+            assert abs(v - report.terms[name]) <= 1e-12 * max(1.0, abs(v)), name
+        assert check_gradient(obj, phi).rel_err <= 1e-8

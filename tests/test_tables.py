@@ -93,10 +93,10 @@ def test_negative_entries_are_rejected(kind):
         kind(*on_scope([-0.5, 1.5]))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in reduce")
+@pytest.mark.filterwarnings("error")
 def test_finite_weights_whose_sum_overflows_are_rejected():
     # Every entry is finite, but ln Z would read an infinite sum.
-    with pytest.raises(ValidationError, match="must be finite"):
+    with pytest.raises(ValidationError, match="^target weights must be finite$"):
         UnnormalizedTable(*on_scope([1e308, 1e308]))
 
 
