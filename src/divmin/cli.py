@@ -3,9 +3,11 @@
 Exit codes: 0 on success, 1 when a verification or gradient check
 fails, 2 on usage errors and on every other library error, which outside
 input causes (a ``DivminError`` such as ``ConfigError``,
-``ValidationError``, ``CapacityError`` or ``NullEvidenceError``), 3 when
-an evaluation diverges (``DivergenceError``: actual mass where the target
-has none).
+``ValidationError``, ``CapacityError`` or ``NullEvidenceError``; an
+output path that cannot be written is a ``ConfigError``), 3 when an
+evaluation diverges (``DivergenceError``: actual mass where the target
+has none). ``run`` makes its output directory before it minimizes, so an
+unusable ``--out`` fails at once rather than after the descent.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .optim import check_gradient, minimize
 from .presets import names as preset_names
 from .presets import preset
 from .randsys import rng_for
-from .runio import report_payload, write_report_json, write_terms_svg, write_trace_csv
+from .runio import _output_dir, report_payload, write_report_json, write_terms_svg, write_trace_csv
 from .verify import check_names, run_suite
 
 __all__ = ["build_parser", "main"]
@@ -73,14 +74,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     verdict = "all checks passed" if result.passed else "failures present"
     print(f"{verdict} in {result.duration_s:.2f}s")
     if args.json:
-        out = Path(args.json)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        payload = dict(result.to_dict())
-        payload["seeds"] = args.seeds
-        payload["draws"] = args.draws
-        payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {out}")
+        payload = {**result.to_dict(), "seeds": args.seeds, "draws": args.draws}
+        print(f"wrote {write_report_json(args.json, payload)}")
     return 0 if result.passed else 1
 
 
@@ -97,8 +92,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"  total at phi0: {'divergent' if start.divergent else f'{start.total:.9g}'}")
         print(f"  optimizer: {json.dumps(dict(config.optimizer), sort_keys=True)}")
         return 0
+    out = _output_dir(Path(args.out) if args.out else Path("runs") / config.name)
     trace = minimize(objective, phi0=config.phi0, **config.optimizer)
-    out = Path(args.out) if args.out else Path("runs") / config.name
     report_path = write_report_json(out / "report.json", report_payload(config, trace))
     trace_path = write_trace_csv(out / "trace.csv", trace)
     chart_path = write_terms_svg(out / "terms.svg", trace)

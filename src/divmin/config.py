@@ -2,13 +2,14 @@
 
 A configuration names a problem, either a bundled preset or an inline
 system description, plus a seed, a starting point, and optimizer
-settings. Validation is two-staged: the JSON schema rejects unknown
-keys and malformed documents outright, then the ordinary constructors
-enforce the semantic rules (row normalization, scope membership,
-family requirements), so a configuration can only ever build the same
-objects the Python API would. ``jsonschema`` is imported on the first
-validation, not with the package, so code that never parses a
-configuration never loads it.
+settings. Validation is two-staged: the JSON schema checks the
+document's shape (known keys, required fields, JSON types), then each
+system and target class is built straight from its JSON fields and
+converts and checks them itself (rectangular arrays, integral counts
+and selectors, row normalization, scope membership), so a
+configuration can only ever build the same objects the Python API
+would. ``jsonschema`` is imported on the first validation, not with the
+package, so code that never parses a configuration never loads it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
@@ -54,20 +55,30 @@ __all__ = [
 SCHEMA_VERSION = 3
 
 
-def _target_factor_schema(kind: str, fields: dict) -> dict:
-    properties = {"type": {"const": kind}}
-    properties.update(fields)
+_NAME = {"type": "string"}
+_NAMES = {"type": "array", "items": {"type": "string", "minLength": 1}}
+_NUMBERS = {"$ref": "#/$defs/numbers"}
+
+# Each target-factor kind: its class, and the schema of the class's fields.
+_TARGET_FACTORS = {
+    "table": (TableFactor, {"vars": _NAMES, "table": _NUMBERS}),
+    "conditional": (ConditionalFactor, {"child": _NAME, "parents": _NAMES, "table": _NUMBERS}),
+    "reward": (RewardFactor, {"vars": _NAMES, "values": _NUMBERS}),
+    "param": (ParamFactor, {"child": _NAME, "parents": _NAMES, "logits": _NUMBERS}),
+    "mirror": (FactorMirror, {"child": _NAME}),
+    "marginal_mirror": (MarginalMirror, {"vars": _NAMES, "given": _NAMES}),
+}
+
+
+def _target_factor_schema(kind: str, cls: type, properties: dict) -> dict:
+    """A ``kind`` object: ``cls``'s fields, those without a default required."""
     return {
         "type": "object",
-        "properties": properties,
-        "required": ["type"] + [k for k in fields if k != "given"],
+        "properties": {"type": {"const": kind}, **properties},
+        "required": ["type"] + [f.name for f in fields(cls) if f.init and f.default is MISSING],
         "additionalProperties": False,
     }
 
-
-_NAMES = {"type": "array", "items": {"type": "string", "minLength": 1}}
-_NUMBERS = {"$ref": "#/$defs/numbers"}
-_INTEGERS = {"$ref": "#/$defs/integers"}
 
 SCHEMA: dict = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -100,12 +111,6 @@ SCHEMA: dict = {
             "anyOf": [
                 {"type": "number"},
                 {"type": "array", "minItems": 1, "items": {"$ref": "#/$defs/numbers"}},
-            ]
-        },
-        "integers": {
-            "anyOf": [
-                {"type": "integer"},
-                {"type": "array", "minItems": 1, "items": {"$ref": "#/$defs/integers"}},
             ]
         },
         "problem": {
@@ -158,7 +163,7 @@ SCHEMA: dict = {
                 "parents": _NAMES,
                 "table": _NUMBERS,
                 "logits": _NUMBERS,
-                "selector": _INTEGERS,
+                "selector": _NUMBERS,
             },
             "required": ["child"],
             "additionalProperties": False,
@@ -183,20 +188,8 @@ SCHEMA: dict = {
         },
         "target_factor": {
             "oneOf": [
-                _target_factor_schema("table", {"vars": _NAMES, "table": _NUMBERS}),
-                _target_factor_schema(
-                    "conditional",
-                    {"child": {"type": "string"}, "parents": _NAMES, "table": _NUMBERS},
-                ),
-                _target_factor_schema("reward", {"vars": _NAMES, "values": _NUMBERS}),
-                _target_factor_schema(
-                    "param",
-                    {"child": {"type": "string"}, "parents": _NAMES, "logits": _NUMBERS},
-                ),
-                _target_factor_schema("mirror", {"child": {"type": "string"}}),
-                _target_factor_schema(
-                    "marginal_mirror", {"vars": _NAMES, "given": _NAMES}
-                ),
+                _target_factor_schema(kind, cls, properties)
+                for kind, (cls, properties) in _TARGET_FACTORS.items()
             ]
         },
     },
@@ -221,40 +214,17 @@ class RunConfig:
 
 
 def _build_system(data: Mapping) -> ActualSystem:
-    variables = [
-        Variable(v["name"], int(v["cardinality"]), Role(v["role"]))
-        for v in data["variables"]
-    ]
-    factors = []
-    for f in data["factors"]:
-        child = f["child"]
-        parents = tuple(f.get("parents", ()))
-        if "table" in f:
-            factors.append(FactorSpec.fixed(child, parents, np.asarray(f["table"], dtype=np.float64)))
-        elif "logits" in f:
-            factors.append(FactorSpec.parameterized(child, parents, np.asarray(f["logits"], dtype=np.float64)))
-        else:
-            factors.append(FactorSpec.point_mass(child, parents, np.asarray(f["selector"], dtype=np.int64)))
-    return ActualSystem(variables, factors)
+    return ActualSystem(
+        [Variable(**v) for v in data["variables"]], [FactorSpec(**f) for f in data["factors"]]
+    )
 
 
 def _build_target(data: Mapping) -> TargetSpec:
-    factors = []
-    for f in data["factors"]:
-        kind = f["type"]
-        if kind == "table":
-            factors.append(TableFactor(tuple(f["vars"]), np.asarray(f["table"], dtype=np.float64)))
-        elif kind == "conditional":
-            factors.append(ConditionalFactor(f["child"], tuple(f["parents"]), np.asarray(f["table"], dtype=np.float64)))
-        elif kind == "reward":
-            factors.append(RewardFactor(tuple(f["vars"]), np.asarray(f["values"], dtype=np.float64)))
-        elif kind == "param":
-            factors.append(ParamFactor(f["child"], tuple(f["parents"]), np.asarray(f["logits"], dtype=np.float64)))
-        elif kind == "mirror":
-            factors.append(FactorMirror(f["child"]))
-        else:
-            factors.append(MarginalMirror(tuple(f["vars"]), tuple(f.get("given", ()))))
-    return TargetSpec(tuple(data["scope"]), factors)
+    factors = [
+        _TARGET_FACTORS[f["type"]][0](**{k: v for k, v in f.items() if k != "type"})
+        for f in data["factors"]
+    ]
+    return TargetSpec(data["scope"], factors)
 
 
 def _initial_point(init, seed: int, objective: Objective) -> np.ndarray:
@@ -339,8 +309,6 @@ def load_config(path: str | Path) -> RunConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path} must hold a JSON object at the top level")
     return parse_config(data)
 
 

@@ -76,7 +76,7 @@ variables on the target scope, and the option keys each one reads:
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -289,11 +289,11 @@ def _per_variable(option: str, values) -> Mapping:
 
 
 def _names(option: str, values) -> tuple:
-    """An option that lists variable names, as a tuple."""
-    try:
-        return tuple(values)
-    except TypeError:
-        raise ConfigError(f"option {option!r} must list variable names, got {values!r}") from None
+    """An option that lists variable names, as a tuple; a text is not a
+    list of its letters."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise ConfigError(f"option {option!r} must list variable names, got {values!r}")
+    return tuple(values)
 
 
 def _uniform(cardinality: int) -> np.ndarray:

@@ -6,11 +6,16 @@ repr, so two runs of the same configuration produce byte-identical
 files apart from the timestamp field. The SVG chart draws one polyline
 per named term over the accepted iterations, assembled by hand because
 a plotting dependency would dwarf the few curves it draws.
+
+Every file goes through one writer, which makes the parent directory and
+turns an ``OSError`` into a ``ConfigError``: an unwritable path is outside
+input, like an unreadable configuration.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from datetime import datetime, timezone
 from pathlib import Path
@@ -18,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
+from .errors import ConfigError
 from .optim import OptimTrace
 from .systems import softmax
 
@@ -31,28 +37,44 @@ __all__ = [
 REPORT_VERSION = 2
 
 
+def _output_dir(path: Path) -> Path:
+    """``path`` as a directory, made if it is missing."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc}") from None
+    return path
+
+
+def _write_text(path: str | Path, text: str) -> Path:
+    """Write ``text`` to ``path`` as it is, making the parent directory."""
+    path = Path(path)
+    _output_dir(path.parent)
+    try:
+        path.write_text(text, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+    return path
+
+
 def write_trace_csv(path: str | Path, trace: OptimTrace) -> Path:
     """One CSV row per accepted iteration, term columns sorted by name."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     term_names = sorted(trace.records[0].terms) if trace.records else []
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["iteration", "total", "grad_norm", "step", "evaluations", *term_names])
+    for record in trace.records:
         writer.writerow(
-            ["iteration", "total", "grad_norm", "step", "evaluations", *term_names]
+            [
+                record.iteration,
+                repr(record.total),
+                repr(record.grad_norm),
+                repr(record.step),
+                record.evaluations,
+                *[repr(record.terms[name]) for name in term_names],
+            ]
         )
-        for record in trace.records:
-            writer.writerow(
-                [
-                    record.iteration,
-                    repr(record.total),
-                    repr(record.grad_norm),
-                    repr(record.step),
-                    record.evaluations,
-                    *[repr(record.terms[name]) for name in term_names],
-                ]
-            )
-    return path
+    return _write_text(path, text.getvalue())
 
 
 def report_payload(config: RunConfig, trace: OptimTrace) -> dict:
@@ -91,12 +113,9 @@ def report_payload(config: RunConfig, trace: OptimTrace) -> dict:
 def write_report_json(path: str | Path, payload: dict) -> Path:
     """Write the payload with sorted keys plus the current UTC time as its
     timestamp field."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     stamped = dict(payload)
     stamped["timestamp"] = datetime.now(timezone.utc).isoformat()
-    path.write_text(json.dumps(stamped, indent=2, sort_keys=True) + "\n")
-    return path
+    return _write_text(path, json.dumps(stamped, indent=2, sort_keys=True) + "\n")
 
 
 _PALETTE = (
@@ -118,8 +137,6 @@ def write_terms_svg(path: str | Path, trace: OptimTrace) -> Path:
     a small legend maps colors to term names. Output bytes depend only
     on the trace, never on the clock.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     term_names = sorted(trace.records[0].terms) if trace.records else []
     series = {
         name: [record.terms[name] for record in trace.records] for name in term_names
@@ -165,5 +182,4 @@ def write_terms_svg(path: str | Path, trace: OptimTrace) -> Path:
             f'font-family="sans-serif" font-size="11" fill="{color}">{name}</text>'
         )
     lines.append("</svg>")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_text(path, "\n".join(lines) + "\n")

@@ -48,6 +48,7 @@ from .tables import (
     UnnormalizedTable,
     Variable,
     _Layout,
+    _float_array,
     _safe_log,
     log_conditional,
 )
@@ -63,7 +64,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def _frozen(values, what: str, nonnegative: bool = False) -> np.ndarray:
     """A read-only float64 copy of ``values``, which must be finite and,
     with ``nonnegative``, at least zero; ``what`` names them in the error."""
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _float_array(values, what)
     if not np.all(np.isfinite(arr)) or (nonnegative and np.any(arr < 0.0)):
         raise ValidationError(f"{what} must be finite{' and non-negative' if nonnegative else ''}")
     arr = arr.copy()
@@ -87,7 +88,7 @@ class FactorSpec:
     """
 
     child: str
-    parents: tuple[str, ...]
+    parents: tuple[str, ...] = ()
     table: np.ndarray | None = None
     logits: np.ndarray | None = None
     selector: np.ndarray | None = None
@@ -103,27 +104,29 @@ class FactorSpec:
             if arr is not None:
                 object.__setattr__(self, name, _frozen(arr, f"factor {self.child!r}: {name}"))
         if self.selector is not None:
-            sel = np.asarray(self.selector, dtype=np.int64).copy()
+            what = f"factor {self.child!r}: selector"
+            arr = _float_array(self.selector, what)
+            if not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
+                raise ValidationError(f"{what} entries must be integers")
+            sel = arr.astype(np.int64)
             sel.flags.writeable = False
             object.__setattr__(self, "selector", sel)
 
     @staticmethod
     def fixed(child: str, parents: Sequence[str], table: np.ndarray | Sequence) -> "FactorSpec":
-        return FactorSpec(child=child, parents=tuple(parents), table=np.asarray(table))
+        return FactorSpec(child, parents, table=table)
 
     @staticmethod
     def parameterized(
         child: str, parents: Sequence[str], logits: np.ndarray | Sequence
     ) -> "FactorSpec":
-        return FactorSpec(child=child, parents=tuple(parents), logits=np.asarray(logits))
+        return FactorSpec(child, parents, logits=logits)
 
     @staticmethod
     def point_mass(
         child: str, parents: Sequence[str], selector: np.ndarray | Sequence | int
     ) -> "FactorSpec":
-        return FactorSpec(
-            child=child, parents=tuple(parents), selector=np.asarray(selector, dtype=np.int64)
-        )
+        return FactorSpec(child, parents, selector=selector)
 
     @property
     def kind(self) -> str:
@@ -385,7 +388,7 @@ class MarginalMirror:
     """Mirrors the system's marginal conditional p(vars | given) into the target."""
 
     vars: tuple[str, ...]
-    given: tuple[str, ...]
+    given: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vars", tuple(self.vars))

@@ -63,10 +63,16 @@ class Variable:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValidationError("variable name must be non-empty")
-        if self.cardinality < 1:
+        try:
+            cardinality = int(self.cardinality)
+        except (TypeError, ValueError, OverflowError):
+            cardinality = 0
+        if cardinality < 1 or cardinality != self.cardinality:
             raise ValidationError(
-                f"variable {self.name!r} needs cardinality >= 1, got {self.cardinality}"
+                f"variable {self.name!r} needs an integer cardinality >= 1, "
+                f"got {self.cardinality!r}"
             )
+        object.__setattr__(self, "cardinality", cardinality)
         if not isinstance(self.role, Role):
             object.__setattr__(self, "role", Role(self.role))
 
@@ -75,6 +81,15 @@ class Variable:
 # accepted everywhere; validation happens against the scope of the table or
 # system the assignment is used with.
 Assignment = Mapping[str, int]
+
+
+def _float_array(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array; ``what`` names them in the error
+    raised when they are not a rectangular array of numbers."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a rectangular array of numbers") from None
 
 
 def _as_probs(
@@ -91,7 +106,7 @@ def _as_probs(
     through it, and finite entries whose sum overflows are rejected too,
     without numpy's overflow warning. The minimum then checks the signs.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _float_array(values, what)
     if arr.shape != shape:
         raise ValidationError(f"array shape {arr.shape} does not match scope shape {shape}")
     if arr.size > CAPACITY_LIMIT:

@@ -6,10 +6,16 @@ import math
 
 import pytest
 
+import divmin.cli
 import divmin.verify
 from divmin.cli import main
 from divmin.config import bundled_config_names
+from divmin.errors import ConfigError
+from divmin.objectives import from_preset
+from divmin.optim import minimize
 from divmin.presets import names as preset_names
+from divmin.presets import preset
+from divmin.runio import write_report_json, write_terms_svg, write_trace_csv
 
 DIVERGENT_DOC = {
     "seed": 0,
@@ -436,11 +442,33 @@ def _null_evidence_doc() -> dict:
     return doc
 
 
+def _ragged_logits_doc() -> dict:
+    doc = _three_state_doc({"type": "table", "vars": ["z"], "table": [0.3, 0.7]})
+    doc["problem"]["system"]["factors"][1]["logits"] = [[0.0, 0.0], [1.0], [0.0, 0.0]]
+    return doc
+
+
+def _ragged_reward_doc() -> dict:
+    return _three_state_doc({"type": "reward", "vars": ["x", "z"], "values": [[0.0], [1.0, 2.0]]})
+
+
+def _fractional_selector_doc() -> dict:
+    doc = _three_state_doc({"type": "table", "vars": ["z"], "table": [0.3, 0.7]})
+    doc["problem"]["system"]["factors"][1] = {"child": "z", "parents": ["x"], "selector": [0, 1.5, 1]}
+    return doc
+
+
 @pytest.mark.parametrize("command", [["run", "--dry-run"], ["gradcheck"]], ids=" ".join)
 @pytest.mark.parametrize(
     "make, message",
-    [(_over_capacity_doc, "exceeds the cap"), (_null_evidence_doc, "has zero mass")],
-    ids=["capacity", "null evidence"],
+    [
+        (_over_capacity_doc, "exceeds the cap"),
+        (_null_evidence_doc, "has zero mass"),
+        (_ragged_logits_doc, "factor 'z': logits must be a rectangular array of numbers"),
+        (_ragged_reward_doc, "reward values must be a rectangular array of numbers"),
+        (_fractional_selector_doc, "factor 'z': selector entries must be integers"),
+    ],
+    ids=["capacity", "null evidence", "ragged logits", "ragged reward", "fractional selector"],
 )
 def test_a_library_error_from_the_input_exits_two(tmp_path, capsys, make, message, command):
     doc = tmp_path / "bad.json"
@@ -485,13 +513,17 @@ REWARDS = {"x": [0.0, 1.0]}
         ("kl_control", {"rewards": REWARDS, "priors": [1, 2]}, "priors"),
         ("kl_control", {"rewards": REWARDS, "priors": {"a": "zz"}}, "priors"),
         ("empowerment", {"channel_effects": 3}, "channel_effects"),
+        ("empowerment", {"channel_effects": "x"}, "channel_effects"),
         ("skill_discovery", {"predictor": {"child": "s", "parents": 3, "init": [0.0, 0.0]}},
+         "predictor parents"),
+        ("skill_discovery", {"predictor": {"child": "s", "parents": "x", "init": [0.0, 0.0]}},
          "predictor parents"),
         ("skill_discovery", {"predictor": {"child": "s", "parents": ["x"], "init": "ab"}},
          "predictor init"),
     ],
     ids=["rewards list", "rewards text", "priors list", "priors text", "channel_effects number",
-         "predictor parents number", "predictor init text"],
+         "channel_effects text", "predictor parents number", "predictor parents text",
+         "predictor init text"],
 )
 def test_a_malformed_family_option_exits_two(tmp_path, capsys, family, options, option):
     doc = tmp_path / "bad-option.json"
@@ -500,3 +532,39 @@ def test_a_malformed_family_option_exits_two(tmp_path, capsys, family, options, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: option {option!r}")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "--seeds", "1", "--draws", "1", "--only", "probability_core",
+         "--json", "{blocker}/suite.json"],
+        ["run", "free-choice", "--out", "{blocker}/run"],
+    ],
+    ids=["verify --json", "run --out"],
+)
+def test_an_unwritable_output_path_exits_two(tmp_path, capsys, monkeypatch, command):
+    blocker = tmp_path / "afile"
+    blocker.write_text("a regular file, not a directory")
+
+    def no_descent(*args, **kwargs):
+        raise AssertionError("minimize ran before the output directory was checked")
+
+    monkeypatch.setattr(divmin.cli, "minimize", no_descent)
+    assert main([arg.format(blocker=blocker) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith(f"error: cannot make output directory {blocker}")
+
+
+def test_each_writer_turns_an_os_error_into_a_config_error(tmp_path):
+    trace = minimize(from_preset(preset("free-choice")))
+    writers = [
+        lambda path: write_report_json(path, {"name": "x"}),
+        lambda path: write_trace_csv(path, trace),
+        lambda path: write_terms_svg(path, trace),
+    ]
+    for write in writers:
+        # The path is an existing directory: the parent exists, the write fails.
+        with pytest.raises(ConfigError, match=f"^cannot write {tmp_path}: "):
+            write(tmp_path)

@@ -1,10 +1,12 @@
 """Schema enforcement and construction for JSON run configurations."""
 
+import dataclasses
 import inspect
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import jsonschema
@@ -12,15 +14,25 @@ import numpy as np
 import pytest
 
 from divmin.config import (
+    _TARGET_FACTORS,
     SCHEMA,
     bundled_config_names,
     bundled_config_path,
     load_config,
     parse_config,
 )
-from divmin.errors import ConfigError
+from divmin.errors import ConfigError, ValidationError
 from divmin.optim import check_gradient, minimize
-from divmin.systems import FactorMirror, MarginalMirror
+from divmin.systems import (
+    ConditionalFactor,
+    FactorMirror,
+    FactorSpec,
+    MarginalMirror,
+    ParamFactor,
+    RewardFactor,
+    TableFactor,
+    TargetFactor,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -212,26 +224,87 @@ else:
 """)
 
 
+def assert_same_fields(parsed, built) -> None:
+    """``parsed`` has ``built``'s class and, field by field, its values
+    (arrays with the same dtype)."""
+    assert type(parsed) is type(built)
+    for f in dataclasses.fields(built):
+        got, want = getattr(parsed, f.name), getattr(built, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+        else:
+            assert got == want, f.name
+
+
 @pytest.mark.parametrize(
     "factor, parsed",
     [
+        ({"type": "table", "vars": ["z"], "table": [0.4, 1.6]}, TableFactor(("z",), [0.4, 1.6])),
+        (
+            {"type": "conditional", "child": "x", "parents": ["z"], "table": [[0.3, 0.7], [0.6, 0.4]]},
+            ConditionalFactor("x", ("z",), [[0.3, 0.7], [0.6, 0.4]]),
+        ),
+        ({"type": "reward", "vars": ["x"], "values": [0.5, -0.5]}, RewardFactor(("x",), [0.5, -0.5])),
+        (
+            {"type": "param", "child": "x", "parents": ["z"], "logits": [[0.2, -0.1], [0.0, 0.3]]},
+            ParamFactor("x", ("z",), [[0.2, -0.1], [0.0, 0.3]]),
+        ),
         ({"type": "mirror", "child": "z"}, FactorMirror("z")),
         ({"type": "marginal_mirror", "vars": ["z"], "given": ["x"]}, MarginalMirror(("z",), ("x",))),
-        ({"type": "marginal_mirror", "vars": ["z"]}, MarginalMirror(("z",), ())),
+        ({"type": "marginal_mirror", "vars": ["z"]}, MarginalMirror(("z",))),
+        ({"child": "x", "selector": 1}, FactorSpec.point_mass("x", (), 1)),
     ],
-    ids=["mirror", "marginal mirror", "marginal mirror without given"],
+    ids=["table", "conditional", "reward", "param", "mirror", "marginal mirror",
+         "marginal mirror without given", "point-mass system factor"],
 )
 def test_mirror_target_factors_parse_and_certify(factor, parsed):
+    # Every target-factor kind, and a system factor without parents, parse
+    # into the factor the Python API builds.
     doc = {"seed": 0, "problem": inline_problem()}
     doc["problem"]["target"]["factors"].append(
         {"type": "param", "child": "z", "parents": ["x"], "logits": [[0.3, -0.2], [0.1, 0.4]]}
     )
-    doc["problem"]["target"]["factors"].append(factor)
+    if "type" in factor:
+        doc["problem"]["target"]["factors"].append(factor)
+    else:
+        doc["problem"]["system"]["factors"][0] = factor
     objective = parse_config(doc).objective
-    assert objective.target.factors[-1] == parsed
+    if "type" in factor:
+        assert_same_fields(objective.target.factors[-1], parsed)
+    else:
+        assert_same_fields(objective.system.factors[factor["child"]], parsed)
     rng = np.random.default_rng(5)
     size = objective.parameters().size
     for phi in [objective.parameters(), rng.standard_normal(size)]:
         value, report = objective.value(phi), objective.report(phi)
         assert abs(value.total - report.total) <= 1e-12 * max(1.0, abs(report.total))
         assert check_gradient(objective, phi).rel_err <= 1e-8
+
+
+def test_the_parser_knows_every_target_factor_class():
+    assert len(_TARGET_FACTORS) == len(typing.get_args(TargetFactor))
+    assert {cls for cls, _ in _TARGET_FACTORS.values()} == set(typing.get_args(TargetFactor))
+
+
+def test_an_integral_float_cardinality_builds_an_integer_variable():
+    doc = {"seed": 0, "problem": inline_problem()}
+    doc["problem"]["system"]["variables"][0]["cardinality"] = 2.0
+    variable = parse_config(doc).objective.system.variable("x")
+    assert variable.cardinality == 2 and type(variable.cardinality) is int
+
+
+@pytest.mark.parametrize(
+    "where, key, value, what",
+    [
+        ("system", "logits", [[0.0, 0.0], [1.0]], "factor 'z': logits"),
+        ("system", "table", [[0.5, 0.5], [0.5]], "factor 'x': table"),
+        ("target", "table", [[1.0, 2.0], [3.0]], "target table factor"),
+    ],
+    ids=["ragged system logits", "ragged system table", "ragged target table"],
+)
+def test_a_ragged_array_is_a_validation_error(where, key, value, what):
+    doc = {"seed": 0, "problem": inline_problem()}
+    factor = next(f for f in doc["problem"][where]["factors"] if key in f)
+    factor[key] = value
+    with pytest.raises(ValidationError, match=f"^{what} must be a rectangular array of numbers$"):
+        parse_config(doc)

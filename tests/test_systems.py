@@ -65,6 +65,38 @@ def test_factor_requires_exactly_one_payload():
         FactorSpec(child="x", parents=(), table=np.array([1.0]), logits=np.array([0.0]))
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: FactorSpec.fixed("x", (), [[0.5, 0.5], [1.0]]),
+         "factor 'x': table must be a rectangular array of numbers"),
+        (lambda: FactorSpec.parameterized("x", (), ["a", "b"]),
+         "factor 'x': logits must be a rectangular array of numbers"),
+        (lambda: FactorSpec.point_mass("x", (), [[0], [1, 0]]),
+         "factor 'x': selector must be a rectangular array of numbers"),
+        (lambda: FactorSpec.point_mass("x", ("a",), [0.5, 1.7]),
+         "factor 'x': selector entries must be integers"),
+        (lambda: FactorSpec.point_mass("x", ("a",), [0.0, np.nan]),
+         "factor 'x': selector entries must be integers"),
+        (lambda: RewardFactor(("x",), [[0.0], [1.0, 2.0]]),
+         "reward values must be a rectangular array of numbers"),
+        (lambda: ParamFactor("x", (), {"a": 1}),
+         "target logits must be a rectangular array of numbers"),
+    ],
+    ids=["ragged table", "text logits", "ragged selector", "fractional selector",
+         "nan selector", "ragged reward", "mapping logits"],
+)
+def test_a_malformed_factor_array_is_a_validation_error(make, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        make()
+
+
+def test_a_selector_of_integral_floats_is_taken_as_integers():
+    factor = FactorSpec.point_mass("x", ("a",), np.array([1.0, 0.0]))
+    assert factor.selector.dtype == np.int64 and factor.selector.tolist() == [1, 0]
+    assert not factor.selector.flags.writeable
+
+
 def test_missing_factor_rejected():
     with pytest.raises(ValidationError):
         ActualSystem(

@@ -42,6 +42,25 @@ def bernoulli(p, name="a"):
 # --- construction ---------------------------------------------------------
 
 
+@pytest.mark.parametrize("cardinality", [2.5, "2", None, math.inf, 0, 0.0])
+def test_a_cardinality_must_be_a_positive_integer(cardinality):
+    with pytest.raises(ValidationError, match="needs an integer cardinality >= 1"):
+        Variable("x", cardinality, Role.ACTION)
+
+
+def test_an_integral_cardinality_is_stored_as_an_int():
+    for cardinality in (2.0, np.int64(2), np.float64(2.0)):
+        stored = Variable("x", cardinality, Role.ACTION).cardinality
+        assert stored == 2 and type(stored) is int
+
+
+@pytest.mark.parametrize("cls", [Table, UnnormalizedTable])
+def test_a_ragged_array_is_rejected(cls):
+    scope = [Variable("a", 2, Role.PAST_INPUT)]
+    with pytest.raises(ValidationError, match="must be a rectangular array of numbers$"):
+        cls(scope, [[0.5], [0.5, 0.0]])
+
+
 def test_table_requires_normalization():
     with pytest.raises(ValidationError):
         binary_pair([[0.1, 0.2], [0.3, 0.3]])
