@@ -160,7 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     list_cmd.set_defaults(func=_cmd_list)
 
     verify_cmd = commands.add_parser(
-        "verify", help="replay the randomized identity and bound checks, one after another"
+        "verify",
+        help="replay the randomized identity and bound checks on forked workers, one per"
+        " usable CPU, with results identical to and in the order of a run in one process",
     )
     verify_cmd.add_argument("--seeds", type=int, default=100, help="instances per check")
     verify_cmd.add_argument(

@@ -94,7 +94,7 @@ from .systems import (
     softmax,
     target_factor_scope,
 )
-from .tables import Assignment, _Layout, _safe_log
+from .tables import Assignment, _float_array, _Layout, _safe_log
 
 # ---------------------------------------------------------------------------
 # Log-sources
@@ -955,7 +955,7 @@ class Engine:
 
     def _vector(self, phi: np.ndarray | None) -> np.ndarray:
         """``phi`` as a float64 array; the current parameters when None."""
-        return np.asarray(self.space.get() if phi is None else phi, dtype=np.float64)
+        return _float_array(self.space.get() if phi is None else phi, "parameter vector")
 
     def value(self, phi: np.ndarray | None = None) -> Evaluation:
         """The functional's value and term breakdown at ``phi``.

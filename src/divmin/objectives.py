@@ -199,7 +199,7 @@ class Objective:
         if phi is None:
             system, target = self.system, self.target
         else:
-            system, target = self.engine.space.set(np.asarray(phi, dtype=np.float64))
+            system, target = self.engine.space.set(phi)
         p, q, joint, realized_system = _prepare(
             system, target, self.engine.realized, self.engine.realization
         )

@@ -575,7 +575,7 @@ class ParameterSpace:
     def logits(self, phi: np.ndarray) -> tuple[np.ndarray, ...]:
         """``phi`` cut into one logits array per block, in block order, as
         views of a checked float64 vector."""
-        phi = np.asarray(phi, dtype=np.float64)
+        phi = _float_array(phi, "parameter vector")
         if phi.shape != (self.size,):
             raise ValidationError(f"parameter vector has shape {phi.shape}, expected ({self.size},)")
         if not np.all(np.isfinite(phi)):

@@ -73,8 +73,14 @@ class Variable:
                 f"got {self.cardinality!r}"
             )
         object.__setattr__(self, "cardinality", cardinality)
-        if not isinstance(self.role, Role):
-            object.__setattr__(self, "role", Role(self.role))
+        try:
+            role = Role(self.role)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"variable {self.name!r} has role {self.role!r}, expected one of "
+                f"{[r.value for r in Role]}"
+            ) from None
+        object.__setattr__(self, "role", role)
 
 
 # An assignment binds variable names to outcome indices. Plain mappings are

@@ -3,8 +3,10 @@
 Each named check replays one exact identity, one inequality, or one
 cross-implementation agreement over many seeded random instances and
 records the worst error observed. A check passes when that worst error
-stays within its stated tolerance. Checks are independent of each
-other and run one after another on the calling thread.
+stays within its stated tolerance. Checks share no mutable state, so a
+run spreads them over forked worker processes, one per usable CPU; the
+results are identical to, and in the same order as, running them one
+after another in the calling process.
 
 The sweep is deterministic: instances come from counter-based streams
 keyed by the case index, never from global random state, so a failure
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass
@@ -95,6 +98,8 @@ CaseErrors = float | tuple[float, ...]
 Sweep = Callable[[int, int], Iterator[CaseErrors]]
 # randsys.generic_pair, or a memo of it shared by the checks of one run.
 GenericPairs = Callable[[int], tuple[ActualSystem, TargetSpec]]
+# name, equation tag, tolerance, sweep
+Check = tuple[str, str, float, Sweep]
 
 
 def _identity(split, generic_pair: GenericPairs, seeds: int, draws: int) -> Iterator[CaseErrors]:
@@ -333,12 +338,13 @@ def _belief_telescope(seeds: int, draws: int) -> Iterator[CaseErrors]:
 _IDENTITY_TOL = 1e-9
 
 
-def _checks() -> tuple[tuple[str, str, float, Sweep], ...]:
-    """The checks in execution order. Seven of them sweep the same generic
-    pairs, so each pair is built once per call and shared; the systems and
-    targets are immutable, so sharing them changes no result."""
+def _checks() -> tuple[tuple[Check, ...], GenericPairs]:
+    """The checks in execution order, and the generic-pair memo they share.
+    Seven of them sweep the same generic pairs, so each pair is built once
+    per call and shared; the systems and targets are immutable, so sharing
+    them changes no result."""
     generic = functools.cache(randsys.generic_pair)
-    entries: list[tuple[str, str, float, Sweep]] = [
+    entries: list[Check] = [
         ("latent_side_identity", "info_latent", _IDENTITY_TOL, functools.partial(_identity, decompose_latent_side, generic)),
         ("input_side_identity", "info_input", _IDENTITY_TOL, functools.partial(_identity, decompose_input_side, generic)),
         ("free_energy_identity", "efe", _IDENTITY_TOL, functools.partial(_identity, expected_free_energy, generic)),
@@ -363,12 +369,80 @@ def _checks() -> tuple[tuple[str, str, float, Sweep], ...]:
             ("belief_update_telescope", "infogain", _IDENTITY_TOL, _belief_telescope),
         ]
     )
-    return tuple(entries)
+    return tuple(entries), generic
 
 
 def check_names() -> tuple[str, ...]:
     """Names of every check the suite can run, in execution order."""
-    return tuple(name for name, _, _, _ in _checks())
+    return tuple(name for name, _, _, _ in _checks()[0])
+
+
+def _run_check(entry: Check, seeds: int, draws: int) -> CheckResult:
+    name, equation, tolerance, sweep = entry
+    errors = list(sweep(seeds, draws))
+    # np.max passes a nan through, so a nan error fails its check.
+    error = np.max(np.hstack(errors), initial=0.0)
+    return CheckResult(
+        name=name,
+        equation=equation,
+        passed=bool(error <= tolerance),
+        cases=len(errors),
+        max_error=float(error),
+        tolerance=tolerance,
+    )
+
+
+# The selected checks of the run that forked this worker, with its seeds
+# and draws. Sweeps are closures, which cannot be pickled, so a worker
+# inherits them through fork and receives only check indices.
+_inherited: tuple[tuple[Check, ...], int, int] = ((), 0, 0)
+
+
+def _inherit(entries: tuple[Check, ...], seeds: int, draws: int) -> None:
+    global _inherited
+    _inherited = entries, seeds, draws
+
+
+def _run_inherited(index: int) -> CheckResult:
+    entries, seeds, draws = _inherited
+    return _run_check(entries[index], seeds, draws)
+
+
+def _worker_count(checks: int) -> int:
+    """One forked worker per usable CPU, at most one per check. A count of
+    1 keeps the run in the calling process, as does a platform that cannot
+    fork or cannot say which CPUs this process may use."""
+    if checks < 2 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    # Imported here, as is concurrent.futures: together they cost about
+    # 20 ms, which ``import divmin`` should not pay.
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return min(checks, len(os.sched_getaffinity(0)))
+
+
+def _run_forked(
+    entries: tuple[Check, ...], generic: GenericPairs, seeds: int, draws: int, workers: int
+) -> list[CheckResult]:
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Build the shared generic pairs here, so that the workers inherit
+    # them rather than each building its own.
+    if any(generic in getattr(sweep, "args", ()) for _, _, _, sweep in entries):
+        for seed in range(seeds):
+            generic(seed)
+    # Leaving the block joins every worker, also when a check raised; map
+    # cancels the checks that no worker has started.
+    with ProcessPoolExecutor(
+        workers,
+        multiprocessing.get_context("fork"),
+        initializer=_inherit,
+        initargs=(entries, seeds, draws),
+    ) as pool:
+        return list(pool.map(_run_inherited, range(len(entries))))
 
 
 def run_suite(
@@ -376,18 +450,25 @@ def run_suite(
     draws: int = 20,
     only: Iterable[str] | None = None,
 ) -> SuiteResult:
-    """Run the named checks in order and collect their worst-case errors.
+    """Run the named checks and collect their worst-case errors, in order.
 
     ``seeds`` sizes the per-check instance sweeps and ``draws`` the random
     parameter draws for the certificate checks. ``only`` restricts the run
     to the given check names.
+
+    The checks run on forked worker processes, one per usable CPU and at
+    most one per check. The results are identical to, and in the same
+    order as, running the checks one after another in this process, which
+    is what happens when one check is selected, one CPU is usable or the
+    platform cannot fork. Every worker has exited when this returns or
+    raises, and a check's exception reaches the caller with its type.
     """
     if seeds < 1:
         raise ConfigError("seeds must be a positive integer")
     if draws < 1:
         raise ConfigError("draws must be a positive integer")
 
-    entries = _checks()
+    entries, generic = _checks()
     if only is not None:
         wanted = set(only)
         unknown = wanted - {name for name, _, _, _ in entries}
@@ -396,19 +477,9 @@ def run_suite(
         entries = tuple(entry for entry in entries if entry[0] in wanted)
 
     start = time.perf_counter()
-    results = []
-    for name, equation, tolerance, sweep in entries:
-        errors = list(sweep(seeds, draws))
-        # np.max passes a nan through, so a nan error fails its check.
-        error = np.max(np.hstack(errors), initial=0.0)
-        results.append(
-            CheckResult(
-                name=name,
-                equation=equation,
-                passed=bool(error <= tolerance),
-                cases=len(errors),
-                max_error=float(error),
-                tolerance=tolerance,
-            )
-        )
+    workers = _worker_count(len(entries))
+    if workers > 1:
+        results = _run_forked(entries, generic, seeds, draws, workers)
+    else:
+        results = [_run_check(entry, seeds, draws) for entry in entries]
     return SuiteResult(checks=tuple(results), duration_s=time.perf_counter() - start)

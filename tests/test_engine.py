@@ -29,6 +29,7 @@ from divmin.engine import (
 )
 from divmin.errors import NullEvidenceError, ValidationError
 from divmin.objectives import from_preset, make_objective
+from divmin.optim import check_gradient
 from divmin.presets import names as preset_names
 from divmin.presets import preset
 from divmin.systems import (
@@ -251,6 +252,82 @@ def test_gradient_under_evidence():
     res = eng.value_and_gradient(phi)
     np.testing.assert_allclose(res.grad, fd_grad(eng, phi), rtol=1e-5, atol=1e-8)
     assert res.score_residual < 1e-12
+
+
+def mirror_under_evidence():
+    # The field pieces of the "p" and the "joint" measures must be bundled
+    # apart: a marginal mirror under evidence feeds the blocks from both.
+    system = ActualSystem(
+        [
+            Variable("x", 2, Role.PAST_INPUT),
+            Variable("z", 3, Role.LATENT_STATE),
+            Variable("y", 2, Role.FUTURE_INPUT),
+        ],
+        [
+            FactorSpec.parameterized("x", (), [0.2, -0.4]),
+            FactorSpec.parameterized("z", ("x",), [[0.4, -0.2, 0.3], [0.1, 0.9, -0.5]]),
+            FactorSpec.parameterized("y", ("z",), [[0.6, -0.1], [0.2, 0.8], [-0.3, 0.5]]),
+        ],
+    )
+    target = TargetSpec(
+        ("x", "z", "y"),
+        [
+            MarginalMirror(("z",), ("y",)),
+            TableFactor(("y",), [0.3, 0.7]),
+            ConditionalFactor("x", ("z",), [[0.7, 0.3], [0.4, 0.6], [0.5, 0.5]]),
+        ],
+    )
+    return make_objective("joint_kl", system, target, realized={"x": 1}, realization="condition")
+
+
+def two_factors_feed_one_block():
+    # Both mirrors of x add a field to x's block, and the two must add up.
+    system = ActualSystem(
+        [Variable("z", 2, Role.LATENT_STATE), Variable("x", 3, Role.FUTURE_INPUT)],
+        [
+            FactorSpec.parameterized("z", (), [0.3, -0.2]),
+            FactorSpec.parameterized("x", ("z",), [[0.5, -0.1, 0.2], [0.0, 0.7, -0.4]]),
+        ],
+    )
+    target = TargetSpec(
+        ("z", "x"), [FactorMirror("x"), FactorMirror("x"), TableFactor(("z",), [0.6, 0.4])]
+    )
+    return make_objective("joint_kl", system, target)
+
+
+def collider_coparent_alone():
+    # Observing the collider x couples a and b, so the one term on {b}
+    # moves a's gradient although it reads no descendant of a. A second
+    # term on {a} would be bundled with it and hide a skipped piece.
+    system = ActualSystem(
+        [
+            Variable("a", 2, Role.ACTION),
+            Variable("b", 3, Role.LATENT_STATE),
+            Variable("x", 2, Role.PAST_INPUT),
+        ],
+        [
+            FactorSpec.parameterized("a", (), [0.4, -0.3]),
+            FactorSpec.parameterized("b", (), [0.1, 0.5, -0.2]),
+            FactorSpec.fixed(
+                "x",
+                ("a", "b"),
+                [[[0.9, 0.1], [0.3, 0.7], [0.5, 0.5]], [[0.2, 0.8], [0.6, 0.4], [0.75, 0.25]]],
+            ),
+        ],
+    )
+    target = TargetSpec(("a", "b", "x"), [TableFactor(("b",), [0.2, 0.3, 0.5])])
+    terms = [Term("b_only", 1.0, ((1.0, ActualLog(("b",))), (-1.0, TargetLog(("b",)))))]
+    return Engine(system, target, terms, realized={"x": 1}, realization="condition")
+
+
+@pytest.mark.parametrize(
+    "build", [mirror_under_evidence, two_factors_feed_one_block, collider_coparent_alone]
+)
+def test_gradient_on_structures_the_presets_never_build(build):
+    objective = build()
+    draw = np.random.default_rng(3).normal(size=objective.parameters().shape)
+    for phi in (None, draw):
+        assert check_gradient(objective, phi).rel_err <= 1e-10
 
 
 def test_intervened_action_block_is_inert():

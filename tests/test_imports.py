@@ -3,10 +3,13 @@
 A stdlib-only scan: for each source and test module, collect the names
 bound by top-level ``import`` statements and report those the module
 never reads. A name listed in a literal ``__all__`` counts as read, so
-re-exports stay legal.
+re-exports stay legal. Two more guards keep what the engine and
+``import divmin`` load in check.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,3 +82,16 @@ def test_the_guard_finds_a_materialization_import():
 def test_the_engine_imports_no_materialization_helper():
     source = (ROOT / "src" / "divmin" / "engine.py").read_text()
     assert materialization_imports(source) == []
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # verify imports these only when it forks its workers, so that
+    # ``import divmin`` does not pay for them.
+    probe = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import divmin; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

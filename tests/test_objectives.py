@@ -82,6 +82,15 @@ def test_from_preset_roundtrip_all_presets():
             assert_certificate(obj, base + 0.4 * rng.standard_normal(base.size))
 
 
+@pytest.mark.parametrize("method", ["value", "value_and_gradient", "report"])
+def test_a_ragged_parameter_vector_is_a_validation_error(method):
+    objective = from_preset(preset("free-choice"))
+    with pytest.raises(
+        ValidationError, match="^parameter vector must be a rectangular array of numbers$"
+    ):
+        getattr(objective, method)([[0.0], [1.0, 2.0]])
+
+
 def test_unknown_family_and_missing_targets():
     system = ActualSystem(
         [Variable("x", 2, Role.PAST_INPUT), Variable("z", 2, Role.LATENT_STATE)],

@@ -54,6 +54,16 @@ def test_an_integral_cardinality_is_stored_as_an_int():
         assert stored == 2 and type(stored) is int
 
 
+@pytest.mark.parametrize("role", ["bogus", None, ["action"]])
+def test_an_unknown_role_is_a_validation_error(role):
+    with pytest.raises(ValidationError, match="^variable 'x' has role .*, expected one of"):
+        Variable("x", 2, role)
+
+
+def test_a_role_given_by_its_value_is_stored_as_a_role():
+    assert Variable("x", 2, "latent-state").role is Role.LATENT_STATE
+
+
 @pytest.mark.parametrize("cls", [Table, UnnormalizedTable])
 def test_a_ragged_array_is_rejected(cls):
     scope = [Variable("a", 2, Role.PAST_INPUT)]

@@ -3,12 +3,14 @@
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 
 import pytest
 
 import divmin.randsys
 import divmin.verify
-from divmin.errors import ConfigError
+from divmin.errors import ConfigError, ValidationError
 from divmin.objectives import FAMILY_TAGS
 from divmin.verify import check_names, run_suite
 
@@ -123,3 +125,36 @@ def test_each_run_builds_each_generic_pair_once(monkeypatch):
     assert sorted(built) == [0, 0, 1, 1, 2, 2]
     assert first.to_dict() == second.to_dict()
     assert first.passed
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so that a run of two or more checks forks its pool
+    on any machine."""
+    if not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the pool needs fork and sched_getaffinity")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_the_pool_gives_the_results_of_each_check_run_alone(two_cpus):
+    pooled = run_suite(seeds=5, draws=2)
+    alone = tuple(
+        check
+        for name in check_names()
+        for check in run_suite(seeds=5, draws=2, only=[name]).checks
+    )
+    assert pooled.checks == alone
+    assert multiprocessing.active_children() == []
+
+
+def test_a_check_that_raises_in_a_worker_leaves_no_process(two_cpus, monkeypatch):
+    def raising(system, target):
+        raise ValidationError(f"raised in process {os.getpid()}")
+
+    monkeypatch.setattr(divmin.verify, "decompose_latent_side", raising)
+    with pytest.raises(ValidationError, match="raised in process") as caught:
+        run_suite(seeds=3, draws=1, only=["latent_side_identity", "mi_variational_bound"])
+    assert str(caught.value) != f"raised in process {os.getpid()}"
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ValidationError, match=f"^raised in process {os.getpid()}$"):
+        run_suite(seeds=3, draws=1, only=["latent_side_identity"])
