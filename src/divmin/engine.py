@@ -33,23 +33,28 @@ A term whose sources span the scope S is evaluated as sum_S p_S V, and it
 is divergent when p_S > 0 where V is not finite: p_S(s) > 0 exactly when
 some outcome with that s carries mass.
 
-Each gradient piece is a measure times a scope-sized piece g_G, contracted
-against a block's scores: onto the block's family F, the measure's marginal
-on G + F contracted with g_G.
+A block's field is a measure times scope-sized pieces r_G, summed onto the
+block's family:
 
 * the measure part is p h with h = sum_k c_k (V_k - E_p V_k);
 * one target factor's log contributes c p to that factor's field alone;
 * ln q(G | H) contributes c q~ (p(A)/q~(A) - p(H)/q~(H)), A = G + H, by the
   tower property E_p[ E_q[s | A] ] = E_q[ (p(A)/q~(A)) s ], and ln Z
-  contributes c_Z q~ / Z: both q~ r for scope-local pieces r;
+  contributes c_Z q~ / Z;
 * ln p(G | H) adds nothing, since E_p[ E_p[s | A] ] - E_p[ E_p[s | H] ] = 0.
 
 A target factor's field, c p + q~ r, goes to the block its score lives in:
 a parameterized factor's own block, a factor mirror's child block, and, for
 a marginal mirror j(G | H), the system blocks gain j (F(A)/j(A) - F(H)/j(H))
-by the same tower property. A piece whose scope holds no descendant of a
-block's child, under a measure with no evidence on one, meets that block's
-score only through E[s | non-descendants] = 0, and is skipped.
+by the same tower property.
+
+Every field comes from one reverse sweep per measure (Griewank & Walther
+2008). The sum of a measure's product of tables times r_G is the sum of its
+marginal on G times r_G, and a table T_b times that sum's derivative by T_b
+is the measure times r_G summed onto T_b's axes (Darwiche 2003). So each
+piece is seeded as a cotangent on a marginal the value took, and the sweep
+passes it up to a cached marginal that covers it, or back through the
+program that ran it, to every table at once.
 
 The score of softmax logit (parents', c') is 1[parents = parents'] (1[child
 = c'] - sigma_c'), so a field contracts against a block as its marginal on
@@ -66,7 +71,8 @@ direction, so g . d = sum g^2 / (occupancy sigma) >= 0.
 A line search asks for the gradient at the point it accepts right after
 the value there, so a value call keeps its state, evaluation and p-field
 pieces for a gradient call at the bit-identical parameter vector, which
-then only contracts; any other call releases them first.
+then sweeps back through the kept programs; any other call releases them
+first.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -211,13 +217,6 @@ class GradientEvaluation:
 # and on a descent pass.
 _MERGE_SPACE = 64
 
-# The system blocks' field pieces of one measure are bundled into one
-# piece while the bundle's scope and every system block's family span at
-# most this many outcomes: one marginal and one contraction per block then
-# replace one per piece. On chain-mdp's value plus gradient that is 10 %
-# faster at 1000 outcomes and 3 % at 4096, and twice as slow at 65536.
-_BUNDLE_SPACE = 4096
-
 _LABELS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"  # einsum's 52
 
 
@@ -234,15 +233,20 @@ class _Program:
     so a small network is one call. Every intermediate lies on a subset of
     the network's variables, so none outgrows the network's outcome space.
 
-    ``calls`` lists each einsum call's subscripts and the slots of its
-    inputs: the tables first, then each call's result in turn. ``shape``
-    is the shape the result is read in.
+    ``calls`` lists each einsum call's subscripts, the slots of its inputs
+    (the tables first, then each call's result in turn) and one reverse
+    step per input: the input's slot, and an einsum from the result's
+    cotangent and the slots it reads to the input's cotangent, read in the
+    shape given, or for a table to the table times it. ``shape`` is the
+    shape the result is read in, and ``tapes`` caches, per set of tables,
+    the reverse steps that lead back to them.
     """
 
-    __slots__ = ("calls", "result", "shape")
+    __slots__ = ("calls", "result", "shape", "tables", "tapes")
 
     def __init__(self, operands: tuple[tuple[int, ...], ...], out: tuple, card: tuple) -> None:
         self.shape = tuple(n if a in out else 1 for a, n in enumerate(card))
+        self.tables, self.tapes = len(operands), {}
 
         def span(names: Iterable[int]) -> int:
             return math.prod(card[v] for v in names)
@@ -282,9 +286,21 @@ class _Program:
 
         def emit(inputs: list[int], result: tuple[int, ...]) -> int:
             label = dict(zip(sorted(set().union(*(names[i] for i in inputs))), _LABELS))
-            subscripts = ",".join("".join(label[v] for v in names[i]) for i in inputs)
-            subscripts += "->" + "".join(label[v] for v in result)
-            self.calls.append((subscripts, tuple(slots[i] for i in inputs)))
+            subs = ["".join(label[v] for v in names[i]) for i in inputs]
+            written = "".join(label[v] for v in result)
+            # An input's cotangent is the result's times the other inputs,
+            # summed onto the input's variables, and constant on one that
+            # only the input holds; a table's step multiplies by the table.
+            steps = []
+            for j, i in enumerate(inputs):
+                ops = [o for o in range(len(inputs)) if o != j or slots[i] < len(operands)]
+                held = set(written).union(*(subs[o] for o in ops))
+                ins = ",".join([written, *(subs[o] for o in ops)])
+                steps.append((slots[i], ins + "->" + "".join(c for c in subs[j] if c in held),
+                              tuple(slots[inputs[o]] for o in ops), None if j in ops else
+                              tuple(card[v] if label[v] in held else 1 for v in names[i])))
+            inputs_at = tuple(slots[i] for i in inputs)
+            self.calls.append((",".join(subs) + "->" + written, inputs_at, tuple(steps)))
             return len(operands) + len(self.calls) - 1
 
         for slot, (inputs, joined, result) in calls.items():
@@ -308,11 +324,38 @@ class _Program:
             slots[slot] = emit(inputs, result)
         self.result = slots[len(operands) + len(steps) - 1]
 
-    def run(self, tables: Sequence[np.ndarray]) -> np.ndarray:
-        values = list(tables)
-        for subscripts, inputs in self.calls:
+    def run(self, values: list[np.ndarray]) -> np.ndarray:
+        """The marginal of the tables ``values`` starts with. ``values`` is
+        extended by each call's result, which ``backward`` reads."""
+        for subscripts, inputs, _ in self.calls:
             values.append(np.einsum(subscripts, *[values[i] for i in inputs]))
         return values[self.result].reshape(self.shape)
+
+    def backward(self, values: list[np.ndarray], cot: np.ndarray,
+                 wanted: frozenset[int]) -> dict[int, np.ndarray]:
+        """Each table T in ``wanted`` times the gradient of sum(cot * result)
+        by T, for the run that filled ``values``: all tables times ``cot``,
+        summed onto T's variables. Only the calls that lead back to a
+        wanted table are differentiated."""
+        cot = cot.reshape(values[self.result].shape)
+        if self.result < self.tables:  # the result is a table, read as it is
+            return {self.result: values[self.result] * cot} if self.result in wanted else {}
+        tape = self.tapes.get(wanted)
+        if tape is None:
+            need, tape = set(wanted), []
+            for k, (_, _, steps) in enumerate(self.calls):
+                if steps := tuple(step for step in steps if step[0] in need):
+                    need.add(self.tables + k)
+                    tape.insert(0, (self.tables + k, steps))
+            tape = self.tapes[wanted] = tuple(tape)
+        cots = {self.result: cot}
+        for slot, steps in tape:
+            g = cots.pop(slot)
+            for i, subscripts, read, shape in steps:
+                d = np.einsum(subscripts, g, *[values[o] for o in read])
+                d = d if shape is None else d.reshape(shape)
+                cots[i] = cots[i] + d if i in cots else d
+        return cots
 
 
 # Programs are compiled once per structure: engines over systems of one
@@ -324,20 +367,6 @@ _compiled = functools.lru_cache(maxsize=4096)(_Program)
 def _order(axes: tuple[int, ...], ndim: int) -> tuple[int, ...]:
     """The transposition of ``ndim`` axes that puts ``axes`` first."""
     return axes + tuple(a for a in range(ndim) if a not in axes)
-
-
-@functools.lru_cache(maxsize=4096)
-def _contraction(scope: frozenset[int], onto: tuple[int, ...], shape: tuple[int, ...]) -> tuple:
-    """The einsum that contracts a measure's marginal on the axes
-    ``joined`` of ``scope`` and ``onto`` of length above one against a
-    piece on ``scope`` onto ``onto`` in their order, with ``joined``, the
-    shapes it reads its two operands in and the shape of its result."""
-    joined = tuple(a for a in sorted(scope.union(onto)) if shape[a] > 1)
-    label = dict(zip(joined, _LABELS))
-    subscripts = "".join(map(label.get, joined)) + "," + "".join(map(label.get, sorted(scope)))
-    subscripts += "->" + "".join(label[a] for a in onto if a in label)
-    sizes = [tuple(shape[a] for a in axes) for axes in (joined, sorted(scope), onto)]
-    return (frozenset(joined), subscripts, *sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -357,24 +386,6 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(
         num, den, out=np.zeros(np.broadcast_shapes(num.shape, den.shape)), where=den > 0.0
     )
-
-
-def _grouped(pieces: list[tuple], fits=lambda joined: False) -> list[list]:
-    """(measure, scope, piece) ``pieces`` summed into groups. Each piece,
-    largest first, is added into the first group so far of its measure
-    whose scope covers its own, or whose scope joined with it ``fits``, or
-    starts a group: a piece on x_t costs nothing once one on (x_t, a_t) is
-    there."""
-    groups: list[list] = []
-    for which, scope, piece in sorted(pieces, key=lambda entry: entry[2].size, reverse=True):
-        for group in groups:
-            joined = group[1] | scope
-            if group[0] == which and (joined == group[1] or fits(joined)):
-                group[1], group[2] = joined, group[2] + piece
-                break
-        else:
-            groups.append([which, scope, piece])
-    return groups
 
 
 def _natural_direction(grad: np.ndarray, sigma: np.ndarray, occupancy: np.ndarray) -> np.ndarray:
@@ -402,9 +413,7 @@ class _Block:
     parameterized, or a parameterized target factor. ``at`` is its position
     among the parameter space's blocks, ``family`` and ``parents`` its axes
     in (parents, child) order, ``shape`` its softmax's shape and ``compact``
-    that shape without length-one axes. A system block's ``below`` holds
-    its child and the child's descendants, and ``conditioned`` whether
-    evidence lies among them."""
+    that shape without length-one axes."""
 
     at: int
     coords: slice
@@ -413,21 +422,20 @@ class _Block:
     parents: tuple[int, ...]
     shape: tuple[int, ...]
     compact: tuple[int, ...]
-    below: frozenset[int]
-    conditioned: bool
 
 
 @dataclass
 class _QSide:
-    """The target's tables, its total Z, its marginals taken so far, and
-    its source values: each marginal mirror's log by factor position, the
-    others by source. An engine whose target does not depend on phi builds
-    one and shares it."""
+    """The target's tables, its marginals taken so far with how each was
+    made, its total Z and its source values: each marginal mirror's log by
+    factor position, the others by source. An engine whose target does not
+    depend on phi builds one and shares it."""
 
     tables: tuple[np.ndarray, ...]
-    total: float
     values: dict
+    total: float = 0.0
     cache: dict = field(default_factory=dict)
+    made: dict = field(default_factory=dict)
 
 
 class _Plan:
@@ -443,11 +451,12 @@ class _Plan:
     target factor's log on the joint's axes, or what it reads.
 
     The gradient's structure: ``scopes`` holds each term's axes,
-    ``towers`` each normalized-target source's coefficient with the axes
-    of its two ratios, ``ratio`` whether a tower or ln Z adds q~ r to a
-    consumed field, and ``consumers`` each target factor whose field a
-    live block consumes, with its coefficient of p and what it feeds: a
-    block position, or a marginal mirror's (given + vars, given) axes.
+    ``towers`` the coefficient and axes of each ratio p / q~ that the
+    normalized-target sources and ln Z seed the target with, ``consumers``
+    each target factor whose field a live block consumes, with its
+    position, its coefficient of p and what it feeds: a block position, or
+    a marginal mirror's axes, its given axes and the axes between. ``wanted``
+    holds, per measure, the tables whose field a block reads.
     """
 
     def __init__(self, system: ActualSystem, target: TargetSpec, evidence: Mapping[str, int],
@@ -456,42 +465,22 @@ class _Plan:
         self.shape = shape = tuple(v.cardinality for v in system.variables)
         self.axis = {v.name: i for i, v in enumerate(system.variables)}
         self.grid = frozenset(a for a, n in enumerate(shape) if n > 1)
-        above: dict[str, set[str]] = {}
-
-        def ancestors(name: str) -> set[str]:
-            if name not in above:
-                parents = system.factors[name].parents
-                above[name] = set(parents).union(*map(ancestors, parents))
-            return above[name]
-
-        seen = self.grid.intersection(self.axes(tuple(evidence)))
         blocks: list[_Block] = []
         # A system child's name, or a target factor's position, to the
         # position of its live block in ``blocks``.
         live: dict[str | int, int] = {}
         for at, b in enumerate(space.blocks):
-            if b.side == "p":
-                factor = system.factors[b.child]
-                if factor.logits is None:
-                    continue  # realized into a point mass; no dependence left
-                below = self.grid.intersection(self.axes(tuple(
-                    n for n in system.names if n == b.child or b.child in ancestors(n)
-                )))
-            else:
-                factor, below = target.factors[b.index], frozenset()
+            factor = system.factors[b.child] if b.side == "p" else target.factors[b.index]
+            if b.side == "p" and factor.logits is None:
+                continue  # realized into a point mass; no dependence left
             live[b.child if b.side == "p" else b.index] = len(blocks)
             parents = self.axes(factor.parents)
             blocks.append(_Block(
                 at, slice(b.offset, b.offset + b.size), b.side,
                 parents + (self.axis[factor.child],), parents, b.shape,
-                tuple(n for n in b.shape if n > 1), below, bool(below & seen),
+                tuple(n for n in b.shape if n > 1),
             ))
         self.blocks = tuple(blocks)
-        self.system_blocks = any(b.side == "p" for b in blocks)
-        # Every system block's family: what a bundle of field pieces joins.
-        self.families = self.grid.intersection(
-            set().union(*(b.family for b in blocks if b.side == "p"))
-        )
         joint = [
             (self.compact(f.parents + (n,)), live[n] if f.logits is not None
              else self.squeezed(system.factor_conditional(n)))
@@ -517,12 +506,12 @@ class _Plan:
                 elif src.vars:
                     names += src.vars + src.given
                     if isinstance(src, TargetLog):
-                        towers.append(
-                            (t.coeff * w, self.axes(src.vars + src.given), self.axes(src.given))
-                        )
+                        towers += [(t.coeff * w, self.axes(src.vars + src.given)),
+                                   (-t.coeff * w, self.axes(src.given))]
             scopes.append(self.grid.intersection(self.axes(names)))
+        if lnz_coeff != 0.0:
+            towers.append((lnz_coeff, ()))  # on no axes, p / q~ is 1 / Z
         self.scopes, self.towers = tuple(scopes), tuple(towers)
-        ratio = bool(towers) or lnz_coeff != 0.0
         target_axes = [self.axis[system.variable(n).name] for n in target.scope]
         self.q_grid = self.grid.intersection(target_axes)
         logs: list = []
@@ -533,9 +522,10 @@ class _Plan:
             # A factor mirror feeds its child's live block, a parameterized
             # factor its own, and a marginal mirror the system blocks.
             if isinstance(f, MarginalMirror):
-                feeds = (self.axes(names), self.axes(f.given)) if self.system_blocks else None
+                kept = tuple(sorted(self.grid.intersection(self.axes(names))))
+                feeds = (kept, self.axes(f.given), tuple(set(kept) - set(self.axes(f.given))))
                 logs.append(f)
-                weights.append((tuple(sorted(self.grid.intersection(self.axes(names)))), f))
+                weights.append((kept, f))
             elif (feeds := live.get(f.child if isinstance(f, FactorMirror) else i)) is not None:
                 logs.append((feeds, _Layout(names, system.variables)))
                 weights.append((self.compact(names), feeds))
@@ -549,17 +539,18 @@ class _Plan:
                 logs.append(_Layout(names, system.variables).place(_safe_log(table)))
                 weights.append((self.compact(names), self.squeezed(table)))
             c = c_factor.get(i, 0.0)
-            if feeds is not None and (c != 0.0 or ratio):
-                consumers.append((c, feeds))  # a zero field is left out
+            if feeds is not None and (c != 0.0 or towers):
+                consumers.append((i, c, feeds))  # a zero field is left out
         read = set().union(*(v for v, _ in weights))
         weights += [((a,), np.ones(shape[a])) for a in sorted(self.q_grid - read)]
         weights = weights or [((), np.ones(()))]
         self.logs, self.consumers = tuple(logs), tuple(consumers)
-        self.ratio = ratio and bool(consumers)
         self.networks, self.variables = {}, {}
         for which, tables in (("joint", joint), ("p", joint_ind), ("q", weights)):
             self.variables[which] = tuple(v for v, _ in tables)
             self.networks[which] = tuple(e for _, e in tables)
+        at = frozenset(t for t, e in enumerate(self.networks["p"]) if isinstance(e, int))
+        self.wanted = {"joint": at, "p": at, "q": frozenset(i for i, _, _ in consumers)}
         self.payoffs = {
             src: _Layout(src.vars, system.variables).place(src.values)
             for t in terms
@@ -591,7 +582,8 @@ class _Plan:
 
 class _State:
     """Everything derived from one parameter vector: one softmax per live
-    block, each measure's tables, their totals and the marginals taken."""
+    block, each measure's tables, their totals, the marginals taken with
+    how each was made, and the cotangents seeded on them."""
 
     def __init__(self, plan: _Plan, sigmas: tuple[np.ndarray, ...], q_side: _QSide | None) -> None:
         self.plan, self.sigmas = plan, sigmas
@@ -602,8 +594,10 @@ class _State:
             )
             for which in ("joint", "p")
         }
-        self.totals: dict[str, float] = {}
+        self.totals = {"q": 1.0}  # the target's weights are not divided
         self.cache: dict[str, dict] = {"joint": {}, "p": {}}
+        self.made: dict[str, dict] = {"joint": {}, "p": {}}
+        self.cot: dict[str, dict] = {"joint": {}, "p": {}, "q": {}}  # seeded on marginals
         self.values: dict = {}  # actual-side source values
         self.q_side = q_side or self._target_side(compact)
 
@@ -621,12 +615,22 @@ class _State:
                 w = np.exp(logs[i], where=np.isfinite(logs[i]), out=np.zeros(logs[i].shape))
                 e = w.reshape(tuple(plan.shape[a] for a in axes))
             tables.append(e if isinstance(e, np.ndarray) else compact[e])
-        total = plan.program("q", frozenset()).run(tables).item()
+        self.q_side = _QSide(tuple(tables), logs)
+        total = self.q_side.total = self.marginal("q", ()).item()
         if not math.isfinite(total):
             raise ValidationError("target weights must be finite")
         if total <= 0.0:
             raise ValidationError("target weights must have positive total mass")
-        return _QSide(tuple(tables), total, logs)
+        return self.q_side
+
+    def _measure(self, which: str, keep: Iterable[int]) -> tuple[str, frozenset, dict, dict]:
+        """The measure that stands for ``which``, the axes of ``keep`` it is
+        cached on, its cache and how each cached marginal was made."""
+        if which == "q":
+            return which, self.plan.q_grid.intersection(keep), self.q_side.cache, self.q_side.made
+        if which == "joint" and not self.plan.evidence:
+            which = "p"  # no evidence: one measure, one cache
+        return which, self.plan.grid.intersection(keep), self.cache[which], self.made[which]
 
     def marginal(self, which: str, keep: Iterable[int]) -> np.ndarray:
         """The marginal on ``keep`` of the actual measure (``"p"``), the
@@ -635,27 +639,23 @@ class _State:
 
         A new marginal is summed from the smallest one of the same measure
         already taken that covers ``keep``, and otherwise run by its
-        program. The first program a measure runs fixes its total: the
-        joint's must be one to 1e-10, checked with p's under evidence, and
-        evidence must keep some mass.
+        program, which ``made`` records with its intermediates. The first
+        program a measure runs fixes its total: the joint's must be one to
+        1e-10, checked with p's under evidence, and evidence must keep some
+        mass.
         """
         plan = self.plan
-        if which == "q":
-            keep, cache = plan.q_grid.intersection(keep), self.q_side.cache
-        else:
-            if which == "joint" and not plan.evidence:
-                which = "p"  # no evidence: one measure, one cache
-            keep, cache = plan.grid.intersection(keep), self.cache[which]
+        which, keep, cache, made = self._measure(which, keep)
         m = cache.get(keep)
         if m is None:
             covering = [(kept, m) for kept, m in cache.items() if keep <= kept]
             if covering:
                 kept, m = min(covering, key=lambda entry: entry[1].size)
                 m = np.add.reduce(m, axis=tuple(sorted(kept - keep)), keepdims=True)
-            elif which == "q":
-                m = plan.program(which, keep).run(self.q_side.tables)
             else:
-                m = plan.program(which, keep).run(self.networks[which])
+                program = plan.program(which, keep)
+                values = list(self.q_side.tables if which == "q" else self.networks[which])
+                m = program.run(values)
                 total = self.totals.get(which)
                 if total is None:
                     total = self.totals[which] = float(m.sum())
@@ -669,7 +669,8 @@ class _State:
                         raise ValidationError(
                             f"materialized joint sums to {total!r}; factors are inconsistent"
                         )
-                m = m / total
+                made[keep] = (program, values)
+                m = m if which == "q" else m / total
             cache[keep] = m
         return m
 
@@ -678,15 +679,37 @@ class _State:
         order = _order(axes, len(self.plan.shape))
         return self.marginal(which, axes).transpose(order).reshape(shape)
 
-    def onto(self, which: str, scope: frozenset, piece: np.ndarray, axes: tuple) -> np.ndarray:
-        """Measure ``which`` times a piece on ``scope``, summed onto
-        ``axes`` in their order: the measure's marginal on both scopes
-        contracted with the piece."""
-        joined, subscripts, m_shape, piece_shape, shape = _contraction(
-            scope, axes, self.plan.shape
-        )
-        m = self.marginal(which, joined).reshape(m_shape)
-        return np.einsum(subscripts, m, piece.reshape(piece_shape)).reshape(shape)
+    def seed(self, which: str, keep: Iterable[int], cot: np.ndarray) -> None:
+        """Adds ``cot`` to the cotangent of measure ``which``'s marginal on
+        ``keep``, which has been taken."""
+        which, keep, _, _ = self._measure(which, keep)
+        seeded = self.cot[which]
+        seeded[keep] = seeded[keep] + cot if keep in seeded else cot
+
+    def sweep(self, which: str) -> dict[int, np.ndarray]:
+        """Each table of measure ``which`` that a block reads, by position,
+        times the gradient of the seeded sum(cot * marginal), in reverse
+        mode. A marginal is the sum of any cached one that covers it, so a
+        cotangent passes, broadcast, to the smallest cover, smaller
+        marginals first; one that no other covers was run by its program,
+        and goes through that program's backward."""
+        which, _, cache, made = self._measure(which, ())
+        seeded, self.cot[which] = self.cot[which], {}
+        wanted = self.plan.wanted[which]
+        fields: dict[int, np.ndarray] = {}
+        while seeded and wanted:
+            keep = min(seeded, key=len)
+            cot = seeded.pop(keep)
+            covers = [kept for kept in cache if keep < kept]
+            if covers:
+                kept = min(covers, key=lambda kept: cache[kept].size)
+                seeded[kept] = seeded[kept] + cot if kept in seeded else cot
+                continue
+            if cot.shape != cache[keep].shape:
+                cot = np.broadcast_to(cot, cache[keep].shape)
+            for t, f in made[keep][0].backward(made[keep][1], cot, wanted).items():
+                fields[t] = fields[t] + f if t in fields else f
+        return fields if which == "q" else {t: f / self.totals[which] for t, f in fields.items()}
 
     def log_conditional(self, which: str, vars: tuple, given: tuple) -> np.ndarray:
         """ln m(vars | given) of measure ``which``, from its marginals; -inf
@@ -718,16 +741,16 @@ class Engine:
     The realization is applied and every target factor's shape checked at
     construction. The first evaluation resolves structure into one plan;
     every evaluation then takes one softmax per live block and runs only
-    the marginal programs its terms and blocks ask for. A target that does
-    not depend on ``phi`` is contracted once, and its ln Z, marginals and
-    source values are reused.
+    the marginal programs its terms ask for; the gradient sweeps back
+    through them. A target that does not depend on ``phi`` is contracted
+    once, and its ln Z, marginals and source values are reused.
 
     ``value`` keeps its state, with its evaluation and p-field pieces,
     keyed by the exact bytes of the checked float64 ``phi``: a
     ``value_and_gradient`` call at bit-identical ``phi`` right after it
-    only contracts them. Every other call releases the state first, so an
-    engine holds at most one state of scope-sized marginals and pieces. An
-    engine is not meant for concurrent use.
+    sweeps back through them. Every other call releases the state first,
+    so an engine holds at most one state of scope-sized marginals, program
+    intermediates and pieces. An engine is not meant for concurrent use.
     """
 
     def __init__(
@@ -759,7 +782,7 @@ class Engine:
         self._fixed_q_side: _QSide | None = None
         # The last ``value`` call's state, evaluation and p-field pieces,
         # keyed by the bytes of its phi; emptied by the next evaluation.
-        self._kept: tuple[bytes, _State, Evaluation, list | None] | None = None
+        self._kept: tuple[bytes, _State, Evaluation, list] | None = None
 
     # -- construction checks ---------------------------------------------
 
@@ -842,14 +865,13 @@ class Engine:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _evaluate(self, st: _State) -> tuple[Evaluation, list | None]:
+    def _evaluate(self, st: _State) -> tuple[Evaluation, list]:
         """The term pass at ``st``: the evaluation, and the p-field's pieces
-        c_t (V_t - E_p V_t), each on its term's scope, when some live system
-        block consumes them."""
+        c_t (V_t - E_p V_t), each on its term's scope."""
         ones = (1,) * len(self._plan.shape)
         values: dict[str, float] = {}
         divergent = False
-        centred = [] if self._plan.system_blocks else None
+        centred = []
         for term, scope in zip(self.terms, self._plan.scopes):
             # Opposite infinities from stacked log sources cancel into nans
             # off the support; the finite mask below discards them.
@@ -865,80 +887,53 @@ class Engine:
                 ps, v = np.where(ok, ps, 0.0), np.where(ok, v, 0.0)
             val = float(np.vdot(ps, v))
             values[term.name] = val
-            if centred is not None:
-                centred.append((scope, term.coeff * (v - val)))
+            centred.append((scope, term.coeff * (v - val)))
         log_partition = math.log(st.q_side.total)
         parts = [term.coeff * values[term.name] for term in self.terms]
         parts.append(self.lnz_coeff * log_partition)
         return Evaluation(math.fsum(parts), values, log_partition, divergent), centred
 
-    def _target_ratios(self, st: _State) -> list[list]:
-        """The pieces r, grouped, of every target factor's field q~ r."""
-
-        def ratio(axes: tuple[int, ...]) -> np.ndarray:
-            return _ratio(st.marginal("p", axes), st.marginal("q", axes))
-
-        q_grid = self._plan.q_grid
-        pieces = []
-        for c, keep, given in self._plan.towers:
-            pieces += [("q", q_grid.intersection(keep), c * ratio(keep)),
-                       ("q", q_grid.intersection(given), -c * ratio(given))]
-        if self.lnz_coeff != 0.0:
-            lnz = np.full((1,) * len(self._plan.shape), self.lnz_coeff / st.q_side.total)
-            pieces.append(("q", frozenset(), lnz))
-        return _grouped(pieces)
-
-    def _field(self, st: _State, c: float, ratios: list, axes: tuple, shape: tuple) -> np.ndarray:
-        """A target factor's field c p + q~ r onto ``axes``, in ``shape``."""
-        field = c * st.read("p", axes, shape) if c != 0.0 else 0.0
-        for _, scope, r in ratios:
-            field = field + st.onto("q", scope, r, axes).reshape(shape)
-        return field
-
-    def _contract(
-        self, st: _State, centred: list[tuple] | None
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """The score residual, then every block's gradient from the field
-        pieces that reach it, and its natural direction. ``centred`` holds
-        the terms' (scope, piece) pieces of h. Marginals are summed from the
-        smallest cached cover, so the residual's are taken first and the
-        occupancies last, as the rounding depends on that order."""
+    def _contract(self, st: _State, centred: list[tuple]) -> tuple[np.ndarray, np.ndarray, float]:
+        """The score residual, then every block's gradient and its natural
+        direction. ``centred`` holds the terms' (scope, piece) pieces of h,
+        seeded on p; the towers seed the target, whose sweep gives its
+        factors' fields, and a marginal mirror's field seeds the joint.
+        Marginals are summed from the smallest cached cover, so the
+        residual's are taken first and the occupancies last, as the
+        rounding depends on that order."""
         plan = self._plan
         residual = self._score_residual(st)
-        # (measure, scope, piece) for every piece of the system blocks' field
-        pieces = [("p", *piece) for piece in centred or ()]
-        ratios = self._target_ratios(st) if plan.ratio else []
-        own: dict[int, np.ndarray] = {}  # fields for one block only, by position
-        for c, feeds in plan.consumers:
+        fields = [np.zeros(b.shape) for b in plan.blocks]
+        for w, axes in plan.towers if plan.wanted["q"] else ():
+            st.seed("q", axes, w * _ratio(st.marginal("p", axes), st.marginal("q", axes)))
+        from_q = st.sweep("q") if plan.wanted["q"] else {}
+        for i, c, feeds in plan.consumers:
             if isinstance(feeds, int):
                 b = plan.blocks[feeds]
-                f = self._field(st, c, ratios, b.family, b.shape)
-                own[feeds] = own[feeds] + f if feeds in own else f
-            else:
-                keep, given = feeds
-                scope = plan.grid.intersection(keep)
-                keepdims = tuple(n if a in scope else 1 for a, n in enumerate(plan.shape))
-                fa = self._field(st, c, ratios, tuple(sorted(scope)), keepdims)
-                fh = np.add.reduce(fa, axis=tuple(sorted(scope.difference(given))), keepdims=True)
-                pieces.append(("joint", scope, _ratio(fa, st.marginal("joint", keep))
-                               - _ratio(fh, st.marginal("joint", given))))
-        bundles = _grouped(pieces, lambda joined: math.prod(
-            plan.shape[a] for a in joined | plan.families) <= _BUNDLE_SPACE)
+                if c != 0.0:
+                    fields[feeds] += c * st.read("p", b.family, b.shape)
+                if i in from_q:
+                    fields[feeds] += from_q[i].reshape(b.shape)
+                continue
+            keep, given, between = feeds
+            j = st.marginal("joint", keep)
+            f = c * st.marginal("p", keep) + (from_q[i].reshape(j.shape) if i in from_q else 0.0)
+            fh = np.add.reduce(f, axis=between, keepdims=True)
+            st.seed("joint", keep, _ratio(f, j))
+            st.seed("joint", given, -_ratio(fh, st.marginal("joint", given)))
+        for scope, piece in centred:
+            st.seed("p", scope, piece)
+        for which in ("joint", "p") if plan.evidence else ("p",):
+            for t, f in st.sweep(which).items():
+                at = plan.networks[which][t]
+                fields[at] += f.reshape(plan.blocks[at].shape)
         grad = np.zeros(self.space.size)
         direction = np.zeros(self.space.size)
-        for i, (b, sigma) in enumerate(zip(plan.blocks, st.sigmas)):
-            field = own.get(i)
-            for which, scope, piece in bundles if b.side == "p" else ():
-                # A piece that reads no descendant of the block's child, under
-                # a measure with no evidence on one, adds zero in theory.
-                if scope & b.below or (which == "p" and b.conditioned):
-                    part = st.onto(which, scope, piece, b.family)
-                    field = part if field is None else field + part
-            if field is not None:
-                g = (field - sigma * np.add.reduce(field, axis=-1, keepdims=True)).ravel()
-                grad[b.coords] = g
-                occupancy = st.read("p", b.parents, b.shape[:-1])
-                direction[b.coords] = _natural_direction(g, sigma, occupancy)
+        for b, sigma, field in zip(plan.blocks, st.sigmas, fields):
+            g = (field - sigma * np.add.reduce(field, axis=-1, keepdims=True)).ravel()
+            grad[b.coords] = g
+            occupancy = st.read("p", b.parents, b.shape[:-1])
+            direction[b.coords] = _natural_direction(g, sigma, occupancy)
         return grad, direction, residual
 
     def _score_residual(self, st: _State) -> float:
@@ -973,9 +968,10 @@ class Engine:
         """Value plus the exact gradient and natural direction over every
         parameterized factor.
 
-        Right after a ``value`` call at bit-identical ``phi`` this only
-        contracts what that call kept, so the term pass runs once per
-        point and the result is what a fresh state gives."""
+        One reverse sweep per measure, through the programs the term pass
+        ran, gives every block's field. Right after a ``value`` call at
+        bit-identical ``phi`` it starts from what that call kept, and the
+        result is what a fresh state gives."""
         kept, self._kept = self._kept, None
         phi = self._vector(phi)
         if kept is None or phi.shape != (self.space.size,) or phi.tobytes() != kept[0]:

@@ -73,6 +73,7 @@ from .engine import Evaluation, GradientEvaluation
 from .errors import ConfigError, DivergenceError
 from .objectives import Objective
 from .systems import FactorSpec
+from .tables import _float_array
 
 __all__ = [
     "GradientCheck",
@@ -153,7 +154,7 @@ def minimize(
     are called. The gradient at an accepted point is asked for right after
     the value call that accepted it, at the same vector, and an engine
     answers it from that call's state: an accepted step costs one forward
-    pass plus one contraction.
+    pass plus one reverse sweep through its programs.
 
     Termination reasons: ``"gradient-tolerance"`` (converged),
     ``"no-descent"`` (the line search exhausted its halvings), and
@@ -161,9 +162,7 @@ def minimize(
     """
     if max_iters < 1 or grad_tol < 0.0:
         raise ConfigError("minimize needs max_iters >= 1 and grad_tol >= 0")
-    phi = np.array(
-        objective.parameters() if phi0 is None else np.asarray(phi0, dtype=np.float64)
-    )
+    phi = _start(objective, phi0)
     ge = objective.value_and_gradient(phi)
     if ge.evaluation.divergent:
         raise DivergenceError("the objective diverges at the starting point")
@@ -232,14 +231,19 @@ def _positive(what: str, value: float) -> None:
         raise ConfigError(f"{what} must be finite and positive, got {value}")
 
 
+def _start(objective: Objective, phi: np.ndarray | None) -> np.ndarray:
+    """A float64 copy of ``phi``, or of the current parameters when None."""
+    return np.array(
+        objective.parameters() if phi is None else _float_array(phi, "parameter vector")
+    )
+
+
 def finite_difference_gradient(
     objective: Objective, phi: np.ndarray | None = None, h: float = 1.0e-5
 ) -> np.ndarray:
     """Central differences of the total, one coordinate at a time."""
     _positive("finite difference step", h)
-    base = np.array(
-        objective.parameters() if phi is None else np.asarray(phi, dtype=np.float64)
-    )
+    base = _start(objective, phi)
     grad = np.zeros_like(base)
     for i in range(base.size):
         bump = np.zeros_like(base)
@@ -270,9 +274,7 @@ class GradientCheck:
 def check_gradient(
     objective: Objective, phi: np.ndarray | None = None, h: float = 1.0e-5
 ) -> GradientCheck:
-    base = np.array(
-        objective.parameters() if phi is None else np.asarray(phi, dtype=np.float64)
-    )
+    base = _start(objective, phi)
     ge = objective.value_and_gradient(base)
     numeric = finite_difference_gradient(objective, base, h)
     diff = float(np.max(np.abs(ge.grad - numeric))) if base.size else 0.0

@@ -297,8 +297,9 @@ def two_factors_feed_one_block():
 
 def collider_coparent_alone():
     # Observing the collider x couples a and b, so the one term on {b}
-    # moves a's gradient although it reads no descendant of a. A second
-    # term on {a} would be bundled with it and hide a skipped piece.
+    # moves a's gradient although it reads no descendant of a. The term
+    # stands alone, so no piece on {a} can make up for a field that
+    # leaves it out.
     system = ActualSystem(
         [
             Variable("a", 2, Role.ACTION),
@@ -807,6 +808,26 @@ def test_each_marginal_is_summed_from_the_smallest_one_taken(monkeypatch):
     assert sorted(runs) == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
 
 
+@pytest.mark.parametrize("steps", [4, 8, 10])
+def test_a_gradient_after_a_value_runs_no_program(steps, monkeypatch):
+    # The gradient sweeps back through the programs the value ran, so its
+    # cost grows with theirs, not with one marginal per (piece, block).
+    obj = from_preset(preset("chain-mdp", n_states=2, steps=steps))
+    phi = np.random.default_rng(2).standard_normal(obj.parameters().size)
+    obj.value(phi)
+    runs = []
+    run = _Program.run
+
+    def counted(program, tables):
+        runs.append(program)
+        return run(program, tables)
+
+    monkeypatch.setattr(_Program, "run", counted)
+    got = obj.value_and_gradient(phi)
+    assert runs == []
+    assert np.abs(got.grad).max() > 1e-3
+
+
 def chain_network(shape, rng, draw=None):
     """Random positive tables over the axes of ``shape`` of length above
     one: a unary on the first, one on each neighbouring pair, and one on
@@ -843,6 +864,10 @@ def test_each_reduction_matches_the_numpy_sum(shape):
     # tables' products are exact, so the compiled sums are checked against
     # the exactly rounded sum (math.fsum): np.sum over the leading axes of
     # the 2**20 grid is itself off by 6.5e-15.
+    #
+    # The backward of the middle pair's program, from a cotangent r on its
+    # axes, gives each table times its gradient: the marginal of grid * r
+    # on that table's axes.
     rng = np.random.default_rng(len(shape))
     network = chain_network(shape, rng)
     grid = dense_product(shape, network)
@@ -852,13 +877,28 @@ def test_each_reduction_matches_the_numpy_sum(shape):
     got = _compiled(variables, tuple(big), shape).run([t for _, t in network])
     assert got.shape == shape
     assert np.array_equal(got, grid)
+
+    def exact_sum(dense, axes):
+        kept = [dense.shape[a] for a in axes]
+        rows = np.moveaxis(dense, axes, range(len(axes))).reshape(math.prod(kept), -1)
+        return np.asarray([math.fsum(row) for row in rows]).reshape(kept)
+
     for keep in [(), tuple(big[half:half + 2]), tuple(big[-2:]), tuple(big[:2])]:
-        got = _compiled(variables, keep, shape).run([t for _, t in network])
-        kept = [shape[a] if a in keep else 1 for a in range(len(shape))]
-        rows = np.moveaxis(grid, keep, range(len(keep))).reshape(math.prod(kept), -1)
-        want = np.asarray([math.fsum(row) for row in rows]).reshape(kept)
+        program = _compiled(variables, keep, shape)
+        values = [t for _, t in network]
+        got = program.run(values)
+        want = exact_sum(grid, keep).reshape(program.shape)
         assert got.shape == want.shape, keep
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        if keep != tuple(big[half:half + 2]):
+            continue
+        cot = 2.0 ** rng.integers(-3, 4, program.shape)
+        fields = program.backward(values, cot, frozenset(range(len(network))))
+        assert sorted(fields) == list(range(len(network)))
+        for t, (axes, table) in enumerate(network):
+            field = fields[t]
+            assert field.shape == table.shape, axes
+            np.testing.assert_allclose(field, exact_sum(grid * cot, axes), rtol=1e-15, atol=0.0)
 
 
 def observed_slice(joint: np.ndarray, axes: dict[int, int]) -> np.ndarray:
@@ -969,6 +1009,27 @@ def test_each_compiled_marginal_is_the_sum_of_the_dense_product(case):
             program = st.plan.program(which, frozenset(a for a in keep if shape[a] > 1))
             if math.prod(shape) <= _MERGE_SPACE:
                 assert len(program.calls) <= 1  # a small network is one call
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(random_networks(), st.data())
+def test_gradients_on_random_networks_match_differences(case, data):
+    # One term reads ln p - ln q on a random sub-scope, split into vars and
+    # given, against a target that mirrors the last (softmax) conditional
+    # and adds a random table on the same sub-scope: the target's sweep
+    # feeds a block, and under evidence so does p's.
+    system, evidence, _ = case
+    names = system.names
+    scope = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    cut = data.draw(st.integers(1, len(scope)))
+    read, given = tuple(scope[:cut]), tuple(scope[cut:])
+    rng = np.random.default_rng(len(scope))
+    weights = rng.uniform(0.5, 2.0, [system.variable(n).cardinality for n in scope])
+    target = TargetSpec(names, [FactorMirror(names[-1]), TableFactor(tuple(scope), weights)])
+    term = Term("divergence", 1.0, ((1.0, ActualLog(read, given)), (-1.0, TargetLog(read, given))))
+    engine = Engine(system, target, [term], realized=evidence, realization="condition")
+    phi = rng.standard_normal(engine.parameters().size)
+    assert check_gradient(engine, phi).rel_err <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ table machinery with the code under test.
 
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
+from divmin import optim
 from divmin.decomp import observe, realize
 from divmin.engine import Engine
 from divmin.errors import ConfigError, ValidationError
@@ -82,13 +84,20 @@ def test_from_preset_roundtrip_all_presets():
             assert_certificate(obj, base + 0.4 * rng.standard_normal(base.size))
 
 
-@pytest.mark.parametrize("method", ["value", "value_and_gradient", "report"])
+@pytest.mark.parametrize(
+    "method",
+    ["value", "value_and_gradient", "report", "minimize", "finite_difference_gradient",
+     "check_gradient"],
+)
 def test_a_ragged_parameter_vector_is_a_validation_error(method):
+    # The objective's own methods, and the optimizer's functions that take
+    # a starting or checked vector.
     objective = from_preset(preset("free-choice"))
+    call = getattr(objective, method, None) or partial(getattr(optim, method), objective)
     with pytest.raises(
         ValidationError, match="^parameter vector must be a rectangular array of numbers$"
     ):
-        getattr(objective, method)([[0.0], [1.0, 2.0]])
+        call([[0.0], [1.0, 2.0]])
 
 
 def test_unknown_family_and_missing_targets():

@@ -331,7 +331,7 @@ def test_minimize_rejects_divergent_start():
 
 @pytest.mark.parametrize(
     "name, value_calls, grad_calls",
-    [("hmm-filter", 23, 24), ("vae-toy", 11, 7), ("bandit-infogain", 28, 29)],
+    [("hmm-filter", 23, 24), ("vae-toy", 11, 8), ("bandit-infogain", 28, 29)],
 )
 def test_an_accepted_point_builds_its_joint_once(name, value_calls, grad_calls, monkeypatch):
     # Every gradient but the starting one is asked for at the point of the
