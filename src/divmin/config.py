@@ -40,7 +40,7 @@ from .systems import (
     TableFactor,
     TargetSpec,
 )
-from .tables import Role, Variable
+from .tables import Role, Variable, _float_array
 
 __all__ = [
     "RunConfig",
@@ -207,7 +207,7 @@ class RunConfig:
     optimizer: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        phi0 = np.asarray(self.phi0, dtype=np.float64).copy()
+        phi0 = _float_array(self.phi0, "parameter vector").copy()
         phi0.flags.writeable = False
         object.__setattr__(self, "phi0", phi0)
         object.__setattr__(self, "optimizer", MappingProxyType(dict(self.optimizer)))

@@ -100,7 +100,7 @@ from .systems import (
     softmax,
     target_factor_scope,
 )
-from .tables import Assignment, _float_array, _Layout, _safe_log
+from .tables import JOINT_SUM_TOL, Assignment, _float_array, _Layout, _safe_log
 
 # ---------------------------------------------------------------------------
 # Log-sources
@@ -179,6 +179,11 @@ class Evaluation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
+
+
+# The bound a score residual must stay under, in ``gradcheck`` and in
+# ``verify``'s ``score_residual`` check: the residual is zero in theory.
+SCORE_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -641,8 +646,8 @@ class _State:
         already taken that covers ``keep``, and otherwise run by its
         program, which ``made`` records with its intermediates. The first
         program a measure runs fixes its total: the joint's must be one to
-        1e-10, checked with p's under evidence, and evidence must keep some
-        mass.
+        ``JOINT_SUM_TOL``, checked with p's under evidence, and evidence
+        must keep some mass.
         """
         plan = self.plan
         which, keep, cache, made = self._measure(which, keep)
@@ -665,7 +670,7 @@ class _State:
                             raise NullEvidenceError(
                                 f"evidence {dict(plan.evidence)} has zero mass"
                             )
-                    elif abs(total - 1.0) > 1e-10:
+                    elif abs(total - 1.0) > JOINT_SUM_TOL:
                         raise ValidationError(
                             f"materialized joint sums to {total!r}; factors are inconsistent"
                         )

@@ -42,6 +42,7 @@ import numpy as np
 from .errors import CapacityError, ValidationError
 from .tables import (
     CAPACITY_LIMIT,
+    JOINT_SUM_TOL,
     NORMALIZATION_TOL,
     Role,
     Table,
@@ -291,7 +292,7 @@ def _grow(
 
 def build_joint(system: ActualSystem) -> Table:
     """Multiply all factors into the exact joint table over the full scope,
-    in the system's order; their sum must be one to 1e-10."""
+    in the system's order; their sum must be one to ``JOINT_SUM_TOL``."""
     scope = system.variables
     shape = tuple(v.cardinality for v in scope)
     probs = np.ones((1,) * len(shape))
@@ -299,7 +300,7 @@ def build_joint(system: ActualSystem) -> Table:
         cond = _Layout(f.parents + (name,), scope).place(system.factor_conditional(name))
         probs = _grow(probs, cond, shape, np.multiply)
     total = float(probs.sum())
-    if abs(total - 1.0) > 1e-10:
+    if abs(total - 1.0) > JOINT_SUM_TOL:
         raise ValidationError(f"materialized joint sums to {total!r}; factors are inconsistent")
     probs /= total
     return Table(scope, probs, copy=False)

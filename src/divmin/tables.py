@@ -31,6 +31,10 @@ CAPACITY_LIMIT = 2**22
 
 NORMALIZATION_TOL = 1e-12
 
+# How far from one the product of a system's conditionals may sum: a
+# wider bound than ``NORMALIZATION_TOL``, for the rounding of the product.
+JOINT_SUM_TOL = 1e-10
+
 
 class Role(str, enum.Enum):
     """What a variable means to the agent; drives decompositions and realizability."""
@@ -375,7 +379,7 @@ def variational_mi_lower_bound(
         raise ValidationError("both variable groups must be non-empty")
     if set(x_vars) & set(z_vars):
         raise ValidationError("variable groups must be disjoint")
-    dec = np.asarray(decoder, dtype=np.float64)
+    dec = _float_array(decoder, "decoder")
     z_shape = tuple(p.variable(n).cardinality for n in z_vars)
     x_shape = tuple(p.variable(n).cardinality for n in x_vars)
     if dec.shape != z_shape + x_shape:

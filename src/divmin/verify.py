@@ -33,6 +33,7 @@ from .decomp import (
     expected_free_energy,
     past_future_split,
 )
+from .engine import SCORE_RESIDUAL_TOL
 from .errors import ConfigError
 from .objectives import FAMILY_TAGS, Objective, from_preset, make_objective
 from .presets import preset
@@ -362,7 +363,7 @@ def _checks() -> tuple[tuple[Check, ...], GenericPairs]:
         entries.append((f"certificate_{family}", tag, _IDENTITY_TOL, _certificate_check(family)))
     entries.extend(
         [
-            ("score_residual", "score", 1e-10, _score_residual),
+            ("score_residual", "score", SCORE_RESIDUAL_TOL, _score_residual),
             ("maxent_uniform_reduction", "maxentrl", 1e-12, _maxent_reduction),
             ("reward_noise_invariance", "control", 1e-12, _reward_noise_invariance),
             ("probability_core", "core", _IDENTITY_TOL, functools.partial(_probability_core, generic)),

@@ -518,6 +518,28 @@ def test_target_factor_log_values_and_gradient():
         Engine(system, target, [Term("t", 1.0, ((1.0, TargetFactorLog(7)),))])
 
 
+def test_gradient_with_weights_and_coefficients_other_than_one():
+    # The presets weigh every part and term by +-1, where a weight that
+    # divides a term's coefficient instead of multiplying it goes unseen.
+    vae = preset("vae-toy")
+    terms = [
+        Term(
+            "w",
+            2.0,
+            (
+                (0.5, TargetFactorLog(1)),
+                (-3.0, TargetLog(("z",))),
+                (1.0, ActualLog(("z",), ("x",))),
+            ),
+        ),
+        Term("v", -0.5, ((2.0, TargetLog(("x",), ("z",))),)),
+    ]
+    engine = Engine(vae.system, vae.target, terms)
+    draw = np.random.default_rng(4).normal(size=engine.parameters().shape)
+    for phi in (None, draw):
+        assert check_gradient(engine, phi).rel_err <= 1e-8
+
+
 def test_divergent_flag_from_zero_target():
     system, _ = make_xyz()
     target = TargetSpec(("x", "z", "y"), [TableFactor(("z",), np.asarray([1.0, 0.0]))])

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from divmin import optim
+from divmin.config import RunConfig
 from divmin.decomp import observe, realize
 from divmin.engine import Engine
 from divmin.errors import ConfigError, ValidationError
@@ -85,15 +86,16 @@ def test_from_preset_roundtrip_all_presets():
 
 
 @pytest.mark.parametrize(
-    "method",
-    ["value", "value_and_gradient", "report", "minimize", "finite_difference_gradient",
-     "check_gradient"],
+    "method", ["value", "value_and_gradient", "report", "minimize", "check_gradient", "RunConfig"]
 )
 def test_a_ragged_parameter_vector_is_a_validation_error(method):
-    # The objective's own methods, and the optimizer's functions that take
-    # a starting or checked vector.
+    # The objective's own methods, the optimizer's functions that take a
+    # starting or checked vector, and a run configuration's starting point.
     objective = from_preset(preset("free-choice"))
-    call = getattr(objective, method, None) or partial(getattr(optim, method), objective)
+    if method == "RunConfig":
+        call = partial(RunConfig, "ragged", 0, objective)
+    else:
+        call = getattr(objective, method, None) or partial(getattr(optim, method), objective)
     with pytest.raises(
         ValidationError, match="^parameter vector must be a rectangular array of numbers$"
     ):

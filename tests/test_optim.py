@@ -13,7 +13,6 @@ from divmin.objectives import from_preset, make_objective
 from divmin.optim import (
     GradientCheck,
     check_gradient,
-    finite_difference_gradient,
     map_scan,
     minimize,
 )
@@ -81,22 +80,17 @@ def test_gradient_check_passes(name):
 def test_gradient_check_default_gate_is_1e_8_relative():
     # Central differences at h = 1e-5 agree with the engine gradient to
     # below 1e-10 relative on every preset, so 1e-7 is a real disagreement.
-    def check(rel_err):
+    # The gate takes no arguments: a relative error below 1e-8 and a score
+    # residual below 1e-10 pass, and each bound itself fails.
+    def check(rel_err, residual):
         zero = np.zeros(1)
-        return GradientCheck(zero, zero, rel_err, rel_err, 0.0, 1.0e-5)
+        return GradientCheck(zero, zero, rel_err, rel_err, residual)
 
-    assert check(1.0e-9).passed()
-    assert not check(1.0e-7).passed()
-
-
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-def test_gradient_check_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
-    zero = np.zeros(1)
-    chk = GradientCheck(zero, zero, 0.0, 0.0, 0.0, 1.0e-5)
-    with pytest.raises(ConfigError, match="relative error tolerance"):
-        chk.passed(rel_tol=tol)
-    with pytest.raises(ConfigError, match="score residual tolerance"):
-        chk.passed(residual_tol=tol)
+    assert check(1.0e-9, 0.0).passed()
+    assert not check(1.0e-7, 0.0).passed()
+    assert not check(1.0e-8, 0.0).passed()
+    assert check(0.0, 0.9e-10).passed()
+    assert not check(0.0, 1.0e-10).passed()
 
 
 def test_descent_runs_past_the_resolution_of_the_total():
@@ -291,11 +285,9 @@ def test_minimize_falls_back_to_the_gradient():
 
 def test_argument_validation():
     obj = from_preset(preset("free-choice"))
-    for h in (0.0, -1.0e-5, math.nan, math.inf, -math.inf):
-        with pytest.raises(ConfigError, match="finite difference step"):
-            finite_difference_gradient(obj, h=h)
-    with pytest.raises(ConfigError):
-        minimize(obj, max_iters=0)
+    for max_iters, grad_tol in ((0, 1.0e-7), (5000, -1.0), (5000, math.nan)):
+        with pytest.raises(ConfigError, match="max_iters >= 1 and grad_tol >= 0"):
+            minimize(obj, max_iters=max_iters, grad_tol=grad_tol)
     with pytest.raises(ConfigError):
         map_scan(obj)
 

@@ -64,11 +64,20 @@ def test_a_role_given_by_its_value_is_stored_as_a_role():
     assert Variable("x", 2, "latent-state").role is Role.LATENT_STATE
 
 
-@pytest.mark.parametrize("cls", [Table, UnnormalizedTable])
-def test_a_ragged_array_is_rejected(cls):
-    scope = [Variable("a", 2, Role.PAST_INPUT)]
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ragged: Table([Variable("a", 2, Role.PAST_INPUT)], ragged),
+        lambda ragged: UnnormalizedTable([Variable("a", 2, Role.PAST_INPUT)], ragged),
+        lambda ragged: variational_mi_lower_bound(
+            binary_pair(np.full((2, 2), 0.25)), ragged, ["a"], ["b"]
+        ),
+    ],
+    ids=["Table", "UnnormalizedTable", "variational_mi_lower_bound"],
+)
+def test_a_ragged_array_is_rejected(call):
     with pytest.raises(ValidationError, match="must be a rectangular array of numbers$"):
-        cls(scope, [[0.5], [0.5, 0.0]])
+        call([[0.5], [0.5, 0.0]])
 
 
 def test_table_requires_normalization():
