@@ -169,10 +169,20 @@ def test_gradcheck_without_parameters_passes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--step", "1e-5"), ("--rel-tol", "1e-8"), ("--residual-tol", "1e-10")]
+    "flag, value",
+    [
+        ("--step", "nan"),
+        ("--step", "inf"),
+        ("--step", "1e-5"),
+        ("--rel-tol", "nan"),
+        ("--rel-tol", "1e-8"),
+        ("--residual-tol", "-1"),
+        ("--residual-tol", "1e-10"),
+    ],
 )
 def test_gradcheck_takes_no_step_or_tolerance_flag(capsys, flag, value):
-    # The gate is fixed: even a flag that repeats its own value is a usage error.
+    # The gate is fixed: a flag is a usage error whether its value is bad or
+    # repeats the fixed one.
     with pytest.raises(SystemExit) as exit_info:
         main(["gradcheck", "free-choice", flag, value])
     assert exit_info.value.code == 2
