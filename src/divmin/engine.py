@@ -26,8 +26,14 @@ on their own scopes. Every quantity the engine reads is a marginal of one
 of them, run by a variable-elimination program compiled once per (measure,
 axes) (Dechter 1999; Koller & Friedman 2009, ch. 9), or summed from the
 smallest marginal of the same measure already taken that covers it; ln Z is
-the log of the target's total. The engine so shares no materialization step
-with the reports it is certified against, which multiply the dense grid.
+the log of the target's total. A program over j or p leaves out every
+barren conditional, one whose child is not kept, not observed and read by
+no table left, until none is (Shachter 1986): it sums to one over its
+child, so a marginal reads only the conditionals of the ancestors of its
+axes and, in p, of the evidence. The target's factors are not
+conditionals, and a program over q~ reads them all. The engine so shares
+no materialization step with the reports it is certified against, which
+multiply the dense grid.
 
 A term whose sources span the scope S is evaluated as sum_S p_S V, and it
 is divergent when p_S > 0 where V is not finite: p_S(s) > 0 exactly when
@@ -238,6 +244,14 @@ class _Program:
     so a small network is one call. Every intermediate lies on a subset of
     the network's variables, so none outgrows the network's outcome space.
 
+    ``children`` gives each table's child axis when it is a conditional,
+    None otherwise. A conditional whose child is not in ``out`` and that no
+    other table left reads is barren and not read, until none is; a
+    program left with no table has no call, and its marginal is 1. The
+    whole joint's sum, which such a program no longer reads, is checked by
+    the first state of each plan; under evidence, the first program p runs
+    checks p's total for mass on every evaluation.
+
     ``calls`` lists each einsum call's subscripts, the slots of its inputs
     (the tables first, then each call's result in turn) and one reverse
     step per input: the input's slot, and an einsum from the result's
@@ -249,7 +263,8 @@ class _Program:
 
     __slots__ = ("calls", "result", "shape", "tables", "tapes")
 
-    def __init__(self, operands: tuple[tuple[int, ...], ...], out: tuple, card: tuple) -> None:
+    def __init__(self, operands: tuple[tuple[int, ...], ...], out: tuple, card: tuple,
+                 children: tuple[int | None, ...] | None = None) -> None:
         self.shape = tuple(n if a in out else 1 for a, n in enumerate(card))
         self.tables, self.tapes = len(operands), {}
 
@@ -257,6 +272,13 @@ class _Program:
             return math.prod(card[v] for v in names)
 
         held = dict(enumerate(operands))  # live slot -> its variables
+        while barren := [t for t in held if children and (child := children[t]) is not None
+                         and child not in out and all(child not in held[u] for u in held if u != t)]:
+            for t in barren:
+                del held[t]
+        if not held:  # nothing left to read: the marginal is 1
+            self.calls, self.result = [], None
+            return
         steps = []
         todo = set().union(*held.values()) - set(out)
         while todo:
@@ -334,6 +356,8 @@ class _Program:
         extended by each call's result, which ``backward`` reads."""
         for subscripts, inputs, _ in self.calls:
             values.append(np.einsum(subscripts, *[values[i] for i in inputs]))
+        if self.result is None:
+            return np.ones(self.shape)
         return values[self.result].reshape(self.shape)
 
     def backward(self, values: list[np.ndarray], cot: np.ndarray,
@@ -342,9 +366,10 @@ class _Program:
         by T, for the run that filled ``values``: all tables times ``cot``,
         summed onto T's variables. Only the calls that lead back to a
         wanted table are differentiated."""
+        if self.result is None or self.result < self.tables:  # no table, or one read as it is
+            return {self.result: values[self.result] * cot.reshape(values[self.result].shape)
+                    } if self.result in wanted else {}
         cot = cot.reshape(values[self.result].shape)
-        if self.result < self.tables:  # the result is a table, read as it is
-            return {self.result: values[self.result] * cot} if self.result in wanted else {}
         tape = self.tapes.get(wanted)
         if tape is None:
             need, tape = set(wanted), []
@@ -353,7 +378,7 @@ class _Program:
                     need.add(self.tables + k)
                     tape.insert(0, (self.tables + k, steps))
             tape = self.tapes[wanted] = tuple(tape)
-        cots = {self.result: cot}
+        cots = {self.result: cot} if tape else {}  # an empty tape: no wanted table is read
         for slot, steps in tape:
             g = cots.pop(slot)
             for i, subscripts, read, shape in steps:
@@ -452,8 +477,11 @@ class _Plan:
     those and one indicator per evidence variable, ``"q"`` each target
     factor's weights and a ones vector per target variable no factor
     reads. A table is fixed and laid out once, or the position of the live
-    block whose softmax it is, or a marginal mirror. ``logs`` holds each
-    target factor's log on the joint's axes, or what it reads.
+    block whose softmax it is, or a marginal mirror. ``children`` holds,
+    for ``"joint"`` and ``"p"``, each table's child axis, None for an
+    indicator, and ``checked`` whether a state has checked the whole
+    joint's sum. ``logs`` holds each target factor's log on the joint's
+    axes, or what it reads.
 
     The gradient's structure: ``scopes`` holds each term's axes,
     ``towers`` the coefficient and axes of each ratio p / q~ that the
@@ -495,6 +523,9 @@ class _Plan:
             ((self.axis[n],), (np.arange(shape[self.axis[n]]) == v) * 1.0)
             for n, v in evidence.items() if self.axis[n] in self.grid
         ]
+        children = tuple(self.axis[n] for n in system.factors)
+        self.children = {"joint": children, "p": children + (None,) * (len(joint_ind) - len(joint))}
+        self.checked = False  # whether a state has checked the joint's sum
         # Payoffs carry no gradient, and an ActualLog adds none in
         # expectation: E_p[ E_p[s | G, H] - E_p[s | H] ] = 0.
         c_factor: dict[int, float] = {}
@@ -575,8 +606,11 @@ class _Plan:
         return table.reshape(tuple(n for n in table.shape if n > 1))
 
     def program(self, which: str, keep: frozenset[int]) -> _Program:
-        """The marginal of measure ``which`` on the axes ``keep``."""
-        return _compiled(self.variables[which], tuple(sorted(keep)), self.shape)
+        """The marginal of measure ``which`` on the axes ``keep``, over its
+        tables that are not barren; the target's factors are not
+        conditionals, and all are read."""
+        return _compiled(self.variables[which], tuple(sorted(keep)), self.shape,
+                         self.children.get(which))
 
     @property
     def fixed_target(self) -> bool:
@@ -599,6 +633,14 @@ class _State:
             )
             for which in ("joint", "p")
         }
+        if not plan.checked:  # the whole joint, which no pruned program reads
+            joint = _compiled(plan.variables["joint"], (), plan.shape)
+            total = joint.run(list(self.networks["joint"])).item()
+            if abs(total - 1.0) > JOINT_SUM_TOL:
+                raise ValidationError(
+                    f"materialized joint sums to {total!r}; factors are inconsistent"
+                )
+            plan.checked = True  # its fixed tables hold, and softmax rows sum to one
         self.totals = {"q": 1.0}  # the target's weights are not divided
         self.cache: dict[str, dict] = {"joint": {}, "p": {}}
         self.made: dict[str, dict] = {"joint": {}, "p": {}}
@@ -645,9 +687,10 @@ class _State:
         A new marginal is summed from the smallest one of the same measure
         already taken that covers ``keep``, and otherwise run by its
         program, which ``made`` records with its intermediates. The first
-        program a measure runs fixes its total: the joint's must be one to
-        ``JOINT_SUM_TOL``, checked with p's under evidence, and evidence
-        must keep some mass.
+        program a measure runs fixes the total its marginals are divided
+        by, and under evidence p's total is checked for mass on every
+        evaluation. A program reads no barren table, so the joint's sum is
+        checked apart, once per plan, by its first state.
         """
         plan = self.plan
         which, keep, cache, made = self._measure(which, keep)
@@ -664,16 +707,8 @@ class _State:
                 total = self.totals.get(which)
                 if total is None:
                     total = self.totals[which] = float(m.sum())
-                    if which == "p" and plan.evidence:
-                        self.marginal("joint", ())  # the joint's sum is checked too
-                        if total <= 0.0:
-                            raise NullEvidenceError(
-                                f"evidence {dict(plan.evidence)} has zero mass"
-                            )
-                    elif abs(total - 1.0) > JOINT_SUM_TOL:
-                        raise ValidationError(
-                            f"materialized joint sums to {total!r}; factors are inconsistent"
-                        )
+                    if which == "p" and plan.evidence and total <= 0.0:
+                        raise NullEvidenceError(f"evidence {dict(plan.evidence)} has zero mass")
                 made[keep] = (program, values)
                 m = m if which == "q" else m / total
             cache[keep] = m
@@ -744,11 +779,12 @@ class Engine:
     multiply the dense outcome grid, and the engine contracts factor tables.
 
     The realization is applied and every target factor's shape checked at
-    construction. The first evaluation resolves structure into one plan;
-    every evaluation then takes one softmax per live block and runs only
-    the marginal programs its terms ask for; the gradient sweeps back
-    through them. A target that does not depend on ``phi`` is contracted
-    once, and its ln Z, marginals and source values are reused.
+    construction. The first evaluation resolves structure into one plan
+    and checks that the whole joint sums to one; every evaluation then
+    takes one softmax per live block and runs only the marginal programs
+    its terms ask for, each over the ancestors of its axes; the gradient
+    sweeps back through them. A target that does not depend on ``phi`` is
+    contracted once, and its ln Z, marginals and source values are reused.
 
     ``value`` keeps its state, with its evaluation and p-field pieces,
     keyed by the exact bytes of the checked float64 ``phi``: a

@@ -161,8 +161,9 @@ def minimize(
     ``"no-descent"`` (the line search exhausted its halvings), and
     ``"max-iterations"``.
     """
-    if not (max_iters >= 1 and grad_tol >= 0.0):
-        raise ConfigError("minimize needs max_iters >= 1 and grad_tol >= 0")
+    if not (max_iters >= 1 and float(max_iters).is_integer() and grad_tol >= 0.0):
+        raise ConfigError("minimize needs a whole number max_iters >= 1 and grad_tol >= 0")
+    max_iters = int(max_iters)  # a whole float, as a config's "integer" admits
     phi = _start(objective, phi0)
     ge = objective.value_and_gradient(phi)
     if ge.evaluation.divergent:
@@ -177,7 +178,7 @@ def minimize(
 
     records: list[IterationRecord] = []
     reason = "max-iterations"
-    for it in range(int(max_iters)):
+    for it in range(max_iters):
         g = ge.grad
         gnorm = float(np.max(np.abs(g))) if g.size else 0.0
         if gnorm <= grad_tol:
@@ -216,7 +217,7 @@ def minimize(
         records.append(record(it, trial, calls))
         ge = at_cand if at_cand is not None else objective.value_and_gradient(phi)
     else:
-        records.append(record(int(max_iters), 0.0, 0))
+        records.append(record(max_iters, 0.0, 0))
     return OptimTrace(
         phi=phi,
         gradient=ge,

@@ -32,6 +32,7 @@ from divmin.objectives import from_preset, make_objective
 from divmin.optim import check_gradient
 from divmin.presets import names as preset_names
 from divmin.presets import preset
+from divmin.randsys import generic_pair
 from divmin.systems import (
     ActualSystem,
     ConditionalFactor,
@@ -434,19 +435,26 @@ def test_payoff_term_value_and_shape_check():
         ([0.3, 0.8], None, ValidationError, "materialized joint sums to"),
         ([0.3, 0.8], {"y": 1}, ValidationError, "materialized joint sums to"),
         ([1.0, 0.0], {"y": 1}, NullEvidenceError, "zero mass"),
+        pytest.param(None, None, ValidationError, "materialized joint sums to", id="bad-leaf"),
     ],
 )
 def test_every_evaluation_checks_the_joint_and_the_evidence(x_table, realized, error, match):
     # A factor swapped in after the system's own checks: the joint no
     # longer sums to one, or the evidence has no mass. A value call alone
-    # must notice, with evidence or without.
+    # must notice, with evidence or without, and also when the bad factor
+    # is a leaf that no term and no target factor reads (x_table None),
+    # which every program then leaves out as barren.
     system = ActualSystem(
         [Variable("x", 2, Role.LATENT_STATE), Variable("y", 2, Role.PAST_INPUT)],
         [FactorSpec.parameterized("x", (), [0.2, -0.1]),
          FactorSpec.fixed("y", ("x",), [[1.0, 0.0], [0.4, 0.6]])],
     )
-    target = TargetSpec(("x", "y"), [TableFactor(("x", "y"), np.full((2, 2), 0.5))])
-    system.factors["x"] = FactorSpec.fixed("x", (), x_table)
+    if x_table is None:
+        system.factors["y"] = FactorSpec.fixed("y", ("x",), [[0.3, 0.8], [0.4, 0.6]])
+        target = TargetSpec(("x",), [TableFactor(("x",), np.full(2, 0.5))])
+    else:
+        system.factors["x"] = FactorSpec.fixed("x", (), x_table)
+        target = TargetSpec(("x", "y"), [TableFactor(("x", "y"), np.full((2, 2), 0.5))])
     eng = Engine(system, target, kl_terms(target), lnz_coeff=1.0, realized=realized)
     with pytest.raises(error, match=match):
         eng.value()
@@ -1052,6 +1060,92 @@ def test_gradients_on_random_networks_match_differences(case, data):
     engine = Engine(system, target, [term], realized=evidence, realization="condition")
     phi = rng.standard_normal(engine.parameters().size)
     assert check_gradient(engine, phi).rel_err <= 1e-8
+
+
+def tables_read(program: _Program) -> set[int]:
+    """The positions of the tables ``program`` reads."""
+    slots = {i for _, inputs, _ in program.calls for i in inputs} | {program.result}
+    return {i for i in slots if i is not None and i < program.tables}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(random_networks())
+def test_a_program_reads_the_ancestors_of_its_axes_and_the_evidence(case):
+    # Every other conditional is barren: its child is neither kept nor
+    # observed, and none of the tables read reads it. Variables of one
+    # state are constant, so no table reads them, and evidence on them adds
+    # no indicator. Tables are the conditionals in variable order, then the
+    # indicators of the observed variables of more than one state.
+    system, evidence, keeps = case
+    eng = Engine(system, TargetSpec(system.names, []), [], realized=evidence,
+                 realization="condition")
+    st = eng._state(eng.parameters())
+    cards = [system.variable(n).cardinality for n in system.names]
+    parents = [[int(p[1:]) for p in system.factors[n].parents] for n in system.names]
+    observed = [int(n[1:]) for n in evidence if cards[int(n[1:])] > 1]
+
+    def ancestors(start: set[int]) -> set[int]:
+        found, todo = set(), [v for v in start if cards[v] > 1]
+        while todo:
+            v = todo.pop()
+            if v not in found:
+                found.add(v)
+                todo += [u for u in parents[v] if cards[u] > 1]
+        return found
+
+    indicators = set(range(len(cards), len(cards) + len(observed)))
+    for keep in keeps + [()]:
+        axes = frozenset(a for a in keep if cards[a] > 1)
+        p, joint = st.plan.program("p", axes), st.plan.program("joint", axes)
+        assert tables_read(p) == ancestors(set(keep) | set(observed)) | indicators
+        assert tables_read(joint) == ancestors(set(keep))
+        if not axes and not observed:
+            assert p.calls == []  # nothing is read: the marginal is 1
+            assert p.run(list(st.networks["p"])).item() == 1.0
+
+
+def test_a_chain_value_reads_only_each_steps_ancestors(monkeypatch):
+    # Each step's marginal (x_t, a_t) of chain-mdp (2, 10) leaves out the
+    # conditionals of the later steps: the value's programs make 26 einsum
+    # calls, where programs over the whole chain make 55.
+    obj = from_preset(preset("chain-mdp", n_states=2, steps=10))
+    rng = np.random.default_rng(3)
+    obj.value(rng.standard_normal(obj.parameters().size))  # builds the plan and the target
+    calls = []
+    run = _Program.run
+
+    def counted(program, tables):
+        calls.append(len(program.calls))
+        return run(program, tables)
+
+    monkeypatch.setattr(_Program, "run", counted)
+    obj.value(rng.standard_normal(obj.parameters().size))
+    assert len(calls) == 10
+    assert sum(calls) <= 26
+
+
+def test_an_unread_fixed_leaf_changes_no_bit():
+    # A leaf that no term and no target factor reads is barren in every
+    # program, so the engine reads the same tables in the same order with
+    # it as without it.
+    rng = np.random.default_rng(0)
+    for seed in range(30):
+        system, target = generic_pair(seed)
+        rows = rng.dirichlet(np.ones(3), size=(2, 2))
+        leafy = ActualSystem(
+            [*system.variables, Variable("w", 3, Role.FUTURE_INPUT)],
+            [*system.factors.values(), FactorSpec.fixed("w", ("z1", "x2"), rows)],
+        )
+        pair = (ActualLog(("z1", "z2"), ("x1",)), TargetLog(("z1", "z2"), ("x1",)))
+        terms = [Term("gap", 1.0, ((1.0, pair[0]), (-1.0, pair[1]))),
+                 Term("factor", 0.5, ((1.0, TargetFactorLog(0)),))]
+        got, want = (Engine(s, target, terms, lnz_coeff=1.0).value_and_gradient()
+                     for s in (leafy, system))
+        assert got.evaluation.total == want.evaluation.total, seed
+        assert got.evaluation.terms == want.evaluation.terms, seed
+        assert np.array_equal(got.grad, want.grad), seed
+        assert np.array_equal(got.direction, want.direction), seed
+        assert got.score_residual == want.score_residual, seed
 
 
 # ---------------------------------------------------------------------------

@@ -285,9 +285,13 @@ def test_minimize_falls_back_to_the_gradient():
 
 def test_argument_validation():
     obj = from_preset(preset("free-choice"))
-    for max_iters, grad_tol in ((0, 1.0e-7), (5000, -1.0), (5000, math.nan)):
+    for max_iters, grad_tol in ((0, 1.0e-7), (5000, -1.0), (5000, math.nan), (math.inf, 1.0e-7),
+                                (2.5, 1.0e-7)):
         with pytest.raises(ConfigError, match="max_iters >= 1 and grad_tol >= 0"):
             minimize(obj, max_iters=max_iters, grad_tol=grad_tol)
+    # A whole float, which a config's "integer" admits, runs that many.
+    trace = minimize(from_preset(preset("hmm-filter")), max_iters=3.0, grad_tol=0.0)
+    assert (trace.reason, len(trace.records)) == ("max-iterations", 4)
     with pytest.raises(ConfigError):
         map_scan(obj)
 
