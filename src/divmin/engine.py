@@ -26,11 +26,15 @@ on their own scopes. Every quantity the engine reads is a marginal of one
 of them, run by a variable-elimination program compiled once per (measure,
 axes) (Dechter 1999; Koller & Friedman 2009, ch. 9), or summed from the
 smallest marginal of the same measure already taken that covers it; ln Z is
-the log of the target's total. A program over j or p leaves out every
-barren conditional, one whose child is not kept, not observed and read by
-no table left, until none is (Shachter 1986): it sums to one over its
-child, so a marginal reads only the conditionals of the ancestors of its
-axes and, in p, of the evidence. The target's factors are not
+the log of the target's total. The programs of one measure are interned
+into one network of einsum calls, a node per set of tables multiplied and
+axes kept, so the marginals of one state run each message they share once
+(Koller & Friedman 2009, ch. 10): a chain's step marginals share their
+prefixes, and cost linear in its length. A program over j or p leaves out
+every barren conditional, one whose child is not kept, not observed and
+read by no table left, until none is (Shachter 1986): it sums to one over
+its child, so a marginal reads only the conditionals of the ancestors of
+its axes and, in p, of the evidence. The target's factors are not
 conditionals, and a program over q~ reads them all. The engine so shares
 no materialization step with the reports it is certified against, which
 multiply the dense grid.
@@ -58,9 +62,10 @@ Every field comes from one reverse sweep per measure (Griewank & Walther
 2008). The sum of a measure's product of tables times r_G is the sum of its
 marginal on G times r_G, and a table T_b times that sum's derivative by T_b
 is the measure times r_G summed onto T_b's axes (Darwiche 2003). So each
-piece is seeded as a cotangent on a marginal the value took, and the sweep
-passes it up to a cached marginal that covers it, or back through the
-program that ran it, to every table at once.
+piece is seeded as a cotangent on a marginal the value took, and passed up
+to a cached marginal that covers it or onto the node that holds it; one
+sweep per measure then takes every node's cotangent back, in descending
+slot order, to every table at once.
 
 The score of softmax logit (parents', c') is 1[parents = parents'] (1[child
 = c'] - sigma_c'), so a field contracts against a block as its marginal on
@@ -77,7 +82,7 @@ direction, so g . d = sum g^2 / (occupancy sigma) >= 0.
 A line search asks for the gradient at the point it accepts right after
 the value there, so a value call keeps its state, evaluation and p-field
 pieces for a gradient call at the bit-identical parameter vector, which
-then sweeps back through the kept programs; any other call releases them
+then sweeps back through the kept nodes; any other call releases them
 first.
 """
 
@@ -232,10 +237,9 @@ _LABELS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"  # einsum's 52
 
 
 class _Program:
-    """One marginal of a product of tables, compiled once.
+    """One marginal of a network's product of tables, on the sorted axes
+    ``out``, compiled once and interned into the network.
 
-    ``operands`` holds each table's variables in its own axis order, and
-    ``out`` the variables of the result in the order it is written.
     Variables are eliminated greedily: each step takes the variable whose
     tables span the fewest outcomes, multiplies those tables and sums out
     every variable no other table and no output holds. Each step is one
@@ -244,29 +248,21 @@ class _Program:
     so a small network is one call. Every intermediate lies on a subset of
     the network's variables, so none outgrows the network's outcome space.
 
-    ``children`` gives each table's child axis when it is a conditional,
-    None otherwise. A conditional whose child is not in ``out`` and that no
-    other table left reads is barren and not read, until none is; a
-    program left with no table has no call, and its marginal is 1. The
-    whole joint's sum, which such a program no longer reads, is checked by
-    the first state of each plan; under evidence, the first program p runs
-    checks p's total for mass on every evaluation.
-
-    ``calls`` lists each einsum call's subscripts, the slots of its inputs
-    (the tables first, then each call's result in turn) and one reverse
-    step per input: the input's slot, and an einsum from the result's
-    cotangent and the slots it reads to the input's cotangent, read in the
-    shape given, or for a table to the table times it. ``shape`` is the
-    shape the result is read in, and ``tapes`` caches, per set of tables,
-    the reverse steps that lead back to them.
+    A conditional whose child is not in ``out`` and that no other table
+    left reads is barren and not read, until none is. Each call is
+    interned as the network's node for the tables it multiplies and the
+    axes it keeps, which an earlier program may have made. ``slots``
+    lists, in order, every node the
+    marginal needs, ``result`` the slot of the marginal, None when no
+    table is left and the marginal is 1, and ``shape`` the shape the
+    result is read in.
     """
 
-    __slots__ = ("calls", "result", "shape", "tables", "tapes")
+    __slots__ = ("result", "shape", "slots")
 
-    def __init__(self, operands: tuple[tuple[int, ...], ...], out: tuple, card: tuple,
-                 children: tuple[int | None, ...] | None = None) -> None:
+    def __init__(self, network: _Network, out: tuple[int, ...]) -> None:
+        operands, card, children = network.operands, network.card, network.children
         self.shape = tuple(n if a in out else 1 for a, n in enumerate(card))
-        self.tables, self.tapes = len(operands), {}
 
         def span(names: Iterable[int]) -> int:
             return math.prod(card[v] for v in names)
@@ -277,7 +273,7 @@ class _Program:
             for t in barren:
                 del held[t]
         if not held:  # nothing left to read: the marginal is 1
-            self.calls, self.result = [], None
+            self.slots, self.result = (), None
             return
         steps = []
         todo = set().union(*held.values()) - set(out)
@@ -309,30 +305,10 @@ class _Program:
                     inputs.append(i)
             calls[slot] = (inputs, joined, result)
             names[slot] = result
-        slots, self.calls = {i: i for i in range(len(operands))}, []
-
-        def emit(inputs: list[int], result: tuple[int, ...]) -> int:
-            label = dict(zip(sorted(set().union(*(names[i] for i in inputs))), _LABELS))
-            subs = ["".join(label[v] for v in names[i]) for i in inputs]
-            written = "".join(label[v] for v in result)
-            # An input's cotangent is the result's times the other inputs,
-            # summed onto the input's variables, and constant on one that
-            # only the input holds; a table's step multiplies by the table.
-            steps = []
-            for j, i in enumerate(inputs):
-                ops = [o for o in range(len(inputs)) if o != j or slots[i] < len(operands)]
-                held = set(written).union(*(subs[o] for o in ops))
-                ins = ",".join([written, *(subs[o] for o in ops)])
-                steps.append((slots[i], ins + "->" + "".join(c for c in subs[j] if c in held),
-                              tuple(slots[inputs[o]] for o in ops), None if j in ops else
-                              tuple(card[v] if label[v] in held else 1 for v in names[i])))
-            inputs_at = tuple(slots[i] for i in inputs)
-            self.calls.append((",".join(subs) + "->" + written, inputs_at, tuple(steps)))
-            return len(operands) + len(self.calls) - 1
-
+        placed = {i: i for i in range(len(operands))}  # this program's slots -> the network's
         for slot, (inputs, joined, result) in calls.items():
             if len(inputs) == 1 and names[inputs[0]] == result:
-                slots[slot] = slots[inputs[0]]  # nothing to sum or move
+                placed[slot] = placed[inputs[0]]  # nothing to sum or move
                 continue
             # A wide call multiplies pairwise, the product that spans the
             # fewest outcomes first, summing each variable once no later
@@ -346,51 +322,132 @@ class _Program:
                 need = set(result).union(*(names[i] for i in inputs))
                 pair = len(names)
                 names[pair] = tuple(sorted({*names[a], *names[b]} & need))
-                slots[pair] = emit([a, b], names[pair])
+                placed[pair] = network.node([(placed[i], names[i]) for i in (a, b)], names[pair])
                 inputs.append(pair)
-            slots[slot] = emit(inputs, result)
-        self.result = slots[len(operands) + len(steps) - 1]
+            placed[slot] = network.node([(placed[i], names[i]) for i in inputs], result)
+        self.result = placed[len(operands) + len(steps) - 1]
+        needed, todo = set(), [self.result]
+        while todo:
+            s = todo.pop() - len(operands)
+            if s >= 0 and s not in needed:
+                needed.add(s)
+                todo += network.nodes[s][1]
+        self.slots = tuple(sorted(s + len(operands) for s in needed))
 
-    def run(self, values: list[np.ndarray]) -> np.ndarray:
-        """The marginal of the tables ``values`` starts with. ``values`` is
-        extended by each call's result, which ``backward`` reads."""
-        for subscripts, inputs, _ in self.calls:
-            values.append(np.einsum(subscripts, *[values[i] for i in inputs]))
-        if self.result is None:
-            return np.ones(self.shape)
-        return values[self.result].reshape(self.shape)
 
-    def backward(self, values: list[np.ndarray], cot: np.ndarray,
-                 wanted: frozenset[int]) -> dict[int, np.ndarray]:
-        """Each table T in ``wanted`` times the gradient of sum(cot * result)
-        by T, for the run that filled ``values``: all tables times ``cot``,
-        summed onto T's variables. Only the calls that lead back to a
-        wanted table are differentiated."""
-        if self.result is None or self.result < self.tables:  # no table, or one read as it is
-            return {self.result: values[self.result] * cot.reshape(values[self.result].shape)
-                    } if self.result in wanted else {}
-        cot = cot.reshape(values[self.result].shape)
-        tape = self.tapes.get(wanted)
-        if tape is None:
-            need, tape = set(wanted), []
-            for k, (_, _, steps) in enumerate(self.calls):
-                if steps := tuple(step for step in steps if step[0] in need):
-                    need.add(self.tables + k)
-                    tape.insert(0, (self.tables + k, steps))
-            tape = self.tapes[wanted] = tuple(tape)
-        cots = {self.result: cot} if tape else {}  # an empty tape: no wanted table is read
-        for slot, steps in tape:
-            g = cots.pop(slot)
-            for i, subscripts, read, shape in steps:
+class _Network:
+    """Every compiled marginal of one product of tables, as one network of
+    shared einsum calls (Koller & Friedman 2009, ch. 10).
+
+    ``operands`` holds each table's variables in its own axis order,
+    ``card`` each variable's length, ``children`` each table's child axis
+    when it is a conditional, None otherwise, and ``wanted`` the tables
+    whose fields the reverse sweep gives. Slots number the tables, then
+    the nodes in the order they were interned, so a node's inputs come
+    before it.
+
+    A node is one einsum call, keyed by the set of tables it multiplies
+    and the axes it keeps, in sorted order: within one state those two
+    facts fix its array, so a program that needs a key an earlier program
+    interned reuses that node. ``nodes`` holds each node's subscripts, the
+    slots of its inputs, one reverse step per input that is a wanted table
+    or a node with steps, and the tables it multiplies. A reverse step
+    gives the input's slot, and an einsum from the node's cotangent and
+    the slots it reads to the input's cotangent, read in the shape given,
+    or for a table to the table times it. ``programs`` holds the programs
+    interned, by their axes.
+    """
+
+    __slots__ = ("card", "children", "keys", "nodes", "operands", "programs", "wanted")
+
+    def __init__(self, operands: tuple[tuple[int, ...], ...], card: tuple,
+                 children: tuple[int | None, ...] | None = None,
+                 wanted: frozenset[int] = frozenset()) -> None:
+        self.operands, self.card, self.children, self.wanted = operands, card, children, wanted
+        self.nodes: list[tuple[str, tuple[int, ...], tuple, frozenset[int]]] = []
+        # (tables multiplied, axes kept) -> the slot of its node
+        self.keys: dict[tuple[frozenset[int], tuple[int, ...]], int] = {}
+        self.programs: dict[tuple[int, ...], _Program] = {}
+
+    def program(self, keep: tuple[int, ...]) -> _Program:
+        """The marginal on the sorted axes ``keep``, interned on first use."""
+        program = self.programs.get(keep)
+        if program is None:
+            program = self.programs[keep] = _Program(self, keep)
+        return program
+
+    def node(self, inputs: list[tuple[int, tuple[int, ...]]], result: tuple[int, ...]) -> int:
+        """The slot of the call that multiplies ``inputs``, each a slot with
+        its variables, and keeps ``result``: a node of the same key if one
+        is interned, and a new node otherwise."""
+        tables = len(self.operands)
+        reads = frozenset().union(*(
+            {i} if i < tables else self.nodes[i - tables][3] for i, _ in inputs))
+        key = (reads, result)
+        slot = self.keys.get(key)
+        if slot is not None:
+            return slot
+        label = dict(zip(sorted(set().union(*(v for _, v in inputs))), _LABELS))
+        subs = ["".join(label[v] for v in names) for _, names in inputs]
+        written = "".join(label[v] for v in result)
+        # An input's cotangent is the result's times the other inputs,
+        # summed onto the input's variables, and constant on one that only
+        # the input holds; a table's step multiplies by the table.
+        steps = []
+        for j, (i, names) in enumerate(inputs):
+            if not (i in self.wanted if i < tables else self.nodes[i - tables][2]):
+                continue  # leads back to no wanted table
+            ops = [o for o in range(len(inputs)) if o != j or i < tables]
+            held = set(written).union(*(subs[o] for o in ops))
+            ins = ",".join([written, *(subs[o] for o in ops)])
+            steps.append((i, ins + "->" + "".join(c for c in subs[j] if c in held),
+                          tuple(inputs[o][0] for o in ops), None if j in ops else
+                          tuple(self.card[v] if label[v] in held else 1 for v in names)))
+        self.nodes.append((",".join(subs) + "->" + written, tuple(i for i, _ in inputs),
+                           tuple(steps), reads))
+        slot = self.keys[key] = tables + len(self.nodes) - 1
+        return slot
+
+    def run(self, values: dict, keep: tuple[int, ...]) -> tuple[np.ndarray, int | None]:
+        """The marginal on the sorted axes ``keep`` of the tables in
+        ``values``, and its slot. ``values`` holds the array of each table
+        and of each node run so far, by slot, and the marginal runs only the
+        nodes it needs that it does not hold."""
+        program = self.programs.get(keep) or self.program(keep)
+        for s in program.slots:
+            if s not in values:
+                subscripts, inputs, _, _ = self.nodes[s - len(self.operands)]
+                values[s] = np.einsum(subscripts, *[values[i] for i in inputs])
+        if program.result is None:
+            return np.ones(program.shape), None
+        return values[program.result].reshape(program.shape), program.result
+
+    def backward(self, values: dict, seeded: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+        """Each wanted table T times the gradient by T of the sum, over the
+        slots ``seeded``, of sum(cot * value), for the run that filled
+        ``values``: all tables times the cotangents, summed onto T's
+        variables. One sweep visits the nodes in descending slot order."""
+        tables = len(self.operands)
+        cots, fields = {}, {}
+        for s, cot in seeded.items():
+            cot = cot.reshape(values[s].shape)
+            if s >= tables:
+                cots[s] = cot
+            elif s in self.wanted:  # a table read as it is
+                fields[s] = values[s] * cot
+        while cots:
+            g = cots.pop(s := max(cots))
+            for i, subscripts, read, shape in self.nodes[s - tables][2]:
                 d = np.einsum(subscripts, g, *[values[o] for o in read])
                 d = d if shape is None else d.reshape(shape)
-                cots[i] = cots[i] + d if i in cots else d
-        return cots
+                into = cots if i >= tables else fields
+                into[i] = into[i] + d if i in into else d
+        return fields
 
 
-# Programs are compiled once per structure: engines over systems of one
+# Networks are built once per structure: engines over systems of one
 # shape, such as a sweep's seeded instances, share them.
-_compiled = functools.lru_cache(maxsize=4096)(_Program)
+_network = functools.lru_cache(maxsize=4096)(_Network)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -456,12 +513,13 @@ class _Block:
 
 @dataclass
 class _QSide:
-    """The target's tables, its marginals taken so far with how each was
-    made, its total Z and its source values: each marginal mirror's log by
-    factor position, the others by source. An engine whose target does not
-    depend on phi builds one and shares it."""
+    """The target's tables and network nodes run, by slot (``slots``), its
+    marginals taken so far with the slot each was run into, its total Z
+    and its source values: each marginal mirror's log by factor position,
+    the others by source. An engine whose target does not depend on phi
+    builds one and shares it."""
 
-    tables: tuple[np.ndarray, ...]
+    slots: dict
     values: dict
     total: float = 0.0
     cache: dict = field(default_factory=dict)
@@ -472,24 +530,24 @@ class _Plan:
     """What every evaluation of one engine shares, resolved from structure
     on its first evaluation.
 
-    ``networks`` holds each measure's tables and ``variables`` their axes
-    of length above one: ``"joint"`` the system's conditionals, ``"p"``
-    those and one indicator per evidence variable, ``"q"`` each target
-    factor's weights and a ones vector per target variable no factor
-    reads. A table is fixed and laid out once, or the position of the live
-    block whose softmax it is, or a marginal mirror. ``children`` holds,
-    for ``"joint"`` and ``"p"``, each table's child axis, None for an
-    indicator, and ``checked`` whether a state has checked the whole
-    joint's sum. ``logs`` holds each target factor's log on the joint's
-    axes, or what it reads.
+    ``tables`` holds each measure's tables: ``"joint"`` the system's
+    conditionals, ``"p"`` those and one indicator per evidence variable,
+    ``"q"`` each target factor's weights and a ones vector per target
+    variable no factor reads. A table is fixed and laid out once, or the
+    position of the live block whose softmax it is, or a marginal mirror.
+    ``networks`` holds each measure's network, over its tables' axes of
+    length above one, with each table's child axis for ``"joint"`` and
+    ``"p"`` (None for an indicator), and ``checked`` whether a state has
+    checked the whole joint's sum. ``logs`` holds each target factor's log
+    on the joint's axes, or what it reads.
 
     The gradient's structure: ``scopes`` holds each term's axes,
     ``towers`` the coefficient and axes of each ratio p / q~ that the
     normalized-target sources and ln Z seed the target with, ``consumers``
     each target factor whose field a live block consumes, with its
     position, its coefficient of p and what it feeds: a block position, or
-    a marginal mirror's axes, its given axes and the axes between. ``wanted``
-    holds, per measure, the tables whose field a block reads.
+    a marginal mirror's axes, its given axes and the axes between. Each
+    network's ``wanted`` tables are those whose field a block reads.
     """
 
     def __init__(self, system: ActualSystem, target: TargetSpec, evidence: Mapping[str, int],
@@ -524,7 +582,7 @@ class _Plan:
             for n, v in evidence.items() if self.axis[n] in self.grid
         ]
         children = tuple(self.axis[n] for n in system.factors)
-        self.children = {"joint": children, "p": children + (None,) * (len(joint_ind) - len(joint))}
+        children = {"joint": children, "p": children + (None,) * (len(joint_ind) - len(joint))}
         self.checked = False  # whether a state has checked the joint's sum
         # Payoffs carry no gradient, and an ActualLog adds none in
         # expectation: E_p[ E_p[s | G, H] - E_p[s | H] ] = 0.
@@ -581,12 +639,13 @@ class _Plan:
         weights += [((a,), np.ones(shape[a])) for a in sorted(self.q_grid - read)]
         weights = weights or [((), np.ones(()))]
         self.logs, self.consumers = tuple(logs), tuple(consumers)
-        self.networks, self.variables = {}, {}
+        at = frozenset(t for t, (_, e) in enumerate(joint_ind) if isinstance(e, int))
+        wanted = {"joint": at, "p": at, "q": frozenset(i for i, _, _ in consumers)}
+        self.tables, self.networks = {}, {}
         for which, tables in (("joint", joint), ("p", joint_ind), ("q", weights)):
-            self.variables[which] = tuple(v for v, _ in tables)
-            self.networks[which] = tuple(e for _, e in tables)
-        at = frozenset(t for t, e in enumerate(self.networks["p"]) if isinstance(e, int))
-        self.wanted = {"joint": at, "p": at, "q": frozenset(i for i, _, _ in consumers)}
+            self.tables[which] = tuple(e for _, e in tables)
+            self.networks[which] = _network(tuple(v for v, _ in tables), shape,
+                                            children.get(which), wanted[which])
         self.payoffs = {
             src: _Layout(src.vars, system.variables).place(src.values)
             for t in terms
@@ -605,13 +664,6 @@ class _Plan:
     def squeezed(table: np.ndarray) -> np.ndarray:
         return table.reshape(tuple(n for n in table.shape if n > 1))
 
-    def program(self, which: str, keep: frozenset[int]) -> _Program:
-        """The marginal of measure ``which`` on the axes ``keep``, over its
-        tables that are not barren; the target's factors are not
-        conditionals, and all are read."""
-        return _compiled(self.variables[which], tuple(sorted(keep)), self.shape,
-                         self.children.get(which))
-
     @property
     def fixed_target(self) -> bool:
         """Whether no target factor depends on phi: none is parameterized,
@@ -621,21 +673,21 @@ class _Plan:
 
 class _State:
     """Everything derived from one parameter vector: one softmax per live
-    block, each measure's tables, their totals, the marginals taken with
-    how each was made, and the cotangents seeded on them."""
+    block, each measure's tables and network nodes run, by slot, their
+    totals, the marginals taken with the slot each was run into, and the
+    cotangents seeded on them."""
 
     def __init__(self, plan: _Plan, sigmas: tuple[np.ndarray, ...], q_side: _QSide | None) -> None:
         self.plan, self.sigmas = plan, sigmas
         compact = tuple(s.reshape(b.compact) for b, s in zip(plan.blocks, sigmas))
-        self.networks = {
-            which: tuple(
-                e if isinstance(e, np.ndarray) else compact[e] for e in plan.networks[which]
-            )
+        self.slots = {
+            which: {t: e if isinstance(e, np.ndarray) else compact[e]
+                    for t, e in enumerate(plan.tables[which])}
             for which in ("joint", "p")
         }
         if not plan.checked:  # the whole joint, which no pruned program reads
-            joint = _compiled(plan.variables["joint"], (), plan.shape)
-            total = joint.run(list(self.networks["joint"])).item()
+            joint = _network(plan.networks["joint"].operands, plan.shape)  # slots of its own
+            total = joint.run(dict(self.slots["joint"]), ())[0].item()
             if abs(total - 1.0) > JOINT_SUM_TOL:
                 raise ValidationError(
                     f"materialized joint sums to {total!r}; factors are inconsistent"
@@ -657,12 +709,12 @@ class _State:
             if isinstance(e, MarginalMirror)
         }
         tables = []
-        for i, (axes, e) in enumerate(zip(plan.variables["q"], plan.networks["q"])):
+        for i, (axes, e) in enumerate(zip(plan.networks["q"].operands, plan.tables["q"])):
             if isinstance(e, MarginalMirror):
                 w = np.exp(logs[i], where=np.isfinite(logs[i]), out=np.zeros(logs[i].shape))
                 e = w.reshape(tuple(plan.shape[a] for a in axes))
             tables.append(e if isinstance(e, np.ndarray) else compact[e])
-        self.q_side = _QSide(tuple(tables), logs)
+        self.q_side = _QSide(dict(enumerate(tables)), logs)
         total = self.q_side.total = self.marginal("q", ()).item()
         if not math.isfinite(total):
             raise ValidationError("target weights must be finite")
@@ -685,12 +737,13 @@ class _State:
         unnormalized), on the joint's axes with length one elsewhere, cached.
 
         A new marginal is summed from the smallest one of the same measure
-        already taken that covers ``keep``, and otherwise run by its
-        program, which ``made`` records with its intermediates. The first
-        program a measure runs fixes the total its marginals are divided
-        by, and under evidence p's total is checked for mass on every
-        evaluation. A program reads no barren table, so the joint's sum is
-        checked apart, once per plan, by its first state.
+        already taken that covers ``keep``, and otherwise run by the
+        measure's network, which runs only the nodes of its program that no
+        earlier marginal ran; ``made`` records the slot it was run into. The
+        first marginal a measure runs fixes the total its marginals are
+        divided by, and under evidence p's total is checked for mass on
+        every evaluation. A program reads no barren table, so the joint's
+        sum is checked apart, once per plan, by its first state.
         """
         plan = self.plan
         which, keep, cache, made = self._measure(which, keep)
@@ -701,15 +754,13 @@ class _State:
                 kept, m = min(covering, key=lambda entry: entry[1].size)
                 m = np.add.reduce(m, axis=tuple(sorted(kept - keep)), keepdims=True)
             else:
-                program = plan.program(which, keep)
-                values = list(self.q_side.tables if which == "q" else self.networks[which])
-                m = program.run(values)
+                slots = self.q_side.slots if which == "q" else self.slots[which]
+                m, made[keep] = plan.networks[which].run(slots, tuple(sorted(keep)))
                 total = self.totals.get(which)
                 if total is None:
                     total = self.totals[which] = float(m.sum())
                     if which == "p" and plan.evidence and total <= 0.0:
                         raise NullEvidenceError(f"evidence {dict(plan.evidence)} has zero mass")
-                made[keep] = (program, values)
                 m = m if which == "q" else m / total
             cache[keep] = m
         return m
@@ -731,24 +782,27 @@ class _State:
         times the gradient of the seeded sum(cot * marginal), in reverse
         mode. A marginal is the sum of any cached one that covers it, so a
         cotangent passes, broadcast, to the smallest cover, smaller
-        marginals first; one that no other covers was run by its program,
-        and goes through that program's backward."""
+        marginals first; one that no other covers was run by the network,
+        and seeds the slot it was run into, from which one sweep goes back
+        through the network's nodes."""
         which, _, cache, made = self._measure(which, ())
         seeded, self.cot[which] = self.cot[which], {}
-        wanted = self.plan.wanted[which]
-        fields: dict[int, np.ndarray] = {}
-        while seeded and wanted:
+        network = self.plan.networks[which]
+        at: dict[int, np.ndarray] = {}  # slot -> cotangent; marginals have distinct slots
+        while seeded and network.wanted:
             keep = min(seeded, key=len)
             cot = seeded.pop(keep)
             covers = [kept for kept in cache if keep < kept]
             if covers:
                 kept = min(covers, key=lambda kept: cache[kept].size)
                 seeded[kept] = seeded[kept] + cot if kept in seeded else cot
-                continue
-            if cot.shape != cache[keep].shape:
-                cot = np.broadcast_to(cot, cache[keep].shape)
-            for t, f in made[keep][0].backward(made[keep][1], cot, wanted).items():
-                fields[t] = fields[t] + f if t in fields else f
+            elif made[keep] is not None:  # else the marginal is 1 and reads no table
+                if cot.shape != cache[keep].shape:
+                    cot = np.broadcast_to(cot, cache[keep].shape)
+                at[made[keep]] = cot
+        if not at:
+            return {}
+        fields = network.backward(self.q_side.slots if which == "q" else self.slots[which], at)
         return fields if which == "q" else {t: f / self.totals[which] for t, f in fields.items()}
 
     def log_conditional(self, which: str, vars: tuple, given: tuple) -> np.ndarray:
@@ -781,17 +835,18 @@ class Engine:
     The realization is applied and every target factor's shape checked at
     construction. The first evaluation resolves structure into one plan
     and checks that the whole joint sums to one; every evaluation then
-    takes one softmax per live block and runs only the marginal programs
-    its terms ask for, each over the ancestors of its axes; the gradient
-    sweeps back through them. A target that does not depend on ``phi`` is
+    takes one softmax per live block and runs the network nodes of the
+    marginals its terms ask for, each over the ancestors of its axes, that
+    no earlier marginal of the evaluation ran; the gradient sweeps back
+    through them. A target that does not depend on ``phi`` is
     contracted once, and its ln Z, marginals and source values are reused.
 
     ``value`` keeps its state, with its evaluation and p-field pieces,
     keyed by the exact bytes of the checked float64 ``phi``: a
     ``value_and_gradient`` call at bit-identical ``phi`` right after it
     sweeps back through them. Every other call releases the state first,
-    so an engine holds at most one state of scope-sized marginals, program
-    intermediates and pieces. An engine is not meant for concurrent use.
+    so an engine holds at most one state of scope-sized marginals, network
+    nodes and pieces. An engine is not meant for concurrent use.
     """
 
     def __init__(
@@ -945,9 +1000,9 @@ class Engine:
         plan = self._plan
         residual = self._score_residual(st)
         fields = [np.zeros(b.shape) for b in plan.blocks]
-        for w, axes in plan.towers if plan.wanted["q"] else ():
+        for w, axes in plan.towers if plan.networks["q"].wanted else ():
             st.seed("q", axes, w * _ratio(st.marginal("p", axes), st.marginal("q", axes)))
-        from_q = st.sweep("q") if plan.wanted["q"] else {}
+        from_q = st.sweep("q") if plan.networks["q"].wanted else {}
         for i, c, feeds in plan.consumers:
             if isinstance(feeds, int):
                 b = plan.blocks[feeds]
@@ -966,7 +1021,7 @@ class Engine:
             st.seed("p", scope, piece)
         for which in ("joint", "p") if plan.evidence else ("p",):
             for t, f in st.sweep(which).items():
-                at = plan.networks[which][t]
+                at = plan.tables[which][t]
                 fields[at] += f.reshape(plan.blocks[at].shape)
         grad = np.zeros(self.space.size)
         direction = np.zeros(self.space.size)
@@ -1009,8 +1064,8 @@ class Engine:
         """Value plus the exact gradient and natural direction over every
         parameterized factor.
 
-        One reverse sweep per measure, through the programs the term pass
-        ran, gives every block's field. Right after a ``value`` call at
+        One reverse sweep per measure, through the nodes the term pass ran,
+        gives every block's field. Right after a ``value`` call at
         bit-identical ``phi`` it starts from what that call kept, and the
         result is what a fresh state gives."""
         kept, self._kept = self._kept, None

@@ -155,7 +155,7 @@ def minimize(
     are called. The gradient at an accepted point is asked for right after
     the value call that accepted it, at the same vector, and an engine
     answers it from that call's state: an accepted step costs one forward
-    pass plus one reverse sweep through its programs.
+    pass plus one reverse sweep through the nodes it ran.
 
     Termination reasons: ``"gradient-tolerance"`` (converged),
     ``"no-descent"`` (the line search exhausted its halvings), and

@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +48,16 @@ def test_list_shows_families_presets_and_checks(capsys):
     assert len([line for line in families.splitlines() if line.strip()]) == 8
     assert "joint_kl" not in families
     assert "latent_side_identity" in out
+
+
+def test_python_dash_m_divmin_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "divmin", "list"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "objective families:" in done.stdout
 
 
 def test_verify_passes_and_writes_json(tmp_path, capsys):

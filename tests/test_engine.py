@@ -5,6 +5,7 @@ independent oracle for every gradient; small systems additionally get fully
 hand-derived gradients.
 """
 
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -23,9 +24,9 @@ from divmin.engine import (
     TargetLog,
     Term,
     _MERGE_SPACE,
+    _Network,
     _Program,
     _State,
-    _compiled,
 )
 from divmin.errors import NullEvidenceError, ValidationError
 from divmin.objectives import from_preset, make_objective
@@ -819,42 +820,34 @@ def test_evaluations_build_no_factor(name, monkeypatch):
     assert calls == ["x"]  # the counter is live
 
 
-def test_each_marginal_is_summed_from_the_smallest_one_taken(monkeypatch):
+def test_each_marginal_is_summed_from_the_smallest_one_taken(einsum_calls):
     # chain-mdp's value asks p for the marginals on (x_t, a_t) and x_t at
     # five steps; each x_t is summed from its (x_t, a_t), so only those
-    # five run a program over the factor tables.
+    # five are run by the network over the factor tables, and every einsum
+    # call runs one of their nodes.
     obj = from_preset(preset("chain-mdp", n_states=6, steps=5))
     phi = np.random.default_rng(1).standard_normal(obj.parameters().size)
     obj.value(phi)  # the fixed target is contracted by the first evaluation
-    runs = []
-    run = _Program.run
-
-    def counted(program, tables):
-        runs.append(tuple(a for a, n in enumerate(program.shape) if n > 1))
-        return run(program, tables)
-
-    monkeypatch.setattr(_Program, "run", counted)
+    einsum_calls.clear()
     obj.value(phi)
-    assert sorted(runs) == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
+    st = obj.engine._kept[1]
+    assert sorted(tuple(sorted(keep)) for keep in st.made["p"]) == [
+        (0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
+    assert einsum_calls == ["run"] * (len(st.slots["p"]) - len(st.plan.tables["p"]))
 
 
 @pytest.mark.parametrize("steps", [4, 8, 10])
-def test_a_gradient_after_a_value_runs_no_program(steps, monkeypatch):
-    # The gradient sweeps back through the programs the value ran, so its
-    # cost grows with theirs, not with one marginal per (piece, block).
+def test_a_gradient_after_a_value_runs_no_program(steps, einsum_calls):
+    # The gradient sweeps back through the nodes the value ran, so its
+    # cost grows with theirs, not with one marginal per (piece, block):
+    # it runs no forward node.
     obj = from_preset(preset("chain-mdp", n_states=2, steps=steps))
     phi = np.random.default_rng(2).standard_normal(obj.parameters().size)
     obj.value(phi)
-    runs = []
-    run = _Program.run
-
-    def counted(program, tables):
-        runs.append(program)
-        return run(program, tables)
-
-    monkeypatch.setattr(_Program, "run", counted)
+    einsum_calls.clear()
     got = obj.value_and_gradient(phi)
-    assert runs == []
+    assert "run" not in einsum_calls
+    assert "backward" in einsum_calls
     assert np.abs(got.grad).max() > 1e-3
 
 
@@ -895,16 +888,18 @@ def test_each_reduction_matches_the_numpy_sum(shape):
     # the exactly rounded sum (math.fsum): np.sum over the leading axes of
     # the 2**20 grid is itself off by 6.5e-15.
     #
-    # The backward of the middle pair's program, from a cotangent r on its
-    # axes, gives each table times its gradient: the marginal of grid * r
-    # on that table's axes.
+    # The marginals are run into one list of slots, so each reuses the
+    # nodes of those before it. The reverse sweep from a cotangent r on the
+    # middle pair's marginal gives each table times its gradient: the
+    # marginal of grid * r on that table's axes.
     rng = np.random.default_rng(len(shape))
     network = chain_network(shape, rng)
     grid = dense_product(shape, network)
     big = [a for a, n in enumerate(shape) if n > 1]
     half = len(big) // 2
-    variables = tuple(v for v, _ in network)
-    got = _compiled(variables, tuple(big), shape).run([t for _, t in network])
+    net = _Network(tuple(v for v, _ in network), shape, None, frozenset(range(len(network))))
+    values = {t: table for t, (_, table) in enumerate(network)}
+    got, _ = net.run(values, tuple(big))
     assert got.shape == shape
     assert np.array_equal(got, grid)
 
@@ -914,16 +909,14 @@ def test_each_reduction_matches_the_numpy_sum(shape):
         return np.asarray([math.fsum(row) for row in rows]).reshape(kept)
 
     for keep in [(), tuple(big[half:half + 2]), tuple(big[-2:]), tuple(big[:2])]:
-        program = _compiled(variables, keep, shape)
-        values = [t for _, t in network]
-        got = program.run(values)
-        want = exact_sum(grid, keep).reshape(program.shape)
+        got, slot = net.run(values, keep)
+        want = exact_sum(grid, keep).reshape(net.program(keep).shape)
         assert got.shape == want.shape, keep
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
         if keep != tuple(big[half:half + 2]):
             continue
-        cot = 2.0 ** rng.integers(-3, 4, program.shape)
-        fields = program.backward(values, cot, frozenset(range(len(network))))
+        cot = 2.0 ** rng.integers(-3, 4, got.shape)
+        fields = net.backward(values, {slot: cot})
         assert sorted(fields) == list(range(len(network)))
         for t, (axes, table) in enumerate(network):
             field = fields[t]
@@ -1036,9 +1029,39 @@ def test_each_compiled_marginal_is_the_sum_of_the_dense_product(case):
             st = eng._state(phi)  # a fresh state: every marginal runs its program
             got = st.read(which, keep, tuple(shape[a] for a in keep))
             np.testing.assert_allclose(got, summed(dense[which], keep), rtol=1e-14, atol=1e-300)
-            program = st.plan.program(which, frozenset(a for a in keep if shape[a] > 1))
+            program = st.plan.networks[which].program(tuple(sorted(a for a in keep
+                                                                   if shape[a] > 1)))
             if math.prod(shape) <= _MERGE_SPACE:
-                assert len(program.calls) <= 1  # a small network is one call
+                assert len(program.slots) <= 1  # a small network is one call
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(random_networks())
+def test_marginals_from_one_state_reuse_its_nodes_soundly(case):
+    # The case's marginals and those on each variable and each pair are
+    # read on both measures from one state, smaller ones first so that few
+    # are summed from a cached cover: each reuses the nodes those before it
+    # ran. A second engine of the same structure shares the networks, and
+    # its state, at another phi, takes the same marginals in turn.
+    system, evidence, keeps = case
+    observed = {int(n[1:]): v for n, v in evidence.items()}
+    rng = np.random.default_rng(len(keeps))
+    states, dense = [], []
+    for _ in range(2):
+        eng = Engine(system, TargetSpec(system.names, []), [], realized=evidence,
+                     realization="condition")
+        phi = rng.standard_normal(eng.parameters().size)
+        joint = build_joint(eng.space.set(phi)[0]).probs
+        states.append(eng._state(phi))
+        dense.append({"joint": joint, "p": observed_slice(joint, observed)})
+    assert states[0].plan.networks["p"] is states[1].plan.networks["p"]
+    shape = dense[0]["joint"].shape
+    pairs = list(itertools.combinations(range(len(shape)), 2))
+    for keep in sorted(keeps + [(a,) for a in range(len(shape))] + pairs + [()], key=len):
+        for which in ("p", "joint"):
+            for st_, d in zip(states, dense):
+                got = st_.read(which, keep, tuple(shape[a] for a in keep))
+                np.testing.assert_allclose(got, summed(d[which], keep), rtol=1e-14, atol=1e-300)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1062,10 +1085,47 @@ def test_gradients_on_random_networks_match_differences(case, data):
     assert check_gradient(engine, phi).rel_err <= 1e-8
 
 
-def tables_read(program: _Program) -> set[int]:
-    """The positions of the tables ``program`` reads."""
-    slots = {i for _, inputs, _ in program.calls for i in inputs} | {program.result}
-    return {i for i in slots if i is not None and i < program.tables}
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(random_networks(), st.data())
+def test_several_terms_share_one_reverse_sweep(case, data):
+    # Two or three terms ln p - ln q on random scopes that all hold one
+    # variable seed cotangents on several marginals of each measure, under
+    # the case's evidence; one sweep per measure takes them back through
+    # the shared nodes. A gradient after a value starts from the value's
+    # state and is bit-identical to a fresh one.
+    system, evidence, _ = case
+    names = system.names
+    shared = data.draw(st.sampled_from(names))
+    terms, scopes = [], []
+    for k in range(data.draw(st.integers(2, 3))):
+        rest = data.draw(st.lists(st.sampled_from(names), unique=True))
+        scope = data.draw(st.permutations([shared, *(n for n in rest if n != shared)]))
+        cut = data.draw(st.integers(1, len(scope)))
+        read, given_ = tuple(scope[:cut]), tuple(scope[cut:])
+        pair = ((1.0, ActualLog(read, given_)), (-1.0, TargetLog(read, given_)))
+        terms.append(Term(f"t{k}", (1.0, -0.5, 2.0)[k], pair))
+        scopes.append(tuple(scope))
+    rng = np.random.default_rng(len(terms))
+    tables = [TableFactor(s, rng.uniform(0.5, 2.0, [system.variable(n).cardinality for n in s]))
+              for s in scopes]
+    target = TargetSpec(names, [FactorMirror(names[-1]), *tables])
+    engine = Engine(system, target, terms, realized=evidence, realization="condition")
+    phi = rng.standard_normal(engine.parameters().size)
+    assert check_gradient(engine, phi).rel_err <= 1e-8
+    engine.value(phi)
+    after = engine.value_and_gradient(phi)
+    fresh = engine.value_and_gradient(phi)
+    assert after.evaluation == fresh.evaluation
+    for got, want in ((after.grad, fresh.grad), (after.direction, fresh.direction)):
+        assert np.array_equal(got, want)
+    assert after.score_residual == fresh.score_residual
+
+
+def tables_read(network: _Network, program: _Program) -> set[int]:
+    """The positions of the tables ``program`` of ``network`` reads."""
+    tables = len(network.operands)
+    slots = {i for s in program.slots for i in network.nodes[s - tables][1]} | {program.result}
+    return {i for i in slots if i is not None and i < tables}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1095,33 +1155,49 @@ def test_a_program_reads_the_ancestors_of_its_axes_and_the_evidence(case):
 
     indicators = set(range(len(cards), len(cards) + len(observed)))
     for keep in keeps + [()]:
-        axes = frozenset(a for a in keep if cards[a] > 1)
-        p, joint = st.plan.program("p", axes), st.plan.program("joint", axes)
-        assert tables_read(p) == ancestors(set(keep) | set(observed)) | indicators
-        assert tables_read(joint) == ancestors(set(keep))
+        axes = tuple(sorted({a for a in keep if cards[a] > 1}))
+        networks = st.plan.networks
+        p, joint = networks["p"].program(axes), networks["joint"].program(axes)
+        assert tables_read(networks["p"], p) == ancestors(set(keep) | set(observed)) | indicators
+        assert tables_read(networks["joint"], joint) == ancestors(set(keep))
         if not axes and not observed:
-            assert p.calls == []  # nothing is read: the marginal is 1
-            assert p.run(list(st.networks["p"])).item() == 1.0
+            assert p.slots == () and p.result is None  # nothing is read: the marginal is 1
+            assert networks["p"].run(dict(st.slots["p"]), ())[0].item() == 1.0
 
 
-def test_a_chain_value_reads_only_each_steps_ancestors(monkeypatch):
+def test_a_chain_value_reads_only_each_steps_ancestors(einsum_calls):
     # Each step's marginal (x_t, a_t) of chain-mdp (2, 10) leaves out the
-    # conditionals of the later steps: the value's programs make 26 einsum
-    # calls, where programs over the whole chain make 55.
+    # conditionals of the later steps: the value's 10 marginals make at
+    # most 26 einsum calls, where programs over the whole chain make 55.
     obj = from_preset(preset("chain-mdp", n_states=2, steps=10))
     rng = np.random.default_rng(3)
     obj.value(rng.standard_normal(obj.parameters().size))  # builds the plan and the target
-    calls = []
-    run = _Program.run
-
-    def counted(program, tables):
-        calls.append(len(program.calls))
-        return run(program, tables)
-
-    monkeypatch.setattr(_Program, "run", counted)
+    einsum_calls.clear()
     obj.value(rng.standard_normal(obj.parameters().size))
-    assert len(calls) == 10
-    assert sum(calls) <= 26
+    assert len(obj.engine._kept[1].made["p"]) == 10
+    assert len(einsum_calls) <= 26
+
+
+def test_a_chain_costs_linear_in_its_length(einsum_calls):
+    # The step marginals of a chain share their prefix nodes, so one more
+    # step adds a bounded number of einsum calls: chain-mdp n_states=2
+    # makes 11/12/14 per value and 31/35/41 per gradient after a value at
+    # 8/9/10 steps, where re-eliminating every earlier step made 17/21/26
+    # and 45/57/71.
+    per_value, per_gradient = [], []
+    for steps in (8, 9, 10):
+        obj = from_preset(preset("chain-mdp", n_states=2, steps=steps))
+        rng = np.random.default_rng(3)
+        obj.value(rng.standard_normal(obj.parameters().size))  # builds the plan and the target
+        phi = rng.standard_normal(obj.parameters().size)
+        einsum_calls.clear()
+        obj.value(phi)
+        per_value.append(len(einsum_calls))
+        einsum_calls.clear()
+        obj.value_and_gradient(phi)
+        per_gradient.append(len(einsum_calls))
+    assert max(np.diff(per_value)) <= 2, per_value
+    assert max(np.diff(per_gradient)) <= 6, per_gradient
 
 
 def test_an_unread_fixed_leaf_changes_no_bit():
