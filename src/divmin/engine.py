@@ -22,26 +22,27 @@ No outcome grid is built. Each measure is a product of small tables: the
 unobserved joint j of the system's conditionals on their (parents, child)
 axes; the actual measure p, which adds one indicator vector per evidence
 variable and divides by its total; and the target q~, its factors' weights
-on their own scopes. Every quantity the engine reads is a marginal of one
-of them, run by a variable-elimination program compiled once per (measure,
-axes) (Dechter 1999; Koller & Friedman 2009, ch. 9), or summed from the
-smallest marginal of the same measure already taken that covers it; ln Z is
-the log of the target's total. The programs of one measure are interned
-into one network of einsum calls, a node per set of tables multiplied and
-axes kept, so the marginals of one state run each message they share once
-(Koller & Friedman 2009, ch. 10): a chain's step marginals share their
-prefixes, and cost linear in its length. A program over j or p leaves out
-every barren conditional, one whose child is not kept, not observed and
-read by no table left, until none is (Shachter 1986): it sums to one over
-its child, so a marginal reads only the conditionals of the ancestors of
-its axes and, in p, of the evidence. The target's factors are not
-conditionals, and a program over q~ reads them all. The engine so shares
-no materialization step with the reports it is certified against, which
-multiply the dense grid.
+on their own scopes. Every marginal the engine takes of one of them is run
+by a variable-elimination program compiled once per (measure, axes)
+(Dechter 1999; Koller & Friedman 2009, ch. 9); a conditional's given side
+is summed from the marginal it conditions, and ln Z is the log of the
+target's total. The programs of one measure are interned into one network
+of einsum calls, a node per set of tables multiplied and axes kept, so the
+marginals of one state run each message they share once (Koller & Friedman
+2009, ch. 10): a chain's step marginals share their prefixes, and cost
+linear in its length. A program over j or p leaves out every barren
+conditional, one whose child is not kept, not observed and read by no table
+left, until none is (Shachter 1986): it sums to one over its child, so a
+marginal reads only the conditionals of the ancestors of its axes and, in
+p, of the evidence. The target's factors are not conditionals, and a
+program over q~ reads them all. The engine so shares no materialization
+step with the reports it is certified against, which multiply the dense
+grid.
 
-A term whose sources span the scope S is evaluated as sum_S p_S V, and it
-is divergent when p_S > 0 where V is not finite: p_S(s) > 0 exactly when
-some outcome with that s carries mass.
+A term whose sources span the scope S is evaluated as sum_S' p_S' V on the
+largest term scope S' that holds S, where V is constant off S, and it is
+divergent when p_S' > 0 where V is not finite: p_S'(s) > 0 exactly when some
+outcome with that s carries mass.
 
 A block's field is a measure times scope-sized pieces r_G, summed onto the
 block's family:
@@ -62,10 +63,9 @@ Every field comes from one reverse sweep per measure (Griewank & Walther
 2008). The sum of a measure's product of tables times r_G is the sum of its
 marginal on G times r_G, and a table T_b times that sum's derivative by T_b
 is the measure times r_G summed onto T_b's axes (Darwiche 2003). So each
-piece is seeded as a cotangent on a marginal the value took, and passed up
-to a cached marginal that covers it or onto the node that holds it; one
-sweep per measure then takes every node's cotangent back, in descending
-slot order, to every table at once.
+piece is seeded as a cotangent on the marginal the value took on G, which
+lands on the node that holds it; one sweep per measure then takes every
+node's cotangent back, in descending slot order, to every table at once.
 
 The score of softmax logit (parents', c') is 1[parents = parents'] (1[child
 = c'] - sigma_c'), so a field contracts against a block as its marginal on
@@ -470,9 +470,7 @@ _OCCUPANCY_FLOOR = 1.0e-12
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den, zero where den is: between marginals on the same axes A,
     the tower weight w(A) / m(A), as sum w E_m[s | A] = sum m (w(A) / m(A)) s."""
-    return np.divide(
-        num, den, out=np.zeros(np.broadcast_shapes(num.shape, den.shape)), where=den > 0.0
-    )
+    return np.divide(num, den, out=np.zeros(num.shape), where=den > 0.0)
 
 
 def _natural_direction(grad: np.ndarray, sigma: np.ndarray, occupancy: np.ndarray) -> np.ndarray:
@@ -541,8 +539,9 @@ class _Plan:
     checked the whole joint's sum. ``logs`` holds each target factor's log
     on the joint's axes, or what it reads.
 
-    The gradient's structure: ``scopes`` holds each term's axes,
-    ``towers`` the coefficient and axes of each ratio p / q~ that the
+    The gradient's structure: ``scopes`` holds the axes each term is
+    evaluated on (the largest term scope that holds its own), ``towers``
+    the coefficient and axes of each ratio p / q~ that the
     normalized-target sources and ln Z seed the target with, ``consumers``
     each target factor whose field a live block consumes, with its
     position, its coefficient of p and what it feeds: a block position, or
@@ -605,7 +604,11 @@ class _Plan:
             scopes.append(self.grid.intersection(self.axes(names)))
         if lnz_coeff != 0.0:
             towers.append((lnz_coeff, ()))  # on no axes, p / q~ is 1 / Z
-        self.scopes, self.towers = tuple(scopes), tuple(towers)
+        # A term is evaluated on the largest term scope that holds its own,
+        # so that nested terms read one marginal of p.
+        self.scopes = tuple(max((s for s in scopes if scope <= s),
+                                key=lambda s: math.prod(shape[a] for a in s)) for scope in scopes)
+        self.towers = tuple(towers)
         target_axes = [self.axis[system.variable(n).name] for n in target.scope]
         self.q_grid = self.grid.intersection(target_axes)
         logs: list = []
@@ -736,33 +739,26 @@ class _State:
         unobserved joint (``"joint"``) or the target weights (``"q"``,
         unnormalized), on the joint's axes with length one elsewhere, cached.
 
-        A new marginal is summed from the smallest one of the same measure
-        already taken that covers ``keep``, and otherwise run by the
-        measure's network, which runs only the nodes of its program that no
-        earlier marginal ran; ``made`` records the slot it was run into. The
-        first marginal a measure runs fixes the total its marginals are
-        divided by, and under evidence p's total is checked for mass on
-        every evaluation. A program reads no barren table, so the joint's
-        sum is checked apart, once per plan, by its first state.
+        A new marginal is run by the measure's network, which runs only the
+        nodes of its program that no earlier marginal ran; ``made`` records
+        the slot it was run into. The first marginal a measure runs fixes
+        the total its marginals are divided by, and under evidence p's total
+        is checked for mass on every evaluation. A program reads no barren
+        table, so the joint's sum is checked apart, once per plan, by its
+        first state.
         """
         plan = self.plan
         which, keep, cache, made = self._measure(which, keep)
         m = cache.get(keep)
         if m is None:
-            covering = [(kept, m) for kept, m in cache.items() if keep <= kept]
-            if covering:
-                kept, m = min(covering, key=lambda entry: entry[1].size)
-                m = np.add.reduce(m, axis=tuple(sorted(kept - keep)), keepdims=True)
-            else:
-                slots = self.q_side.slots if which == "q" else self.slots[which]
-                m, made[keep] = plan.networks[which].run(slots, tuple(sorted(keep)))
-                total = self.totals.get(which)
-                if total is None:
-                    total = self.totals[which] = float(m.sum())
-                    if which == "p" and plan.evidence and total <= 0.0:
-                        raise NullEvidenceError(f"evidence {dict(plan.evidence)} has zero mass")
-                m = m if which == "q" else m / total
-            cache[keep] = m
+            slots = self.q_side.slots if which == "q" else self.slots[which]
+            m, made[keep] = plan.networks[which].run(slots, tuple(sorted(keep)))
+            total = self.totals.get(which)
+            if total is None:
+                total = self.totals[which] = float(m.sum())
+                if which == "p" and plan.evidence and total <= 0.0:
+                    raise NullEvidenceError(f"evidence {dict(plan.evidence)} has zero mass")
+            m = cache[keep] = m if which == "q" else m / total
         return m
 
     def read(self, which: str, axes: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
@@ -771,8 +767,8 @@ class _State:
         return self.marginal(which, axes).transpose(order).reshape(shape)
 
     def seed(self, which: str, keep: Iterable[int], cot: np.ndarray) -> None:
-        """Adds ``cot`` to the cotangent of measure ``which``'s marginal on
-        ``keep``, which has been taken."""
+        """Adds ``cot``, in its shape, to the cotangent of measure
+        ``which``'s marginal on ``keep``, which has been taken."""
         which, keep, _, _ = self._measure(which, keep)
         seeded = self.cot[which]
         seeded[keep] = seeded[keep] + cot if keep in seeded else cot
@@ -780,46 +776,32 @@ class _State:
     def sweep(self, which: str) -> dict[int, np.ndarray]:
         """Each table of measure ``which`` that a block reads, by position,
         times the gradient of the seeded sum(cot * marginal), in reverse
-        mode. A marginal is the sum of any cached one that covers it, so a
-        cotangent passes, broadcast, to the smallest cover, smaller
-        marginals first; one that no other covers was run by the network,
-        and seeds the slot it was run into, from which one sweep goes back
-        through the network's nodes."""
-        which, _, cache, made = self._measure(which, ())
+        mode. Each marginal seeds the slot it was run into, from which one
+        sweep goes back through the network's nodes; one on no slot is 1
+        and reads no table."""
+        which, _, _, made = self._measure(which, ())
         seeded, self.cot[which] = self.cot[which], {}
         network = self.plan.networks[which]
-        at: dict[int, np.ndarray] = {}  # slot -> cotangent; marginals have distinct slots
-        while seeded and network.wanted:
-            keep = min(seeded, key=len)
-            cot = seeded.pop(keep)
-            covers = [kept for kept in cache if keep < kept]
-            if covers:
-                kept = min(covers, key=lambda kept: cache[kept].size)
-                seeded[kept] = seeded[kept] + cot if kept in seeded else cot
-            elif made[keep] is not None:  # else the marginal is 1 and reads no table
-                if cot.shape != cache[keep].shape:
-                    cot = np.broadcast_to(cot, cache[keep].shape)
-                at[made[keep]] = cot
-        if not at:
+        at = {made[keep]: cot for keep, cot in seeded.items() if made[keep] is not None}
+        if not at or not network.wanted:
             return {}
         fields = network.backward(self.q_side.slots if which == "q" else self.slots[which], at)
         return fields if which == "q" else {t: f / self.totals[which] for t, f in fields.items()}
 
     def log_conditional(self, which: str, vars: tuple, given: tuple) -> np.ndarray:
-        """ln m(vars | given) of measure ``which``, from its marginals; -inf
-        where the marginal on vars + given is 0, and ln 1 for empty
-        ``vars``."""
+        """ln m(vars | given) of measure ``which``, from its marginal on
+        vars + given, summed over vars for the given side; -inf where that
+        marginal is 0, and ln 1 for empty ``vars``."""
+        plan = self.plan
         if not vars:
-            return np.zeros((1,) * len(self.plan.shape))
-
-        def log_marginal(names: tuple[str, ...]) -> np.ndarray:
-            m = self.marginal(which, self.plan.axes(names))
-            return _safe_log(m / m.sum())
-
-        out = log_marginal(vars + given)
+            return np.zeros((1,) * len(plan.shape))
+        m = self.marginal(which, plan.axes(vars + given))
+        out = _safe_log(m / m.sum())
         if given:
+            summed = plan.grid.intersection(plan.axes(vars)) - set(plan.axes(given))
+            h = np.add.reduce(m, axis=tuple(sorted(summed)), keepdims=True)
             with np.errstate(invalid="ignore"):
-                out = out - log_marginal(given)
+                out = out - _safe_log(h / h.sum())
         return out
 
 
@@ -974,9 +956,12 @@ class Engine:
             with np.errstate(invalid="ignore"):
                 weighted = [w * self._source_values(src, st) for w, src in term.parts]
                 v = sum(weighted[1:], weighted[0]) if weighted else np.zeros(ones)
-            # p on the term's scope S: p_S(s) > 0 exactly when some outcome
-            # with that s carries mass, so this is the outcome-level test.
+            # p on the scope S the term is evaluated on: p_S(s) > 0 exactly
+            # when some outcome with that s carries mass, so this is the
+            # outcome-level test.
             ps = st.marginal("p", scope)
+            if v.shape != ps.shape:  # constant on the axes of a wider scope
+                v = np.broadcast_to(v, ps.shape)
             ok = np.isfinite(v)
             if not ok.all():
                 divergent = divergent or bool(np.any((ps > 0.0) & ~ok))
@@ -993,10 +978,8 @@ class Engine:
         """The score residual, then every block's gradient and its natural
         direction. ``centred`` holds the terms' (scope, piece) pieces of h,
         seeded on p; the towers seed the target, whose sweep gives its
-        factors' fields, and a marginal mirror's field seeds the joint.
-        Marginals are summed from the smallest cached cover, so the
-        residual's are taken first and the occupancies last, as the
-        rounding depends on that order."""
+        factors' fields, and a marginal mirror's field seeds the joint. A
+        block's occupancy is its family's marginal summed over the child."""
         plan = self._plan
         residual = self._score_residual(st)
         fields = [np.zeros(b.shape) for b in plan.blocks]
@@ -1028,7 +1011,7 @@ class Engine:
         for b, sigma, field in zip(plan.blocks, st.sigmas, fields):
             g = (field - sigma * np.add.reduce(field, axis=-1, keepdims=True)).ravel()
             grad[b.coords] = g
-            occupancy = st.read("p", b.parents, b.shape[:-1])
+            occupancy = np.add.reduce(st.read("p", b.family, b.shape), axis=-1)
             direction[b.coords] = _natural_direction(g, sigma, occupancy)
         return grad, direction, residual
 

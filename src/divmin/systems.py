@@ -285,7 +285,7 @@ def _grow(
     """
     if acc.shape == shape:
         return op(acc, term, out=acc)
-    out = np.empty(np.broadcast(acc, term).shape)
+    out = np.empty(tuple(map(max, acc.shape, term.shape)))
     out[...] = acc
     return op(out, term, out=out)
 

@@ -182,6 +182,37 @@ def test_gradcheck_without_parameters_passes(tmp_path, capsys):
     assert out.splitlines()[-1] == "PASS"
 
 
+def test_thirty_two_variables_of_one_state_gradcheck_and_run(tmp_path, capsys):
+    # One axis per variable: 33 of them pass the 32 dimensions that
+    # np.broadcast and np.broadcast_shapes take, so neither the engine nor
+    # the report may use them.
+    points = [f"c{i}" for i in range(32)]
+    doc = tmp_path / "points.json"
+    doc.write_text(json.dumps({
+        "seed": 0,
+        "problem": {
+            "family": "joint_kl",
+            "system": {
+                "variables": [{"name": "a", "cardinality": 3, "role": "action"}]
+                + [{"name": n, "cardinality": 1, "role": "latent-state"} for n in points],
+                "factors": [{"child": "a", "parents": [], "logits": [0.2, -0.4, 0.1]}]
+                + [{"child": n, "parents": [], "table": [1.0]} for n in points],
+            },
+            "target": {
+                "scope": ["a", *points],
+                "factors": [{"type": "param", "child": "a", "parents": [],
+                             "logits": [0.5, 0.0, -0.3]}],
+            },
+        },
+        "optimizer": {"max_iters": 3},
+    }))
+    assert main(["gradcheck", str(doc)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+    assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "out" / "report.json").exists()
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [

@@ -549,6 +549,20 @@ def test_gradient_with_weights_and_coefficients_other_than_one():
         assert check_gradient(engine, phi).rel_err <= 1e-8
 
 
+def test_given_side_tower_under_a_parameterized_prior_and_a_weight():
+    # ln q(x | z) weighed by 2, under a target whose prior on z is a
+    # softmax: E_q[s | z] is not zero, so the given side's tower weight
+    # carries the part weight as it does the numerator's.
+    vae = preset("vae-toy")
+    target = TargetSpec(vae.target.scope, [ParamFactor("z", (), [0.3, -0.4]),
+                                           vae.target.factors[1]])
+    parts = ((2.0, TargetLog(("x",), ("z",))), (1.0, ActualLog(("z",), ("x",))))
+    engine = Engine(vae.system, target, [Term("v", -0.5, parts)])
+    draw = np.random.default_rng(4).normal(size=engine.parameters().shape)
+    for phi in (None, draw):
+        assert check_gradient(engine, phi).rel_err <= 1e-8
+
+
 def test_divergent_flag_from_zero_target():
     system, _ = make_xyz()
     target = TargetSpec(("x", "z", "y"), [TableFactor(("z",), np.asarray([1.0, 0.0]))])
@@ -1039,10 +1053,10 @@ def test_each_compiled_marginal_is_the_sum_of_the_dense_product(case):
 @given(random_networks())
 def test_marginals_from_one_state_reuse_its_nodes_soundly(case):
     # The case's marginals and those on each variable and each pair are
-    # read on both measures from one state, smaller ones first so that few
-    # are summed from a cached cover: each reuses the nodes those before it
-    # ran. A second engine of the same structure shares the networks, and
-    # its state, at another phi, takes the same marginals in turn.
+    # read on both measures from one state, smaller ones first: each runs
+    # its own program, which reuses the nodes those before it ran. A
+    # second engine of the same structure shares the networks, and its
+    # state, at another phi, takes the same marginals in turn.
     system, evidence, keeps = case
     observed = {int(n[1:]): v for n, v in evidence.items()}
     rng = np.random.default_rng(len(keeps))
@@ -1222,6 +1236,25 @@ def test_an_unread_fixed_leaf_changes_no_bit():
         assert np.array_equal(got.grad, want.grad), seed
         assert np.array_equal(got.direction, want.direction), seed
         assert got.score_residual == want.score_residual, seed
+
+
+def test_blocks_no_term_reads_get_exact_zero_gradients():
+    # One term on (z1 | x1): z2 and x2 come later in generic_pair's order,
+    # so no marginal the term takes reads their conditionals, and each
+    # cotangent goes back through the program of the marginal it was
+    # seeded on. Their blocks get no field, not one that rounds to zero.
+    term = Term("z1", 1.0, ((1.0, ActualLog(("z1",), ("x1",))),
+                            (-1.0, TargetLog(("z1",), ("x1",)))))
+    checked = 0
+    for seed in range(30):
+        system, target = generic_pair(seed)
+        engine = Engine(system, target, [term])
+        grad = engine.value_and_gradient().grad
+        for b in engine.space.blocks:
+            if b.side == "p" and b.child in ("z2", "x2"):
+                assert np.all(grad[b.offset:b.offset + b.size] == 0.0), (seed, b.child)
+                checked += 1
+    assert checked == 30
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 A stdlib-only scan: for each source and test module, collect the names
 bound by top-level ``import`` statements and report those the module
 never reads. A name listed in a literal ``__all__`` counts as read, so
-re-exports stay legal. Two more guards keep what the engine and
-``import divmin`` load in check.
+re-exports stay legal. More guards keep what the engine and ``import
+divmin`` load in check, and keep the sources off numpy's broadcasts that
+stop at 32 dimensions.
 """
 
 import ast
@@ -82,6 +83,34 @@ def test_the_guard_finds_a_materialization_import():
 def test_the_engine_imports_no_materialization_helper():
     source = (ROOT / "src" / "divmin" / "engine.py").read_text()
     assert materialization_imports(source) == []
+
+
+# numpy broadcasts at most 32 dimensions in these two, while the engine's
+# and the reports' arrays carry one axis per variable.
+NARROW_BROADCASTS = {"broadcast", "broadcast_shapes"}
+
+
+def narrow_broadcasts(source: str) -> list[str]:
+    return [
+        f"np.{node.attr}" for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in NARROW_BROADCASTS
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    ]
+
+
+def test_the_guard_finds_a_narrow_broadcast():
+    source = "import numpy as np\nnp.broadcast_to(a, s)\nnp.broadcast(a, b).shape\n"
+    assert narrow_broadcasts(source) == ["np.broadcast"]
+    assert narrow_broadcasts("f = np.broadcast_shapes\n") == ["np.broadcast_shapes"]
+
+
+def test_no_source_module_uses_a_narrow_broadcast():
+    found = {
+        path.name: names
+        for path in sorted((ROOT / "src" / "divmin").glob("*.py"))
+        if (names := narrow_broadcasts(path.read_text()))
+    }
+    assert found == {}
 
 
 def test_importing_the_package_loads_no_process_pool():

@@ -1083,3 +1083,29 @@ def test_a_target_scope_ordered_away_from_the_system_certifies(family, scope):
             v = value.terms[name]
             assert abs(v - report.terms[name]) <= 1e-12 * max(1.0, abs(v)), name
         assert check_gradient(obj, phi).rel_err <= 1e-8
+
+
+def action_with_points(n: int) -> Objective:
+    """joint_kl of one softmax action under a softmax target on it, beside
+    ``n`` variables of one state each."""
+    variables = [Variable("a", 3, Role.ACTION)]
+    variables += [Variable(f"c{i}", 1, Role.LATENT_STATE) for i in range(n)]
+    factors = [FactorSpec.parameterized("a", (), [0.2, -0.4, 0.1])]
+    factors += [FactorSpec.fixed(f"c{i}", (), [1.0]) for i in range(n)]
+    target = TargetSpec(tuple(v.name for v in variables), [ParamFactor("a", (), [0.5, 0.0, -0.3])])
+    return make_objective("joint_kl", ActualSystem(variables, factors), target)
+
+
+def test_forty_variables_of_one_state_change_nothing():
+    # The engine's and the report's arrays carry one axis per variable,
+    # past the 32 dimensions that np.broadcast and np.broadcast_shapes
+    # take.
+    alone, padded = action_with_points(0), action_with_points(40)
+    phi = np.random.default_rng(4).standard_normal(alone.parameters().size)
+    assert padded.value(phi) == alone.value(phi)
+    got, want = padded.value_and_gradient(phi), alone.value_and_gradient(phi)
+    assert got.evaluation == want.evaluation
+    assert np.array_equal(got.grad, want.grad)
+    assert np.array_equal(got.direction, want.direction)
+    assert got.score_residual == want.score_residual
+    assert padded.report(phi).to_dict() == alone.report(phi).to_dict()
