@@ -30,19 +30,21 @@ target's total. The programs of one measure are interned into one network
 of einsum calls, a node per set of tables multiplied and axes kept, so the
 marginals of one state run each message they share once (Koller & Friedman
 2009, ch. 10): a chain's step marginals share their prefixes, and cost
-linear in its length. A program over j or p leaves out every barren
-conditional, one whose child is not kept, not observed and read by no table
-left, until none is (Shachter 1986): it sums to one over its child, so a
-marginal reads only the conditionals of the ancestors of its axes and, in
-p, of the evidence. The target's factors are not conditionals, and a
-program over q~ reads them all. The engine so shares no materialization
-step with the reports it is certified against, which multiply the dense
-grid.
+linear in its length. A program over j or p reads the ancestor closure of
+its axes and, in p, of the evidence: every other conditional is barren
+(Shachter 1986), and sums to one over its child. The target's factors are
+not conditionals, and a program over q~ reads them all.
+
+Every array the engine holds lies on its own axes, those of its variables
+of length above one in sorted order, as the network's nodes do; two arrays
+line up by a reshape or a transpose fixed from structure. The engine so
+shares no materialization step with the reports it is certified against,
+which multiply the dense grid, one axis per variable.
 
 A term whose sources span the scope S is evaluated as sum_S' p_S' V on the
-largest term scope S' that holds S, where V is constant off S, and it is
-divergent when p_S' > 0 where V is not finite: p_S'(s) > 0 exactly when some
-outcome with that s carries mass.
+largest term scope S' that holds S, each source reshaped onto S', where V
+is constant off S, and it is divergent when p_S' > 0 where V is not
+finite: p_S'(s) > 0 exactly when some outcome with that s carries mass.
 
 A block's field is a measure times scope-sized pieces r_G, summed onto the
 block's family:
@@ -111,7 +113,7 @@ from .systems import (
     softmax,
     target_factor_scope,
 )
-from .tables import JOINT_SUM_TOL, Assignment, _float_array, _Layout, _safe_log
+from .tables import JOINT_SUM_TOL, Assignment, _float_array, _safe_log
 
 # ---------------------------------------------------------------------------
 # Log-sources
@@ -232,6 +234,7 @@ class GradientEvaluation:
 # at 864 (15.6 against 5.6 us). Spans of 16 to 256 time the same on chain-mdp
 # and on a descent pass.
 _MERGE_SPACE = 64
+_MAX_OPERANDS = 32  # numpy 1's einsum limit (numpy 2 takes 63); cut pairwise too
 
 _LABELS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"  # einsum's 52
 
@@ -248,30 +251,31 @@ class _Program:
     so a small network is one call. Every intermediate lies on a subset of
     the network's variables, so none outgrows the network's outcome space.
 
-    A conditional whose child is not in ``out`` and that no other table
-    left reads is barren and not read, until none is. Each call is
-    interned as the network's node for the tables it multiplies and the
-    axes it keeps, which an earlier program may have made. ``slots``
-    lists, in order, every node the
-    marginal needs, ``result`` the slot of the marginal, None when no
-    table is left and the marginal is 1, and ``shape`` the shape the
-    result is read in.
+    The program reads the tables that are not conditionals, such as
+    evidence indicators, the conditionals whose child is in ``out``, and,
+    in turn, the conditional of each variable a table read holds: every
+    other conditional is barren. Each call is interned as the network's
+    node for the tables it multiplies and the axes it keeps, which an
+    earlier program may have made. ``slots`` lists, in order, every node
+    the marginal needs, and ``result`` the slot of the marginal, which lies
+    on ``out``: None when no table is left and the marginal is 1.
     """
 
-    __slots__ = ("result", "shape", "slots")
+    __slots__ = ("result", "slots")
 
     def __init__(self, network: _Network, out: tuple[int, ...]) -> None:
         operands, card, children = network.operands, network.card, network.children
-        self.shape = tuple(n if a in out else 1 for a, n in enumerate(card))
 
         def span(names: Iterable[int]) -> int:
             return math.prod(card[v] for v in names)
 
-        held = dict(enumerate(operands))  # live slot -> its variables
-        while barren := [t for t in held if children and (child := children[t]) is not None
-                         and child not in out and all(child not in held[u] for u in held if u != t)]:
-            for t in barren:
-                del held[t]
+        owner = {c: t for t, c in enumerate(children or ()) if c is not None}
+        read = {*range(len(operands))} - {*owner.values()} | {owner[a] for a in out if a in owner}
+        front = list(read)
+        while front:  # the ancestor closure of what the marginal keeps
+            front += (new := {owner[v] for v in operands[front.pop()] if v in owner} - read)
+            read |= new
+        held = {t: operands[t] for t in sorted(read)}  # live slot -> its variables
         if not held:  # nothing left to read: the marginal is 1
             self.slots, self.result = (), None
             return
@@ -310,10 +314,10 @@ class _Program:
             if len(inputs) == 1 and names[inputs[0]] == result:
                 placed[slot] = placed[inputs[0]]  # nothing to sum or move
                 continue
-            # A wide call multiplies pairwise, the product that spans the
-            # fewest outcomes first, summing each variable once no later
-            # table holds it.
-            while span(joined) > _MERGE_SPACE and len(inputs) > 2:
+            # A wide call, or one of too many operands, multiplies
+            # pairwise, the product that spans the fewest outcomes first,
+            # summing each variable once no later table holds it.
+            while (span(joined) > _MERGE_SPACE or len(inputs) > _MAX_OPERANDS) and len(inputs) > 2:
                 a, b = min(
                     itertools.combinations(inputs, 2),
                     key=lambda ab: span({*names[ab[0]], *names[ab[1]]}),
@@ -419,18 +423,18 @@ class _Network:
                 subscripts, inputs, _, _ = self.nodes[s - len(self.operands)]
                 values[s] = np.einsum(subscripts, *[values[i] for i in inputs])
         if program.result is None:
-            return np.ones(program.shape), None
-        return values[program.result].reshape(program.shape), program.result
+            return np.ones(()), None
+        return values[program.result], program.result
 
     def backward(self, values: dict, seeded: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         """Each wanted table T times the gradient by T of the sum, over the
-        slots ``seeded``, of sum(cot * value), for the run that filled
-        ``values``: all tables times the cotangents, summed onto T's
-        variables. One sweep visits the nodes in descending slot order."""
+        slots ``seeded``, of sum(cot * value), cot in the slot's shape, for
+        the run that filled ``values``: all tables times the cotangents,
+        summed onto T's variables. One sweep visits the nodes in descending
+        slot order."""
         tables = len(self.operands)
         cots, fields = {}, {}
         for s, cot in seeded.items():
-            cot = cot.reshape(values[s].shape)
             if s >= tables:
                 cots[s] = cot
             elif s in self.wanted:  # a table read as it is
@@ -451,9 +455,11 @@ _network = functools.lru_cache(maxsize=4096)(_Network)
 
 
 @functools.lru_cache(maxsize=4096)
-def _order(axes: tuple[int, ...], ndim: int) -> tuple[int, ...]:
-    """The transposition of ``ndim`` axes that puts ``axes`` first."""
-    return axes + tuple(a for a in range(ndim) if a not in axes)
+def _reading(axes: tuple[int, ...], grid: frozenset[int]) -> tuple[tuple[int, ...], ...]:
+    """The own axes of ``axes`` in ``grid``, and the transposition that
+    reads an array on them in the order of ``axes``: their ranks."""
+    axes = tuple(a for a in axes if a in grid)
+    return tuple(sorted(axes)), tuple(np.argsort(np.argsort(axes)))
 
 
 # ---------------------------------------------------------------------------
@@ -496,17 +502,14 @@ def _natural_direction(grad: np.ndarray, sigma: np.ndarray, occupancy: np.ndarra
 class _Block:
     """One live softmax block: a system factor the realization left
     parameterized, or a parameterized target factor. ``at`` is its position
-    among the parameter space's blocks, ``family`` and ``parents`` its axes
-    in (parents, child) order, ``shape`` its softmax's shape and ``compact``
-    that shape without length-one axes."""
+    among the parameter space's blocks, ``family`` its axes in (parents,
+    child) order and ``shape`` its softmax's shape."""
 
     at: int
     coords: slice
     side: str
     family: tuple[int, ...]
-    parents: tuple[int, ...]
     shape: tuple[int, ...]
-    compact: tuple[int, ...]
 
 
 @dataclass
@@ -537,16 +540,20 @@ class _Plan:
     length above one, with each table's child axis for ``"joint"`` and
     ``"p"`` (None for an indicator), and ``checked`` whether a state has
     checked the whole joint's sum. ``logs`` holds each target factor's log
-    on the joint's axes, or what it reads.
+    on its own axes, or what it reads.
 
-    The gradient's structure: ``scopes`` holds the axes each term is
-    evaluated on (the largest term scope that holds its own), ``towers``
-    the coefficient and axes of each ratio p / q~ that the
+    An array over some variables lies on their own axes, those of length
+    above one in sorted order (``own``), where a fixed one is put once
+    (``sort``). ``scopes`` holds the axes each term is evaluated on (the
+    largest term scope that holds its own), and ``parts`` the shape each of
+    its sources is reshaped to there. The gradient's structure: ``towers``
+    holds the coefficient and axes of each ratio p / q~ that the
     normalized-target sources and ln Z seed the target with, ``consumers``
     each target factor whose field a live block consumes, with its
     position, its coefficient of p and what it feeds: a block position, or
-    a marginal mirror's axes, its given axes and the axes between. Each
-    network's ``wanted`` tables are those whose field a block reads.
+    a marginal mirror's axes, its given axes and the positions of the
+    others. Each network's ``wanted`` tables are those whose field a block
+    reads.
     """
 
     def __init__(self, system: ActualSystem, target: TargetSpec, evidence: Mapping[str, int],
@@ -564,12 +571,8 @@ class _Plan:
             if b.side == "p" and factor.logits is None:
                 continue  # realized into a point mass; no dependence left
             live[b.child if b.side == "p" else b.index] = len(blocks)
-            parents = self.axes(factor.parents)
-            blocks.append(_Block(
-                at, slice(b.offset, b.offset + b.size), b.side,
-                parents + (self.axis[factor.child],), parents, b.shape,
-                tuple(n for n in b.shape if n > 1),
-            ))
+            blocks.append(_Block(at, slice(b.offset, b.offset + b.size), b.side,
+                                 self.axes(factor.parents + (factor.child,)), b.shape))
         self.blocks = tuple(blocks)
         joint = [
             (self.compact(f.parents + (n,)), live[n] if f.logits is not None
@@ -587,30 +590,33 @@ class _Plan:
         # expectation: E_p[ E_p[s | G, H] - E_p[s | H] ] = 0.
         c_factor: dict[int, float] = {}
         towers = []
-        scopes = []
-        for t in terms:
-            names: tuple[str, ...] = ()
+        self.payoffs = {}
+        sources: list[list[tuple[int, ...]]] = [[] for _ in terms]  # each term's sources' axes
+        for t, axes in zip(terms, sources):
             for w, src in t.parts:
                 if isinstance(src, TargetFactorLog):
                     c_factor[src.index] = c_factor.get(src.index, 0.0) + t.coeff * w
-                    names += target_factor_scope(target.factors[src.index], system)
+                    names = target_factor_scope(target.factors[src.index], system)
                 elif isinstance(src, Payoff):
-                    names += src.vars
-                elif src.vars:
-                    names += src.vars + src.given
-                    if isinstance(src, TargetLog):
-                        towers += [(t.coeff * w, self.axes(src.vars + src.given)),
-                                   (-t.coeff * w, self.axes(src.given))]
-            scopes.append(self.grid.intersection(self.axes(names)))
+                    names = src.vars
+                    self.payoffs[src] = self.sort(names, src.values)
+                else:  # ln 1 for no vars, on no axes
+                    names = src.vars + src.given if src.vars else ()
+                    if isinstance(src, TargetLog) and src.vars:
+                        towers += [(t.coeff * w, self.own(names)),
+                                   (-t.coeff * w, self.own(src.given))]
+                axes.append(self.own(names))
         if lnz_coeff != 0.0:
             towers.append((lnz_coeff, ()))  # on no axes, p / q~ is 1 / Z
         # A term is evaluated on the largest term scope that holds its own,
         # so that nested terms read one marginal of p.
-        self.scopes = tuple(max((s for s in scopes if scope <= s),
-                                key=lambda s: math.prod(shape[a] for a in s)) for scope in scopes)
+        scopes = [frozenset().union(*axes) for axes in sources]
+        self.scopes = tuple(tuple(sorted(max((s for s in scopes if scope <= s),
+                                             key=lambda s: math.prod(shape[a] for a in s))))
+                            for scope in scopes)
+        self.parts = tuple(tuple(tuple(shape[a] if a in axes else 1 for a in scope)
+                                 for axes in term) for scope, term in zip(self.scopes, sources))
         self.towers = tuple(towers)
-        target_axes = [self.axis[system.variable(n).name] for n in target.scope]
-        self.q_grid = self.grid.intersection(target_axes)
         logs: list = []
         weights: list[tuple[tuple[int, ...], np.ndarray | int | MarginalMirror]] = []
         consumers = []
@@ -619,27 +625,29 @@ class _Plan:
             # A factor mirror feeds its child's live block, a parameterized
             # factor its own, and a marginal mirror the system blocks.
             if isinstance(f, MarginalMirror):
-                kept = tuple(sorted(self.grid.intersection(self.axes(names))))
-                feeds = (kept, self.axes(f.given), tuple(set(kept) - set(self.axes(f.given))))
+                kept, given = self.own(names), self.own(f.given)
+                feeds = (kept, given, tuple(k for k, a in enumerate(kept) if a not in given))
                 logs.append(f)
                 weights.append((kept, f))
             elif (feeds := live.get(f.child if isinstance(f, FactorMirror) else i)) is not None:
-                logs.append((feeds, _Layout(names, system.variables)))
+                logs.append((feeds, names))
                 weights.append((self.compact(names), feeds))
             elif isinstance(f, RewardFactor):
-                logs.append(_Layout(names, system.variables).place(f.values))
+                logs.append(self.sort(names, f.values))
                 with np.errstate(over="ignore"):  # an inf weight fails the total's check
                     weights.append((self.compact(names), self.squeezed(np.exp(f.values))))
             else:
                 mirror = isinstance(f, FactorMirror)
                 table = system.factor_conditional(f.child) if mirror else f.table
-                logs.append(_Layout(names, system.variables).place(_safe_log(table)))
+                logs.append(self.sort(names, _safe_log(table)))
                 weights.append((self.compact(names), self.squeezed(table)))
             c = c_factor.get(i, 0.0)
             if feeds is not None and (c != 0.0 or towers):
                 consumers.append((i, c, feeds))  # a zero field is left out
         read = set().union(*(v for v, _ in weights))
-        weights += [((a,), np.ones(shape[a])) for a in sorted(self.q_grid - read)]
+        # ``system.variable`` rejects a target variable the system lacks.
+        scope = self.own(tuple(system.variable(n).name for n in target.scope))
+        weights += [((a,), np.ones(shape[a])) for a in scope if a not in read]
         weights = weights or [((), np.ones(()))]
         self.logs, self.consumers = tuple(logs), tuple(consumers)
         at = frozenset(t for t, (_, e) in enumerate(joint_ind) if isinstance(e, int))
@@ -649,12 +657,6 @@ class _Plan:
             self.tables[which] = tuple(e for _, e in tables)
             self.networks[which] = _network(tuple(v for v, _ in tables), shape,
                                             children.get(which), wanted[which])
-        self.payoffs = {
-            src: _Layout(src.vars, system.variables).place(src.values)
-            for t in terms
-            for _, src in t.parts
-            if isinstance(src, Payoff)
-        }
 
     def axes(self, names: tuple[str, ...]) -> tuple[int, ...]:
         return tuple(self.axis[x] for x in names)
@@ -662,6 +664,14 @@ class _Plan:
     def compact(self, names: tuple[str, ...]) -> tuple[int, ...]:
         """The axes of ``names`` of length above one, in that order."""
         return tuple(a for a in self.axes(names) if a in self.grid)
+
+    def own(self, names: tuple[str, ...]) -> tuple[int, ...]:
+        """The own axes of ``names``: those of length above one, sorted."""
+        return tuple(sorted(set(self.compact(names))))
+
+    def sort(self, names: tuple[str, ...], arr: np.ndarray) -> np.ndarray:
+        """``arr``, indexed by ``names`` in that order, on their own axes."""
+        return self.squeezed(arr).transpose(np.argsort(self.compact(names)))
 
     @staticmethod
     def squeezed(table: np.ndarray) -> np.ndarray:
@@ -682,7 +692,7 @@ class _State:
 
     def __init__(self, plan: _Plan, sigmas: tuple[np.ndarray, ...], q_side: _QSide | None) -> None:
         self.plan, self.sigmas = plan, sigmas
-        compact = tuple(s.reshape(b.compact) for b, s in zip(plan.blocks, sigmas))
+        compact = tuple(map(plan.squeezed, sigmas))
         self.slots = {
             which: {t: e if isinstance(e, np.ndarray) else compact[e]
                     for t, e in enumerate(plan.tables[which])}
@@ -700,7 +710,6 @@ class _State:
         self.cache: dict[str, dict] = {"joint": {}, "p": {}}
         self.made: dict[str, dict] = {"joint": {}, "p": {}}
         self.cot: dict[str, dict] = {"joint": {}, "p": {}, "q": {}}  # seeded on marginals
-        self.values: dict = {}  # actual-side source values
         self.q_side = q_side or self._target_side(compact)
 
     def _target_side(self, compact: tuple[np.ndarray, ...]) -> _QSide:
@@ -712,10 +721,9 @@ class _State:
             if isinstance(e, MarginalMirror)
         }
         tables = []
-        for i, (axes, e) in enumerate(zip(plan.networks["q"].operands, plan.tables["q"])):
+        for i, e in enumerate(plan.tables["q"]):
             if isinstance(e, MarginalMirror):
-                w = np.exp(logs[i], where=np.isfinite(logs[i]), out=np.zeros(logs[i].shape))
-                e = w.reshape(tuple(plan.shape[a] for a in axes))
+                e = np.exp(logs[i], where=np.isfinite(logs[i]), out=np.zeros(logs[i].shape))
             tables.append(e if isinstance(e, np.ndarray) else compact[e])
         self.q_side = _QSide(dict(enumerate(tables)), logs)
         total = self.q_side.total = self.marginal("q", ()).item()
@@ -725,19 +733,19 @@ class _State:
             raise ValidationError("target weights must have positive total mass")
         return self.q_side
 
-    def _measure(self, which: str, keep: Iterable[int]) -> tuple[str, frozenset, dict, dict]:
-        """The measure that stands for ``which``, the axes of ``keep`` it is
-        cached on, its cache and how each cached marginal was made."""
+    def _measure(self, which: str) -> tuple[str, dict, dict]:
+        """The measure that stands for ``which``, its cache and how each
+        cached marginal was made."""
         if which == "q":
-            return which, self.plan.q_grid.intersection(keep), self.q_side.cache, self.q_side.made
+            return which, self.q_side.cache, self.q_side.made
         if which == "joint" and not self.plan.evidence:
             which = "p"  # no evidence: one measure, one cache
-        return which, self.plan.grid.intersection(keep), self.cache[which], self.made[which]
+        return which, self.cache[which], self.made[which]
 
-    def marginal(self, which: str, keep: Iterable[int]) -> np.ndarray:
-        """The marginal on ``keep`` of the actual measure (``"p"``), the
-        unobserved joint (``"joint"``) or the target weights (``"q"``,
-        unnormalized), on the joint's axes with length one elsewhere, cached.
+    def marginal(self, which: str, keep: tuple[int, ...]) -> np.ndarray:
+        """The marginal on the own axes ``keep`` of the actual measure
+        (``"p"``), the unobserved joint (``"joint"``) or the target weights
+        (``"q"``, unnormalized), on those axes, cached.
 
         A new marginal is run by the measure's network, which runs only the
         nodes of its program that no earlier marginal ran; ``made`` records
@@ -748,11 +756,11 @@ class _State:
         first state.
         """
         plan = self.plan
-        which, keep, cache, made = self._measure(which, keep)
+        which, cache, made = self._measure(which)
         m = cache.get(keep)
         if m is None:
             slots = self.q_side.slots if which == "q" else self.slots[which]
-            m, made[keep] = plan.networks[which].run(slots, tuple(sorted(keep)))
+            m, made[keep] = plan.networks[which].run(slots, keep)
             total = self.totals.get(which)
             if total is None:
                 total = self.totals[which] = float(m.sum())
@@ -763,13 +771,13 @@ class _State:
 
     def read(self, which: str, axes: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
         """The marginal on ``axes`` read in their order, in ``shape``."""
-        order = _order(axes, len(self.plan.shape))
-        return self.marginal(which, axes).transpose(order).reshape(shape)
+        keep, ranks = _reading(axes, self.plan.grid)
+        return self.marginal(which, keep).transpose(ranks).reshape(shape)
 
-    def seed(self, which: str, keep: Iterable[int], cot: np.ndarray) -> None:
-        """Adds ``cot``, in its shape, to the cotangent of measure
-        ``which``'s marginal on ``keep``, which has been taken."""
-        which, keep, _, _ = self._measure(which, keep)
+    def seed(self, which: str, keep: tuple[int, ...], cot: np.ndarray) -> None:
+        """Adds ``cot`` to the cotangent of measure ``which``'s marginal on
+        the own axes ``keep``, which has been taken, in its shape."""
+        which, _, _ = self._measure(which)
         seeded = self.cot[which]
         seeded[keep] = seeded[keep] + cot if keep in seeded else cot
 
@@ -779,7 +787,7 @@ class _State:
         mode. Each marginal seeds the slot it was run into, from which one
         sweep goes back through the network's nodes; one on no slot is 1
         and reads no table."""
-        which, _, _, made = self._measure(which, ())
+        which, _, made = self._measure(which)
         seeded, self.cot[which] = self.cot[which], {}
         network = self.plan.networks[which]
         at = {made[keep]: cot for keep, cot in seeded.items() if made[keep] is not None}
@@ -789,17 +797,18 @@ class _State:
         return fields if which == "q" else {t: f / self.totals[which] for t, f in fields.items()}
 
     def log_conditional(self, which: str, vars: tuple, given: tuple) -> np.ndarray:
-        """ln m(vars | given) of measure ``which``, from its marginal on
-        vars + given, summed over vars for the given side; -inf where that
-        marginal is 0, and ln 1 for empty ``vars``."""
+        """ln m(vars | given) of measure ``which`` on the own axes of vars +
+        given, from its marginal there, summed over vars for the given side;
+        -inf where that marginal is 0, and ln 1 on no axes for no ``vars``."""
         plan = self.plan
         if not vars:
-            return np.zeros((1,) * len(plan.shape))
-        m = self.marginal(which, plan.axes(vars + given))
+            return np.zeros(())
+        m = self.marginal(which, keep := plan.own(vars + given))
         out = _safe_log(m / m.sum())
         if given:
-            summed = plan.grid.intersection(plan.axes(vars)) - set(plan.axes(given))
-            h = np.add.reduce(m, axis=tuple(sorted(summed)), keepdims=True)
+            given = plan.own(given)
+            summed = tuple(k for k, a in enumerate(keep) if a not in given)
+            h = np.add.reduce(m, axis=summed, keepdims=True)
             with np.errstate(invalid="ignore"):
                 out = out - _safe_log(h / h.sum())
         return out
@@ -921,24 +930,24 @@ class Engine:
     # -- per-source arrays --------------------------------------------------
 
     def _source_values(self, src: LogSource, st: _State) -> np.ndarray:
-        """A source's values on the joint's axes, with length one on every
-        axis outside the source's own scope."""
+        """A source's values on its own axes: those of its variables of
+        length above one, sorted; none for a log-conditional of no vars."""
         if isinstance(src, Payoff):
             return self._plan.payoffs[src]
-        cache = st.values if isinstance(src, ActualLog) else st.q_side.values
-        arr = cache.get(src)
+        if isinstance(src, ActualLog):
+            return st.log_conditional("p", src.vars, src.given)
+        arr = st.q_side.values.get(src)
         if arr is not None:
             return arr
-        if isinstance(src, ActualLog):
-            arr = st.log_conditional("p", src.vars, src.given)
-        elif isinstance(src, TargetLog):
+        if isinstance(src, TargetLog):
             arr = st.log_conditional("q", src.vars, src.given)
         else:
             e = self._plan.logs[src.index]
             if isinstance(e, MarginalMirror):
                 return st.q_side.values[src.index]
-            arr = e if isinstance(e, np.ndarray) else e[1].place(_safe_log(st.sigmas[e[0]]))
-        cache[src] = arr
+            arr = e if isinstance(e, np.ndarray) else self._plan.sort(
+                e[1], _safe_log(st.sigmas[e[0]]))
+        st.q_side.values[src] = arr
         return arr
 
     # -- evaluation ---------------------------------------------------------
@@ -946,16 +955,17 @@ class Engine:
     def _evaluate(self, st: _State) -> tuple[Evaluation, list]:
         """The term pass at ``st``: the evaluation, and the p-field's pieces
         c_t (V_t - E_p V_t), each on its term's scope."""
-        ones = (1,) * len(self._plan.shape)
+        plan = self._plan
         values: dict[str, float] = {}
         divergent = False
         centred = []
-        for term, scope in zip(self.terms, self._plan.scopes):
+        for term, scope, shapes in zip(self.terms, plan.scopes, plan.parts):
             # Opposite infinities from stacked log sources cancel into nans
             # off the support; the finite mask below discards them.
             with np.errstate(invalid="ignore"):
-                weighted = [w * self._source_values(src, st) for w, src in term.parts]
-                v = sum(weighted[1:], weighted[0]) if weighted else np.zeros(ones)
+                weighted = [w * self._source_values(src, st).reshape(shape)
+                            for (w, src), shape in zip(term.parts, shapes)]
+                v = sum(weighted[1:], weighted[0]) if weighted else np.zeros(())
             # p on the scope S the term is evaluated on: p_S(s) > 0 exactly
             # when some outcome with that s carries mass, so this is the
             # outcome-level test.
@@ -996,8 +1006,8 @@ class Engine:
                 continue
             keep, given, between = feeds
             j = st.marginal("joint", keep)
-            f = c * st.marginal("p", keep) + (from_q[i].reshape(j.shape) if i in from_q else 0.0)
-            fh = np.add.reduce(f, axis=between, keepdims=True)
+            f = c * st.marginal("p", keep) + from_q.get(i, 0.0)
+            fh = np.add.reduce(f, axis=between)
             st.seed("joint", keep, _ratio(f, j))
             st.seed("joint", given, -_ratio(fh, st.marginal("joint", given)))
         for scope, piece in centred:

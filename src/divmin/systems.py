@@ -292,10 +292,17 @@ def _grow(
 
 def build_joint(system: ActualSystem) -> Table:
     """Multiply all factors into the exact joint table over the full scope,
-    in the system's order; their sum must be one to ``JOINT_SUM_TOL``."""
+    in the system's order; their sum must be one to ``JOINT_SUM_TOL``. It
+    has one axis per variable, so more variables than numpy allows array
+    dimensions raise :class:`CapacityError`."""
     scope = system.variables
     shape = tuple(v.cardinality for v in scope)
-    probs = np.ones((1,) * len(shape))
+    try:
+        probs = np.ones((1,) * len(shape))
+    except ValueError:  # numpy allows 32 array dimensions before 2.0, 64 since
+        raise CapacityError(
+            f"a joint over {len(shape)} variables has more axes than numpy allows"
+        ) from None
     for name, f in system.factors.items():
         cond = _Layout(f.parents + (name,), scope).place(system.factor_conditional(name))
         probs = _grow(probs, cond, shape, np.multiply)

@@ -213,6 +213,38 @@ def test_thirty_two_variables_of_one_state_gradcheck_and_run(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+def test_seventy_variables_of_one_state_gradcheck_but_report_no_joint(tmp_path, capsys):
+    # 71 variables pass numpy's 64 array dimensions and its einsum
+    # operands. The engine holds no array with an axis per variable, so the
+    # gradient checks out; the report's dense joint has one, so ``run``
+    # fails with a capacity error.
+    points = [f"c{i}" for i in range(70)]
+    doc = tmp_path / "points.json"
+    doc.write_text(json.dumps({
+        "seed": 0,
+        "problem": {
+            "family": "joint_kl",
+            "system": {
+                "variables": [{"name": "a", "cardinality": 3, "role": "action"}]
+                + [{"name": n, "cardinality": 1, "role": "latent-state"} for n in points],
+                "factors": [{"child": "a", "parents": [], "logits": [0.2, -0.4, 0.1]}]
+                + [{"child": n, "parents": [], "table": [1.0]} for n in points],
+            },
+            "target": {
+                "scope": ["a", *points],
+                "factors": [{"type": "param", "child": "a", "parents": [],
+                             "logits": [0.5, 0.0, -0.3]}],
+            },
+        },
+        "optimizer": {"max_iters": 3},
+    }))
+    assert main(["gradcheck", str(doc)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+    assert main(["run", str(doc), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "71 variables" in err[0]
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [

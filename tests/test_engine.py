@@ -896,8 +896,8 @@ def dense_product(shape, network):
      (6, 2) * 5, (1,) + (2,) * 20],
 )
 def test_each_reduction_matches_the_numpy_sum(shape):
-    # Every compiled marginal of a product of tables, on the grid's axes
-    # with length one elsewhere, equals the sum of the dense product. The
+    # Every compiled marginal of a product of tables, on the axes it keeps
+    # of length above one, equals the sum of the dense product. The
     # tables' products are exact, so the compiled sums are checked against
     # the exactly rounded sum (math.fsum): np.sum over the leading axes of
     # the 2**20 grid is itself off by 6.5e-15.
@@ -905,7 +905,8 @@ def test_each_reduction_matches_the_numpy_sum(shape):
     # The marginals are run into one list of slots, so each reuses the
     # nodes of those before it. The reverse sweep from a cotangent r on the
     # middle pair's marginal gives each table times its gradient: the
-    # marginal of grid * r on that table's axes.
+    # marginal of grid * r, r lifted to the grid's rank, on that table's
+    # axes.
     rng = np.random.default_rng(len(shape))
     network = chain_network(shape, rng)
     grid = dense_product(shape, network)
@@ -914,8 +915,8 @@ def test_each_reduction_matches_the_numpy_sum(shape):
     net = _Network(tuple(v for v, _ in network), shape, None, frozenset(range(len(network))))
     values = {t: table for t, (_, table) in enumerate(network)}
     got, _ = net.run(values, tuple(big))
-    assert got.shape == shape
-    assert np.array_equal(got, grid)
+    assert got.shape == tuple(shape[a] for a in big)
+    assert np.array_equal(got, grid.reshape(got.shape))
 
     def exact_sum(dense, axes):
         kept = [dense.shape[a] for a in axes]
@@ -924,7 +925,7 @@ def test_each_reduction_matches_the_numpy_sum(shape):
 
     for keep in [(), tuple(big[half:half + 2]), tuple(big[-2:]), tuple(big[:2])]:
         got, slot = net.run(values, keep)
-        want = exact_sum(grid, keep).reshape(net.program(keep).shape)
+        want = exact_sum(grid, keep)
         assert got.shape == want.shape, keep
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
         if keep != tuple(big[half:half + 2]):
@@ -932,10 +933,12 @@ def test_each_reduction_matches_the_numpy_sum(shape):
         cot = 2.0 ** rng.integers(-3, 4, got.shape)
         fields = net.backward(values, {slot: cot})
         assert sorted(fields) == list(range(len(network)))
+        lifted = cot.reshape([n if a in keep else 1 for a, n in enumerate(shape)])
         for t, (axes, table) in enumerate(network):
             field = fields[t]
             assert field.shape == table.shape, axes
-            np.testing.assert_allclose(field, exact_sum(grid * cot, axes), rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(field, exact_sum(grid * lifted, axes), rtol=1e-15,
+                                       atol=0.0)
 
 
 def observed_slice(joint: np.ndarray, axes: dict[int, int]) -> np.ndarray:
@@ -1177,6 +1180,36 @@ def test_a_program_reads_the_ancestors_of_its_axes_and_the_evidence(case):
         if not axes and not observed:
             assert p.slots == () and p.result is None  # nothing is read: the marginal is 1
             assert networks["p"].run(dict(st.slots["p"]), ())[0].item() == 1.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(random_networks())
+def test_every_program_reads_the_ancestor_closure_of_its_axes(case):
+    # Every set of axes a network can compile, not a sample of them: a
+    # program over the joint reads the conditionals of the ancestors of its
+    # axes, one over p those of the ancestors of its axes and the evidence
+    # and every indicator, and neither reads any other table. The closure is
+    # walked here from the system's parents, one variable at a time.
+    system, evidence, _ = case
+    eng = Engine(system, TargetSpec(system.names, []), [], realized=evidence,
+                 realization="condition")
+    networks = eng._state(eng.parameters()).plan.networks
+    cards = [system.variable(n).cardinality for n in system.names]
+    parents = [[int(p[1:]) for p in system.factors[n].parents] for n in system.names]
+    grid = [a for a, n in enumerate(cards) if n > 1]
+    observed = {int(n[1:]) for n in evidence} & set(grid)
+    indicators = set(range(len(cards), len(cards) + len(observed)))
+    for axes in itertools.chain.from_iterable(
+            itertools.combinations(grid, r) for r in range(len(grid) + 1)):
+        for which, start, extra in (("joint", set(axes), set()),
+                                    ("p", set(axes) | observed, indicators)):
+            closure, todo = set(), list(start)
+            while todo:
+                v = todo.pop()
+                closure.add(v)
+                todo += [u for u in parents[v] if cards[u] > 1 and u not in closure]
+            program = networks[which].program(axes)
+            assert tables_read(networks[which], program) == closure | extra, (which, axes)
 
 
 def test_a_chain_value_reads_only_each_steps_ancestors(einsum_calls):

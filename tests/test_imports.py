@@ -50,12 +50,14 @@ def test_no_module_imports_a_name_it_never_reads():
     assert found == {}
 
 
-# Helpers that materialize tables for the reports. The engine must not
-# import them: the certificate checks compare its contractions against
-# the reports, and a shared step would hide its own errors from both.
+# Helpers that materialize tables for the reports, and the reports'
+# layout of one axis per variable. The engine must not import them: the
+# certificate checks compare its contractions against the reports, and a
+# shared step would hide its own errors from both.
 MATERIALIZATION = {
     "divmin.systems": {"_grow", "build_joint", "build_target", "target_factor_log_array"},
     "divmin.decomp": {"observe"},
+    "divmin.tables": {"_Layout"},
 }
 
 
@@ -85,8 +87,8 @@ def test_the_engine_imports_no_materialization_helper():
     assert materialization_imports(source) == []
 
 
-# numpy broadcasts at most 32 dimensions in these two, while the engine's
-# and the reports' arrays carry one axis per variable.
+# numpy broadcasts at most 32 dimensions in these two, while the reports'
+# arrays carry one axis per variable.
 NARROW_BROADCASTS = {"broadcast", "broadcast_shapes"}
 
 

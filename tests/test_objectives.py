@@ -16,7 +16,7 @@ from divmin import optim
 from divmin.config import RunConfig
 from divmin.decomp import observe, realize
 from divmin.engine import Engine
-from divmin.errors import ConfigError, ValidationError
+from divmin.errors import CapacityError, ConfigError, ValidationError
 from divmin.objectives import FAMILY_TAGS, Objective, from_preset, make_objective
 from divmin.optim import check_gradient
 from divmin.presets import names as preset_names
@@ -920,7 +920,7 @@ def test_planned_tables_match_the_materialized_ones(kind, key):
         assert taken
         for which, keep, m, dense in taken:
             drop = tuple(a for a in range(dense.ndim) if a not in keep and dense.shape[a] > 1)
-            want = dense.sum(axis=drop, keepdims=True)
+            want = dense.sum(axis=drop, keepdims=True).reshape([dense.shape[a] for a in keep])
             assert m.shape == want.shape, (which, keep)
             np.testing.assert_allclose(m, want, rtol=1e-15, atol=1e-300, err_msg=which)
 
@@ -1097,15 +1097,22 @@ def action_with_points(n: int) -> Objective:
 
 
 def test_forty_variables_of_one_state_change_nothing():
-    # The engine's and the report's arrays carry one axis per variable,
-    # past the 32 dimensions that np.broadcast and np.broadcast_shapes
-    # take.
-    alone, padded = action_with_points(0), action_with_points(40)
+    # The report's arrays carry one axis per variable, past the 32
+    # dimensions that np.broadcast and np.broadcast_shapes take. The
+    # engine's lie on their own axes, where a variable of one state has
+    # none, and its einsum calls take at most 32 operands: with 70 of them,
+    # past numpy's 64 array dimensions, it still equals the action alone,
+    # while the report's dense joint cannot be built.
+    alone = action_with_points(0)
     phi = np.random.default_rng(4).standard_normal(alone.parameters().size)
-    assert padded.value(phi) == alone.value(phi)
-    got, want = padded.value_and_gradient(phi), alone.value_and_gradient(phi)
-    assert got.evaluation == want.evaluation
-    assert np.array_equal(got.grad, want.grad)
-    assert np.array_equal(got.direction, want.direction)
-    assert got.score_residual == want.score_residual
-    assert padded.report(phi).to_dict() == alone.report(phi).to_dict()
+    forty, seventy = action_with_points(40), action_with_points(70)
+    for padded in (forty, seventy):
+        assert padded.value(phi) == alone.value(phi)
+        got, want = padded.value_and_gradient(phi), alone.value_and_gradient(phi)
+        assert got.evaluation == want.evaluation
+        assert np.array_equal(got.grad, want.grad)
+        assert np.array_equal(got.direction, want.direction)
+        assert got.score_residual == want.score_residual
+    assert forty.report(phi).to_dict() == alone.report(phi).to_dict()
+    with pytest.raises(CapacityError, match="71 variables"):
+        seventy.report(phi)
