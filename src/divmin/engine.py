@@ -21,19 +21,23 @@ differentiates into E[s | G, H] - E[s | H] under the matching measure.
 No outcome grid is built. Each measure is a product of small tables: the
 unobserved joint j of the system's conditionals on their (parents, child)
 axes; the actual measure p, which adds one indicator vector per evidence
-variable and divides by its total; and the target q~, its factors' weights
-on their own scopes. Every marginal the engine takes of one of them is run
-by a variable-elimination program compiled once per (measure, axes)
-(Dechter 1999; Koller & Friedman 2009, ch. 9); a conditional's given side
-is summed from the marginal it conditions, and ln Z is the log of the
-target's total. The programs of one measure are interned into one network
-of einsum calls, a node per set of tables multiplied and axes kept, so the
-marginals of one state run each message they share once (Koller & Friedman
-2009, ch. 10): a chain's step marginals share their prefixes, and cost
-linear in its length. A program over j or p reads the ancestor closure of
-its axes and, in p, of the evidence: every other conditional is barren
-(Shachter 1986), and sums to one over its child. The target's factors are
-not conditionals, and a program over q~ reads them all.
+variable; and the target q~, its factors' weights on their own scopes. A
+state holds each as one ``_Measure``, with the nodes it has run, the
+marginals it has taken, its total and the cotangents seeded on it; without
+evidence j is p itself. A measure's total is the sum of its first
+marginal: j's and p's marginals are divided by theirs, q~'s are not, and
+ln Z is the log of q~'s, taken on no axes. Every marginal is run by a
+variable-elimination program compiled once per (measure, axes) (Dechter
+1999; Koller & Friedman 2009, ch. 9), and a conditional's given side is
+summed from the marginal it conditions. The programs of one measure are
+interned into one network of einsum calls, a node per set of tables
+multiplied and axes kept, so the marginals of one state run each message
+they share once (Koller & Friedman 2009, ch. 10): a chain's step marginals
+share their prefixes, and cost linear in its length. A program over j or p
+reads the ancestor closure of its axes and, in p, of the evidence: every
+other conditional is barren (Shachter 1986), and sums to one over its
+child. The target's factors are not conditionals, and a program over q~
+reads them all.
 
 Every array the engine holds lies on its own axes, those of its variables
 of length above one in sorted order, as the network's nodes do; two arrays
@@ -93,7 +97,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -245,11 +249,15 @@ class _Program:
 
     Variables are eliminated greedily: each step takes the variable whose
     tables span the fewest outcomes, multiplies those tables and sums out
-    every variable no other table and no output holds. Each step is one
-    einsum call, and a step whose result feeds one later step is merged
-    into it while the merged call spans at most ``_MERGE_SPACE`` outcomes,
-    so a small network is one call. Every intermediate lies on a subset of
-    the network's variables, so none outgrows the network's outcome space.
+    every variable no other table and no output holds, ties going to the
+    lowest axis. An index from each variable to the tables that hold it,
+    and to what eliminating it spans, is updated for the variables a step
+    joins alone, so a step scans no table it does not read. Each step is
+    one einsum call, and a step whose result feeds one later step is
+    merged into it while the merged call spans at most ``_MERGE_SPACE``
+    outcomes, so a small network is one call. Every intermediate lies on a
+    subset of the network's variables, so none outgrows the network's
+    outcome space.
 
     The program reads the tables that are not conditionals, such as
     evidence indicators, the conditionals whose child is in ``out``, and,
@@ -279,20 +287,33 @@ class _Program:
         if not held:  # nothing left to read: the marginal is 1
             self.slots, self.result = (), None
             return
-        steps = []
-        todo = set().union(*held.values()) - set(out)
-        while todo:
-            v = min(todo, key=lambda u: (span(set().union(*(s for s in held.values() if u in s))),
-                                         u))
-            used = [i for i, s in held.items() if v in s]
+        where: dict[int, set[int]] = {}  # variable -> the live slots that hold it
+        for t, names in held.items():
+            for v in names:
+                where.setdefault(v, set()).add(t)
+
+        def cost(u: int) -> tuple[int, int]:  # what eliminating u spans, then u for ties
+            return span(set().union(*(held[i] for i in where[u]))), u
+
+        steps, kept = [], set(out)
+        costs = {u: cost(u) for u in set(where) - kept}  # the variables left to eliminate
+        while costs:
+            v = min(costs, key=costs.__getitem__)
+            used = where[v]
             joined = set().union(*(held[i] for i in used))
-            rest = set(out).union(*(s for i, s in held.items() if i not in used))
-            result = tuple(sorted(joined & rest))
+            result = tuple(sorted(u for u in joined if u in kept or where[u] - used))
+            slot = len(operands) + len(steps)
             for i in used:
                 del held[i]
-            held[len(operands) + len(steps)] = result
-            steps.append((used, result))
-            todo -= joined - rest
+            held[slot] = result
+            steps.append((sorted(used), result))  # live slots ascend, as ``held`` does
+            for u in joined:  # only the variables joined change slots, and so cost
+                if u in result:
+                    where[u] = where[u] - used | {slot}
+                    if u in costs:
+                        costs[u] = cost(u)
+                else:
+                    del costs[u]  # summed out
         steps.append((list(held), out))
         # Merge each step into its consumer while the merged span allows.
         calls, names = {}, dict(enumerate(operands))
@@ -512,34 +533,19 @@ class _Block:
     shape: tuple[int, ...]
 
 
-@dataclass
-class _QSide:
-    """The target's tables and network nodes run, by slot (``slots``), its
-    marginals taken so far with the slot each was run into, its total Z
-    and its source values: each marginal mirror's log by factor position,
-    the others by source. An engine whose target does not depend on phi
-    builds one and shares it."""
-
-    slots: dict
-    values: dict
-    total: float = 0.0
-    cache: dict = field(default_factory=dict)
-    made: dict = field(default_factory=dict)
-
-
 class _Plan:
     """What every evaluation of one engine shares, resolved from structure
     on its first evaluation.
 
-    ``tables`` holds each measure's tables: ``"joint"`` the system's
-    conditionals, ``"p"`` those and one indicator per evidence variable,
-    ``"q"`` each target factor's weights and a ones vector per target
-    variable no factor reads. A table is fixed and laid out once, or the
-    position of the live block whose softmax it is, or a marginal mirror.
-    ``networks`` holds each measure's network, over its tables' axes of
-    length above one, with each table's child axis for ``"joint"`` and
-    ``"p"`` (None for an indicator), and ``checked`` whether a state has
-    checked the whole joint's sum. ``logs`` holds each target factor's log
+    ``tables`` holds each measure's tables, from which each state builds
+    its ``_Measure``: ``"joint"`` the system's conditionals, ``"p"`` those
+    and one indicator per evidence variable, ``"q"`` each target factor's
+    weights and a ones vector per target variable no factor reads. A table
+    is fixed and laid out once, or the position of the live block whose
+    softmax it is, or a marginal mirror. ``networks`` holds each measure's
+    network, over its tables' axes of length above one, with each table's
+    child axis for ``"joint"`` and ``"p"`` (None for an indicator), and
+    ``checked`` whether a state has checked the whole joint's sum. ``logs`` holds each target factor's log
     on its own axes, or what it reads.
 
     An array over some variables lies on their own axes, those of length
@@ -684,133 +690,133 @@ class _Plan:
         return all(isinstance(e, np.ndarray) for e in self.logs)
 
 
+class _Measure:
+    """One measure of one state, a product of tables: the actual measure
+    p, the unobserved joint or the target weights q~.
+
+    ``tables`` holds each table as the plan gives it (a fixed array, the
+    position of the live block whose softmax it is, or a marginal mirror),
+    ``values`` the array of each table and of each node run so far, by
+    slot, ``made`` each marginal taken, by its own axes, with the slot it
+    was run into, ``logs`` each log-conditional read from it, by its
+    (vars, given), and ``cot`` the cotangents seeded on its marginals.
+
+    The first marginal taken fixes ``total``, its sum. A ``normalized``
+    measure divides its marginals and fields by it; the target's weights
+    are not divided, and their total is Z, from their first marginal, on
+    no axes. A measure under ``evidence`` checks its total for mass.
+    """
+
+    __slots__ = ("cot", "evidence", "logs", "made", "network", "normalized", "tables", "total",
+                 "values")
+
+    def __init__(self, network: _Network, tables: tuple, arrays: list[np.ndarray],
+                 normalized: bool = True, evidence: Mapping[str, int] | None = None) -> None:
+        self.network, self.tables, self.values = network, tables, dict(enumerate(arrays))
+        self.normalized, self.evidence = normalized, evidence
+        self.made, self.logs, self.cot, self.total = {}, {}, {}, None
+
+    def marginal(self, keep: tuple[int, ...]) -> np.ndarray:
+        """The marginal on the own axes ``keep``, on those axes, cached. A
+        new one is run by the network, which runs only the nodes of its
+        program that no earlier marginal ran."""
+        made = self.made.get(keep)
+        if made is None:
+            m, slot = self.network.run(self.values, keep)
+            if self.total is None:
+                self.total = float(m.sum())
+                if self.evidence and self.total <= 0.0:
+                    raise NullEvidenceError(f"evidence {dict(self.evidence)} has zero mass")
+            made = self.made[keep] = (m / self.total if self.normalized else m, slot)
+        return made[0]
+
+    def seed(self, keep: tuple[int, ...], cot: np.ndarray) -> None:
+        """Adds ``cot`` to the cotangent of the marginal on the own axes
+        ``keep``, which has been taken, in its shape."""
+        self.cot[keep] = self.cot[keep] + cot if keep in self.cot else cot
+
+    def sweep(self) -> dict[int, np.ndarray]:
+        """Each table that a block reads, by position, times the gradient of
+        the seeded sum(cot * marginal), in reverse mode; the seeds are used
+        up. Each marginal seeds the slot it was run into, from which one
+        sweep goes back through the network's nodes; one on no slot is 1
+        and reads no table."""
+        seeded, self.cot = self.cot, {}
+        at = {slot: cot for keep, cot in seeded.items() if (slot := self.made[keep][1]) is not None}
+        if not at or not self.network.wanted:
+            return {}
+        fields = self.network.backward(self.values, at)
+        return {t: f / self.total for t, f in fields.items()} if self.normalized else fields
+
+
 class _State:
     """Everything derived from one parameter vector: one softmax per live
-    block, each measure's tables and network nodes run, by slot, their
-    totals, the marginals taken with the slot each was run into, and the
-    cotangents seeded on them."""
+    block and three measures. ``p`` is the actual measure, ``joint`` the
+    unobserved joint, which is ``p`` itself without evidence, and ``q`` the
+    target weights, which every state of an engine whose target does not
+    depend on phi shares."""
 
-    def __init__(self, plan: _Plan, sigmas: tuple[np.ndarray, ...], q_side: _QSide | None) -> None:
+    def __init__(self, plan: _Plan, sigmas: tuple[np.ndarray, ...], q: _Measure | None) -> None:
         self.plan, self.sigmas = plan, sigmas
         compact = tuple(map(plan.squeezed, sigmas))
-        self.slots = {
-            which: {t: e if isinstance(e, np.ndarray) else compact[e]
-                    for t, e in enumerate(plan.tables[which])}
-            for which in ("joint", "p")
-        }
+        self.p = self._build("p", compact, evidence=plan.evidence)
+        self.joint = self._build("joint", compact) if plan.evidence else self.p
         if not plan.checked:  # the whole joint, which no pruned program reads
             joint = _network(plan.networks["joint"].operands, plan.shape)  # slots of its own
-            total = joint.run(dict(self.slots["joint"]), ())[0].item()
+            total = joint.run(dict(self.joint.values), ())[0].item()
             if abs(total - 1.0) > JOINT_SUM_TOL:
                 raise ValidationError(
                     f"materialized joint sums to {total!r}; factors are inconsistent"
                 )
             plan.checked = True  # its fixed tables hold, and softmax rows sum to one
-        self.totals = {"q": 1.0}  # the target's weights are not divided
-        self.cache: dict[str, dict] = {"joint": {}, "p": {}}
-        self.made: dict[str, dict] = {"joint": {}, "p": {}}
-        self.cot: dict[str, dict] = {"joint": {}, "p": {}, "q": {}}  # seeded on marginals
-        self.q_side = q_side or self._target_side(compact)
+        self.q = q or self._target(compact)
 
-    def _target_side(self, compact: tuple[np.ndarray, ...]) -> _QSide:
-        """The target's tables and its checked total Z at this state."""
-        plan = self.plan
-        logs = {
-            i: self.log_conditional("joint", e.vars, e.given)
-            for i, e in enumerate(plan.logs)
-            if isinstance(e, MarginalMirror)
-        }
-        tables = []
-        for i, e in enumerate(plan.tables["q"]):
+    def _build(self, which: str, compact: tuple[np.ndarray, ...], normalized: bool = True,
+               evidence: Mapping[str, int] | None = None) -> _Measure:
+        """The plan's measure ``which`` at this state: a live block's table
+        is its softmax, and a marginal mirror's the exp of its log."""
+        arrays = []
+        for e in self.plan.tables[which]:
             if isinstance(e, MarginalMirror):
-                e = np.exp(logs[i], where=np.isfinite(logs[i]), out=np.zeros(logs[i].shape))
-            tables.append(e if isinstance(e, np.ndarray) else compact[e])
-        self.q_side = _QSide(dict(enumerate(tables)), logs)
-        total = self.q_side.total = self.marginal("q", ()).item()
-        if not math.isfinite(total):
+                log = self.log_conditional(self.joint, e.vars, e.given)
+                e = np.exp(log, where=np.isfinite(log), out=np.zeros(log.shape))
+            arrays.append(e if isinstance(e, np.ndarray) else compact[e])
+        return _Measure(self.plan.networks[which], self.plan.tables[which], arrays, normalized,
+                        evidence)
+
+    def _target(self, compact: tuple[np.ndarray, ...]) -> _Measure:
+        """The target's measure at this state, with its total Z checked."""
+        q = self._build("q", compact, normalized=False)
+        q.marginal(())
+        if not math.isfinite(q.total):
             raise ValidationError("target weights must be finite")
-        if total <= 0.0:
+        if q.total <= 0.0:
             raise ValidationError("target weights must have positive total mass")
-        return self.q_side
+        return q
 
-    def _measure(self, which: str) -> tuple[str, dict, dict]:
-        """The measure that stands for ``which``, its cache and how each
-        cached marginal was made."""
-        if which == "q":
-            return which, self.q_side.cache, self.q_side.made
-        if which == "joint" and not self.plan.evidence:
-            which = "p"  # no evidence: one measure, one cache
-        return which, self.cache[which], self.made[which]
-
-    def marginal(self, which: str, keep: tuple[int, ...]) -> np.ndarray:
-        """The marginal on the own axes ``keep`` of the actual measure
-        (``"p"``), the unobserved joint (``"joint"``) or the target weights
-        (``"q"``, unnormalized), on those axes, cached.
-
-        A new marginal is run by the measure's network, which runs only the
-        nodes of its program that no earlier marginal ran; ``made`` records
-        the slot it was run into. The first marginal a measure runs fixes
-        the total its marginals are divided by, and under evidence p's total
-        is checked for mass on every evaluation. A program reads no barren
-        table, so the joint's sum is checked apart, once per plan, by its
-        first state.
-        """
-        plan = self.plan
-        which, cache, made = self._measure(which)
-        m = cache.get(keep)
-        if m is None:
-            slots = self.q_side.slots if which == "q" else self.slots[which]
-            m, made[keep] = plan.networks[which].run(slots, keep)
-            total = self.totals.get(which)
-            if total is None:
-                total = self.totals[which] = float(m.sum())
-                if which == "p" and plan.evidence and total <= 0.0:
-                    raise NullEvidenceError(f"evidence {dict(plan.evidence)} has zero mass")
-            m = cache[keep] = m if which == "q" else m / total
-        return m
-
-    def read(self, which: str, axes: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
-        """The marginal on ``axes`` read in their order, in ``shape``."""
+    def read(self, m: _Measure, axes: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
+        """The marginal of ``m`` on ``axes`` read in their order, in ``shape``."""
         keep, ranks = _reading(axes, self.plan.grid)
-        return self.marginal(which, keep).transpose(ranks).reshape(shape)
+        return m.marginal(keep).transpose(ranks).reshape(shape)
 
-    def seed(self, which: str, keep: tuple[int, ...], cot: np.ndarray) -> None:
-        """Adds ``cot`` to the cotangent of measure ``which``'s marginal on
-        the own axes ``keep``, which has been taken, in its shape."""
-        which, _, _ = self._measure(which)
-        seeded = self.cot[which]
-        seeded[keep] = seeded[keep] + cot if keep in seeded else cot
-
-    def sweep(self, which: str) -> dict[int, np.ndarray]:
-        """Each table of measure ``which`` that a block reads, by position,
-        times the gradient of the seeded sum(cot * marginal), in reverse
-        mode. Each marginal seeds the slot it was run into, from which one
-        sweep goes back through the network's nodes; one on no slot is 1
-        and reads no table."""
-        which, _, made = self._measure(which)
-        seeded, self.cot[which] = self.cot[which], {}
-        network = self.plan.networks[which]
-        at = {made[keep]: cot for keep, cot in seeded.items() if made[keep] is not None}
-        if not at or not network.wanted:
-            return {}
-        fields = network.backward(self.q_side.slots if which == "q" else self.slots[which], at)
-        return fields if which == "q" else {t: f / self.totals[which] for t, f in fields.items()}
-
-    def log_conditional(self, which: str, vars: tuple, given: tuple) -> np.ndarray:
-        """ln m(vars | given) of measure ``which`` on the own axes of vars +
-        given, from its marginal there, summed over vars for the given side;
-        -inf where that marginal is 0, and ln 1 on no axes for no ``vars``."""
-        plan = self.plan
+    def log_conditional(self, m: _Measure, vars: tuple, given: tuple) -> np.ndarray:
+        """ln m(vars | given) on the own axes of vars + given, from the
+        marginal there, summed over vars for the given side, cached; -inf
+        where that marginal is 0, and ln 1 on no axes for no ``vars``."""
         if not vars:
             return np.zeros(())
-        m = self.marginal(which, keep := plan.own(vars + given))
-        out = _safe_log(m / m.sum())
-        if given:
-            given = plan.own(given)
-            summed = tuple(k for k, a in enumerate(keep) if a not in given)
-            h = np.add.reduce(m, axis=summed, keepdims=True)
-            with np.errstate(invalid="ignore"):
-                out = out - _safe_log(h / h.sum())
+        out = m.logs.get((vars, given))
+        if out is None:
+            plan = self.plan
+            marginal = m.marginal(keep := plan.own(vars + given))
+            out = _safe_log(marginal / marginal.sum())
+            if given:
+                given_axes = plan.own(given)
+                summed = tuple(k for k, a in enumerate(keep) if a not in given_axes)
+                h = np.add.reduce(marginal, axis=summed, keepdims=True)
+                with np.errstate(invalid="ignore"):
+                    out = out - _safe_log(h / h.sum())
+            m.logs[vars, given] = out
         return out
 
 
@@ -829,8 +835,8 @@ class Engine:
     takes one softmax per live block and runs the network nodes of the
     marginals its terms ask for, each over the ancestors of its axes, that
     no earlier marginal of the evaluation ran; the gradient sweeps back
-    through them. A target that does not depend on ``phi`` is
-    contracted once, and its ln Z, marginals and source values are reused.
+    through them. A target that does not depend on ``phi`` is built into
+    one measure once, and its ln Z, marginals and logs are reused.
 
     ``value`` keeps its state, with its evaluation and p-field pieces,
     keyed by the exact bytes of the checked float64 ``phi``: a
@@ -866,7 +872,7 @@ class Engine:
             _check_target_factor(f, target, self._realized_system)
         # Both built by the first evaluation.
         self._plan: _Plan | None = None
-        self._fixed_q_side: _QSide | None = None
+        self._fixed_q: _Measure | None = None
         # The last ``value`` call's state, evaluation and p-field pieces,
         # keyed by the bytes of its phi; emptied by the next evaluation.
         self._kept: tuple[bytes, _State, Evaluation, list] | None = None
@@ -922,9 +928,9 @@ class Engine:
             self._plan = _Plan(self._realized_system, self.target, self.evidence, self.space,
                                self.terms, self.lnz_coeff)
         plan = self._plan
-        st = _State(plan, tuple(softmax(logits[b.at]) for b in plan.blocks), self._fixed_q_side)
+        st = _State(plan, tuple(softmax(logits[b.at]) for b in plan.blocks), self._fixed_q)
         if plan.fixed_target:
-            self._fixed_q_side = st.q_side
+            self._fixed_q = st.q
         return st
 
     # -- per-source arrays --------------------------------------------------
@@ -935,20 +941,13 @@ class Engine:
         if isinstance(src, Payoff):
             return self._plan.payoffs[src]
         if isinstance(src, ActualLog):
-            return st.log_conditional("p", src.vars, src.given)
-        arr = st.q_side.values.get(src)
-        if arr is not None:
-            return arr
+            return st.log_conditional(st.p, src.vars, src.given)
         if isinstance(src, TargetLog):
-            arr = st.log_conditional("q", src.vars, src.given)
-        else:
-            e = self._plan.logs[src.index]
-            if isinstance(e, MarginalMirror):
-                return st.q_side.values[src.index]
-            arr = e if isinstance(e, np.ndarray) else self._plan.sort(
-                e[1], _safe_log(st.sigmas[e[0]]))
-        st.q_side.values[src] = arr
-        return arr
+            return st.log_conditional(st.q, src.vars, src.given)
+        e = self._plan.logs[src.index]
+        if isinstance(e, MarginalMirror):
+            return st.log_conditional(st.joint, e.vars, e.given)
+        return e if isinstance(e, np.ndarray) else self._plan.sort(e[1], _safe_log(st.sigmas[e[0]]))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -969,7 +968,7 @@ class Engine:
             # p on the scope S the term is evaluated on: p_S(s) > 0 exactly
             # when some outcome with that s carries mass, so this is the
             # outcome-level test.
-            ps = st.marginal("p", scope)
+            ps = st.p.marginal(scope)
             if v.shape != ps.shape:  # constant on the axes of a wider scope
                 v = np.broadcast_to(v, ps.shape)
             ok = np.isfinite(v)
@@ -979,7 +978,7 @@ class Engine:
             val = float(np.vdot(ps, v))
             values[term.name] = val
             centred.append((scope, term.coeff * (v - val)))
-        log_partition = math.log(st.q_side.total)
+        log_partition = math.log(st.q.total)
         parts = [term.coeff * values[term.name] for term in self.terms]
         parts.append(self.lnz_coeff * log_partition)
         return Evaluation(math.fsum(parts), values, log_partition, divergent), centred
@@ -993,35 +992,34 @@ class Engine:
         plan = self._plan
         residual = self._score_residual(st)
         fields = [np.zeros(b.shape) for b in plan.blocks]
-        for w, axes in plan.towers if plan.networks["q"].wanted else ():
-            st.seed("q", axes, w * _ratio(st.marginal("p", axes), st.marginal("q", axes)))
-        from_q = st.sweep("q") if plan.networks["q"].wanted else {}
+        for w, axes in plan.towers if st.q.network.wanted else ():
+            st.q.seed(axes, w * _ratio(st.p.marginal(axes), st.q.marginal(axes)))
+        from_q = st.q.sweep()
         for i, c, feeds in plan.consumers:
             if isinstance(feeds, int):
                 b = plan.blocks[feeds]
                 if c != 0.0:
-                    fields[feeds] += c * st.read("p", b.family, b.shape)
+                    fields[feeds] += c * st.read(st.p, b.family, b.shape)
                 if i in from_q:
                     fields[feeds] += from_q[i].reshape(b.shape)
                 continue
             keep, given, between = feeds
-            j = st.marginal("joint", keep)
-            f = c * st.marginal("p", keep) + from_q.get(i, 0.0)
+            f = c * st.p.marginal(keep) + from_q.get(i, 0.0)
             fh = np.add.reduce(f, axis=between)
-            st.seed("joint", keep, _ratio(f, j))
-            st.seed("joint", given, -_ratio(fh, st.marginal("joint", given)))
+            st.joint.seed(keep, _ratio(f, st.joint.marginal(keep)))
+            st.joint.seed(given, -_ratio(fh, st.joint.marginal(given)))
         for scope, piece in centred:
-            st.seed("p", scope, piece)
-        for which in ("joint", "p") if plan.evidence else ("p",):
-            for t, f in st.sweep(which).items():
-                at = plan.tables[which][t]
+            st.p.seed(scope, piece)
+        for m in (st.joint, st.p) if plan.evidence else (st.p,):
+            for t, f in m.sweep().items():
+                at = m.tables[t]
                 fields[at] += f.reshape(plan.blocks[at].shape)
         grad = np.zeros(self.space.size)
         direction = np.zeros(self.space.size)
         for b, sigma, field in zip(plan.blocks, st.sigmas, fields):
             g = (field - sigma * np.add.reduce(field, axis=-1, keepdims=True)).ravel()
             grad[b.coords] = g
-            occupancy = np.add.reduce(st.read("p", b.family, b.shape), axis=-1)
+            occupancy = np.add.reduce(st.read(st.p, b.family, b.shape), axis=-1)
             direction[b.coords] = _natural_direction(g, sigma, occupancy)
         return grad, direction, residual
 
@@ -1032,7 +1030,7 @@ class Engine:
         residual = 0.0
         for b, sigma in zip(self._plan.blocks, st.sigmas):
             if b.side == "p":
-                joint = st.read("joint", b.family, b.shape)
+                joint = st.read(st.joint, b.family, b.shape)
                 off = joint - sigma * np.add.reduce(joint, axis=-1, keepdims=True)
                 residual = max(residual, float(np.abs(off).max()))
         return residual

@@ -444,7 +444,9 @@ def test_every_evaluation_checks_the_joint_and_the_evidence(x_table, realized, e
     # longer sums to one, or the evidence has no mass. A value call alone
     # must notice, with evidence or without, and also when the bad factor
     # is a leaf that no term and no target factor reads (x_table None),
-    # which every program then leaves out as barren.
+    # which every program then leaves out as barren. With a payoff alone,
+    # p's first marginal is the term's scope rather than a log-conditional's,
+    # and a value and a gradient each notice too.
     system = ActualSystem(
         [Variable("x", 2, Role.LATENT_STATE), Variable("y", 2, Role.PAST_INPUT)],
         [FactorSpec.parameterized("x", (), [0.2, -0.1]),
@@ -459,6 +461,11 @@ def test_every_evaluation_checks_the_joint_and_the_evidence(x_table, realized, e
     eng = Engine(system, target, kl_terms(target), lnz_coeff=1.0, realized=realized)
     with pytest.raises(error, match=match):
         eng.value()
+    payoff = [Term("payout", 1.0, ((1.0, Payoff(("x",), np.ones(2))),))]
+    eng = Engine(system, target, payoff, lnz_coeff=1.0, realized=realized)
+    for call in (eng.value, eng.value_and_gradient):
+        with pytest.raises(error, match=match):
+            call()
 
 
 def test_term_validation():
@@ -788,15 +795,15 @@ def action_system():
     ],
 )
 def test_target_is_built_once_unless_it_depends_on_phi(factor, realized, varies, monkeypatch):
-    # Counts the target network's builds: its tables and its total.
+    # Counts the target measure's builds: its tables and its total.
     calls = []
-    build = _State._target_side
+    build = _State._target
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(_State, "_target_side", counted)
+    monkeypatch.setattr(_State, "_target", counted)
     system = action_system()
     target = TargetSpec(("x", "a", "y"), [RewardFactor(("y",), np.asarray([0.0, 1.0])), factor])
     eng = Engine(system, target, kl_terms(target), lnz_coeff=1.0, realized=realized)
@@ -834,20 +841,21 @@ def test_evaluations_build_no_factor(name, monkeypatch):
     assert calls == ["x"]  # the counter is live
 
 
-def test_each_marginal_is_summed_from_the_smallest_one_taken(einsum_calls):
-    # chain-mdp's value asks p for the marginals on (x_t, a_t) and x_t at
-    # five steps; each x_t is summed from its (x_t, a_t), so only those
-    # five are run by the network over the factor tables, and every einsum
-    # call runs one of their nodes.
+def test_each_x_t_term_is_widened_to_its_step_marginal(einsum_calls):
+    # chain-mdp's value has a control cost on (x_t, a_t) at each of five
+    # steps and an expected preference on x_t at four; ``_Plan.scopes``
+    # evaluates each x_t term on the (x_t, a_t) scope that holds it, so p
+    # takes only the five (x_t, a_t) marginals, each run by the network
+    # over the factor tables, and every einsum call runs one of their nodes.
     obj = from_preset(preset("chain-mdp", n_states=6, steps=5))
     phi = np.random.default_rng(1).standard_normal(obj.parameters().size)
     obj.value(phi)  # the fixed target is contracted by the first evaluation
     einsum_calls.clear()
     obj.value(phi)
     st = obj.engine._kept[1]
-    assert sorted(tuple(sorted(keep)) for keep in st.made["p"]) == [
+    assert sorted(tuple(sorted(keep)) for keep in st.p.made) == [
         (0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
-    assert einsum_calls == ["run"] * (len(st.slots["p"]) - len(st.plan.tables["p"]))
+    assert einsum_calls == ["run"] * (len(st.p.values) - len(st.p.tables))
 
 
 @pytest.mark.parametrize("steps", [4, 8, 10])
@@ -997,7 +1005,7 @@ def test_engine_marginals_under_evidence_are_slices_of_the_joint(index):
         assert axes
         p = observed_slice(joint, axes)
         for which, dense in (("p", p), ("joint", joint)):
-            for keep, m in st.cache[which].items():
+            for keep, (m, _) in getattr(st, which).made.items():
                 want = summed(dense, tuple(sorted(keep)))
                 got = m.reshape(want.shape)
                 np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-300, err_msg=which)
@@ -1044,7 +1052,7 @@ def test_each_compiled_marginal_is_the_sum_of_the_dense_product(case):
     for keep in keeps:
         for which in ("p", "joint"):
             st = eng._state(phi)  # a fresh state: every marginal runs its program
-            got = st.read(which, keep, tuple(shape[a] for a in keep))
+            got = st.read(getattr(st, which), keep, tuple(shape[a] for a in keep))
             np.testing.assert_allclose(got, summed(dense[which], keep), rtol=1e-14, atol=1e-300)
             program = st.plan.networks[which].program(tuple(sorted(a for a in keep
                                                                    if shape[a] > 1)))
@@ -1077,7 +1085,7 @@ def test_marginals_from_one_state_reuse_its_nodes_soundly(case):
     for keep in sorted(keeps + [(a,) for a in range(len(shape))] + pairs + [()], key=len):
         for which in ("p", "joint"):
             for st_, d in zip(states, dense):
-                got = st_.read(which, keep, tuple(shape[a] for a in keep))
+                got = st_.read(getattr(st_, which), keep, tuple(shape[a] for a in keep))
                 np.testing.assert_allclose(got, summed(d[which], keep), rtol=1e-14, atol=1e-300)
 
 
@@ -1179,7 +1187,7 @@ def test_a_program_reads_the_ancestors_of_its_axes_and_the_evidence(case):
         assert tables_read(networks["joint"], joint) == ancestors(set(keep))
         if not axes and not observed:
             assert p.slots == () and p.result is None  # nothing is read: the marginal is 1
-            assert networks["p"].run(dict(st.slots["p"]), ())[0].item() == 1.0
+            assert networks["p"].run(dict(st.p.values), ())[0].item() == 1.0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1221,7 +1229,7 @@ def test_a_chain_value_reads_only_each_steps_ancestors(einsum_calls):
     obj.value(rng.standard_normal(obj.parameters().size))  # builds the plan and the target
     einsum_calls.clear()
     obj.value(rng.standard_normal(obj.parameters().size))
-    assert len(obj.engine._kept[1].made["p"]) == 10
+    assert len(obj.engine._kept[1].p.made) == 10
     assert len(einsum_calls) <= 26
 
 
@@ -1300,9 +1308,9 @@ def count_states(monkeypatch) -> list:
     calls = []
     init = _State.__init__
 
-    def counted(state, plan, sigmas, q_side):
+    def counted(state, plan, sigmas, q):
         calls.append(sigmas)
-        init(state, plan, sigmas, q_side)
+        init(state, plan, sigmas, q)
 
     monkeypatch.setattr(_State, "__init__", counted)
     return calls
@@ -1396,9 +1404,9 @@ def test_an_engine_holds_at_most_one_state(monkeypatch):
     alive = []
     init = _State.__init__
 
-    def watched(state, plan, sigmas, q_side):
+    def watched(state, plan, sigmas, q):
         alive.append(kept() is not None)
-        init(state, plan, sigmas, q_side)
+        init(state, plan, sigmas, q)
 
     monkeypatch.setattr(_State, "__init__", watched)
     for call in (obj.value, obj.value_and_gradient):

@@ -469,6 +469,19 @@ def test_target_weights_whose_sum_overflows_are_rejected_on_both_sides():
                 call()
 
 
+def test_target_weights_of_zero_total_mass_are_rejected_on_both_sides():
+    # The engine reads Z as the total of the target measure, its first
+    # marginal, on no axes, and the report sums the dense weights: both
+    # reject a zero total with one message.
+    system = ActualSystem([Variable("x", 2, Role.LATENT_STATE)],
+                          [FactorSpec.parameterized("x", (), [0.0, 0.0])])
+    target = TargetSpec(("x",), [TableFactor(("x",), np.zeros(2))])
+    obj = make_objective("joint_kl", system, target)
+    for call in (obj.value, obj.value_and_gradient, obj.report):
+        with pytest.raises(ValidationError, match="^target weights must have positive total mass$"):
+            call()
+
+
 def test_kl_regularized_mode_passive_and_identity():
     pre = preset("chain-mdp")
     obj = make_objective(
@@ -909,14 +922,14 @@ def test_planned_tables_match_the_materialized_ones(kind, key):
         eng.value(phi)
         st = eng._kept[1]
         eng.value_and_gradient(phi)  # contracts the kept state
-        assert st.q_side.total == pytest.approx(math.exp(q.log_partition), rel=1e-15)
+        assert st.q.total == pytest.approx(math.exp(q.log_partition), rel=1e-15)
         lift = [realized.names.index(n) for n in q.names]
         q_lifted = np.expand_dims(q.weights.transpose(np.argsort(lift)), tuple(
             a for a in range(len(realized.names)) if a not in lift
         ))
-        taken = [("q", keep, m, q_lifted) for keep, m in st.q_side.cache.items()]
+        taken = [("q", keep, m, q_lifted) for keep, (m, _) in st.q.made.items()]
         for which, dense in (("p", p.probs), ("joint", joint.probs)):
-            taken += [(which, keep, m, dense) for keep, m in st.cache[which].items()]
+            taken += [(which, keep, m, dense) for keep, (m, _) in getattr(st, which).made.items()]
         assert taken
         for which, keep, m, dense in taken:
             drop = tuple(a for a in range(dense.ndim) if a not in keep and dense.shape[a] > 1)

@@ -345,9 +345,9 @@ def test_an_accepted_point_builds_its_joint_once(name, value_calls, grad_calls, 
     joints = []
     init = divmin.engine._State.__init__
 
-    def counted(state, plan, sigmas, q_side):
+    def counted(state, plan, sigmas, q):
         joints.append(sigmas)
-        init(state, plan, sigmas, q_side)
+        init(state, plan, sigmas, q)
 
     monkeypatch.setattr(divmin.engine._State, "__init__", counted)
     wrapped = _Protocol(objective)
